@@ -424,6 +424,11 @@ def _rows_to_csv(columns: list[str], rows: list[dict], header_comments: list[str
     return "\n".join(lines) + "\n"
 
 
+def _reject_csv(command: str, fmt: str | None, cfg: dict):
+    if (fmt or cfg.get("format")) == "csv":
+        raise click.UsageError(f"{command} writes JSON only; --format csv does not apply")
+
+
 def _run_guard(fn):
     """Run a command body; map unexpected failures to exit code 3."""
     try:
@@ -448,12 +453,18 @@ def main():
 @main.command("plan")
 @click.option("--circuit", "circuit_path", default=None,
               help="Circuit JSON path, or the literal 'ghz4' for the built-in template.")
-@_cluster_options
-@_output_options
-def cmd_plan(circuit_path, config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
-    """Report the interaction graph, cuts, and subtask-count comparison."""
+@click.option("--config", "config_path", default=None,
+              type=click.Path(dir_okay=False), help="JSON config file; flags override it.")
+@click.option("--out", "out_path", default=None,
+              type=click.Path(dir_okay=False, writable=True),
+              help="Output file (default: stdout).")
+def cmd_plan(circuit_path, config_path, out_path):
+    """Report the interaction graph, cuts, and subtask-count comparison.
+
+    plan runs no tasks, so it takes no cluster, shot or check options."""
     cfg = _load_config(config_path)
     circuit_path = circuit_path or cfg.get("circuit")
+    out_path = out_path or cfg.get("out")
     if circuit_path is None:
         raise click.UsageError("plan needs --circuit <path|ghz4>")
     if circuit_path == "ghz4":
@@ -488,6 +499,7 @@ def cmd_ghz(config_path, mode, nodes, workers, shots, seed, out_path, fmt, check
     """Reconstruct the 4-qubit GHZ state from the 128-evaluation overlap plan."""
     cfg = _load_config(config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
+    _reject_csv("ghz", fmt, cfg)
     out_path = out_path or cfg.get("out") or "ghz_density.json"
 
     def body():
@@ -520,6 +532,7 @@ def cmd_ghz_cut(config_path, mode, nodes, workers, shots, seed, out_path, fmt, c
     """Reconstruct GHZ through the 10-term wire-cut quasi-probability baseline."""
     cfg = _load_config(config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
+    _reject_csv("ghz-cut", fmt, cfg)
     out_path = out_path or cfg.get("out") or "ghz_cut_density.json"
 
     def body():
@@ -630,9 +643,16 @@ def cmd_nonherm(eps, c_param, dt, t_list, emulate_float_truncation, normalize,
 @_output_options
 def cmd_imagtime(eps, c_param, dt, big_t, gamma_list, normalize,
                  config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
-    """Sweep imaginary-time ground-state estimation for H(gamma) = 2I + gamma sigma_x."""
+    """Sweep imaginary-time ground-state estimation for H(gamma) = 2I + gamma sigma_x.
+
+    The sweep is dense in-process LCHS code and never reaches the task runtime,
+    so shots and network mode are rejected rather than ignored."""
     cfg = _load_config(config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
+    if cluster.shots is not None:
+        raise click.UsageError("imagtime computes exact expectations; --shots does not apply")
+    if cluster.mode == "network":
+        raise click.UsageError("imagtime runs in-process; --mode network does not apply")
     eps = eps if eps is not None else cfg.get("eps", 0.3)
     c_param = c_param if c_param is not None else cfg.get("c", 1.0)
     dt = dt if dt is not None else cfg.get("dt", 0.01)

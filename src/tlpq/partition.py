@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np  # noqa: F401  (kept for parity with sibling modules)
-
 from .circuit import Circuit
 
 __all__ = [

@@ -8,8 +8,9 @@ product input make Tr(O Phi(rho)) a weighted sum of per-part overlaps
     <psi0^a| (U^a_{p,j,alpha'})^dagger O^a U^a_{p,i,alpha} |psi0^a>,
 
 each measurable with one ancilla (Hadamard-test style). This module enumerates
-those subtasks, synthesizes the estimator circuits, and carries the two GHZ
-pipelines (overlap tomography across a cut, and the wire-cut density baseline).
+those subtasks, validates and synthesizes their estimator circuits, and carries
+the two GHZ pipelines (overlap tomography across a cut, and the wire-cut
+density baseline).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "NonPhysical",
     "enumerate_subtasks",
     "build_estimator_circuit",
+    "check_overlap_operands",
     "ghz_overlap_plan",
     "evaluation_circuit",
     "assemble_grams",
@@ -301,6 +303,29 @@ def _observable_matrix(obs) -> np.ndarray:
     return np.asarray(obs, dtype=complex)
 
 
+def check_overlap_operands(left: Circuit, right: Circuit, observable, input_label: str) -> None:
+    """Validate one overlap <label| U_right^dagger O U_left |label>.
+
+    The circuits must share a width w, the observable must be a w-letter
+    PauliString or a unitary 2^w x 2^w matrix, and the input label must be w
+    bits. Pauli observables are never expanded to a dense matrix here.
+    """
+    w = left.n_qubits
+    if right.n_qubits != w:
+        raise ShapeMismatch("left/right circuits must have the same width")
+    if len(input_label) != w or any(ch not in "01" for ch in input_label):
+        raise ShapeMismatch(f"input label {input_label!r} does not fit width {w}")
+    if isinstance(observable, PauliString):
+        if observable.n_qubits != w:
+            raise ShapeMismatch("observable width does not match the circuits")
+        return
+    obs = np.asarray(observable, dtype=complex)
+    if obs.shape != (2**w, 2**w):
+        raise ShapeMismatch("observable width does not match the circuits")
+    if not is_unitary(obs):
+        raise NonUnitaryObservable("estimator observables must be unitary")
+
+
 def build_estimator_circuit(s: Subtask) -> EstimatorCircuit:
     """Synthesize the single-ancilla circuit for one subtask.
 
@@ -309,15 +334,14 @@ def build_estimator_circuit(s: Subtask) -> EstimatorCircuit:
     on ancilla |1> (controlled). All controls are RAW two-block matrices. The
     final state is (|0> U_right|psi> + |1> O U_left|psi>)/sqrt(2), so the
     ancilla coherence <sigma_x> + i <sigma_y> is <psi|U_right^dagger O U_left|psi>.
+
+    This is the hardware-faithful export of a subtask and the oracle the tests
+    hold the runtime's "overlap" tasks to; run_plan itself never synthesizes
+    it. The input label is not part of the circuit (prepare it on qubits 1..w).
     """
+    check_overlap_operands(s.left_circuit, s.right_circuit, s.observable, s.input_label)
     w = s.left_circuit.n_qubits
-    if s.right_circuit.n_qubits != w:
-        raise ShapeMismatch("left/right circuits must have the same width")
     obs = _observable_matrix(s.observable)
-    if obs.shape != (2**w, 2**w):
-        raise ShapeMismatch("observable width does not match the circuits")
-    if not is_unitary(obs):
-        raise NonUnitaryObservable("estimator observables must be unitary")
     dim = 2**w
     u_left = circuit_unitary(s.left_circuit)
     u_right = circuit_unitary(s.right_circuit)

@@ -4,20 +4,27 @@ Two node flavors speak one task format: in-process exact backends (optionally
 shot-sampling) and remote workers reached over a TCP newline-delimited JSON
 protocol. Scheduling is static round-robin by task id; aggregation is an
 ordered reduce so results are bit-identical across node counts and transports.
+
+A plan's subtasks run as "overlap" tasks: the backend simulates the left and
+right gate lists on the part's w qubits and forms z = <U_r psi0| O U_l psi0>,
+which fixes the single-ancilla estimator's readouts (ax = Re z, ay = Im z).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import socketserver
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .circuit import (
+    PAULI_1Q,
     Circuit,
     Gate,
     PauliString,
@@ -27,12 +34,15 @@ from .circuit import (
     parse_circuit,
     simulate,
     _apply,
+    _matrix_from_json,
+    _matrix_to_json,
 )
-from .planner import Subtask, build_estimator_circuit
+from .planner import Subtask, check_overlap_operands
 
 __all__ = [
     "ClusterConfig",
     "TaskSpec",
+    "OverlapSpec",
     "TaskResult",
     "ExactBackend",
     "NodeFailure",
@@ -40,6 +50,7 @@ __all__ = [
     "MissingResult",
     "PROTOCOL_VERSION",
     "sample_shots",
+    "overlap_value",
     "execute_tasks",
     "run_plan",
     "aggregate",
@@ -48,7 +59,7 @@ __all__ = [
     "serve_worker",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class NodeFailure(RuntimeError):
@@ -111,6 +122,40 @@ class TaskSpec:
     kind: str
     circuit: Circuit
     readouts: tuple[str, ...]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.circuit.n_qubits
+
+
+@dataclass(frozen=True, eq=False)
+class OverlapSpec:
+    """One per-part overlap z = <label| U_right^dagger O U_left |label> as a task.
+
+    It carries the subtask's two gate lists, its observable (a PauliString or
+    a unitary matrix) and its input label, not a synthesized estimator
+    circuit. Its readouts are those of the single-ancilla estimator, taken
+    from z directly: "ax" = Re z, "ay" = Im z. The width is that of the part;
+    no ancilla is added.
+    """
+
+    id: int
+    left: Circuit
+    right: Circuit
+    observable: PauliString | np.ndarray
+    input_label: str
+
+    kind: ClassVar[str] = "overlap"
+    readouts: ClassVar[tuple[str, ...]] = ("ax", "ay")
+
+    def __post_init__(self):
+        check_overlap_operands(self.left, self.right, self.observable, self.input_label)
+        if not isinstance(self.observable, PauliString):
+            object.__setattr__(self, "observable", np.asarray(self.observable, dtype=complex))
+
+    @property
+    def n_qubits(self) -> int:
+        return self.left.n_qubits
 
 
 @dataclass(frozen=True)
@@ -206,6 +251,53 @@ def _density_evolve(c: Circuit) -> np.ndarray:
     return rho
 
 
+def _part_state(c: Circuit, input_label: str) -> np.ndarray:
+    """U|label> on the part's own qubits (RAW gates must be unitary)."""
+    return simulate(c, basis_state(c.n_qubits, int(input_label, 2)))
+
+
+@functools.lru_cache(maxsize=64)
+def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli string as a signed permutation: (P psi)[i] = phase[i] * psi[source[i]].
+
+    Each one-qubit Pauli has one nonzero per row, so row bit i_q reads column
+    bit col[i_q] with coefficient P[i_q, col[i_q]]; no 2^w x 2^w matrix is built.
+    """
+    n = len(letters)
+    index = np.arange(2**n)
+    source = np.zeros(2**n, dtype=np.intp)
+    phase = np.ones(2**n, dtype=complex)
+    for q, ch in enumerate(letters):
+        mat = PAULI_1Q[ch]
+        col = np.argmax(np.abs(mat), axis=1)
+        bit = (index >> (n - 1 - q)) & 1
+        source |= col[bit] << (n - 1 - q)
+        phase *= mat[bit, col[bit]]
+    source.flags.writeable = False  # cached and shared by every caller
+    phase.flags.writeable = False
+    return source, phase
+
+
+def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -> np.ndarray:
+    """O|state>: a signed permutation for Pauli letters, a matvec for a matrix."""
+    if not isinstance(observable, PauliString):
+        return observable @ state
+    source, phase = _pauli_action(observable.letters)
+    return phase * state[source]
+
+
+def overlap_value(left_state: np.ndarray, right_state: np.ndarray, observable) -> complex:
+    """z = <right_state| O |left_state>.
+
+    Every overlap task's value comes from this one function, so local batches,
+    single tasks on workers and retried tasks produce bit-identical values.
+    """
+    return complex(np.vdot(right_state, _apply_observable(observable, left_state)))
+
+
+_PLUS_MINUS = np.array([-1.0, 1.0])  # ancilla outcome values, ascending as in _grouped
+
+
 def _grouped(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse basis outcomes into (distinct value, total probability) groups."""
     keys = np.round(values, 12)
@@ -233,13 +325,24 @@ class ExactBackend:
         }
 
     def run_task(
-        self, task: TaskSpec, shots: int | None, seed: int
+        self,
+        task: TaskSpec | OverlapSpec,
+        shots: int | None,
+        seed: int,
+        states: dict | None = None,
     ) -> tuple[tuple[float, ...], int]:
-        n = task.circuit.n_qubits
+        """Run one task; returns (one value per readout, shots used).
+
+        ``states`` lets a batch of overlap tasks share part states: it maps
+        (circuit, input label) to the simulated state and is filled on a miss.
+        """
+        n = task.n_qubits
         if n > self.max_qubits:
             raise CapabilityMismatch(
                 f"task {task.id} needs {n} qubits, node supports {self.max_qubits}"
             )
+        if task.kind == "overlap":
+            return self._run_overlap(task, shots, seed, {} if states is None else states)
         if task.kind == "estimator":
             state: np.ndarray | None = simulate(task.circuit, basis_state(n))
             rho = None
@@ -277,6 +380,28 @@ class ExactBackend:
         shots_used = 0 if shots is None else shots * len(task.readouts)
         return tuple(values), shots_used
 
+    @staticmethod
+    def _run_overlap(
+        task: OverlapSpec, shots: int | None, seed: int, states: dict
+    ) -> tuple[tuple[float, ...], int]:
+        sides = []
+        for c in (task.left, task.right):
+            key = (c, task.input_label)
+            if key not in states:
+                states[key] = _part_state(c, task.input_label)
+            sides.append(states[key])
+        z = overlap_value(sides[0], sides[1], task.observable)
+        values: list[float] = []
+        for ridx, mean in enumerate((z.real, z.imag)):  # the readouts "ax", "ay"
+            if shots is not None:
+                # P(+1) = (1 + mean) / 2 for the ancilla's sigma_x / sigma_y
+                rng = np.random.default_rng((seed, task.id, ridx))
+                freq = sample_shots([(1.0 - mean) / 2.0, (1.0 + mean) / 2.0], shots, rng)
+                mean = float(np.dot(freq, _PLUS_MINUS))
+            values.append(mean)
+        shots_used = 0 if shots is None else shots * len(task.readouts)
+        return tuple(values), shots_used
+
 
 def run_density_path(subcircuit: Circuit, settings) -> list[float]:
     """Exact helper: propagate the (possibly non-unitary) map list and read Tr(rho' P)."""
@@ -295,16 +420,49 @@ def run_density_path(subcircuit: Circuit, settings) -> list[float]:
 
 # --- wire protocol (network mode) ----------------------------------------------
 
-def _task_message(task: TaskSpec, shots: int | None, seed: int) -> dict:
-    return {
-        "type": "task",
-        "id": task.id,
-        "kind": task.kind,
-        "circuit": circuit_to_json(task.circuit),
-        "readout": list(task.readouts),
-        "shots": shots,
-        "seed": seed,
-    }
+def _task_message(task: TaskSpec | OverlapSpec, shots: int | None, seed: int) -> dict:
+    msg: dict = {"type": "task", "id": task.id, "kind": task.kind}
+    if task.kind == "overlap":
+        obs = task.observable
+        msg["left"] = circuit_to_json(task.left)
+        msg["right"] = circuit_to_json(task.right)
+        msg["obs"] = obs.letters if isinstance(obs, PauliString) else _matrix_to_json(obs)
+        msg["input"] = task.input_label
+    else:
+        msg["circuit"] = circuit_to_json(task.circuit)
+    msg["readout"] = list(task.readouts)
+    msg["shots"] = shots
+    msg["seed"] = seed
+    return msg
+
+
+def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
+    kind = msg["kind"]
+    readouts = tuple(str(r) for r in msg["readout"])
+    if kind == "overlap":
+        if readouts != OverlapSpec.readouts:
+            raise ValueError(f"overlap tasks read exactly {list(OverlapSpec.readouts)}")
+        left = parse_circuit(msg["left"])
+        obs = msg["obs"]
+        return OverlapSpec(
+            id=int(msg["id"]),
+            left=left,
+            right=parse_circuit(msg["right"]),
+            observable=(
+                PauliString(left.n_qubits, obs)
+                if isinstance(obs, str)
+                else _matrix_from_json(obs, "observable")
+            ),
+            input_label=str(msg["input"]),
+        )
+    if kind not in ("estimator", "density"):
+        raise ValueError(f"unknown task kind {kind!r}")
+    return TaskSpec(
+        id=int(msg["id"]),
+        kind=kind,
+        circuit=parse_circuit(msg["circuit"], require_unitary=(kind == "estimator")),
+        readouts=readouts,
+    )
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -347,16 +505,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
     def _handle_task(self, msg: dict):
         task_id = msg.get("id", -1)
         try:
-            kind = msg["kind"]
-            if kind not in ("estimator", "density"):
-                raise ValueError(f"unknown task kind {kind!r}")
-            circuit = parse_circuit(msg["circuit"], require_unitary=(kind == "estimator"))
-            task = TaskSpec(
-                id=int(task_id),
-                kind=kind,
-                circuit=circuit,
-                readouts=tuple(str(r) for r in msg["readout"]),
-            )
+            task = _task_from_message(msg)
             shots = msg.get("shots")
             shots = None if shots is None else int(shots)
             seed = int(msg.get("seed", 0))
@@ -467,13 +616,13 @@ class _WorkerClient:
         return json.loads(line.decode("utf-8"))
 
     def run_task(
-        self, task: TaskSpec, shots: int | None, seed: int
+        self, task: TaskSpec | OverlapSpec, shots: int | None, seed: int
     ) -> tuple[tuple[float, ...], int]:
         if self.sock is None:
             self._connect()
-        if task.circuit.n_qubits > self.max_qubits:
+        if task.n_qubits > self.max_qubits:
             raise CapabilityMismatch(
-                f"task {task.id} needs {task.circuit.n_qubits} qubits, "
+                f"task {task.id} needs {task.n_qubits} qubits, "
                 f"worker {self.address} supports {self.max_qubits}"
             )
         self._send(_task_message(task, shots, seed))
@@ -504,24 +653,29 @@ class _WorkerClient:
         self.file = None
 
 
-def execute_tasks(tasks: list[TaskSpec], cfg: ClusterConfig) -> list[TaskResult]:
+def execute_tasks(
+    tasks: list[TaskSpec | OverlapSpec], cfg: ClusterConfig
+) -> list[TaskResult]:
     """Run every task exactly once; assignment is task id modulo node count.
 
     Dead nodes are skipped; a failed dispatch retries on the next node in ring
     order, and the task only fails after retry_limit distinct attempts.
-    Results are returned in ascending task id order.
+    Results are returned in ascending task id order. In local mode the overlap
+    tasks of one call share their part states: each distinct (circuit object,
+    input label) is simulated once and kept until the call returns.
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     if cfg.mode == "local":
         backend = ExactBackend()
-        worst = max((t.circuit.n_qubits for t in tasks), default=0)
+        worst = max((t.n_qubits for t in tasks), default=0)
         if worst > backend.max_qubits:
             raise CapabilityMismatch(
                 f"plan needs {worst} qubits, nodes support {backend.max_qubits}"
             )
+        states: dict = {}
         out = []
         for t in tasks:
-            values, shots_used = backend.run_task(t, cfg.shots, cfg.seed)
+            values, shots_used = backend.run_task(t, cfg.shots, cfg.seed, states)
             out.append(
                 TaskResult(
                     task_id=t.id,
@@ -571,27 +725,20 @@ def execute_tasks(tasks: list[TaskSpec], cfg: ClusterConfig) -> list[TaskResult]
 
 
 def run_plan(plan: list[Subtask], cfg: ClusterConfig) -> list[TaskResult]:
-    """Execute a subtask plan; each result's value is the complex overlap."""
-    tasks = []
-    for s in plan:
-        est = build_estimator_circuit(s)
-        prep = tuple(
-            Gate("X", (1 + idx,))
-            for idx, ch in enumerate(s.input_label)
-            if ch == "1"
+    """Execute a subtask plan as overlap tasks; each result's value is the complex overlap."""
+    tasks = [
+        OverlapSpec(
+            id=s.id,
+            left=s.left_circuit,
+            right=s.right_circuit,
+            observable=s.observable,
+            input_label=s.input_label,
         )
-        tasks.append(
-            TaskSpec(
-                id=s.id,
-                kind="estimator",
-                circuit=Circuit(est.circuit.n_qubits, prep + est.circuit.gates),
-                readouts=est.readouts,
-            )
-        )
-    raw = execute_tasks(tasks, cfg)
+        for s in plan
+    ]
     return [
-        replace(r, value=complex(r.value[0], r.value[1]))
-        for r in raw
+        TaskResult(r.task_id, complex(r.value[0], r.value[1]), r.shots_used, r.node_id)
+        for r in execute_tasks(tasks, cfg)
     ]
 
 

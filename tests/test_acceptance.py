@@ -55,7 +55,9 @@ def announce(label: str):
 @contextmanager
 def live_worker(fail_after_tasks: int | None = None):
     server = WorkerServer(("127.0.0.1", 0), fail_after_tasks=fail_after_tasks)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short shutdown poll: serve_forever's default 0.5 s is paid on every teardown
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"127.0.0.1:{server.server_address[1]}"

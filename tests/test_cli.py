@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from tlpq import Circuit, Gate, circuit_to_json
 from tlpq.cli import main
+from tlpq.runtime import PROTOCOL_VERSION
 
 
 @pytest.fixture()
@@ -305,6 +306,36 @@ def test_workers_flag_requires_network_mode(runner):
     assert result.exit_code == 2
 
 
+# --- options a command would ignore are rejected -------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["ghz", "--format", "csv"],
+    ["ghz-cut", "--format", "csv"],
+    ["plan", "--circuit", "ghz4", "--shots", "5"],
+    ["plan", "--circuit", "ghz4", "--check"],
+    ["plan", "--circuit", "ghz4", "--mode", "network"],
+    ["plan", "--circuit", "ghz4", "--workers", "127.0.0.1:1"],
+    ["imagtime", "--gamma-list", "0.4", "--shots", "100"],
+    ["imagtime", "--gamma-list", "0.4", "--mode", "network",
+     "--workers", "127.0.0.1:1"],
+], ids=["ghz-format-csv", "ghz-cut-format-csv", "plan-shots", "plan-check",
+        "plan-mode-network", "plan-workers", "imagtime-shots", "imagtime-network"])
+def test_ignored_options_exit_2(runner, tmp_path, args):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, combined_output(result)
+        assert not any(p.name.endswith(".json") for p in tmp_path.rglob("*"))
+
+
+def test_config_csv_format_rejected_for_ghz(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    result = runner.invoke(main, ["ghz", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "JSON only" in combined_output(result)
+
+
 # --- worker subprocess ---------------------------------------------------------------
 
 
@@ -322,7 +353,8 @@ def test_worker_announces_and_stops_on_shutdown(tmp_path):
         host, _, port = line.rsplit(" ", 1)[-1].rpartition(":")
         with socket.create_connection((host, int(port)), timeout=10) as sock:
             f = sock.makefile("rwb")
-            f.write(b'{"type": "hello", "proto": 1}\n')
+            f.write((json.dumps({"type": "hello", "proto": PROTOCOL_VERSION})
+                     + "\n").encode())
             f.flush()
             ack = json.loads(f.readline().decode())
             assert ack["type"] == "hello_ack"

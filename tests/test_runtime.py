@@ -16,26 +16,32 @@ import pytest
 
 from conftest import PAULI, kron_all, pauli_label_matrix, haar_unitary
 
+import tlpq
 from tlpq import (
     Circuit,
     ClusterConfig,
+    FactorizedUnitary,
     Gate,
     PauliString,
     Subtask,
     TaskSpec,
     aggregate,
+    build_estimator_circuit,
     circuit_to_json,
+    enumerate_subtasks,
     execute_tasks,
     run_density_path,
     run_plan,
     sample_shots,
 )
+from tlpq.planner import ChannelLCU, NonUnitaryObservable, ShapeMismatch
 from tlpq.runtime import (
     PROTOCOL_VERSION,
     CapabilityMismatch,
     ExactBackend,
     MissingResult,
     NodeFailure,
+    OverlapSpec,
     TaskResult,
     WorkerServer,
     serve_worker,
@@ -50,7 +56,9 @@ def live_worker(max_qubits: int = 12, fail_after_tasks: int | None = None):
     """A WorkerServer on an ephemeral port, torn down afterwards."""
     server = WorkerServer(("127.0.0.1", 0), max_qubits=max_qubits,
                           fail_after_tasks=fail_after_tasks)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short shutdown poll: serve_forever's default 0.5 s is paid on every teardown
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"127.0.0.1:{server.server_address[1]}"
@@ -546,3 +554,256 @@ def test_aggregate_rejects_missing_results(rng):
     results = run_plan(plan, ClusterConfig())
     with pytest.raises(MissingResult):
         aggregate(plan, results[:-1])
+
+
+# --- overlap tasks: gate lists in, z = <U_r psi0| O U_l psi0> out -------------------
+
+
+def matrix_json(m: np.ndarray) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def estimator_task(s: Subtask, task_id: int) -> TaskSpec:
+    """The oracle: the synthesized single-ancilla circuit, input prepared by X gates."""
+    est = build_estimator_circuit(s)
+    prep = tuple(
+        Gate("X", (1 + idx,)) for idx, ch in enumerate(s.input_label) if ch == "1"
+    )
+    return TaskSpec(id=task_id, kind="estimator",
+                    circuit=Circuit(est.circuit.n_qubits, prep + est.circuit.gates),
+                    readouts=est.readouts)
+
+
+def overlap_task(s: Subtask, task_id: int) -> OverlapSpec:
+    return OverlapSpec(id=task_id, left=s.left_circuit, right=s.right_circuit,
+                       observable=s.observable, input_label=s.input_label)
+
+
+def random_subtasks(rng, count_per_width: int = 12):
+    """Random subtasks for w = 1..4 over Pauli and unitary-matrix observables."""
+    out = []
+    for w in range(1, 5):
+        for k in range(count_per_width):
+            if k % 2 == 0:
+                obs = PauliString(w, "".join(rng.choice(list("IXYZ")) for _ in range(w)))
+            else:
+                obs = haar_unitary(2**w, rng)
+            out.append(Subtask(
+                id=len(out), indices=(0, 0, 0, 0, 0, 0),
+                left_circuit=random_circuit(rng, w, n_gates=5),
+                right_circuit=random_circuit(rng, w, n_gates=5),
+                observable=obs,
+                input_label=("0" if k % 4 < 2 else "1") * w,
+                coefficient=1.0 + 0j,
+            ))
+    return out
+
+
+def test_overlap_tasks_match_estimator_circuits_exactly(rng):
+    backend = ExactBackend()
+    for s in random_subtasks(rng):
+        want, _ = backend.run_task(estimator_task(s, s.id), None, 0)
+        got, used = backend.run_task(overlap_task(s, s.id), None, 0)
+        assert used == 0
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, f"subtask {s.id}"
+
+
+def test_overlap_tasks_sample_like_estimator_circuits(rng):
+    shots = 4000
+    backend = ExactBackend()
+    for s in random_subtasks(rng, count_per_width=4):
+        exact, _ = backend.run_task(overlap_task(s, s.id), None, 0)
+        want, used_want = backend.run_task(estimator_task(s, s.id), shots, 17)
+        got, used = backend.run_task(overlap_task(s, s.id), shots, 17)
+        assert used == used_want == 2 * shots
+        for g, w, e in zip(got, want, exact):
+            # same (seed, id, readout) stream, probabilities equal up to rounding
+            assert abs(g - w) <= 5 / np.sqrt(shots)
+            assert abs(g - e) <= 5 / np.sqrt(shots)
+        assert backend.run_task(overlap_task(s, s.id), shots, 17)[0] == got
+
+
+def test_pauli_observable_action_equals_dense_matrix_exactly(rng):
+    from itertools import product
+
+    from tlpq.runtime import _apply_observable
+
+    for w in range(1, 4):
+        for letters in map("".join, product("IXYZ", repeat=w)):
+            v = rng.normal(size=2**w) + 1j * rng.normal(size=2**w)
+            got = _apply_observable(PauliString(w, letters), v)
+            assert np.array_equal(got, pauli_label_matrix(letters) @ v), letters
+
+
+def test_overlap_task_shares_states_within_a_batch(rng, monkeypatch):
+    import tlpq.runtime as runtime
+
+    left = random_circuit(rng, 2)
+    rights = [random_circuit(rng, 2) for _ in range(3)]
+    tasks = [
+        OverlapSpec(id=i, left=left, right=r, observable=PauliString(2, "XZ"),
+                    input_label="01")
+        for i, r in enumerate(rights)
+    ]
+    alone = [ExactBackend().run_task(t, None, 0)[0] for t in tasks]
+    calls = []
+    real = runtime.simulate
+    monkeypatch.setattr(runtime, "simulate", lambda c, v: calls.append(c) or real(c, v))
+    batch = execute_tasks(tasks, ClusterConfig())
+    assert len(calls) == 4  # one left state, three right states
+    assert [r.value for r in batch] == alone
+
+
+def test_overlap_spec_validates_operands(rng):
+    one = Circuit(1, (Gate("H", (0,)),))
+    two = Circuit(2, (Gate("H", (0,)),))
+    with pytest.raises(ShapeMismatch):
+        OverlapSpec(id=0, left=two, right=one, observable=PauliString(2, "ZZ"),
+                    input_label="00")
+    with pytest.raises(ShapeMismatch):
+        OverlapSpec(id=0, left=two, right=two, observable=PauliString(2, "ZZ"),
+                    input_label="0")
+    with pytest.raises(ShapeMismatch):
+        OverlapSpec(id=0, left=two, right=two, observable=PauliString(1, "Z"),
+                    input_label="00")
+    with pytest.raises(ShapeMismatch):
+        OverlapSpec(id=0, left=two, right=two, observable=np.eye(2),
+                    input_label="00")
+    with pytest.raises(NonUnitaryObservable):
+        OverlapSpec(id=0, left=one, right=one, observable=np.diag([1.0, 0.5]),
+                    input_label="0")
+
+
+def test_overlap_task_rejects_non_unitary_raw_gate():
+    squash = Circuit(1, (Gate("RAW", (0,), raw=np.diag([1.0, 0.5])),))
+    task = OverlapSpec(id=0, left=squash, right=squash,
+                       observable=PauliString(1, "Z"), input_label="0")
+    with pytest.raises(ValueError):
+        ExactBackend().run_task(task, None, 0)
+
+
+def test_overlap_task_capability_is_the_part_width():
+    circ = Circuit(3, (Gate("H", (0,)),))
+    task = OverlapSpec(id=0, left=circ, right=circ,
+                       observable=PauliString(3, "ZZZ"), input_label="000")
+    ExactBackend(max_qubits=3).run_task(task, None, 0)  # no ancilla on top
+    with pytest.raises(CapabilityMismatch):
+        ExactBackend(max_qubits=2).run_task(task, None, 0)
+
+
+def overlap_message(task_id: int, left: Circuit, right: Circuit, obs, label: str,
+                    shots=None, seed: int = 0) -> dict:
+    return {
+        "type": "task", "id": task_id, "kind": "overlap",
+        "left": circuit_to_json(left), "right": circuit_to_json(right),
+        "obs": obs, "input": label, "readout": ["ax", "ay"],
+        "shots": shots, "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("shots", [None, 50])
+def test_protocol_overlap_roundtrip_matches_local_backend(rng, shots):
+    left, right = random_circuit(rng, 2), random_circuit(rng, 2)
+    unitary_obs = haar_unitary(4, rng)
+    cases = [(21, PauliString(2, "YX"), "YX"), (22, unitary_obs, matrix_json(unitary_obs))]
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        for task_id, obs, wire_obs in cases:
+            task = OverlapSpec(id=task_id, left=left, right=right, observable=obs,
+                               input_label="10")
+            local_values, local_used = ExactBackend().run_task(task, shots, 3)
+            send(overlap_message(task_id, left, right, wire_obs, "10", shots, 3))
+            reply = recv()
+            assert reply["type"] == "result" and reply["id"] == task_id
+            assert reply["shots_used"] == local_used
+            assert tuple(re for re, _ in reply["values"]) == local_values
+
+
+_NON_UNITARY = {"kind": "RAW", "qubits": [0], "raw": [[[1, 0], [0.2, 0]], [[0, 0], [0.5, 0]]]}
+
+
+@pytest.mark.parametrize("case", [
+    "mismatched_widths", "non_unitary_raw", "bad_input_label", "too_wide",
+    "non_unitary_observable", "other_readouts",
+])
+def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
+    two = circuit_to_json(Circuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))))
+    msg = {
+        "type": "task", "id": 77, "kind": "overlap", "left": two, "right": two,
+        "obs": "ZX", "input": "01", "readout": ["ax", "ay"], "shots": None, "seed": 0,
+    }
+    if case == "mismatched_widths":
+        msg["right"] = {"n": 1, "gates": [{"kind": "H", "qubits": [0]}]}
+    elif case == "non_unitary_raw":
+        msg["left"] = {"n": 2, "gates": [_NON_UNITARY]}
+    elif case == "bad_input_label":
+        msg["input"] = "012"
+    elif case == "too_wide":
+        wide = {"n": 3, "gates": [{"kind": "H", "qubits": [2]}]}
+        msg.update(left=wide, right=wide, obs="ZZZ", input="000")
+    elif case == "non_unitary_observable":
+        msg["obs"] = matrix_json(np.diag([1.0, 1.0, 1.0, 0.5]))
+    else:
+        msg["readout"] = ["e:ZX"]
+    with live_worker(max_qubits=2) as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(msg)
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == 77
+        good = {**msg, "id": 78, "left": two, "right": two, "obs": "ZX", "input": "01",
+                "readout": ["ax", "ay"]}
+        send(good)
+        assert recv()["type"] == "result"
+
+
+def factorized_plan(rng):
+    """Two parts of width 1 and 2; two branches of two two-term unitaries."""
+    def fu():
+        terms = []
+        for _ in range(2):
+            terms.append((complex(rng.normal(), rng.normal()) / 2,
+                          (random_circuit(rng, 1), random_circuit(rng, 2))))
+        return FactorizedUnitary(terms=tuple(terms))
+
+    branches = tuple(
+        ((0.6 + 0.1j, -0.3 + 0.2j), (fu(), fu())) for _ in range(2)
+    )
+    obs = (PauliString(1, "Y"), haar_unitary(4, rng))
+    return enumerate_subtasks(ChannelLCU(branches=branches), ("1", "01"), obs)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_run_plan_bit_identical_across_modes_and_retries(rng, shots):
+    plan = factorized_plan(rng)
+    assert len(plan) == 2 * 2 * 2 * 2 * 2 * 2
+
+    def values(cfg):
+        results = run_plan(plan, cfg)
+        return [r.value for r in results], aggregate(plan, results)
+
+    base = values(ClusterConfig(nodes=1, shots=shots, seed=5))
+    assert values(ClusterConfig(nodes=4, shots=shots, seed=5)) == base
+    with live_worker() as a, live_worker() as b:
+        net = ClusterConfig(mode="network", nodes=(a, b), shots=shots, seed=5)
+        assert values(net) == base
+    with live_worker(fail_after_tasks=5) as flaky, live_worker() as solid:
+        retried = ClusterConfig(mode="network", nodes=(flaky, solid), shots=shots,
+                                seed=5, retry_limit=2)
+        assert values(retried) == base
+
+
+def test_run_plan_never_synthesizes_estimator_circuits(rng, monkeypatch):
+    plan, expected = two_part_plan(rng)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("run_plan synthesized an estimator circuit")
+
+    import tlpq.planner
+    import tlpq.runtime
+
+    monkeypatch.setattr(tlpq.planner, "build_estimator_circuit", boom)
+    monkeypatch.setattr(tlpq, "build_estimator_circuit", boom)
+    monkeypatch.setattr(tlpq.runtime, "build_estimator_circuit", boom, raising=False)
+    assert abs(aggregate(plan, run_plan(plan, ClusterConfig())) - expected) < 1e-10
