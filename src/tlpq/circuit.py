@@ -225,6 +225,20 @@ def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
     return v
 
 
+def _evolve(c: Circuit, state_t: np.ndarray, *, check_unitary: bool) -> np.ndarray:
+    """Push a tensored state (qubit axes first, then batch axes) through the gate list.
+
+    The one gate loop of the package. With ``check_unitary=False`` every gate is
+    applied as the linear map its matrix gives, unitary or not.
+    """
+    for g in c.gates:
+        mat = gate_matrix(g)
+        if check_unitary and g.kind == "RAW" and not is_unitary(mat):
+            raise NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
+        state_t = _apply(state_t, mat, g.qubits)
+    return state_t
+
+
 def simulate(c: Circuit, input_state) -> np.ndarray:
     """Apply the circuit to an input statevector; norm is preserved within 1e-10.
 
@@ -236,13 +250,7 @@ def simulate(c: Circuit, input_state) -> np.ndarray:
             f"input dim {vec.shape[0]} != 2^{c.n_qubits}"
         )
     norm_in = float(np.linalg.norm(vec))
-    state = vec.reshape((2,) * c.n_qubits)
-    for g in c.gates:
-        mat = gate_matrix(g)
-        if g.kind == "RAW" and not is_unitary(mat):
-            raise NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
-        state = _apply(state, mat, g.qubits)
-    out = state.reshape(-1)
+    out = _evolve(c, vec.reshape((2,) * c.n_qubits), check_unitary=True).reshape(-1)
     if abs(float(np.linalg.norm(out)) - norm_in) > 1e-10 * max(1.0, norm_in):
         raise NotUnitary("simulation did not preserve the state norm")
     return out
@@ -254,12 +262,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
         raise TooLarge(f"dense unitary capped at 12 qubits, got {c.n_qubits}")
     dim = 2**c.n_qubits
     batch = np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,))
-    for g in c.gates:
-        mat = gate_matrix(g)
-        if g.kind == "RAW" and not is_unitary(mat):
-            raise NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
-        batch = _apply(batch, mat, g.qubits)
-    return batch.reshape(dim, dim)
+    return _evolve(c, batch, check_unitary=True).reshape(dim, dim)
 
 
 def expectation(state, p: PauliString) -> float:
@@ -332,8 +335,8 @@ def circuit_to_json(c: Circuit) -> dict:
 def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
     """Parse the JSON form back into a Circuit; unknown fields are rejected.
 
-    ``require_unitary=False`` admits non-unitary RAW matrices (used only for
-    density-propagation tasks, never for statevector simulation).
+    ``require_unitary=False`` admits non-unitary RAW matrices. Only density tasks
+    parse this way; they push an unnormalized statevector through the gates.
     """
     if not isinstance(obj, dict):
         raise CircuitFormatError("circuit JSON must be an object")

@@ -61,10 +61,18 @@ from .runtime import (
 
 _PAULI_1Q_LABELS = ("I", "X", "Y", "Z")
 
+# the config keys each command reads; any other key is rejected
+_CLUSTER_KEYS = {"mode", "nodes", "workers", "shots", "seed", "retry_limit"}
 _CONFIG_KEYS = {
-    "mode", "nodes", "workers", "shots", "seed", "retry_limit",
-    "eps", "c", "dt", "T", "gamma_list", "emulate_float_truncation",
-    "normalize", "out", "format", "circuit",
+    "plan": {"circuit", "out"},
+    "ghz": _CLUSTER_KEYS | {"out", "format"},
+    "ghz-cut": _CLUSTER_KEYS | {"out", "format"},
+    "nonherm": _CLUSTER_KEYS | {
+        "eps", "c", "dt", "T", "emulate_float_truncation", "normalize", "out", "format",
+    },
+    "imagtime": _CLUSTER_KEYS | {
+        "eps", "c", "dt", "T", "gamma_list", "normalize", "out", "format",
+    },
 }
 
 _DEFAULT_NONHERM_T = tuple(0.1 + j * 0.1 for j in range(10))
@@ -297,7 +305,7 @@ def plan_report(circ: Circuit) -> dict:
 
 # --- option plumbing -------------------------------------------------------------
 
-def _load_config(path: str | None) -> dict:
+def _load_config(command: str, path: str | None) -> dict:
     if path is None:
         return {}
     try:
@@ -311,9 +319,9 @@ def _load_config(path: str | None) -> dict:
         raise click.UsageError(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - _CONFIG_KEYS[command]
     if unknown:
-        raise click.UsageError(f"unknown config keys {sorted(unknown)}")
+        raise click.UsageError(f"unknown config keys {sorted(unknown)} for {command}")
     return cfg
 
 
@@ -462,7 +470,7 @@ def cmd_plan(circuit_path, config_path, out_path):
     """Report the interaction graph, cuts, and subtask-count comparison.
 
     plan runs no tasks, so it takes no cluster, shot or check options."""
-    cfg = _load_config(config_path)
+    cfg = _load_config("plan", config_path)
     circuit_path = circuit_path or cfg.get("circuit")
     out_path = out_path or cfg.get("out")
     if circuit_path is None:
@@ -497,7 +505,7 @@ def cmd_plan(circuit_path, config_path, out_path):
 @_output_options
 def cmd_ghz(config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
     """Reconstruct the 4-qubit GHZ state from the 128-evaluation overlap plan."""
-    cfg = _load_config(config_path)
+    cfg = _load_config("ghz", config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
     _reject_csv("ghz", fmt, cfg)
     out_path = out_path or cfg.get("out") or "ghz_density.json"
@@ -530,7 +538,7 @@ def cmd_ghz(config_path, mode, nodes, workers, shots, seed, out_path, fmt, check
 @_output_options
 def cmd_ghz_cut(config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
     """Reconstruct GHZ through the 10-term wire-cut quasi-probability baseline."""
-    cfg = _load_config(config_path)
+    cfg = _load_config("ghz-cut", config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
     _reject_csv("ghz-cut", fmt, cfg)
     out_path = out_path or cfg.get("out") or "ghz_cut_density.json"
@@ -576,7 +584,7 @@ def cmd_ghz_cut(config_path, mode, nodes, workers, shots, seed, out_path, fmt, c
 def cmd_nonherm(eps, c_param, dt, t_list, emulate_float_truncation, normalize,
                 config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
     """Sweep non-Hermitian evolution: H = sigma_x, L = I + sigma_z from |0>."""
-    cfg = _load_config(config_path)
+    cfg = _load_config("nonherm", config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
     eps = eps if eps is not None else cfg.get("eps", 0.2)
     c_param = c_param if c_param is not None else cfg.get("c", 0.5)
@@ -647,7 +655,7 @@ def cmd_imagtime(eps, c_param, dt, big_t, gamma_list, normalize,
 
     The sweep is dense in-process LCHS code and never reaches the task runtime,
     so shots and network mode are rejected rather than ignored."""
-    cfg = _load_config(config_path)
+    cfg = _load_config("imagtime", config_path)
     cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
     if cluster.shots is not None:
         raise click.UsageError("imagtime computes exact expectations; --shots does not apply")

@@ -397,28 +397,19 @@ class LayeredDecomposition:
             )
 
     def resum_unitary(self) -> np.ndarray:
-        """Dense check: sum of term products lifted back to the global register."""
-        if self.circuit.n_qubits > 8:
+        """Dense check: sum of coeff x kron(part circuits) over ``terms()``,
+        permuted back to the global qubit order."""
+        n = self.circuit.n_qubits
+        if n > 8:
             raise ValueError("resum check is limited to 8 qubits")
-        cut_pos = {gi: t for t, gi in enumerate(self.cut_gate_indices)}
-        ranges = [range(lcu.ell) for lcu in self.lcus]
-        total = np.zeros((2**self.circuit.n_qubits,) * 2, dtype=complex)
-        for alpha in itertools.product(*ranges):
-            coeff = 1.0 + 0j
-            gates: list[Gate] = []
-            for gi, g in enumerate(self.circuit.gates):
-                if gi in cut_pos:
-                    t = cut_pos[gi]
-                    c_t, factors = self.lcus[t].terms[alpha[t]]
-                    coeff *= c_t
-                    for pos, q in enumerate(g.qubits):
-                        gates.append(Gate("RAW", (q,), raw=factors[pos]))
-                else:
-                    gates.append(g)
-            total += coeff * circuit_unitary(
-                Circuit(self.circuit.n_qubits, tuple(gates))
-            )
-        return total
+        total = np.zeros((2**n,) * 2, dtype=complex)
+        for coeff, (c0, c1) in self.terms():
+            total += coeff * kron(circuit_unitary(c0), circuit_unitary(c1))
+        # axis i of total is global qubit order[i]; inverse permutation restores q
+        order = self.part_qubits[0] + self.part_qubits[1]
+        axes = [order.index(q) for q in range(n)]
+        total = total.reshape((2,) * (2 * n)).transpose(axes + [n + a for a in axes])
+        return total.reshape(2**n, 2**n)
 
 
 def expand_layered(c: Circuit, cut: CutAssignment, method: str = "schmidt") -> LayeredDecomposition:

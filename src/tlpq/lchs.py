@@ -8,7 +8,7 @@ part) is approximated by a Cauchy-kernel quadrature over unitary evolutions:
 
 with trapezoidal weights w_j (K/M at the endpoints, 2K/M inside). Expectations
 can be computed either densely from the pairwise overlaps or, term by term,
-through the planner/runtime estimator bridge.
+as planner subtasks that the runtime runs as overlap tasks.
 """
 
 from __future__ import annotations

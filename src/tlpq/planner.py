@@ -8,9 +8,11 @@ product input make Tr(O Phi(rho)) a weighted sum of per-part overlaps
     <psi0^a| (U^a_{p,j,alpha'})^dagger O^a U^a_{p,i,alpha} |psi0^a>,
 
 each measurable with one ancilla (Hadamard-test style). This module enumerates
-those subtasks, validates and synthesizes their estimator circuits, and carries
-the two GHZ pipelines (overlap tomography across a cut, and the wire-cut
-density baseline).
+those subtasks and validates their operands. The runtime computes each
+subtask's overlap from its gate lists; ``build_estimator_circuit`` gives the
+hardware-faithful single-ancilla circuit of a subtask on request. The module
+also carries the two GHZ pipelines (overlap tomography across a cut, and the
+wire-cut density baseline).
 """
 
 from __future__ import annotations

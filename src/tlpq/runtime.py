@@ -26,14 +26,13 @@ import numpy as np
 from .circuit import (
     PAULI_1Q,
     Circuit,
-    Gate,
     PauliString,
     basis_state,
     circuit_to_json,
-    gate_matrix,
     parse_circuit,
     simulate,
     _apply,
+    _evolve,
     _matrix_from_json,
     _matrix_to_json,
 )
@@ -110,9 +109,11 @@ class ClusterConfig:
 class TaskSpec:
     """One executable task: a circuit plus readout descriptors.
 
-    kind="estimator" simulates a statevector from |0...0>; kind="density"
-    propagates |0...0><0...0| through possibly non-unitary RAW maps without
-    renormalization. Readout descriptors:
+    kind="estimator" simulates a statevector from |0...0>. kind="density" admits
+    non-unitary RAW maps: each gate is one linear map, so the output
+    |A0><A0| (A the product of the gates) has rank one, and the task pushes the
+    unnormalized vector A|0...0> through the gates without renormalization.
+    Readout descriptors:
       - "ax" / "ay": <sigma_x> / <sigma_y> on qubit 0 (the ancilla)
       - "p0:<P>" / "p1:<P>": ancilla projector correlated with Pauli P on the rest
       - "e:<P>": plain Pauli expectation over all qubits
@@ -232,25 +233,6 @@ def _readout_basis(desc: str, n_qubits: int) -> tuple[list[tuple[int, np.ndarray
     return rotations, values
 
 
-def _lift(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense operator of one gate on the full register (no unitarity check)."""
-    dim = 2**n_qubits
-    batch = np.eye(dim, dtype=complex).reshape((2,) * n_qubits + (dim,))
-    batch = _apply(batch, gate_matrix(gate), gate.qubits)
-    return batch.reshape(dim, dim)
-
-
-def _density_evolve(c: Circuit) -> np.ndarray:
-    """Propagate |0...0><0...0| through the gate list as K rho K^dagger maps."""
-    dim = 2**c.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    for g in c.gates:
-        full = _lift(g, c.n_qubits)
-        rho = full @ rho @ full.conj().T
-    return rho
-
-
 def _part_state(c: Circuit, input_label: str) -> np.ndarray:
     """U|label> on the part's own qubits (RAW gates must be unitary)."""
     return simulate(c, basis_state(c.n_qubits, int(input_label, 2)))
@@ -308,7 +290,7 @@ def _grouped(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class ExactBackend:
-    """In-process node: dense statevector / density simulation up to 12 qubits.
+    """In-process node: dense statevector simulation of every task kind up to 12 qubits.
 
     Stateless between calls; with shots, the RNG stream is derived from
     (seed, task id, readout index) so results do not depend on which node or
@@ -316,13 +298,6 @@ class ExactBackend:
     """
 
     max_qubits: int = 12
-
-    @property
-    def capabilities(self) -> dict:
-        return {
-            "max_qubits": self.max_qubits,
-            "modes": ("exact_expectation", "shot_sampling", "density_matrix"),
-        }
 
     def run_task(
         self,
@@ -344,34 +319,29 @@ class ExactBackend:
         if task.kind == "overlap":
             return self._run_overlap(task, shots, seed, {} if states is None else states)
         if task.kind == "estimator":
-            state: np.ndarray | None = simulate(task.circuit, basis_state(n))
-            rho = None
+            state = simulate(task.circuit, basis_state(n))
         elif task.kind == "density":
-            state = None
-            rho = _density_evolve(task.circuit)
+            # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
+            state = _evolve(
+                task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
+            ).reshape(-1)
         else:
             raise ValueError(f"unknown task kind {task.kind!r}")
         values: list[float] = []
         for ridx, desc in enumerate(task.readouts):
             rotations, outcome_values = _readout_basis(desc, n)
-            if state is not None:
-                rotated = state.reshape((2,) * n)
-                for q, rot in rotations:
-                    rotated = _apply(rotated, rot, (q,))
-                probs = np.abs(rotated.reshape(-1)) ** 2
-            else:
-                rho_rot = rho
-                for q, rot in rotations:
-                    full = _lift(Gate("RAW", (q,), raw=rot), n)
-                    rho_rot = full @ rho_rot @ full.conj().T
-                probs = np.clip(np.real(np.diag(rho_rot)), 0.0, None)
+            rotated = state.reshape((2,) * n)
+            for q, rot in rotations:
+                rotated = _apply(rotated, rot, (q,))
+            probs = np.abs(rotated.reshape(-1)) ** 2
             if shots is None:
                 values.append(float(np.dot(probs, outcome_values)))
             else:
                 group_vals, group_probs = _grouped(outcome_values, probs)
                 tail = 1.0 - float(np.sum(group_probs))
                 if tail > 1e-12:
-                    # unnormalized density path: a discarded outcome worth 0
+                    # a density task's probabilities sum to |A0|^2 <= 1: the
+                    # rest is a discarded outcome worth 0
                     group_vals = np.append(group_vals, 0.0)
                     group_probs = np.append(group_probs, tail)
                 rng = np.random.default_rng((seed, task.id, ridx))
@@ -404,18 +374,14 @@ class ExactBackend:
 
 
 def run_density_path(subcircuit: Circuit, settings) -> list[float]:
-    """Exact helper: propagate the (possibly non-unitary) map list and read Tr(rho' P)."""
-    rho = _density_evolve(subcircuit)
-    out: list[float] = []
-    for setting in settings:
-        letters = setting.letters if isinstance(setting, PauliString) else str(setting)
-        rotations, values = _readout_basis(f"e:{letters}", subcircuit.n_qubits)
-        rho_rot = rho
-        for q, rot in rotations:
-            full = _lift(Gate("RAW", (q,), raw=rot), subcircuit.n_qubits)
-            rho_rot = full @ rho_rot @ full.conj().T
-        out.append(float(np.dot(np.real(np.diag(rho_rot)), values)))
-    return out
+    """Exact Tr(rho' P) per Pauli setting, run as one in-process density task."""
+    readouts = tuple(
+        f"e:{s.letters if isinstance(s, PauliString) else s}" for s in settings
+    )
+    task = TaskSpec(id=0, kind="density", circuit=subcircuit, readouts=readouts)
+    # an in-process helper, not a node: no node width cap applies
+    backend = ExactBackend(max_qubits=subcircuit.n_qubits)
+    return list(backend.run_task(task, None, 0)[0])
 
 
 # --- wire protocol (network mode) ----------------------------------------------
@@ -767,10 +733,7 @@ def aggregate(plan: list[Subtask], results: list[TaskResult]) -> complex:
             s = ordered[idx]
             if s.indices[5] == 0:
                 coeff = s.coefficient
-            value = by_id[s.id].value
-            if not isinstance(value, complex):
-                value = complex(value[0], value[1])
-            product *= value
+            product *= by_id[s.id].value
             idx += 1
         total += coeff * product
     return total

@@ -5,9 +5,11 @@ Exit-code contract: 0 success, 2 bad usage/config, 3 execution failure,
 """
 
 import json
+import os
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,16 +338,39 @@ def test_config_csv_format_rejected_for_ghz(runner, tmp_path):
     assert "JSON only" in combined_output(result)
 
 
+@pytest.mark.parametrize("args, cfg", [
+    (["plan", "--circuit", "ghz4"],
+     {"shots": 5, "mode": "network", "workers": ["127.0.0.1:1"]}),
+    (["ghz"], {"eps": 0.9, "gamma_list": [0.4]}),
+    (["ghz-cut"], {"T": [0.5], "normalize": False}),
+    (["nonherm", "--T", "0.1"], {"gamma_list": [0.4], "circuit": "ghz4"}),
+    (["imagtime", "--gamma-list", "0.4"], {"emulate_float_truncation": True}),
+], ids=["plan", "ghz", "ghz-cut", "nonherm", "imagtime"])
+def test_config_keys_a_command_does_not_read_exit_2(runner, tmp_path, args, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args + ["--config", str(path)])
+        assert result.exit_code == 2, combined_output(result)
+        for key in cfg:
+            assert repr(key) in combined_output(result)
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
 # --- worker subprocess ---------------------------------------------------------------
 
 
 def test_worker_announces_and_stops_on_shutdown(tmp_path):
+    env = dict(os.environ)  # the child imports tlpq from this checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "tlpq.cli", "worker", "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         bufsize=1,
+        env=env,
     )
     try:
         line = proc.stdout.readline().strip()

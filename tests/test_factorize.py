@@ -25,7 +25,7 @@ from tlpq.factorize import (
     pauli_expansion,
     reshuffled_rank,
 )
-from tlpq.partition import build_graph, global_min_cut
+from tlpq.partition import CutAssignment, build_graph, global_min_cut
 
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -236,6 +236,18 @@ class TestExpandLayered:
         ld = expand_layered(c, cut)
         assert ld.term_count == oracle_rank(u)
         assert np.max(np.abs(ld.resum_unitary() - u)) < 1e-8
+
+    @pytest.mark.parametrize("part_of", [
+        {0: 0, 1: 1, 2: 0, 3: 1},  # interleaved parts
+        {0: 1, 1: 0, 2: 1, 3: 1},  # part 0 is one middle qubit
+    ])
+    def test_resum_restores_global_qubit_order(self, rng, part_of):
+        gates = [Gate("RAW", (q,), raw=haar_unitary(2, rng)) for q in range(4)]
+        gates += [Gate("CNOT", (0, 1)), Gate("CZ", (2, 1)),
+                  Gate("RAW", (3, 0), raw=haar_unitary(4, rng)), Gate("CNOT", (0, 2))]
+        c = Circuit(4, tuple(gates))
+        ld = expand_layered(c, CutAssignment(part_of=part_of, weight=0))
+        assert np.max(np.abs(ld.resum_unitary() - circuit_unitary(c))) < 1e-8
 
     def test_cut_must_cover_all_qubits(self):
         c = two_crossing_cnot_circuit()

@@ -225,6 +225,70 @@ def test_backend_density_pauli_readout_matches_trace(rng):
         assert val == pytest.approx(expected, abs=1e-12)
 
 
+def contraction(dim: int, rng, scale: float = 0.9) -> np.ndarray:
+    """A random non-unitary matrix with spectral norm `scale` (< 1)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return scale * g / np.linalg.norm(g, 2)
+
+
+def random_map_circuit(rng, n_qubits: int) -> Circuit:
+    """Random unitaries with a non-unitary 1-qubit and 2-qubit map among them."""
+    gates = list(random_circuit(rng, n_qubits, n_gates=3 * n_qubits).gates)
+    q1 = int(rng.integers(0, n_qubits))
+    q2 = int(rng.integers(0, n_qubits - 1))
+    gates.insert(n_qubits, Gate("RAW", (q1,), raw=contraction(2, rng)))
+    gates.append(Gate("RAW", (q2, q2 + 1), raw=contraction(4, rng)))
+    return Circuit(n_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_backend_density_readouts_match_dense_propagation(rng, n):
+    proj0 = np.diag([1.0, 0.0]).astype(complex)
+    proj1 = np.diag([0.0, 1.0]).astype(complex)
+    for trial in range(3):
+        circ = random_map_circuit(rng, n)
+        rho = dense_density(circ)
+        assert np.real(np.trace(rho)) < 0.99  # the maps really lose weight
+        full = "".join(rng.choice(list("IXYZ")) for _ in range(n))
+        rest = "".join(rng.choice(list("IXYZ")) for _ in range(n - 1))
+        readouts = (f"e:{full}", f"e:{'I' * n}", f"p0:{rest}", f"p1:{rest}")
+        expected = [
+            np.trace(rho @ pauli_label_matrix(full)),
+            np.trace(rho),
+            np.trace(rho @ kron_all([proj0, pauli_label_matrix(rest)])),
+            np.trace(rho @ kron_all([proj1, pauli_label_matrix(rest)])),
+        ]
+        task = TaskSpec(id=trial, kind="density", circuit=circ, readouts=readouts)
+        values, used = ExactBackend().run_task(task, None, 0)
+        assert used == 0
+        for got, want in zip(values, expected):
+            assert got == pytest.approx(float(np.real(want)), abs=1e-12)
+
+
+def test_backend_sampled_density_with_lost_weight_converges(rng):
+    circ = random_map_circuit(rng, 6)
+    rho = dense_density(circ)
+    assert np.real(np.trace(rho)) < 0.99
+    readouts = ("e:IIIIII", "p1:ZZIXI")  # the kept weight Tr(rho), and a projector
+    proj1 = np.diag([0.0, 1.0]).astype(complex)
+    exact_e = float(np.real(np.trace(rho)))
+    exact_p1 = float(np.real(np.trace(
+        rho @ kron_all([proj1, pauli_label_matrix("ZZIXI")]))))
+    errs = {}
+    for n in (100, 10_000):
+        draws = []
+        for k in range(20):
+            task = TaskSpec(id=k, kind="density", circuit=circ, readouts=readouts)
+            draws.append(ExactBackend().run_task(task, n, seed=n)[0])
+        draws = np.array(draws)
+        errs[n] = float(np.mean(np.abs(draws - [exact_e, exact_p1])))
+        if n == 10_000:
+            # each shot is worth -1, 0 or +1, so 20 x 10^4 shots pin the mean to ~0.002
+            assert np.mean(draws[:, 0]) == pytest.approx(exact_e, abs=0.01)
+            assert np.mean(draws[:, 1]) == pytest.approx(exact_p1, abs=0.01)
+    assert errs[10_000] < errs[100] / 3
+
+
 def test_backend_shot_values_are_seed_deterministic():
     circ = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
     task = TaskSpec(id=5, kind="estimator", circuit=circ, readouts=("ax", "ay"))
