@@ -5,6 +5,12 @@ state reconstruction), ghz-cut (wire-cut density baseline), nonherm
 (non-Hermitian evolution sweep), imagtime (imaginary-time ground-state sweep),
 worker (serve tasks over TCP).
 
+Each command's click options are the only declaration of its settings and
+their defaults. ``--config FILE`` gives the options new defaults: its keys are
+the options' long names with "-" as "_", plus ``retry_limit`` for the commands
+that run tasks; a flag on the command line still wins, and any other key exits
+2. imagtime runs dense in-process code and takes no cluster options.
+
 Exit codes: 0 success, 2 configuration error, 3 execution error, 4 acceptance
 threshold violated under --check.
 """
@@ -23,6 +29,7 @@ from .circuit import (
     Gate,
     PauliString,
     NotUnitary,
+    _matrix_to_json,
     parse_circuit,
 )
 from .factorize import UnsupportedCrossingGate, expand_layered
@@ -61,22 +68,11 @@ from .runtime import (
 
 _PAULI_1Q_LABELS = ("I", "X", "Y", "Z")
 
-# the config keys each command reads; any other key is rejected
-_CLUSTER_KEYS = {"mode", "nodes", "workers", "shots", "seed", "retry_limit"}
-_CONFIG_KEYS = {
-    "plan": {"circuit", "out"},
-    "ghz": _CLUSTER_KEYS | {"out", "format"},
-    "ghz-cut": _CLUSTER_KEYS | {"out", "format"},
-    "nonherm": _CLUSTER_KEYS | {
-        "eps", "c", "dt", "T", "emulate_float_truncation", "normalize", "out", "format",
-    },
-    "imagtime": _CLUSTER_KEYS | {
-        "eps", "c", "dt", "T", "gamma_list", "normalize", "out", "format",
-    },
-}
-
 _DEFAULT_NONHERM_T = tuple(0.1 + j * 0.1 for j in range(10))
 _DEFAULT_GAMMAS = tuple(0.2 * k for k in range(11))
+
+# how imagtime's fidelities are computed, and the label its outputs carry
+FIDELITY_CONVENTION = "overlap_squared"
 
 
 # --- drivers (importable; the click commands are thin wrappers) -----------------
@@ -237,9 +233,10 @@ def run_imagtime_rows(
     dt: float = 0.01,
     gammas: tuple[float, ...] = _DEFAULT_GAMMAS,
     normalize: bool = True,
-    fidelity_convention: str = "overlap_squared",
 ) -> list[dict]:
-    """One row per gamma: LCHS expectations, exact ground energy, fidelity, baselines."""
+    """One row per gamma: LCHS expectations, exact ground energy, fidelity, baselines.
+
+    The sweep is dense in-process code; ``cluster`` is not read."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
     scheme = build_quadrature(eps, c, big_t)
@@ -258,7 +255,7 @@ def run_imagtime_rows(
             "sx_lchs": lchs_expectation(gen, u0, scheme, sx, normalize=normalize, dt=dt),
             "sz_lchs": lchs_expectation(gen, u0, scheme, sz, normalize=normalize, dt=dt),
             "E0_exact": exact_ground(h_gamma)[0],
-            "fidelity": vector_fidelity(result.state, reference, fidelity_convention),
+            "fidelity": vector_fidelity(result.state, reference, FIDELITY_CONVENTION),
         }
         for label, horizon in (("H_trotter_T05", 0.5), ("H_trotter_T15", 1.5)):
             w = trotter_oracle(gen, u0, horizon, dt)
@@ -304,10 +301,31 @@ def plan_report(circ: Circuit) -> dict:
 
 
 # --- option plumbing -------------------------------------------------------------
+#
+# --config is read before the other options and its values become their
+# defaults (ctx.default_map). --config and --check are flags only, and a null
+# value in the file means the option's default.
 
-def _load_config(command: str, path: str | None) -> dict:
-    if path is None:
-        return {}
+
+class _ListType(click.ParamType):
+    """A list option: comma-separated on the command line, a JSON list (or the
+    same comma-separated string) in a config file."""
+
+    name = "list"
+
+    def __init__(self, item: type):
+        self.item = item
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, (list, tuple)):
+            value = [piece.strip() for piece in str(value).split(",") if piece.strip()]
+        try:
+            return tuple(self.item(x) for x in value)
+        except (TypeError, ValueError) as exc:
+            self.fail(f"bad list {value!r}: {exc}", param, ctx)
+
+
+def _read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -319,93 +337,97 @@ def _load_config(command: str, path: str | None) -> dict:
         raise click.UsageError(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS[command]
-    if unknown:
-        raise click.UsageError(f"unknown config keys {sorted(unknown)} for {command}")
     return cfg
 
 
-def _make_cluster(cfg: dict, mode, nodes, workers, shots, seed) -> ClusterConfig:
-    mode = mode or cfg.get("mode") or "local"
-    if workers is None:
-        workers_list = cfg.get("workers")
-    else:
-        workers_list = [w.strip() for w in workers.split(",") if w.strip()]
-    if nodes is None:
-        nodes = cfg.get("nodes")
-    if shots is None:
-        shots = cfg.get("shots")
-    if seed is None:
-        seed = cfg.get("seed", 0)
-    retry_limit = cfg.get("retry_limit", 2)
+def _config_option(*config_only: str):
+    """--config FILE for a command; ``config_only`` are keys without a flag,
+    which stay in the default map under their own name."""
+
+    def load(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+        if path is None:
+            return
+        cfg = _read_config(path)
+        options = {
+            p.opts[0][2:].replace("-", "_"): p
+            for p in ctx.command.params
+            if isinstance(p, click.Option) and p is not param and p.name != "check"
+        }
+        unknown = set(cfg) - set(options) - set(config_only)
+        if unknown:
+            raise click.UsageError(f"unknown config keys {sorted(unknown)} for {ctx.info_name}")
+        for key, value in cfg.items():
+            if isinstance(value, (list, dict)) and not (
+                key in options and isinstance(options[key].type, _ListType)
+            ):
+                raise click.UsageError(f"config key {key!r} takes a single value")
+        ctx.default_map = {
+            options[key].name if key in options else key: value
+            for key, value in cfg.items()
+            if value is not None
+        }
+
+    return click.option("--config", type=click.Path(dir_okay=False), is_eager=True,
+                        expose_value=False, callback=load,
+                        help="JSON config file of option defaults; flags override it.")
+
+
+def _stack(*options):
+    """One decorator applying ``options`` in the order listed."""
+
+    def decorate(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+
+    return decorate
+
+
+_cluster_options = _stack(
+    _config_option("retry_limit"),
+    click.option("--mode", type=click.Choice(["local", "network"]), default=ClusterConfig.mode,
+                 help="Run tasks in-process or on TCP workers."),
+    click.option("--nodes", type=int, default=ClusterConfig.nodes, help="Local node count."),
+    click.option("--workers", type=_ListType(str), default=None,
+                 help="Comma-separated host:port worker addresses (network mode)."),
+    click.option("--shots", type=int, default=None,
+                 help="Samples per readout; omit for exact expectations."),
+    click.option("--seed", type=int, default=ClusterConfig.seed, help="Run seed."),
+)
+
+
+def _output_options(out_default: str | None, fmt_default: str):
+    return _stack(
+        click.option("--out", "out_path", default=out_default,
+                     type=click.Path(dir_okay=False, writable=True),
+                     help="Output file." if out_default else "Output file (default: stdout)."),
+        click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                     default=fmt_default, help="Output format."),
+        click.option("--check", is_flag=True,
+                     help="Exit 4 if the run misses its acceptance threshold."),
+    )
+
+
+def _make_cluster(mode, nodes, workers, shots, seed) -> ClusterConfig:
+    """The cluster of a task-running command; its retry_limit has no flag and
+    comes from the config file, if there."""
     if mode == "network":
-        if not workers_list:
+        if not workers:
             raise click.UsageError("network mode needs --workers host:port[,host:port...]")
-        node_field: int | tuple[str, ...] = tuple(workers_list)
-    else:
-        if workers_list:
-            raise click.UsageError("--workers requires --mode network")
-        node_field = int(nodes) if nodes is not None else 1
+        nodes = workers
+    elif workers:
+        raise click.UsageError("--workers requires --mode network")
+    retry_limit = click.get_current_context().lookup_default("retry_limit")
     try:
         return ClusterConfig(
             mode=mode,
-            nodes=node_field,
-            shots=None if shots is None else int(shots),
-            seed=int(seed),
-            retry_limit=int(retry_limit),
+            nodes=nodes,
+            shots=shots,
+            seed=seed,
+            retry_limit=ClusterConfig.retry_limit if retry_limit is None else int(retry_limit),
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-
-def _cluster_options(f):
-    for option in reversed(
-        (
-            click.option("--config", "config_path", default=None,
-                         type=click.Path(dir_okay=False), help="JSON config file; flags override it."),
-            click.option("--mode", type=click.Choice(["local", "network"]), default=None,
-                         help="Run tasks in-process or on TCP workers."),
-            click.option("--nodes", type=int, default=None, help="Local node count."),
-            click.option("--workers", default=None,
-                         help="Comma-separated host:port worker addresses (network mode)."),
-            click.option("--shots", type=int, default=None,
-                         help="Samples per readout; omit for exact expectations."),
-            click.option("--seed", type=int, default=None, help="Run seed (default 0)."),
-        )
-    ):
-        f = option(f)
-    return f
-
-
-def _output_options(f):
-    for option in reversed(
-        (
-            click.option("--out", "out_path", default=None,
-                         type=click.Path(dir_okay=False, writable=True),
-                         help="Output file (default: command-specific or stdout)."),
-            click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                         default=None, help="Output format where applicable."),
-            click.option("--check", is_flag=True, default=False,
-                         help="Exit 4 if the run misses its acceptance threshold."),
-        )
-    ):
-        f = option(f)
-    return f
-
-
-def _parse_float_list(text: str | None, fallback: tuple[float, ...]) -> tuple[float, ...]:
-    if text is None:
-        return fallback
-    if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
-    try:
-        return tuple(float(piece) for piece in str(text).split(",") if piece.strip())
-    except ValueError as exc:
-        raise click.UsageError(f"bad number list {text!r}: {exc}")
-
-
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def _write_text(out_path: str | None, text: str):
@@ -432,11 +454,6 @@ def _rows_to_csv(columns: list[str], rows: list[dict], header_comments: list[str
     return "\n".join(lines) + "\n"
 
 
-def _reject_csv(command: str, fmt: str | None, cfg: dict):
-    if (fmt or cfg.get("format")) == "csv":
-        raise click.UsageError(f"{command} writes JSON only; --format csv does not apply")
-
-
 def _run_guard(fn):
     """Run a command body; map unexpected failures to exit code 3."""
     try:
@@ -452,29 +469,23 @@ def _run_guard(fn):
 
 # --- commands --------------------------------------------------------------------
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main():
     """Factorize channel expectations into single-ancilla subtasks, run them on
     local or networked simulated QPU nodes, and aggregate classically."""
 
 
 @main.command("plan")
-@click.option("--circuit", "circuit_path", default=None,
+@click.option("--circuit", "circuit_path", required=True,
               help="Circuit JSON path, or the literal 'ghz4' for the built-in template.")
-@click.option("--config", "config_path", default=None,
-              type=click.Path(dir_okay=False), help="JSON config file; flags override it.")
+@_config_option()
 @click.option("--out", "out_path", default=None,
               type=click.Path(dir_okay=False, writable=True),
               help="Output file (default: stdout).")
-def cmd_plan(circuit_path, config_path, out_path):
+def cmd_plan(circuit_path, out_path):
     """Report the interaction graph, cuts, and subtask-count comparison.
 
     plan runs no tasks, so it takes no cluster, shot or check options."""
-    cfg = _load_config("plan", config_path)
-    circuit_path = circuit_path or cfg.get("circuit")
-    out_path = out_path or cfg.get("out")
-    if circuit_path is None:
-        raise click.UsageError("plan needs --circuit <path|ghz4>")
     if circuit_path == "ghz4":
         circ = ghz4_template()
     else:
@@ -500,103 +511,67 @@ def cmd_plan(circuit_path, config_path, out_path):
     _run_guard(body)
 
 
-@main.command("ghz")
-@_cluster_options
-@_output_options
-def cmd_ghz(config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
-    """Reconstruct the 4-qubit GHZ state from the 128-evaluation overlap plan."""
-    cfg = _load_config("ghz", config_path)
-    cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
-    _reject_csv("ghz", fmt, cfg)
-    out_path = out_path or cfg.get("out") or "ghz_density.json"
+def _ghz_command(name: str, doc: str, pipeline, out_default: str,
+                 fields: tuple[str, ...], summary: tuple[str, ...]):
+    """Register ghz or ghz-cut: run ``pipeline``, write the state and the
+    result's ``fields`` as JSON, echo the fidelity and the ``summary`` fields."""
 
-    def body():
-        res = run_ghz_pipeline(cluster)
-        payload = {
-            "evaluations": res["evaluations"],
-            "fidelity": res["fidelity"],
-            "mode": cluster.mode,
-            "rho": _matrix_pairs(res["rho"]),
-            "shots": cluster.shots,
-        }
-        _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        click.echo(
-            f"fidelity={res['fidelity']!r} evaluations={res['evaluations']} "
-            f"mode={cluster.mode} shots={cluster.shots}"
-        )
-        if check:
-            threshold = (1.0 - 1e-9) if cluster.shots is None else 0.97
-            if res["fidelity"] < threshold:
-                click.echo(f"check failed: fidelity < {threshold}", err=True)
-                sys.exit(4)
+    @main.command(name, help=doc)
+    @_cluster_options
+    @_output_options(out_default, "json")
+    def command(mode, nodes, workers, shots, seed, out_path, fmt, check):
+        cluster = _make_cluster(mode, nodes, workers, shots, seed)
+        if fmt == "csv":
+            raise click.UsageError(f"{name} writes JSON only; --format csv does not apply")
 
-    _run_guard(body)
+        def body():
+            res = pipeline(cluster)
+            payload = {key: res[key] for key in fields}
+            payload.update(fidelity=res["fidelity"], mode=cluster.mode,
+                           rho=_matrix_to_json(res["rho"]), shots=cluster.shots)
+            _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            counts = "".join(f" {key}={res[key]}" for key in summary)
+            click.echo(f"fidelity={res['fidelity']!r}{counts} "
+                       f"mode={cluster.mode} shots={cluster.shots}")
+            if check:
+                threshold = (1.0 - 1e-9) if cluster.shots is None else 0.97
+                if res["fidelity"] < threshold:
+                    click.echo(f"check failed: fidelity < {threshold}", err=True)
+                    sys.exit(4)
+
+        _run_guard(body)
+
+    return command
 
 
-@main.command("ghz-cut")
-@_cluster_options
-@_output_options
-def cmd_ghz_cut(config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
-    """Reconstruct GHZ through the 10-term wire-cut quasi-probability baseline."""
-    cfg = _load_config("ghz-cut", config_path)
-    cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
-    _reject_csv("ghz-cut", fmt, cfg)
-    out_path = out_path or cfg.get("out") or "ghz_cut_density.json"
-
-    def body():
-        res = run_ghz_cut_pipeline(cluster)
-        payload = {
-            "fidelity": res["fidelity"],
-            "mode": cluster.mode,
-            "raw_trace": res["raw_trace"],
-            "rho": _matrix_pairs(res["rho"]),
-            "settings": res["settings"],
-            "shots": cluster.shots,
-            "subcircuits": res["subcircuits"],
-            "tasks": res["tasks"],
-        }
-        _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        click.echo(
-            f"fidelity={res['fidelity']!r} subcircuits={res['subcircuits']} "
-            f"settings={res['settings']} mode={cluster.mode} shots={cluster.shots}"
-        )
-        if check:
-            threshold = (1.0 - 1e-9) if cluster.shots is None else 0.97
-            if res["fidelity"] < threshold:
-                click.echo(f"check failed: fidelity < {threshold}", err=True)
-                sys.exit(4)
-
-    _run_guard(body)
+cmd_ghz = _ghz_command(
+    "ghz", "Reconstruct the 4-qubit GHZ state from the 128-evaluation overlap plan.",
+    run_ghz_pipeline, "ghz_density.json",
+    fields=("evaluations",), summary=("evaluations",),
+)
+cmd_ghz_cut = _ghz_command(
+    "ghz-cut", "Reconstruct GHZ through the 10-term wire-cut quasi-probability baseline.",
+    run_ghz_cut_pipeline, "ghz_cut_density.json",
+    fields=("raw_trace", "settings", "subcircuits", "tasks"), summary=("subcircuits", "settings"),
+)
 
 
 @main.command("nonherm")
-@click.option("--eps", type=float, default=None, help="Quadrature step (default 0.2).")
-@click.option("--c", "c_param", type=float, default=None, help="Truncation constant (default 0.5).")
-@click.option("--dt", type=float, default=None, help="Integrator step (default 0.01).")
-@click.option("--T", "t_list", default=None,
-              help="Comma-separated evolution times (default 0.1..1.0).")
-@click.option("--emulate-float-truncation", is_flag=True, default=False,
+@click.option("--eps", type=float, default=0.2, help="Quadrature step.")
+@click.option("--c", "c_param", type=float, default=0.5, help="Truncation constant.")
+@click.option("--dt", type=float, default=0.01, help="Integrator step.")
+@click.option("--T", "t_values", type=_ListType(float), default=_DEFAULT_NONHERM_T,
+              help="Comma-separated evolution times.")
+@click.option("--emulate-float-truncation", is_flag=True,
               help="Floor node counts in binary floats (reproduces published counts).")
-@click.option("--normalize/--raw", "normalize", default=None,
-              help="Normalize expectations by the identity form (default on).")
+@click.option("--normalize/--raw", default=True,
+              help="Normalize expectations by the identity form.")
 @_cluster_options
-@_output_options
-def cmd_nonherm(eps, c_param, dt, t_list, emulate_float_truncation, normalize,
-                config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
+@_output_options(None, "csv")
+def cmd_nonherm(eps, c_param, dt, t_values, emulate_float_truncation, normalize,
+                mode, nodes, workers, shots, seed, out_path, fmt, check):
     """Sweep non-Hermitian evolution: H = sigma_x, L = I + sigma_z from |0>."""
-    cfg = _load_config("nonherm", config_path)
-    cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
-    eps = eps if eps is not None else cfg.get("eps", 0.2)
-    c_param = c_param if c_param is not None else cfg.get("c", 0.5)
-    dt = dt if dt is not None else cfg.get("dt", 0.01)
-    t_values = _parse_float_list(
-        t_list if t_list is not None else cfg.get("T"), _DEFAULT_NONHERM_T
-    )
-    emulate = emulate_float_truncation or bool(cfg.get("emulate_float_truncation", False))
-    if normalize is None:
-        normalize = bool(cfg.get("normalize", True))
-    fmt_final = fmt or cfg.get("format") or "csv"
-    out_path = out_path or cfg.get("out")
+    cluster = _make_cluster(mode, nodes, workers, shots, seed)
     if check and cluster.shots is not None:
         raise click.UsageError("--check for nonherm requires exact mode (no --shots)")
 
@@ -607,21 +582,21 @@ def cmd_nonherm(eps, c_param, dt, t_list, emulate_float_truncation, normalize,
             c=c_param,
             dt=dt,
             t_values=t_values,
-            emulate_float_truncation=emulate,
+            emulate_float_truncation=emulate_float_truncation,
             normalize=normalize,
         )
         columns = ["T", "M", "terms"]
         for name in ("sy", "sz", "R", "sx"):
             columns += [f"{name}_tlp", f"{name}_dense", f"{name}_oracle"]
-        if fmt_final == "csv":
+        if fmt == "csv":
             header = [
-                "# R = " + json.dumps(_matrix_pairs(observable_r)),
+                "# R = " + json.dumps(_matrix_to_json(observable_r)),
                 f"# seed = {cluster.seed}",
             ]
             text = _rows_to_csv(columns, rows, header)
         else:
             text = json.dumps(
-                {"R": _matrix_pairs(observable_r), "seed": cluster.seed, "rows": rows},
+                {"R": _matrix_to_json(observable_r), "seed": cluster.seed, "rows": rows},
                 indent=2, sort_keys=True,
             ) + "\n"
         _write_text(out_path, text)
@@ -639,48 +614,28 @@ def cmd_nonherm(eps, c_param, dt, t_list, emulate_float_truncation, normalize,
 
 
 @main.command("imagtime")
-@click.option("--eps", type=float, default=None, help="Quadrature step (default 0.3).")
-@click.option("--c", "c_param", type=float, default=None, help="Truncation constant (default 1.0).")
-@click.option("--dt", type=float, default=None, help="Integrator step (default 0.01).")
-@click.option("--T", "big_t", type=float, default=None, help="Imaginary time (default 0.5).")
-@click.option("--gamma-list", "gamma_list", default=None,
-              help="Comma-separated gamma values (default 0.0..2.0 step 0.2).")
-@click.option("--normalize/--raw", "normalize", default=None,
-              help="Normalize expectations by the identity form (default on).")
-@_cluster_options
-@_output_options
-def cmd_imagtime(eps, c_param, dt, big_t, gamma_list, normalize,
-                 config_path, mode, nodes, workers, shots, seed, out_path, fmt, check):
+@click.option("--eps", type=float, default=0.3, help="Quadrature step.")
+@click.option("--c", "c_param", type=float, default=1.0, help="Truncation constant.")
+@click.option("--dt", type=float, default=0.01, help="Integrator step.")
+@click.option("--T", "big_t", type=float, default=0.5, help="Imaginary time.")
+@click.option("--gamma-list", "gammas", type=_ListType(float), default=_DEFAULT_GAMMAS,
+              help="Comma-separated gamma values.")
+@click.option("--normalize/--raw", default=True,
+              help="Normalize expectations by the identity form.")
+@_config_option()
+@_output_options(None, "csv")
+def cmd_imagtime(eps, c_param, dt, big_t, gammas, normalize, out_path, fmt, check):
     """Sweep imaginary-time ground-state estimation for H(gamma) = 2I + gamma sigma_x.
 
-    The sweep is dense in-process LCHS code and never reaches the task runtime,
-    so shots and network mode are rejected rather than ignored."""
-    cfg = _load_config("imagtime", config_path)
-    cluster = _make_cluster(cfg, mode, nodes, workers, shots, seed)
-    if cluster.shots is not None:
-        raise click.UsageError("imagtime computes exact expectations; --shots does not apply")
-    if cluster.mode == "network":
-        raise click.UsageError("imagtime runs in-process; --mode network does not apply")
-    eps = eps if eps is not None else cfg.get("eps", 0.3)
-    c_param = c_param if c_param is not None else cfg.get("c", 1.0)
-    dt = dt if dt is not None else cfg.get("dt", 0.01)
-    big_t = big_t if big_t is not None else cfg.get("T", 0.5)
-    if isinstance(big_t, (list, tuple)):
-        raise click.UsageError("imagtime takes a single --T value")
-    gammas = _parse_float_list(
-        gamma_list if gamma_list is not None else cfg.get("gamma_list"), _DEFAULT_GAMMAS
-    )
-    if normalize is None:
-        normalize = bool(cfg.get("normalize", True))
-    fmt_final = fmt or cfg.get("format") or "csv"
-    out_path = out_path or cfg.get("out")
+    The sweep is dense in-process LCHS code that never reaches the task
+    runtime, so imagtime has no cluster, shot or seed options."""
 
     def body():
         rows = run_imagtime_rows(
-            cluster,
+            ClusterConfig(),
             eps=eps,
             c=c_param,
-            big_t=float(big_t),
+            big_t=big_t,
             dt=dt,
             gammas=gammas,
             normalize=normalize,
@@ -689,11 +644,11 @@ def cmd_imagtime(eps, c_param, dt, big_t, gamma_list, normalize,
             "gamma", "M", "terms", "H_lchs", "sx_lchs", "sz_lchs",
             "E0_exact", "fidelity", "H_trotter_T05", "H_trotter_T15",
         ]
-        if fmt_final == "csv":
-            text = _rows_to_csv(columns, rows, ["# fidelity_convention = overlap_squared"])
+        if fmt == "csv":
+            text = _rows_to_csv(columns, rows, [f"# fidelity_convention = {FIDELITY_CONVENTION}"])
         else:
             text = json.dumps(
-                {"fidelity_convention": "overlap_squared", "rows": rows},
+                {"fidelity_convention": FIDELITY_CONVENTION, "rows": rows},
                 indent=2, sort_keys=True,
             ) + "\n"
         _write_text(out_path, text)
@@ -709,7 +664,7 @@ def cmd_imagtime(eps, c_param, dt, big_t, gamma_list, normalize,
 @main.command("worker")
 @click.option("--listen", "listen_address", required=True,
               help="host:port to bind (port 0 picks a free port).")
-@click.option("--max-qubits", type=int, default=12, show_default=True,
+@click.option("--max-qubits", type=int, default=12,
               help="Largest circuit width this worker accepts.")
 def cmd_worker(listen_address, max_qubits):
     """Serve tasks over TCP until a shutdown message arrives."""

@@ -321,8 +321,12 @@ def test_workers_flag_requires_network_mode(runner):
     ["imagtime", "--gamma-list", "0.4", "--shots", "100"],
     ["imagtime", "--gamma-list", "0.4", "--mode", "network",
      "--workers", "127.0.0.1:1"],
+    ["imagtime", "--gamma-list", "0.4", "--nodes", "4"],
+    ["imagtime", "--gamma-list", "0.4", "--seed", "9"],
+    ["imagtime", "--gamma-list", "0.4", "--workers", "127.0.0.1:1"],
 ], ids=["ghz-format-csv", "ghz-cut-format-csv", "plan-shots", "plan-check",
-        "plan-mode-network", "plan-workers", "imagtime-shots", "imagtime-network"])
+        "plan-mode-network", "plan-workers", "imagtime-shots", "imagtime-network",
+        "imagtime-nodes", "imagtime-seed", "imagtime-workers"])
 def test_ignored_options_exit_2(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)
@@ -345,7 +349,9 @@ def test_config_csv_format_rejected_for_ghz(runner, tmp_path):
     (["ghz-cut"], {"T": [0.5], "normalize": False}),
     (["nonherm", "--T", "0.1"], {"gamma_list": [0.4], "circuit": "ghz4"}),
     (["imagtime", "--gamma-list", "0.4"], {"emulate_float_truncation": True}),
-], ids=["plan", "ghz", "ghz-cut", "nonherm", "imagtime"])
+    (["imagtime", "--gamma-list", "0.4"],
+     {"mode": "local", "nodes": 4, "seed": 9, "retry_limit": 5}),
+], ids=["plan", "ghz", "ghz-cut", "nonherm", "imagtime", "imagtime-cluster"])
 def test_config_keys_a_command_does_not_read_exit_2(runner, tmp_path, args, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -355,6 +361,36 @@ def test_config_keys_a_command_does_not_read_exit_2(runner, tmp_path, args, cfg)
         for key in cfg:
             assert repr(key) in combined_output(result)
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, flags, cfg", [
+    ("nonherm",
+     ["--T", "0.4,0.6", "--eps", "0.25", "--raw", "--format", "json"],
+     {"T": [0.4, 0.6], "eps": 0.25, "normalize": False, "format": "json"}),
+    ("imagtime",
+     ["--gamma-list", "0.4,0.8", "--T", "0.7"],
+     {"gamma_list": [0.4, 0.8], "T": 0.7}),
+    ("ghz",
+     ["--shots", "100", "--seed", "3"],
+     {"shots": 100, "seed": 3, "retry_limit": 3}),
+], ids=["nonherm", "imagtime", "ghz"])
+def test_config_file_matches_the_same_flags(runner, tmp_path, command, flags, cfg):
+    """A config file gives byte-identical output to the flags it stands for."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    first = invoke(runner, [command, *flags, "--out", str(by_flags)])
+    second = invoke(runner, [command, "--config", str(path), "--out", str(by_config)])
+    assert first.exit_code == 0 and second.exit_code == 0
+    assert first.output == second.output
+    assert by_flags.read_bytes() == by_config.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_has_help(runner, command):
+    result = invoke(runner, [command, "--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage:")
 
 
 # --- worker subprocess ---------------------------------------------------------------

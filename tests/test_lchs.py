@@ -454,3 +454,14 @@ def test_parse_generator_rejects_wrong_keys():
         parse_generator({"H": [], "L": [], "u0": [], "extra": 1})
     with pytest.raises(ValueError):
         parse_generator([1, 2, 3])
+
+
+@pytest.mark.parametrize("obj", [
+    {"H": [[1]], "L": [[1]], "u0": [[1, 0]]},
+    {"H": 5, "L": [[[1.0, 0.0]]], "u0": [[1.0, 0.0]]},
+    {"H": [[[1.0, 0.0]]], "L": [[[1.0, 0.0]]], "u0": [1, 0]},
+    {"H": [[[1.0, 0.0]]], "L": [[[1.0, 0.0]]], "u0": 3},
+], ids=["bare-numbers", "scalar-matrix", "bare-vector", "scalar-vector"])
+def test_parse_generator_rejects_malformed_entries(obj):
+    with pytest.raises(ValueError):
+        parse_generator(obj)
