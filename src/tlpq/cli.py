@@ -12,7 +12,8 @@ that run tasks; a flag on the command line still wins, and any other key exits
 2. imagtime runs dense in-process code and takes no cluster options.
 
 Exit codes: 0 success, 2 configuration error, 3 execution error, 4 acceptance
-threshold violated under --check.
+threshold violated under --check (for ghz and ghz-cut this includes a sampled
+reconstruction that is not physical).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .circuit import (
     Circuit,
@@ -47,6 +49,7 @@ from .partition import balanced_bisection, build_graph, global_min_cut
 from .planner import (
     ChannelLCU,
     FactorizedUnitary,
+    NonPhysical,
     assemble_grams,
     enumerate_subtasks,
     evaluation_circuit,
@@ -414,6 +417,9 @@ def _make_cluster(mode, nodes, workers, shots, seed) -> ClusterConfig:
     if mode == "network":
         if not workers:
             raise click.UsageError("network mode needs --workers host:port[,host:port...]")
+        if click.get_current_context().get_parameter_source("nodes") != ParameterSource.DEFAULT:
+            raise click.UsageError("--nodes applies to local mode; network mode runs "
+                                   "one node per --workers address")
         nodes = workers
     elif workers:
         raise click.UsageError("--workers requires --mode network")
@@ -525,7 +531,13 @@ def _ghz_command(name: str, doc: str, pipeline, out_default: str,
             raise click.UsageError(f"{name} writes JSON only; --format csv does not apply")
 
         def body():
-            res = pipeline(cluster)
+            try:
+                res = pipeline(cluster)
+            except NonPhysical as exc:  # a sampled reconstruction can be starved
+                if not check:
+                    raise
+                click.echo(f"check failed: {exc}", err=True)
+                sys.exit(4)
             payload = {key: res[key] for key in fields}
             payload.update(fidelity=res["fidelity"], mode=cluster.mode,
                            rho=_matrix_to_json(res["rho"]), shots=cluster.shots)

@@ -19,7 +19,7 @@ from math import floor, pi
 
 import numpy as np
 
-from .circuit import PauliString, _matrix_from_json
+from .circuit import PauliString
 from .linalg import NotHermitian, eigh, is_hermitian, matexp
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "imaginary_time",
     "trotter_oracle",
     "exact_ground",
-    "parse_generator",
 ]
 
 
@@ -249,17 +248,3 @@ def exact_ground(h) -> tuple[float, np.ndarray]:
     w, v = eigh(h)
     return float(w[0]), v[:, 0]
 
-
-def parse_generator(obj: dict) -> tuple[GeneratorSpec, np.ndarray]:
-    """Parse {"H": matrix, "L": matrix, "u0": vector} with [re, im] numeric pairs.
-
-    Malformed input raises ValueError."""
-    if not isinstance(obj, dict) or set(obj) != {"H", "L", "u0"}:
-        raise ValueError("generator JSON must have exactly the keys H, L, u0")
-    h = _matrix_from_json(obj["H"], "H")
-    l_mat = _matrix_from_json(obj["L"], "L")
-    try:
-        u0 = np.array([complex(float(e[0]), float(e[1])) for e in obj["u0"]], dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValueError(f"bad vector u0: {exc}") from exc
-    return GeneratorSpec(H=h, L=l_mat), u0

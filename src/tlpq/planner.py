@@ -189,13 +189,6 @@ class ChannelLCU:
             out = block if out is None else out + block
         return out
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for p in range(self.q):
-            a_p = self.branch_operator(p)
-            out = out + a_p @ rho @ a_p.conj().T
-        return out
-
     def _check_trace_preserving(self, tol: float = 1e-8) -> None:
         total_width = sum(self.part_widths)
         if total_width > 6:

@@ -8,6 +8,10 @@ ordered reduce so results are bit-identical across node counts and transports.
 A plan's subtasks run as "overlap" tasks: the backend simulates the left and
 right gate lists on the part's w qubits and forms z = <U_r psi0| O U_l psi0>,
 which fixes the single-ancilla estimator's readouts (ax = Re z, ay = Im z).
+
+Every readout of every task kind is a pair (w, m) with one outcome law:
+P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
+sampled mode returns the mean of draws from that law.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .circuit import (
     circuit_to_json,
     parse_circuit,
     simulate,
-    _apply,
     _evolve,
     _matrix_from_json,
     _matrix_to_json,
@@ -113,10 +116,10 @@ class TaskSpec:
     non-unitary RAW maps: each gate is one linear map, so the output
     |A0><A0| (A the product of the gates) has rank one, and the task pushes the
     unnormalized vector A|0...0> through the gates without renormalization.
-    Readout descriptors:
-      - "ax" / "ay": <sigma_x> / <sigma_y> on qubit 0 (the ancilla)
-      - "p0:<P>" / "p1:<P>": ancilla projector correlated with Pauli P on the rest
-      - "e:<P>": plain Pauli expectation over all qubits
+    Readout descriptors and their (w, m) pairs on the task's vector v:
+      - "e:<P>": w = |v|^2, m = <v|P|v>
+      - "p0:<P>" / "p1:<P>": the same on the ancilla-0 / ancilla-1 half of v
+      - "ax" / "ay": w = |v|^2, m = 2 Re / 2 Im <v0|v1> (qubit 0 is the ancilla)
     """
 
     id: int
@@ -136,8 +139,8 @@ class OverlapSpec:
     It carries the subtask's two gate lists, its observable (a PauliString or
     a unitary matrix) and its input label, not a synthesized estimator
     circuit. Its readouts are those of the single-ancilla estimator, taken
-    from z directly: "ax" = Re z, "ay" = Im z. The width is that of the part;
-    no ancilla is added.
+    from z directly: "ax" = (1, Re z), "ay" = (1, Im z) as (w, m) pairs. The
+    width is that of the part; no ancilla is added.
     """
 
     id: int
@@ -181,10 +184,6 @@ def sample_shots(exact_probs, n: int, rng: np.random.Generator) -> np.ndarray:
     return counts / float(n)
 
 
-_ROT_X = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)  # H: X -> Z
-_ROT_Y = _ROT_X @ np.diag([1.0, -1.0j]).astype(complex)  # H S^dag: Y -> Z
-
-
 def _parse_readout(desc: str, n_qubits: int) -> tuple[str | None, str]:
     """Split a readout descriptor into (ancilla part, Pauli letters over the rest)."""
     if desc in ("ax", "ay"):
@@ -197,40 +196,6 @@ def _parse_readout(desc: str, n_qubits: int) -> tuple[str | None, str]:
                 raise ValueError(f"bad readout descriptor {desc!r}")
             return (None if prefix == "e:" else prefix[:2]), letters
     raise ValueError(f"unknown readout descriptor {desc!r}")
-
-
-def _readout_basis(desc: str, n_qubits: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
-    """Rotations mapping the readout to the computational basis, plus outcome values.
-
-    Returns (rotations as (qubit, 2x2 matrix) pairs, value per basis index).
-    """
-    anc, letters = _parse_readout(desc, n_qubits)
-    rotations: list[tuple[int, np.ndarray]] = []
-    letter_of_qubit: dict[int, str] = {}
-    offset = 0 if anc is None else 1
-    if anc == "ax":
-        rotations.append((0, _ROT_X))
-        letter_of_qubit[0] = "Z"
-    elif anc == "ay":
-        rotations.append((0, _ROT_Y))
-        letter_of_qubit[0] = "Z"
-    for idx, ch in enumerate(letters):
-        q = idx + offset
-        if ch == "X":
-            rotations.append((q, _ROT_X))
-        elif ch == "Y":
-            rotations.append((q, _ROT_Y))
-        if ch != "I":
-            letter_of_qubit[q] = "Z"
-    values = np.ones(2**n_qubits)
-    for q in letter_of_qubit:
-        bit = (np.arange(2**n_qubits) >> (n_qubits - 1 - q)) & 1
-        values = values * (1.0 - 2.0 * bit)
-    if anc in ("p0", "p1"):
-        anc_bit = (np.arange(2**n_qubits) >> (n_qubits - 1)) & 1
-        keep = 0 if anc == "p0" else 1
-        values = values * (anc_bit == keep)
-    return rotations, values
 
 
 def _part_state(c: Circuit, input_label: str) -> np.ndarray:
@@ -277,15 +242,63 @@ def overlap_value(left_state: np.ndarray, right_state: np.ndarray, observable) -
     return complex(np.vdot(right_state, _apply_observable(observable, left_state)))
 
 
-_PLUS_MINUS = np.array([-1.0, 1.0])  # ancilla outcome values, ascending as in _grouped
+def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
+    """(w, m) of one readout descriptor on an n-qubit vector (qubit 0 is the top bit).
+
+    "e:P" reads the whole vector, "p0:P" / "p1:P" its ancilla-0 / ancilla-1
+    half; "ax" / "ay" read 2 Re / 2 Im <v0|v1> of the two halves.
+    """
+    anc, letters = _parse_readout(desc, state.size.bit_length() - 1)
+    halves = state.reshape(2, -1)
+    if anc in ("ax", "ay"):
+        z = np.vdot(halves[0], halves[1])
+        m = 2.0 * float(z.real if anc == "ax" else z.imag)
+    else:
+        if anc is not None:
+            state = halves[0 if anc == "p0" else 1]
+        m = overlap_value(state, state, PauliString(len(letters), letters)).real
+    return float(np.vdot(state, state).real), m
 
 
-def _grouped(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse basis outcomes into (distinct value, total probability) groups."""
-    keys = np.round(values, 12)
-    uniq = np.unique(keys)
-    grouped_p = np.array([float(np.sum(probs[keys == u])) for u in uniq])
-    return uniq, grouped_p
+def _readout_pairs(
+    task: TaskSpec | OverlapSpec, states: dict
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The (w, m) pairs of a task's readouts, as (all w, all m); ``states`` is
+    run_task's cache."""
+    if task.kind == "overlap":
+        sides = []
+        for c in (task.left, task.right):
+            key = (c, task.input_label)
+            if key not in states:
+                states[key] = _part_state(c, task.input_label)
+            sides.append(states[key])
+        z = overlap_value(sides[0], sides[1], task.observable)
+        return (1.0, 1.0), (z.real, z.imag)  # the readouts "ax", "ay"
+    n = task.n_qubits
+    if task.kind == "estimator":
+        state = simulate(task.circuit, basis_state(n))
+    elif task.kind == "density":
+        # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
+        state = _evolve(
+            task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
+        ).reshape(-1)
+    else:
+        raise ValueError(f"unknown task kind {task.kind!r}")
+    pairs = [_readout_pair(desc, state) for desc in task.readouts]
+    return tuple(w for w, _ in pairs), tuple(m for _, m in pairs)
+
+
+def _sampled_mean(w: float, m: float, shots: int, rng: np.random.Generator) -> float:
+    """Mean of ``shots`` draws of the readout law P(+1) = (w + m) / 2,
+    P(-1) = (w - m) / 2, P(0) = 1 - w, drawn in the order [-1, 0, +1].
+
+    A lost weight 1 - w of 1e-12 or less counts as 0, so the multinomial
+    spends no draw on it.
+    """
+    lost = 1.0 - w
+    probs = [(w - m) / 2.0, lost if lost > 1e-12 else 0.0, (w + m) / 2.0]
+    freq = sample_shots(probs, shots, rng)
+    return float(freq[2] - freq[0])
 
 
 @dataclass
@@ -316,61 +329,14 @@ class ExactBackend:
             raise CapabilityMismatch(
                 f"task {task.id} needs {n} qubits, node supports {self.max_qubits}"
             )
-        if task.kind == "overlap":
-            return self._run_overlap(task, shots, seed, {} if states is None else states)
-        if task.kind == "estimator":
-            state = simulate(task.circuit, basis_state(n))
-        elif task.kind == "density":
-            # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
-            state = _evolve(
-                task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
-            ).reshape(-1)
-        else:
-            raise ValueError(f"unknown task kind {task.kind!r}")
-        values: list[float] = []
-        for ridx, desc in enumerate(task.readouts):
-            rotations, outcome_values = _readout_basis(desc, n)
-            rotated = state.reshape((2,) * n)
-            for q, rot in rotations:
-                rotated = _apply(rotated, rot, (q,))
-            probs = np.abs(rotated.reshape(-1)) ** 2
-            if shots is None:
-                values.append(float(np.dot(probs, outcome_values)))
-            else:
-                group_vals, group_probs = _grouped(outcome_values, probs)
-                tail = 1.0 - float(np.sum(group_probs))
-                if tail > 1e-12:
-                    # a density task's probabilities sum to |A0|^2 <= 1: the
-                    # rest is a discarded outcome worth 0
-                    group_vals = np.append(group_vals, 0.0)
-                    group_probs = np.append(group_probs, tail)
-                rng = np.random.default_rng((seed, task.id, ridx))
-                freq = sample_shots(group_probs, shots, rng)
-                values.append(float(np.dot(freq, group_vals)))
-        shots_used = 0 if shots is None else shots * len(task.readouts)
-        return tuple(values), shots_used
-
-    @staticmethod
-    def _run_overlap(
-        task: OverlapSpec, shots: int | None, seed: int, states: dict
-    ) -> tuple[tuple[float, ...], int]:
-        sides = []
-        for c in (task.left, task.right):
-            key = (c, task.input_label)
-            if key not in states:
-                states[key] = _part_state(c, task.input_label)
-            sides.append(states[key])
-        z = overlap_value(sides[0], sides[1], task.observable)
-        values: list[float] = []
-        for ridx, mean in enumerate((z.real, z.imag)):  # the readouts "ax", "ay"
-            if shots is not None:
-                # P(+1) = (1 + mean) / 2 for the ancilla's sigma_x / sigma_y
-                rng = np.random.default_rng((seed, task.id, ridx))
-                freq = sample_shots([(1.0 - mean) / 2.0, (1.0 + mean) / 2.0], shots, rng)
-                mean = float(np.dot(freq, _PLUS_MINUS))
-            values.append(mean)
-        shots_used = 0 if shots is None else shots * len(task.readouts)
-        return tuple(values), shots_used
+        weights, means = _readout_pairs(task, {} if states is None else states)
+        if shots is None:
+            return means, 0
+        values = tuple(
+            _sampled_mean(w, m, shots, np.random.default_rng((seed, task.id, ridx)))
+            for ridx, (w, m) in enumerate(zip(weights, means))
+        )
+        return values, shots * len(means)
 
 
 def run_density_path(subcircuit: Circuit, settings) -> list[float]:

@@ -331,8 +331,9 @@ def test_11_execution_modes_agree_and_survive_node_loss():
         )
     for other in (many, networked):
         assert np.max(np.abs(single["rho"] - other["rho"])) <= 1e-12
+        assert other["values"].keys() == single["values"].keys()
         assert max(
-            abs(x - y) for x, y in zip(single["values"], other["values"])
+            abs(single["values"][k] - other["values"][k]) for k in single["values"]
         ) <= 1e-12
     with live_worker(fail_after_tasks=3) as flaky, live_worker() as solid:
         survived = run_ghz_pipeline(

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from tlpq import Circuit, Gate, circuit_to_json
 from tlpq.cli import main
+from tlpq.planner import NonPhysical
 from tlpq.runtime import PROTOCOL_VERSION
 
 
@@ -148,6 +149,32 @@ def test_ghz_check_fails_with_starved_budget(runner, tmp_path):
                                   "--check", "--out", str(tmp_path / "o.json")])
     assert result.exit_code == 4
     assert "check failed" in combined_output(result)
+
+
+def test_ghz_check_fails_with_starved_budget_at_seed_4(runner, tmp_path):
+    result = runner.invoke(main, ["ghz", "--shots", "2", "--seed", "4",
+                                  "--check", "--out", str(tmp_path / "o.json")])
+    assert result.exit_code == 4
+    assert "check failed" in combined_output(result)
+
+
+@pytest.mark.parametrize("command", ["ghz", "ghz-cut"])
+def test_non_physical_reconstruction_exits_4_under_check_else_3(
+        runner, tmp_path, monkeypatch, command):
+    import tlpq.cli
+
+    def starved(*args, **kwargs):
+        raise NonPhysical("normalization contraction vanished")
+
+    monkeypatch.setattr(tlpq.cli, "pure_state_fidelity", starved)
+    args = [command, "--shots", "2", "--out", str(tmp_path / "o.json")]
+    result = runner.invoke(main, args + ["--check"])
+    assert result.exit_code == 4
+    assert "check failed: normalization contraction vanished" in combined_output(result)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "error: normalization contraction vanished" in combined_output(result)
+    assert not (tmp_path / "o.json").exists()
 
 
 # --- ghz-cut ----------------------------------------------------------------------
@@ -324,14 +351,23 @@ def test_workers_flag_requires_network_mode(runner):
     ["imagtime", "--gamma-list", "0.4", "--nodes", "4"],
     ["imagtime", "--gamma-list", "0.4", "--seed", "9"],
     ["imagtime", "--gamma-list", "0.4", "--workers", "127.0.0.1:1"],
+    ["ghz", "--mode", "network", "--workers", "127.0.0.1:1", "--nodes", "4"],
 ], ids=["ghz-format-csv", "ghz-cut-format-csv", "plan-shots", "plan-check",
         "plan-mode-network", "plan-workers", "imagtime-shots", "imagtime-network",
-        "imagtime-nodes", "imagtime-seed", "imagtime-workers"])
+        "imagtime-nodes", "imagtime-seed", "imagtime-workers", "ghz-network-nodes"])
 def test_ignored_options_exit_2(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, combined_output(result)
         assert not any(p.name.endswith(".json") for p in tmp_path.rglob("*"))
+
+
+def test_config_nodes_rejected_in_network_mode(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "network", "workers": ["127.0.0.1:1"], "nodes": 4}))
+    result = runner.invoke(main, ["nonherm", "--T", "0.1", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "--nodes applies to local mode" in combined_output(result)
 
 
 def test_config_csv_format_rejected_for_ghz(runner, tmp_path):

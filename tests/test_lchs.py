@@ -24,7 +24,6 @@ from tlpq import (
     imaginary_time,
     lchs_expectation,
     lchs_state,
-    parse_generator,
     trotter_oracle,
     unitary_node,
 )
@@ -430,38 +429,3 @@ def test_exact_ground_matches_eigvalsh(rng):
     e0, vec = exact_ground(h)
     assert e0 == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
     assert np.allclose(h @ vec, e0 * vec, atol=1e-10)
-
-
-# --- generator JSON ---------------------------------------------------------------------
-
-
-def test_parse_generator_round_trip():
-    obj = {
-        "H": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
-        "L": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        "u0": [[1.0, 0.0], [0.0, 0.0]],
-    }
-    g, u0 = parse_generator(obj)
-    assert np.array_equal(g.H, PAULI["X"])
-    assert np.array_equal(g.L, np.diag([2.0, 0.0]).astype(complex))
-    assert np.array_equal(u0, np.array([1.0, 0.0], dtype=complex))
-
-
-def test_parse_generator_rejects_wrong_keys():
-    with pytest.raises(ValueError):
-        parse_generator({"H": [], "L": []})
-    with pytest.raises(ValueError):
-        parse_generator({"H": [], "L": [], "u0": [], "extra": 1})
-    with pytest.raises(ValueError):
-        parse_generator([1, 2, 3])
-
-
-@pytest.mark.parametrize("obj", [
-    {"H": [[1]], "L": [[1]], "u0": [[1, 0]]},
-    {"H": 5, "L": [[[1.0, 0.0]]], "u0": [[1.0, 0.0]]},
-    {"H": [[[1.0, 0.0]]], "L": [[[1.0, 0.0]]], "u0": [1, 0]},
-    {"H": [[[1.0, 0.0]]], "L": [[[1.0, 0.0]]], "u0": 3},
-], ids=["bare-numbers", "scalar-matrix", "bare-vector", "scalar-vector"])
-def test_parse_generator_rejects_malformed_entries(obj):
-    with pytest.raises(ValueError):
-        parse_generator(obj)

@@ -44,6 +44,8 @@ from tlpq.runtime import (
     OverlapSpec,
     TaskResult,
     WorkerServer,
+    _readout_pairs,
+    _sampled_mean,
     serve_worker,
 )
 
@@ -287,6 +289,89 @@ def test_backend_sampled_density_with_lost_weight_converges(rng):
             assert np.mean(draws[:, 0]) == pytest.approx(exact_e, abs=0.01)
             assert np.mean(draws[:, 1]) == pytest.approx(exact_p1, abs=0.01)
     assert errs[10_000] < errs[100] / 3
+
+
+# --- the readout law: a (w, m) pair per readout --------------------------------------
+
+
+def law_of_pair(w: float, m: float) -> np.ndarray:
+    """[P(-1), P(0), P(+1)] of the readout law of a (w, m) pair."""
+    return np.array([(w - m) / 2, 1 - w, (w + m) / 2])
+
+
+def dense_law(rho: np.ndarray, desc: str) -> np.ndarray:
+    """[P(-1), P(0), P(+1)] of one readout descriptor, from projectors on rho.
+
+    Outcome +/-1 is the kept subspace ``keep`` times the +/-1 eigenspace of
+    ``op``; outcome 0 is everything else, including weight a map has lost.
+    """
+    n = int(np.log2(rho.shape[0]))
+    if desc in ("ax", "ay"):
+        keep = np.eye(2**n)
+        op = kron_all([PAULI[desc[1].upper()], np.eye(2 ** (n - 1))])
+    elif desc.startswith("e:"):
+        keep = np.eye(2**n)
+        op = pauli_label_matrix(desc[2:])
+    else:
+        proj = np.diag([1.0, 0.0] if desc.startswith("p0:") else [0.0, 1.0])
+        keep = kron_all([proj, np.eye(2 ** (n - 1))])
+        op = kron_all([proj, pauli_label_matrix(desc[3:])])
+
+    def prob(projector):
+        return float(np.real(np.trace(rho @ projector)))
+
+    return np.array([prob((keep - op) / 2), 1 - prob(keep), prob((keep + op) / 2)])
+
+
+def every_descriptor(rng, n: int) -> tuple[str, ...]:
+    rest = "".join(rng.choice(list("IXYZ")) for _ in range(n - 1))
+    full = "".join(rng.choice(list("IXYZ")) for _ in range(n))
+    return ("ax", "ay", f"p0:{rest}", f"p1:{rest}", f"e:{full}", f"e:{'I' * n}")
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_readout_law_matches_dense_probabilities_on_estimator_circuits(rng, w):
+    for trial in range(5):
+        circ = random_circuit(rng, w + 1, n_gates=3 * (w + 1))
+        task = TaskSpec(id=trial, kind="estimator", circuit=circ,
+                        readouts=every_descriptor(rng, w + 1))
+        psi = dense_state(circ)
+        rho = np.outer(psi, psi.conj())
+        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, {}))):
+            assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_readout_law_matches_dense_probabilities_on_density_circuits(rng, n):
+    for trial in range(3):
+        circ = random_map_circuit(rng, n)
+        rho = dense_density(circ)
+        assert np.real(np.trace(rho)) < 0.99  # the maps lose weight: P(0) > 0 everywhere
+        task = TaskSpec(id=trial, kind="density", circuit=circ,
+                        readouts=every_descriptor(rng, n))
+        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, {}))):
+            assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
+
+
+def test_readout_law_of_overlap_tasks_matches_estimator_circuits(rng):
+    for s in random_subtasks(rng, count_per_width=4):
+        psi = dense_state(estimator_task(s, s.id).circuit)
+        rho = np.outer(psi, psi.conj())
+        pairs = zip(*_readout_pairs(overlap_task(s, s.id), {}))
+        for desc, (wt, m) in zip(OverlapSpec.readouts, pairs):
+            assert wt == 1.0
+            assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12
+
+
+def test_readout_law_spends_no_draw_on_vanishing_lost_weight():
+    for k, m in enumerate((-1.0, -0.3, 0.0, 0.55, 1.0)):
+        for w in (1.0, 1.0 - 1e-13, 1.0 + 1e-13):
+            two = sample_shots([(w - m) / 2, (w + m) / 2], 101, np.random.default_rng(k))
+            got = _sampled_mean(w, m, 101, np.random.default_rng(k))
+            assert got == two[1] - two[0]
+    # a real loss is a third outcome worth 0: P(+1) = 1/4, P(0) = 3/4, mean 1/4
+    got = _sampled_mean(0.25, 0.25, 10_000, np.random.default_rng(0))
+    assert got == pytest.approx(0.25, abs=0.03)
 
 
 def test_backend_shot_values_are_seed_deterministic():
