@@ -7,7 +7,6 @@ from .circuit import Circuit, Gate, PauliString, circuit_to_json, parse_circuit,
 from .factorize import (
     GateLCU,
     LayeredDecomposition,
-    cnot_pauli_lcu,
     cz_cutting_decomposition,
     expand_layered,
     operator_schmidt,
@@ -36,8 +35,6 @@ from .planner import (
     ghz_cutting_plan,
     ghz4_template,
     ghz_overlap_plan,
-    parse_plan,
-    plan_to_json,
     reconstruct_density_matrix,
     scaling_counts,
 )
@@ -47,7 +44,6 @@ from .runtime import (
     TaskSpec,
     aggregate,
     execute_tasks,
-    run_density_path,
     run_plan,
     sample_shots,
     serve_worker,
@@ -64,7 +60,6 @@ __all__ = [
     "simulate",
     "GateLCU",
     "LayeredDecomposition",
-    "cnot_pauli_lcu",
     "cz_cutting_decomposition",
     "expand_layered",
     "operator_schmidt",
@@ -91,8 +86,6 @@ __all__ = [
     "ghz_cutting_plan",
     "ghz4_template",
     "ghz_overlap_plan",
-    "parse_plan",
-    "plan_to_json",
     "reconstruct_density_matrix",
     "scaling_counts",
     "ClusterConfig",
@@ -100,7 +93,6 @@ __all__ = [
     "TaskSpec",
     "aggregate",
     "execute_tasks",
-    "run_density_path",
     "run_plan",
     "sample_shots",
     "serve_worker",

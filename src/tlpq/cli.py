@@ -52,7 +52,6 @@ from .planner import (
     NonPhysical,
     assemble_grams,
     enumerate_subtasks,
-    evaluation_circuit,
     ghz4_template,
     ghz_cutting_plan,
     ghz_overlap_plan,
@@ -62,6 +61,7 @@ from .planner import (
 )
 from .runtime import (
     ClusterConfig,
+    OverlapSpec,
     TaskSpec,
     aggregate,
     execute_tasks,
@@ -81,13 +81,15 @@ FIDELITY_CONVENTION = "overlap_squared"
 # --- drivers (importable; the click commands are thin wrappers) -----------------
 
 def run_ghz_pipeline(cluster: ClusterConfig) -> dict:
-    """Overlap-plan pipeline: 128 evaluations -> gram tables -> 16x16 state."""
+    """Overlap-plan pipeline: 128 overlap tasks -> gram tables -> 16x16 state."""
     templates, plan = ghz_overlap_plan()
     tasks = [
-        TaskSpec(
+        OverlapSpec(
             id=ev.id,
-            kind="estimator",
-            circuit=evaluation_circuit(templates, ev),
+            left=templates[ev.template][0],
+            right=templates[ev.template][1],
+            observable=PauliString(2, ev.setting),
+            input_label="00",
             readouts=(ev.readout,),
         )
         for ev in plan

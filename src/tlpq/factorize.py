@@ -5,15 +5,15 @@ Three decomposition flavors live here:
 - ``operator_schmidt``: minimal-length expansion of a two-qubit unitary as a sum
   of tensor products of *unitary* one-qubit factors, computed through the magic
   (Bell) basis; the term count equals the operator Schmidt rank.
-- ``pauli_expansion`` / ``cnot_pauli_lcu``: expansion over the two-qubit Pauli
-  basis (up to 16 terms, always unitary factors).
+- ``pauli_expansion``: expansion over the two-qubit Pauli basis (up to 16
+  terms, always unitary factors); ``operator_schmidt``'s fallback.
 - ``cz_cutting_decomposition``: a quasi-probability decomposition of the CZ
   *channel* into 10 local (possibly non-unitary) single-Kraus channel pairs,
   used for wire-cut style baselines.
 
 ``expand_layered`` rewrites a circuit with a bipartition into a sum over
-products of per-part circuits, replacing each crossing two-qubit gate by one of
-the expansions above.
+products of per-part circuits, replacing each crossing two-qubit gate by its
+operator Schmidt expansion.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "UnsupportedCrossingGate",
     "operator_schmidt",
     "pauli_expansion",
-    "cnot_pauli_lcu",
     "cz_cutting_decomposition",
     "expand_layered",
     "reshuffled_rank",
@@ -298,19 +297,6 @@ def pauli_expansion(u4, tol: float = 1e-12) -> GateLCU:
     return GateLCU(terms=tuple(terms))
 
 
-def cnot_pauli_lcu() -> GateLCU:
-    """CNOT (control = first qubit) = (II + ZI + IX - ZX)/2."""
-    i2, x, z = PAULI_1Q["I"], PAULI_1Q["X"], PAULI_1Q["Z"]
-    return GateLCU(
-        terms=(
-            (0.5 + 0j, (i2, i2)),
-            (0.5 + 0j, (z, i2)),
-            (0.5 + 0j, (i2, x)),
-            (-0.5 + 0j, (z, x)),
-        )
-    )
-
-
 def cz_cutting_decomposition() -> ChannelQuasiDecomposition:
     """CZ channel as a signed sum of 10 local single-Kraus channel pairs.
 
@@ -412,14 +398,9 @@ class LayeredDecomposition:
         return total.reshape(2**n, 2**n)
 
 
-def expand_layered(c: Circuit, cut: CutAssignment, method: str = "schmidt") -> LayeredDecomposition:
-    """Expand a bipartitioned circuit into per-part circuit products.
-
-    method="schmidt" uses minimal operator Schmidt expansions of the crossing
-    gates; method="pauli" uses Pauli-basis expansions (CNOT -> 4 terms).
-    """
-    if method not in ("schmidt", "pauli"):
-        raise ValueError(f"unknown expansion method {method!r}")
+def expand_layered(c: Circuit, cut: CutAssignment) -> LayeredDecomposition:
+    """Expand a bipartitioned circuit into per-part circuit products, using the
+    minimal operator Schmidt expansion of each crossing gate."""
     part_of = cut.part_of
     missing = [q for q in range(c.n_qubits) if q not in part_of]
     if missing:
@@ -438,13 +419,8 @@ def expand_layered(c: Circuit, cut: CutAssignment, method: str = "schmidt") -> L
             raise UnsupportedCrossingGate(
                 f"gate {gi} ({g.kind}) crosses the cut with arity {len(g.qubits)}"
             )
-        mat = gate_matrix(g)
-        if method == "schmidt":
-            lcu = operator_schmidt(mat)
-        else:
-            lcu = cnot_pauli_lcu() if g.kind == "CNOT" else pauli_expansion(mat)
         cut_indices.append(gi)
-        lcus.append(lcu)
+        lcus.append(operator_schmidt(gate_matrix(g)))
     return LayeredDecomposition(
         circuit=c,
         cut=cut,

@@ -11,8 +11,9 @@ each measurable with one ancilla (Hadamard-test style). This module enumerates
 those subtasks and validates their operands. The runtime computes each
 subtask's overlap from its gate lists; ``build_estimator_circuit`` gives the
 hardware-faithful single-ancilla circuit of a subtask on request. The module
-also carries the two GHZ pipelines (overlap tomography across a cut, and the
-wire-cut density baseline).
+also carries the two GHZ pipelines: overlap tomography across a cut, whose
+gram entries are overlaps of two-qubit part states, and the wire-cut density
+baseline.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .circuit import (
     Circuit,
     Gate,
     PauliString,
-    circuit_to_json,
     circuit_unitary,
-    parse_circuit,
     pauli_matrix,
 )
 from .factorize import ChannelQuasiDecomposition, cz_cutting_decomposition
@@ -49,15 +48,12 @@ __all__ = [
     "build_estimator_circuit",
     "check_overlap_operands",
     "ghz_overlap_plan",
-    "evaluation_circuit",
     "assemble_grams",
     "reconstruct_density_matrix",
     "ghz_cutting_plan",
     "ghz4_template",
     "ghz_state",
     "scaling_counts",
-    "plan_to_json",
-    "parse_plan",
     "PAULI_2Q_LABELS",
 ]
 
@@ -367,7 +363,7 @@ class Evaluation:
     id: int
     template: int  # 0 probes the |phi_j> pair, 1 probes the |psi_k> pair
     setting: str  # two-qubit Pauli label measured on the part
-    readout: str  # "ax" | "ay" | "p0:<setting>" | "p1:<setting>"
+    readout: str  # "ax" | "ay" | "p0" | "p1", an overlap-task readout
 
 
 def ghz4_template() -> Circuit:
@@ -395,58 +391,33 @@ def ghz_state(n_qubits: int = 4) -> np.ndarray:
     return v
 
 
-def ghz_overlap_plan() -> tuple[tuple[Circuit, Circuit], tuple[Evaluation, ...]]:
-    """Two 3-qubit templates x 16 Pauli settings x 4 readouts = 128 evaluations.
+def ghz_overlap_plan() -> tuple[
+    tuple[tuple[Circuit, Circuit], tuple[Circuit, Circuit]], tuple[Evaluation, ...]
+]:
+    """Two templates x 16 Pauli settings x 4 readouts = 128 evaluations.
 
-    Template 0 prepares (|0>|phi_1> + |1>|phi_2>)/sqrt(2) on (ancilla, part A):
-    uncontrolled Bell pair plus an ancilla-controlled Z on the cut-adjacent
-    qubit. Template 1 prepares (|0>|psi_1> + |1>|psi_2>)/sqrt(2) on
-    (ancilla, part B): ancilla-controlled X propagated by the local CNOT.
-    Appending the controlled Pauli setting M makes the four readouts deliver
-    the 2x2 gram matrix of M in the respective state pair.
+    A template is the (left, right) pair of two-qubit circuits that prepare
+    its two part states from |00>: template 0 holds |phi_2> = (I x Z)|phi_1>
+    and the Bell pair |phi_1> of part A, template 1 holds |psi_2> = |11> and
+    |psi_1> = |00> of part B. Each evaluation is one overlap-task readout with
+    the setting M as observable: "ax" + i "ay" is the off-diagonal gram entry
+    <state_1|M|state_2>, and "p0" / "p1" are half the diagonal entries
+    <state_1|M|state_1> / <state_2|M|state_2>, as on the single-ancilla
+    circuit that prepares (|0>|state_1> + |1>|state_2>)/sqrt(2).
     """
-    template_a = Circuit(
-        3,
-        (
-            Gate("H", (0,)),
-            Gate("H", (1,)),
-            Gate("H", (2,)),
-            Gate("CZ", (1, 2)),
-            Gate("H", (2,)),
-            Gate("CZ", (0, 2)),
-        ),
-    )
-    template_b = Circuit(
-        3,
-        (
-            Gate("H", (0,)),
-            Gate("CNOT", (0, 1)),
-            Gate("CNOT", (1, 2)),
-        ),
-    )
+    bell = (Gate("H", (0,)), Gate("H", (1,)), Gate("CZ", (0, 1)), Gate("H", (1,)))
+    template_a = (Circuit(2, bell + (Gate("Z", (1,)),)), Circuit(2, bell))
+    template_b = (Circuit(2, (Gate("X", (0,)), Gate("X", (1,)))), Circuit(2, ()))
     evaluations: list[Evaluation] = []
     next_id = 0
     for template in (0, 1):
         for setting in PAULI_2Q_LABELS:
-            for readout in ("ax", "ay", f"p0:{setting}", f"p1:{setting}"):
+            for readout in ("ax", "ay", "p0", "p1"):
                 evaluations.append(
                     Evaluation(id=next_id, template=template, setting=setting, readout=readout)
                 )
                 next_id += 1
     return (template_a, template_b), tuple(evaluations)
-
-
-def evaluation_circuit(templates: tuple[Circuit, Circuit], ev: Evaluation) -> Circuit:
-    """Template circuit plus the ancilla-controlled Pauli setting."""
-    base = templates[ev.template]
-    dim = 2 ** (base.n_qubits - 1)
-    block = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    block[:dim, :dim] = np.eye(dim)
-    block[dim:, dim:] = pauli_matrix(ev.setting)
-    return Circuit(
-        base.n_qubits,
-        base.gates + (Gate("RAW", tuple(range(base.n_qubits)), raw=block),),
-    )
 
 
 def assemble_grams(
@@ -461,9 +432,7 @@ def assemble_grams(
     for ev in evaluations:
         if ev.id not in values:
             raise IncompleteTables(f"missing value for evaluation {ev.id}")
-        key = (ev.template, ev.setting)
-        kind = ev.readout.split(":", 1)[0]
-        raw.setdefault(key, {})[kind] = values[ev.id]
+        raw.setdefault((ev.template, ev.setting), {})[ev.readout] = values[ev.id]
     tables: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
     for template in (0, 1):
         for setting in PAULI_2Q_LABELS:
@@ -611,48 +580,3 @@ def ghz_cutting_plan() -> tuple[
 def scaling_counts(m: int) -> dict[str, int]:
     """Per-observable-set subtask counts at m crossing gates: ours vs cutting."""
     return {"ours": 8 * 2**m, "cutting": 16 * 10**m}
-
-
-# --- plan (de)serialization -----------------------------------------------------
-
-def plan_to_json(plan: list[Subtask]) -> dict:
-    """{"subtasks": [...]}; observables must be PauliStrings to serialize."""
-    subtasks = []
-    for s in plan:
-        if not isinstance(s.observable, PauliString):
-            raise ShapeMismatch("only PauliString observables serialize to JSON")
-        subtasks.append(
-            {
-                "id": s.id,
-                "indices": list(s.indices),
-                "left": circuit_to_json(s.left_circuit),
-                "right": circuit_to_json(s.right_circuit),
-                "obs": s.observable.letters,
-                "input": s.input_label,
-                "coeff": [float(s.coefficient.real), float(s.coefficient.imag)],
-            }
-        )
-    return {"subtasks": subtasks}
-
-
-def parse_plan(obj: dict) -> list[Subtask]:
-    if not isinstance(obj, dict) or set(obj) != {"subtasks"}:
-        raise ShapeMismatch("plan JSON must be exactly {'subtasks': [...]}")
-    out: list[Subtask] = []
-    for entry in obj["subtasks"]:
-        extra = set(entry) - {"id", "indices", "left", "right", "obs", "input", "coeff"}
-        if extra:
-            raise ShapeMismatch(f"unknown subtask fields {sorted(extra)}")
-        left = parse_circuit(entry["left"])
-        out.append(
-            Subtask(
-                id=int(entry["id"]),
-                indices=tuple(int(x) for x in entry["indices"]),
-                left_circuit=left,
-                right_circuit=parse_circuit(entry["right"]),
-                observable=PauliString(left.n_qubits, entry["obs"]),
-                input_label=str(entry["input"]),
-                coefficient=complex(entry["coeff"][0], entry["coeff"][1]),
-            )
-        )
-    return out

@@ -5,9 +5,12 @@ shot-sampling) and remote workers reached over a TCP newline-delimited JSON
 protocol. Scheduling is static round-robin by task id; aggregation is an
 ordered reduce so results are bit-identical across node counts and transports.
 
-A plan's subtasks run as "overlap" tasks: the backend simulates the left and
-right gate lists on the part's w qubits and forms z = <U_r psi0| O U_l psi0>,
-which fixes the single-ancilla estimator's readouts (ax = Re z, ay = Im z).
+A plan's subtasks and the GHZ gram entries run as "overlap" tasks: the backend
+simulates the left and right gate lists on the part's w qubits and forms
+z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
+(ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). The wire
+carries overlap and density tasks; "estimator" tasks run only in-process, as
+the reference the tests hold overlap tasks to.
 
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
@@ -56,12 +59,11 @@ __all__ = [
     "execute_tasks",
     "run_plan",
     "aggregate",
-    "run_density_path",
     "WorkerServer",
     "serve_worker",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 class NodeFailure(RuntimeError):
@@ -110,12 +112,14 @@ class ClusterConfig:
 
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
-    """One executable task: a circuit plus readout descriptors.
+    """One task given as a circuit plus readout descriptors.
 
-    kind="estimator" simulates a statevector from |0...0>. kind="density" admits
-    non-unitary RAW maps: each gate is one linear map, so the output
-    |A0><A0| (A the product of the gates) has rank one, and the task pushes the
-    unnormalized vector A|0...0> through the gates without renormalization.
+    kind="density" admits non-unitary RAW maps: each gate is one linear map,
+    so the output |A0><A0| (A the product of the gates) has rank one, and the
+    task pushes the unnormalized vector A|0...0> through the gates without
+    renormalization. kind="estimator" simulates a unitary circuit from
+    |0...0>; it runs only in-process (workers refuse it), as the reference
+    for overlap tasks and their readout law.
     Readout descriptors and their (w, m) pairs on the task's vector v:
       - "e:<P>": w = |v|^2, m = <v|P|v>
       - "p0:<P>" / "p1:<P>": the same on the ancilla-0 / ancilla-1 half of v
@@ -132,15 +136,23 @@ class TaskSpec:
         return self.circuit.n_qubits
 
 
+_OVERLAP_READOUTS = frozenset(("ax", "ay", "p0", "p1"))
+
+
 @dataclass(frozen=True, eq=False)
 class OverlapSpec:
-    """One per-part overlap z = <label| U_right^dagger O U_left |label> as a task.
+    """One per-part overlap z = <r| O |l> as a task, with r = U_right|label>
+    and l = U_left|label>.
 
-    It carries the subtask's two gate lists, its observable (a PauliString or
-    a unitary matrix) and its input label, not a synthesized estimator
-    circuit. Its readouts are those of the single-ancilla estimator, taken
-    from z directly: "ax" = (1, Re z), "ay" = (1, Im z) as (w, m) pairs. The
-    width is that of the part; no ancilla is added.
+    It carries two gate lists, an observable (a PauliString or a unitary
+    matrix) and an input label, not a synthesized estimator circuit. Its
+    readouts are those of ``build_estimator_circuit``'s state, as (w, m)
+    pairs taken from the part states directly:
+      - "ax" / "ay": (1, Re z) / (1, Im z)
+      - "p0": (|r|^2 / 2, <r|O|r> / 2), the ancilla-0 branch
+      - "p1": (|l|^2 / 2, <l|O|l> / 2), the ancilla-1 branch
+    p0 / p1 need a Pauli observable. The width is that of the part; no
+    ancilla is added.
     """
 
     id: int
@@ -148,13 +160,20 @@ class OverlapSpec:
     right: Circuit
     observable: PauliString | np.ndarray
     input_label: str
+    readouts: tuple[str, ...] = ("ax", "ay")
 
     kind: ClassVar[str] = "overlap"
-    readouts: ClassVar[tuple[str, ...]] = ("ax", "ay")
 
     def __post_init__(self):
         check_overlap_operands(self.left, self.right, self.observable, self.input_label)
+        if not self.readouts or not _OVERLAP_READOUTS.issuperset(self.readouts):
+            raise ValueError(
+                f"overlap readouts must be drawn from {sorted(_OVERLAP_READOUTS)}, "
+                f"got {list(self.readouts)}"
+            )
         if not isinstance(self.observable, PauliString):
+            if not {"p0", "p1"}.isdisjoint(self.readouts):
+                raise ValueError("overlap readouts p0 / p1 need a Pauli observable")
             object.__setattr__(self, "observable", np.asarray(self.observable, dtype=complex))
 
     @property
@@ -165,7 +184,7 @@ class OverlapSpec:
 @dataclass(frozen=True)
 class TaskResult:
     task_id: int
-    value: complex | tuple[float, ...]
+    value: tuple[float, ...]  # one float per readout
     shots_used: int
     node_id: int | str
 
@@ -260,6 +279,18 @@ def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(state, state).real), m
 
 
+def _overlap_pair(
+    desc: str, left: np.ndarray, right: np.ndarray, observable
+) -> tuple[float, float]:
+    """(w, m) of one overlap-task readout (see OverlapSpec) from its part states."""
+    if desc in ("ax", "ay"):
+        z = overlap_value(left, right, observable)
+        return 1.0, (z.real if desc == "ax" else z.imag)
+    state = right if desc == "p0" else left
+    w = float(np.vdot(state, state).real) / 2.0
+    return w, overlap_value(state, state, observable).real / 2.0
+
+
 def _readout_pairs(
     task: TaskSpec | OverlapSpec, states: dict
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -272,19 +303,22 @@ def _readout_pairs(
             if key not in states:
                 states[key] = _part_state(c, task.input_label)
             sides.append(states[key])
-        z = overlap_value(sides[0], sides[1], task.observable)
-        return (1.0, 1.0), (z.real, z.imag)  # the readouts "ax", "ay"
-    n = task.n_qubits
-    if task.kind == "estimator":
-        state = simulate(task.circuit, basis_state(n))
-    elif task.kind == "density":
-        # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
-        state = _evolve(
-            task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
-        ).reshape(-1)
+        if task.readouts == ("ax", "ay"):  # a plan subtask: one overlap per task
+            z = overlap_value(sides[0], sides[1], task.observable)
+            return (1.0, 1.0), (z.real, z.imag)
+        pairs = [_overlap_pair(desc, *sides, task.observable) for desc in task.readouts]
     else:
-        raise ValueError(f"unknown task kind {task.kind!r}")
-    pairs = [_readout_pair(desc, state) for desc in task.readouts]
+        n = task.n_qubits
+        if task.kind == "estimator":
+            state = simulate(task.circuit, basis_state(n))
+        elif task.kind == "density":
+            # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
+            state = _evolve(
+                task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
+            ).reshape(-1)
+        else:
+            raise ValueError(f"unknown task kind {task.kind!r}")
+        pairs = [_readout_pair(desc, state) for desc in task.readouts]
     return tuple(w for w, _ in pairs), tuple(m for _, m in pairs)
 
 
@@ -339,17 +373,6 @@ class ExactBackend:
         return values, shots * len(means)
 
 
-def run_density_path(subcircuit: Circuit, settings) -> list[float]:
-    """Exact Tr(rho' P) per Pauli setting, run as one in-process density task."""
-    readouts = tuple(
-        f"e:{s.letters if isinstance(s, PauliString) else s}" for s in settings
-    )
-    task = TaskSpec(id=0, kind="density", circuit=subcircuit, readouts=readouts)
-    # an in-process helper, not a node: no node width cap applies
-    backend = ExactBackend(max_qubits=subcircuit.n_qubits)
-    return list(backend.run_task(task, None, 0)[0])
-
-
 # --- wire protocol (network mode) ----------------------------------------------
 
 def _task_message(task: TaskSpec | OverlapSpec, shots: int | None, seed: int) -> dict:
@@ -369,11 +392,10 @@ def _task_message(task: TaskSpec | OverlapSpec, shots: int | None, seed: int) ->
 
 
 def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
+    """Decode a task message; the wire carries only overlap and density tasks."""
     kind = msg["kind"]
     readouts = tuple(str(r) for r in msg["readout"])
     if kind == "overlap":
-        if readouts != OverlapSpec.readouts:
-            raise ValueError(f"overlap tasks read exactly {list(OverlapSpec.readouts)}")
         left = parse_circuit(msg["left"])
         obs = msg["obs"]
         return OverlapSpec(
@@ -386,13 +408,17 @@ def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
                 else _matrix_from_json(obs, "observable")
             ),
             input_label=str(msg["input"]),
+            readouts=readouts,
         )
-    if kind not in ("estimator", "density"):
-        raise ValueError(f"unknown task kind {kind!r}")
+    if kind != "density":
+        raise ValueError(
+            f"task kind {kind!r} is not accepted over the wire "
+            f"(protocol {PROTOCOL_VERSION} carries overlap and density tasks)"
+        )
     return TaskSpec(
         id=int(msg["id"]),
         kind=kind,
-        circuit=parse_circuit(msg["circuit"], require_unitary=(kind == "estimator")),
+        circuit=parse_circuit(msg["circuit"], require_unitary=False),
         readouts=readouts,
     )
 
@@ -450,7 +476,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             {
                 "type": "result",
                 "id": task.id,
-                "values": [[float(v), 0.0] for v in values],
+                "values": [float(v) for v in values],
                 "shots_used": shots_used,
             }
         )
@@ -563,7 +589,7 @@ class _WorkerClient:
             raise RuntimeError(f"worker {self.address}: {reply.get('message')}")
         if reply.get("type") != "result" or reply.get("id") != task.id:
             raise ConnectionError(f"unexpected reply from {self.address}: {reply}")
-        values = tuple(float(re) for re, _ in reply["values"])
+        values = tuple(float(v) for v in reply["values"])
         return values, int(reply["shots_used"])
 
     def shutdown(self):
@@ -657,7 +683,7 @@ def execute_tasks(
 
 
 def run_plan(plan: list[Subtask], cfg: ClusterConfig) -> list[TaskResult]:
-    """Execute a subtask plan as overlap tasks; each result's value is the complex overlap."""
+    """Execute a subtask plan as overlap tasks; each result's value is (Re z, Im z)."""
     tasks = [
         OverlapSpec(
             id=s.id,
@@ -668,10 +694,7 @@ def run_plan(plan: list[Subtask], cfg: ClusterConfig) -> list[TaskResult]:
         )
         for s in plan
     ]
-    return [
-        TaskResult(r.task_id, complex(r.value[0], r.value[1]), r.shots_used, r.node_id)
-        for r in execute_tasks(tasks, cfg)
-    ]
+    return execute_tasks(tasks, cfg)
 
 
 def aggregate(plan: list[Subtask], results: list[TaskResult]) -> complex:
@@ -699,7 +722,8 @@ def aggregate(plan: list[Subtask], results: list[TaskResult]) -> complex:
             s = ordered[idx]
             if s.indices[5] == 0:
                 coeff = s.coefficient
-            product *= by_id[s.id].value
+            re, im = by_id[s.id].value
+            product *= complex(re, im)
             idx += 1
         total += coeff * product
     return total

@@ -432,7 +432,8 @@ def test_every_command_has_help(runner, command):
 # --- worker subprocess ---------------------------------------------------------------
 
 
-def test_worker_announces_and_stops_on_shutdown(tmp_path):
+def spawn_worker() -> tuple[subprocess.Popen, str]:
+    """A `tlpq worker` child process on a free port, and its first output line."""
     env = dict(os.environ)  # the child imports tlpq from this checkout's src
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -444,8 +445,12 @@ def test_worker_announces_and_stops_on_shutdown(tmp_path):
         bufsize=1,
         env=env,
     )
+    return proc, proc.stdout.readline().strip()
+
+
+def test_worker_announces_and_stops_on_shutdown(tmp_path):
+    proc, line = spawn_worker()
     try:
-        line = proc.stdout.readline().strip()
         assert line.startswith("tlpq-worker listening on 127.0.0.1:")
         host, _, port = line.rsplit(" ", 1)[-1].rpartition(":")
         with socket.create_connection((host, int(port)), timeout=10) as sock:
@@ -462,3 +467,26 @@ def test_worker_announces_and_stops_on_shutdown(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+@pytest.mark.parametrize("command", ["ghz", "ghz-cut"])
+def test_network_run_on_a_worker_process_matches_local(runner, tmp_path, command):
+    local, net = tmp_path / "local.json", tmp_path / "net.json"
+    assert invoke(runner, [command, "--check", "--out", str(local)]).exit_code == 0
+    proc, line = spawn_worker()
+    try:
+        address = line.rsplit(" ", 1)[-1]
+        result = invoke(runner, [command, "--mode", "network", "--workers", address,
+                                 "--check", "--out", str(net)])
+        assert result.exit_code == 0
+        host, _, port = address.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(b'{"type": "shutdown"}\n')
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    by_local, by_net = json.loads(local.read_text()), json.loads(net.read_text())
+    assert (by_local.pop("mode"), by_net.pop("mode")) == ("local", "network")
+    assert by_net == by_local  # the same values, bit for bit

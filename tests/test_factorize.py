@@ -18,7 +18,6 @@ from tlpq.factorize import (
     GateLCU,
     LayeredDecomposition,
     UnsupportedCrossingGate,
-    cnot_pauli_lcu,
     cz_cutting_decomposition,
     expand_layered,
     operator_schmidt,
@@ -128,17 +127,6 @@ class TestPauliExpansion:
                 assert any(np.allclose(f, s) for s in singles)
 
 
-class TestCnotPauliLcu:
-    def test_exact_reconstruction(self):
-        lcu = cnot_pauli_lcu()
-        assert lcu.ell == 4
-        assert np.array_equal(resum_terms(lcu), CNOT)
-
-    def test_half_magnitude_coefficients(self):
-        for coeff, _ in cnot_pauli_lcu().terms:
-            assert abs(abs(coeff) - 0.5) < 1e-15
-
-
 class TestGateLCUValidation:
     def test_rejects_non_unitary_factor(self):
         with pytest.raises(NotUnitary):
@@ -195,15 +183,8 @@ class TestExpandLayered:
         c = two_crossing_cnot_circuit()
         cut = global_min_cut(build_graph(c))
         assert cut.weight == 2
-        ld = expand_layered(c, cut, method="schmidt")
+        ld = expand_layered(c, cut)
         assert ld.term_count == 4
-        assert np.max(np.abs(ld.resum_unitary() - circuit_unitary(c))) < 1e-9
-
-    def test_two_crossings_pauli_method(self):
-        c = two_crossing_cnot_circuit()
-        cut = global_min_cut(build_graph(c))
-        ld = expand_layered(c, cut, method="pauli")
-        assert ld.term_count == 16
         assert np.max(np.abs(ld.resum_unitary() - circuit_unitary(c))) < 1e-9
 
     def test_terms_are_part_local_circuits(self):
@@ -255,9 +236,3 @@ class TestExpandLayered:
         bad = type(cut)(part_of={0: 0, 1: 0, 2: 1}, weight=0, crossing_gate_indices=())
         with pytest.raises(ValueError):
             expand_layered(c, bad)
-
-    def test_bad_method_rejected(self):
-        c = two_crossing_cnot_circuit()
-        cut = global_min_cut(build_graph(c))
-        with pytest.raises(ValueError):
-            expand_layered(c, cut, method="no_such_method")

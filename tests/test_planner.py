@@ -28,17 +28,22 @@ from tlpq.planner import (
     assemble_grams,
     build_estimator_circuit,
     enumerate_subtasks,
-    evaluation_circuit,
     ghz4_template,
     ghz_cutting_plan,
     ghz_overlap_plan,
     ghz_state,
-    parse_plan,
-    plan_to_json,
     reconstruct_density_matrix,
     scaling_counts,
 )
-from tlpq.runtime import ClusterConfig, ExactBackend, TaskSpec, aggregate, run_plan
+from tlpq.runtime import (
+    ClusterConfig,
+    ExactBackend,
+    OverlapSpec,
+    TaskSpec,
+    _readout_pairs,
+    aggregate,
+    run_plan,
+)
 
 
 def raw_circuit(u: np.ndarray, n: int) -> Circuit:
@@ -244,25 +249,6 @@ class TestEnumerateSubtasks:
             ChannelLCU(branches=(((0.5 + 0j,), (fu,)),), cptp_expected=True)
 
 
-class TestPlanSerialization:
-    def test_round_trip(self, rng):
-        ch, labels, obs, dense_branches = random_channel_instance(rng)
-        plan = enumerate_subtasks(ch, labels, obs)
-        back = parse_plan(plan_to_json(plan))
-        assert len(back) == len(plan)
-        cfg = ClusterConfig()
-        a = aggregate(plan, run_plan(plan, cfg))
-        b = aggregate(back, run_plan(back, cfg))
-        assert abs(a - b) < 1e-12
-
-    def test_rejects_unknown_fields(self, rng):
-        ch, labels, obs, dense_branches = random_channel_instance(rng)
-        obj = plan_to_json(enumerate_subtasks(ch, labels, obs))
-        obj["subtasks"][0]["surprise"] = True
-        with pytest.raises(ShapeMismatch):
-            parse_plan(obj)
-
-
 class TestGhzTemplatesAndPlan:
     def test_template_prepares_ghz(self):
         psi = simulate(ghz4_template(), basis_state(4))
@@ -283,10 +269,11 @@ class TestGhzTemplatesAndPlan:
         backend = ExactBackend()
         values = {}
         for ev in evaluations:
-            circ = evaluation_circuit(templates, ev)
+            left, right = templates[ev.template]
             vals, _ = backend.run_task(
-                TaskSpec(id=ev.id, kind="estimator", circuit=circ,
-                         readouts=(ev.readout,)),
+                OverlapSpec(id=ev.id, left=left, right=right,
+                            observable=PauliString(2, ev.setting), input_label="00",
+                            readouts=(ev.readout,)),
                 None,
                 0,
             )
@@ -299,6 +286,29 @@ class TestGhzTemplatesAndPlan:
         assert abs(np.trace(rho) - 1.0) < 1e-9
         fid = float(np.real(np.vdot(ghz_state(4), rho @ ghz_state(4))))
         assert fid == pytest.approx(1.0, abs=1e-9)
+
+    def test_evaluations_match_the_ancilla_templates(self):
+        # reference: the 3-qubit single-ancilla circuits (ancilla = qubit 0) that
+        # prepare (|0>|state_1> + |1>|state_2>)/sqrt(2), then controlled-M
+        anc_a = (Gate("H", (0,)), Gate("H", (1,)), Gate("H", (2,)), Gate("CZ", (1, 2)),
+                 Gate("H", (2,)), Gate("CZ", (0, 2)))
+        anc_b = (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)))
+        templates, evaluations = ghz_overlap_plan()
+        for ev in evaluations:
+            controlled = np.zeros((8, 8), dtype=complex)
+            controlled[:4, :4] = np.eye(4)
+            controlled[4:, 4:] = pauli_label_matrix(ev.setting)
+            gates = (anc_a, anc_b)[ev.template] + (Gate("RAW", (0, 1, 2), raw=controlled),)
+            desc = ev.readout if ev.readout in ("ax", "ay") else f"{ev.readout}:{ev.setting}"
+            reference = TaskSpec(id=ev.id, kind="estimator", circuit=Circuit(3, gates),
+                                 readouts=(desc,))
+            left, right = templates[ev.template]
+            task = OverlapSpec(id=ev.id, left=left, right=right,
+                               observable=PauliString(2, ev.setting), input_label="00",
+                               readouts=(ev.readout,))
+            want = np.array(_readout_pairs(reference, {}))
+            got = np.array(_readout_pairs(task, {}))
+            assert np.max(np.abs(got - want)) <= 1e-12, ev
 
     def test_assemble_grams_missing_value(self):
         templates, evaluations = ghz_overlap_plan()
@@ -332,15 +342,17 @@ class TestGhzCuttingPlan:
             assert cb.n_qubits == 2
 
     def test_exact_reconstruction(self):
-        from tlpq.runtime import run_density_path
-
         subcircuits, settings, combiner = ghz_cutting_plan()
+        backend = ExactBackend()
+
+        def density_value(circuit, pauli):
+            task = TaskSpec(id=0, kind="density", circuit=circuit, readouts=(f"e:{pauli}",))
+            return backend.run_task(task, None, 0)[0][0]
+
         values = []
         for st in settings:
             ca, cb = subcircuits[st.term]
-            va = run_density_path(ca, (st.pauli,))[0]
-            vb = run_density_path(cb, (st.pauli,))[0]
-            values.append((va, vb))
+            values.append((density_value(ca, st.pauli), density_value(cb, st.pauli)))
         rho, raw_trace = combiner(values)
         assert raw_trace == pytest.approx(1.0, abs=1e-10)
         fid = float(np.real(np.vdot(ghz_state(4), rho @ ghz_state(4))))

@@ -30,7 +30,6 @@ from tlpq import (
     circuit_to_json,
     enumerate_subtasks,
     execute_tasks,
-    run_density_path,
     run_plan,
     sample_shots,
 )
@@ -357,10 +356,18 @@ def test_readout_law_of_overlap_tasks_matches_estimator_circuits(rng):
     for s in random_subtasks(rng, count_per_width=4):
         psi = dense_state(estimator_task(s, s.id).circuit)
         rho = np.outer(psi, psi.conj())
-        pairs = zip(*_readout_pairs(overlap_task(s, s.id), {}))
-        for desc, (wt, m) in zip(OverlapSpec.readouts, pairs):
-            assert wt == 1.0
-            assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12
+        readouts, descriptors = ("ax", "ay"), ("ax", "ay")
+        if isinstance(s.observable, PauliString):  # the ancilla-branch projectors
+            letters = s.observable.letters
+            readouts += ("p0", "p1")
+            descriptors += (f"p0:{letters}", f"p1:{letters}")
+        task = OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
+                           observable=s.observable, input_label=s.input_label,
+                           readouts=readouts)
+        for desc, (wt, m) in zip(descriptors, zip(*_readout_pairs(task, {}))):
+            if desc in ("ax", "ay"):
+                assert wt == 1.0
+            assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
 
 
 def test_readout_law_spends_no_draw_on_vanishing_lost_weight():
@@ -424,23 +431,6 @@ def test_backend_rejects_bad_readout_descriptor():
             ExactBackend().run_task(task, None, 0)
 
 
-# --- run_density_path -------------------------------------------------------------
-
-
-def test_run_density_path_matches_dense_propagation(rng):
-    kraus_like = np.array([[0.9, 0.1], [0.2, 0.4]], dtype=complex)
-    circ = Circuit(2, (
-        Gate("RAW", (0, 1), raw=haar_unitary(4, rng)),
-        Gate("RAW", (1,), raw=kraus_like),
-    ))
-    settings = [PauliString(2, "XZ"), PauliString(2, "IY"), PauliString(2, "II")]
-    got = run_density_path(circ, settings)
-    rho = dense_density(circ)
-    for value, setting in zip(got, settings):
-        expected = np.real(np.trace(rho @ pauli_label_matrix(setting.letters)))
-        assert value == pytest.approx(expected, abs=1e-12)
-
-
 # --- ClusterConfig validation ------------------------------------------------------
 
 
@@ -475,13 +465,19 @@ def test_cluster_config_normalizes_address_list():
 # --- execute_tasks: local scheduling ------------------------------------------------
 
 
-def make_tasks(rng, count: int = 9) -> list[TaskSpec]:
+def make_tasks(rng, count: int = 9) -> list[TaskSpec | OverlapSpec]:
+    """Alternating overlap and density tasks on two qubits."""
     tasks = []
     for i in range(count):
-        circ = random_circuit(rng, 2)
-        kind = "estimator" if i % 2 == 0 else "density"
-        readouts = ("ax", "ay") if kind == "estimator" else ("e:XZ", "e:ZI")
-        tasks.append(TaskSpec(id=i, kind=kind, circuit=circ, readouts=readouts))
+        if i % 2 == 0:
+            tasks.append(OverlapSpec(
+                id=i, left=random_circuit(rng, 2), right=random_circuit(rng, 2),
+                observable=PauliString(2, "XZ"), input_label="01",
+                readouts=("ax", "ay") if i % 4 == 0 else ("p1", "ay", "p0"),
+            ))
+        else:
+            tasks.append(TaskSpec(id=i, kind="density", circuit=random_circuit(rng, 2),
+                                  readouts=("e:XZ", "e:ZI")))
     return tasks
 
 
@@ -542,8 +538,8 @@ def test_all_nodes_dead_raises_node_failure(rng):
 
 
 def test_network_capability_mismatch_propagates():
-    wide = TaskSpec(id=0, kind="estimator",
-                    circuit=Circuit(5, ()), readouts=("ax",))
+    wide = TaskSpec(id=0, kind="density",
+                    circuit=Circuit(5, ()), readouts=("e:IIIII",))
     with live_worker(max_qubits=4) as addr:
         with pytest.raises(CapabilityMismatch):
             # too-wide tasks are refused outright, not retried as node failures
@@ -596,8 +592,8 @@ def test_protocol_unknown_type_reports_error_and_continues():
 
 
 def test_protocol_task_roundtrip_matches_local_backend(rng):
-    circ = random_circuit(rng, 2)
-    task = TaskSpec(id=11, kind="estimator", circuit=circ, readouts=("ax", "ay"))
+    circ = random_map_circuit(rng, 2)
+    task = TaskSpec(id=11, kind="density", circuit=circ, readouts=("e:XZ", "p1:Y"))
     local_values, local_used = ExactBackend().run_task(task, 50, 3)
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
@@ -605,18 +601,47 @@ def test_protocol_task_roundtrip_matches_local_backend(rng):
         send({
             "type": "task",
             "id": 11,
-            "kind": "estimator",
+            "kind": "density",
             "circuit": circuit_to_json(circ),
-            "readout": ["ax", "ay"],
+            "readout": ["e:XZ", "p1:Y"],
             "shots": 50,
             "seed": 3,
         })
         reply = recv()
     assert reply["type"] == "result" and reply["id"] == 11
     assert reply["shots_used"] == local_used
-    got = tuple(re for re, _ in reply["values"])
-    assert got == local_values
-    assert all(im == 0.0 for _, im in reply["values"])
+    assert all(isinstance(v, float) for v in reply["values"])  # plain floats
+    assert tuple(reply["values"]) == local_values
+
+
+def test_protocol_refuses_estimator_tasks_and_keeps_serving(rng):
+    circ = random_circuit(rng, 2)
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send({"type": "task", "id": 12, "kind": "estimator",
+              "circuit": circuit_to_json(circ), "readout": ["ax", "ay"],
+              "shots": None, "seed": 0})
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == 12
+        assert "'estimator'" in reply["message"]
+        send({"type": "task", "id": 13, "kind": "density",
+              "circuit": circuit_to_json(circ), "readout": ["e:ZZ"],
+              "shots": None, "seed": 0})
+        assert recv()["type"] == "result"
+
+
+def test_protocol_2_hello_is_refused():
+    with live_worker() as addr:
+        with raw_connection(addr) as (send, recv):
+            send({"type": "hello", "proto": 2})
+            reply = recv()
+            assert reply["type"] == "error" and reply["id"] == -1
+            assert "unsupported protocol 2" in reply["message"]
+            assert recv() is None  # server hung up
+        with raw_connection(addr) as (send, recv):  # the worker keeps serving
+            send({"type": "hello", "proto": PROTOCOL_VERSION})
+            assert recv()["type"] == "hello_ack"
 
 
 def test_protocol_task_error_reports_id_and_keeps_serving():
@@ -686,7 +711,9 @@ def two_part_plan(rng):
 def test_run_plan_and_aggregate_match_dense_product(rng):
     plan, expected = two_part_plan(rng)
     results = run_plan(plan, ClusterConfig())
-    assert all(isinstance(r.value, complex) for r in results)
+    # one float per readout: (Re z, Im z)
+    assert all(len(r.value) == 2 and all(isinstance(v, float) for v in r.value)
+               for r in results)
     total = aggregate(plan, results)
     assert abs(total - expected) < 1e-10
 
@@ -821,6 +848,17 @@ def test_overlap_spec_validates_operands(rng):
     with pytest.raises(NonUnitaryObservable):
         OverlapSpec(id=0, left=one, right=one, observable=np.diag([1.0, 0.5]),
                     input_label="0")
+    for readouts in ((), ("p2",), ("ax", "e:ZZ")):
+        with pytest.raises(ValueError, match="overlap readouts"):
+            OverlapSpec(id=0, left=two, right=two, observable=PauliString(2, "ZZ"),
+                        input_label="00", readouts=readouts)
+    unitary = haar_unitary(4, rng)
+    for readouts in (("p0",), ("ax", "p1")):  # the projectors need Pauli letters
+        with pytest.raises(ValueError, match="Pauli observable"):
+            OverlapSpec(id=0, left=two, right=two, observable=unitary,
+                        input_label="00", readouts=readouts)
+    OverlapSpec(id=0, left=two, right=two, observable=unitary, input_label="00",
+                readouts=("ay",))
 
 
 def test_overlap_task_rejects_non_unitary_raw_gate():
@@ -866,7 +904,7 @@ def test_protocol_overlap_roundtrip_matches_local_backend(rng, shots):
             reply = recv()
             assert reply["type"] == "result" and reply["id"] == task_id
             assert reply["shots_used"] == local_used
-            assert tuple(re for re, _ in reply["values"]) == local_values
+            assert tuple(reply["values"]) == local_values
 
 
 _NON_UNITARY = {"kind": "RAW", "qubits": [0], "raw": [[[1, 0], [0.2, 0]], [[0, 0], [0.5, 0]]]}
@@ -874,7 +912,8 @@ _NON_UNITARY = {"kind": "RAW", "qubits": [0], "raw": [[[1, 0], [0.2, 0]], [[0, 0
 
 @pytest.mark.parametrize("case", [
     "mismatched_widths", "non_unitary_raw", "bad_input_label", "too_wide",
-    "non_unitary_observable", "other_readouts",
+    "non_unitary_observable", "other_readouts", "empty_readouts", "unknown_readout",
+    "p0_on_matrix_observable",
 ])
 def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
     two = circuit_to_json(Circuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))))
@@ -893,8 +932,14 @@ def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
         msg.update(left=wide, right=wide, obs="ZZZ", input="000")
     elif case == "non_unitary_observable":
         msg["obs"] = matrix_json(np.diag([1.0, 1.0, 1.0, 0.5]))
-    else:
+    elif case == "other_readouts":
         msg["readout"] = ["e:ZX"]
+    elif case == "empty_readouts":
+        msg["readout"] = []
+    elif case == "unknown_readout":
+        msg["readout"] = ["p2"]
+    else:
+        msg.update(obs=matrix_json(np.eye(4)), readout=["p0"])
     with live_worker(max_qubits=2) as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
