@@ -29,6 +29,7 @@ from .partition import balanced_bisection, build_graph, global_min_cut
 from .planner import (
     ChannelLCU,
     FactorizedUnitary,
+    Plan,
     Subtask,
     build_estimator_circuit,
     enumerate_subtasks,
@@ -80,6 +81,7 @@ __all__ = [
     "global_min_cut",
     "ChannelLCU",
     "FactorizedUnitary",
+    "Plan",
     "Subtask",
     "build_estimator_circuit",
     "enumerate_subtasks",

@@ -40,7 +40,7 @@ from .lchs import (
     build_quadrature,
     exact_ground,
     imaginary_time,
-    lchs_expectation,
+    lchs_forms,
     trotter_oracle,
     unitary_node,
 )
@@ -65,7 +65,6 @@ from .runtime import (
     TaskSpec,
     aggregate,
     execute_tasks,
-    run_plan,
     serve_worker,
 )
 
@@ -151,30 +150,13 @@ def random_hermitian_observable(seed: int, dim: int = 2) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _channel_from_scheme(g: GeneratorSpec, scheme, dt: float) -> ChannelLCU:
+def _channel_from_unitaries(unitaries, coeffs) -> ChannelLCU:
     """One-branch ChannelLCU whose unitaries are the quadrature node evolutions."""
-    fus = []
-    for k in scheme.nodes:
-        u = unitary_node(g, float(k), scheme.T, dt)
-        circ = Circuit(1, (Gate("RAW", (0,), raw=u),))
-        fus.append(FactorizedUnitary.from_circuits((circ,)))
-    coeffs = tuple(complex(c) for c in scheme.coeffs)
-    return ChannelLCU(branches=((coeffs, tuple(fus)),))
-
-
-def tlp_pauli_forms(
-    g: GeneratorSpec, scheme, cluster: ClusterConfig, dt: float = 0.01
-) -> dict[str, float]:
-    """Raw quadratic forms <sum c_k U_k u0 | P | sum c_k' U_k' u0> per 1-qubit Pauli,
-    computed through planner subtasks and the runtime (not densely)."""
-    channel = _channel_from_scheme(g, scheme, dt)
-    out: dict[str, float] = {}
-    for letter in _PAULI_1Q_LABELS:
-        plan = enumerate_subtasks(channel, ("0",), (PauliString(1, letter),))
-        results = run_plan(plan, cluster)
-        value = aggregate(plan, results)
-        out[letter] = float(value.real)
-    return out
+    fus = tuple(
+        FactorizedUnitary.from_circuits((Circuit(1, (Gate("RAW", (0,), raw=u),)),))
+        for u in unitaries
+    )
+    return ChannelLCU(branches=((tuple(complex(c) for c in coeffs), fus),))
 
 
 def run_nonherm_rows(
@@ -187,7 +169,14 @@ def run_nonherm_rows(
     emulate_float_truncation: bool = False,
     normalize: bool = True,
 ) -> tuple[np.ndarray, list[dict]]:
-    """One row per T with sy/sz/R/sx columns for methods tlp, dense, oracle."""
+    """One row per T with sy/sz/R/sx columns for methods tlp, dense, oracle.
+
+    The tlp column is the raw quadratic form <sum c_k U_k u0 | P | sum c_k' U_k' u0>
+    per 1-qubit Pauli P, run as planner subtasks through the runtime: all
+    T x 4 Pauli plans go to one execute_tasks call, and the 4 plans of one T
+    share its node circuits, so each node state is simulated once. The dense
+    column reuses the same node unitaries.
+    """
     g, u0 = nonherm_generator()
     observable_r = random_hermitian_observable(cluster.seed)
     paulis = {
@@ -202,28 +191,49 @@ def run_nonherm_rows(
             (np.eye(2, dtype=complex), paulis["sx"], paulis["sy"], paulis["sz"]),
         )
     }
+    schemes = [
+        build_quadrature(eps, c, t, emulate_float_truncation=emulate_float_truncation)
+        for t in t_values
+    ]
+    unitaries = [[unitary_node(g, float(k), s.T, dt) for k in s.nodes] for s in schemes]
+    plans = []
+    for scheme, us in zip(schemes, unitaries):
+        channel = _channel_from_unitaries(us, scheme.coeffs)
+        plans += [
+            enumerate_subtasks(channel, ("0",), (PauliString(1, letter),))
+            for letter in _PAULI_1Q_LABELS
+        ]
+    results = execute_tasks(plans, cluster)
+    letters = len(_PAULI_1Q_LABELS)
+    forms_per_t = [
+        {
+            letter: float(aggregate(plan, plan_results).real)
+            for letter, plan, plan_results in zip(
+                _PAULI_1Q_LABELS, plans[k:k + letters], results[k:k + letters]
+            )
+        }
+        for k in range(0, len(plans), letters)
+    ]
     rows: list[dict] = []
-    for t in t_values:
-        scheme = build_quadrature(
-            eps, c, t, emulate_float_truncation=emulate_float_truncation
-        )
-        forms = tlp_pauli_forms(g, scheme, cluster, dt)
+    for t, scheme, us, forms in zip(t_values, schemes, unitaries, forms_per_t):
         norm_form = forms["I"]
+        dense = lchs_forms(
+            [u @ u0 for u in us], scheme.coeffs,
+            (paulis["sx"], paulis["sy"], paulis["sz"], observable_r), normalize,
+        )
         w = trotter_oracle(g, u0, t, dt)
         w_norm = float(np.vdot(w, w).real)
         row = {"T": t, "M": scheme.M, "terms": (scheme.M + 1) ** 2}
-        for name, letter in (("sx", "X"), ("sy", "Y"), ("sz", "Z")):
+        for (name, letter), dense_value in zip(
+            (("sx", "X"), ("sy", "Y"), ("sz", "Z")), dense
+        ):
             raw = forms[letter]
             row[f"{name}_tlp"] = raw / norm_form if normalize else raw
-            row[f"{name}_dense"] = lchs_expectation(
-                g, u0, scheme, paulis[name], normalize=normalize, dt=dt
-            )
+            row[f"{name}_dense"] = dense_value
             row[f"{name}_oracle"] = float(np.vdot(w, paulis[name] @ w).real) / w_norm
         raw_r = sum(beta[p] * forms[p] for p in _PAULI_1Q_LABELS)
         row["R_tlp"] = raw_r / norm_form if normalize else raw_r
-        row["R_dense"] = lchs_expectation(
-            g, u0, scheme, observable_r, normalize=normalize, dt=dt
-        )
+        row["R_dense"] = dense[3]
         row["R_oracle"] = float(np.vdot(w, observable_r @ w).real) / w_norm
         rows.append(row)
     return observable_r, rows
@@ -241,7 +251,8 @@ def run_imagtime_rows(
 ) -> list[dict]:
     """One row per gamma: LCHS expectations, exact ground energy, fidelity, baselines.
 
-    The sweep is dense in-process code; ``cluster`` is not read."""
+    The sweep is dense in-process code; ``cluster`` is not read. Each gamma's
+    node states are built once and serve the state and all three expectations."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
     scheme = build_quadrature(eps, c, big_t)
@@ -252,13 +263,16 @@ def run_imagtime_rows(
         gen = GeneratorSpec(H=np.zeros((2, 2), dtype=complex), L=h_gamma)
         result = imaginary_time(h_gamma, big_t, scheme, dt=dt, u0=u0)
         reference = trotter_oracle(gen, u0, big_t, dt)
+        h_lchs, sx_lchs, sz_lchs = lchs_forms(
+            result.per_node_states, scheme.coeffs, (h_gamma, sx, sz), normalize
+        )
         row = {
             "gamma": gamma,
             "M": scheme.M,
             "terms": (scheme.M + 1) ** 2,
-            "H_lchs": lchs_expectation(gen, u0, scheme, h_gamma, normalize=normalize, dt=dt),
-            "sx_lchs": lchs_expectation(gen, u0, scheme, sx, normalize=normalize, dt=dt),
-            "sz_lchs": lchs_expectation(gen, u0, scheme, sz, normalize=normalize, dt=dt),
+            "H_lchs": h_lchs,
+            "sx_lchs": sx_lchs,
+            "sz_lchs": sz_lchs,
             "E0_exact": exact_ground(h_gamma)[0],
             "fidelity": vector_fidelity(result.state, reference, FIDELITY_CONVENTION),
         }

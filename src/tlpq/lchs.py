@@ -13,6 +13,8 @@ as planner subtasks that the runtime runs as overlap tasks.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, pi
@@ -32,6 +34,7 @@ __all__ = [
     "unitary_node",
     "lchs_state",
     "lchs_expectation",
+    "lchs_forms",
     "imaginary_time",
     "trotter_oracle",
     "exact_ground",
@@ -180,29 +183,43 @@ def lchs_expectation(
     lexicographic in (k, k') to match the runtime's aggregation order exactly.
     With ``normalize`` the form is divided by its O = identity counterpart.
     """
-    if isinstance(obs, PauliString):
-        obs = obs.matrix()
-    obs = np.asarray(obs, dtype=complex)
-    if not is_hermitian(obs):
-        raise NotHermitian("lchs_expectation needs a Hermitian observable")
-    result = lchs_state(g, u0, scheme, dt)
-    v = result.per_node_states
-    cs = scheme.coeffs
-    numerator = 0.0 + 0j
-    denominator = 0.0 + 0j
-    for a in range(len(v)):
-        for b in range(len(v)):
-            weight = cs[a] * cs[b]
-            numerator += weight * np.vdot(v[a], obs @ v[b])
-            if normalize:
-                denominator += weight * np.vdot(v[a], v[b])
-    if normalize:
-        value = numerator / denominator
-    else:
-        value = numerator
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    v = lchs_state(g, u0, scheme, dt).per_node_states
+    return lchs_forms(v, scheme.coeffs, (obs,), normalize)[0]
+
+
+def lchs_forms(per_node_states, coeffs, observables, normalize: bool = True) -> list[float]:
+    """``lchs_expectation`` of each observable, from node states already built.
+
+    Every observable must be Hermitian. O v_k' is formed once per node; the
+    (k, k') sums run in lexicographic order, and the identity form that
+    ``normalize`` divides by is summed once for all observables.
+    """
+    mats = []
+    for obs in observables:
+        if isinstance(obs, PauliString):
+            obs = obs.matrix()
+        obs = np.asarray(obs, dtype=complex)
+        if not is_hermitian(obs):
+            raise NotHermitian("lchs_expectation needs a Hermitian observable")
+        mats.append(obs)
+    v = list(per_node_states)
+    n = len(v)
+    weights = [coeffs[a] * coeffs[b] for a in range(n) for b in range(n)]
+    bras = [v_a for v_a in v for _ in range(n)]
+
+    def form(kets: list) -> complex:  # sum over (a, b) of c_a c_b <v_a|kets[b]>, in order
+        terms = map(operator.mul, weights, map(np.vdot, bras, kets * n))
+        return functools.reduce(operator.add, terms, 0.0 + 0j)
+
+    numerators = [form([obs @ v_b for v_b in v]) for obs in mats]
+    denominator = form(v) if normalize else None
+    values = []
+    for numerator in numerators:
+        value = numerator / denominator if normalize else numerator
+        if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
+            raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
+        values.append(float(value.real))
+    return values
 
 
 def imaginary_time(

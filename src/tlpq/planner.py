@@ -8,16 +8,19 @@ product input make Tr(O Phi(rho)) a weighted sum of per-part overlaps
     <psi0^a| (U^a_{p,j,alpha'})^dagger O^a U^a_{p,i,alpha} |psi0^a>,
 
 each measurable with one ancilla (Hadamard-test style). This module enumerates
-those subtasks and validates their operands. The runtime computes each
-subtask's overlap from its gate lists; ``build_estimator_circuit`` gives the
-hardware-faithful single-ancilla circuit of a subtask on request. The module
-also carries the two GHZ pipelines: overlap tomography across a cut, whose
-gram entries are overlaps of two-qubit part states, and the wire-cut density
-baseline.
+those subtasks as a ``Plan``: tables of the distinct part circuits,
+observables and input labels, and one row of table positions per subtask, so
+operands are checked once per distinct operand rather than once per row. The
+runtime computes each row's overlap from the gate lists;
+``build_estimator_circuit`` gives the hardware-faithful single-ancilla circuit
+of a subtask on request. The module also carries the two GHZ pipelines:
+overlap tomography across a cut, whose gram entries are overlaps of two-qubit
+part states, and the wire-cut density baseline.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,6 +40,7 @@ __all__ = [
     "FactorizedUnitary",
     "ChannelLCU",
     "Subtask",
+    "Plan",
     "EstimatorCircuit",
     "Evaluation",
     "CutSetting",
@@ -177,6 +181,35 @@ class ChannelLCU:
     def part_widths(self) -> tuple[int, ...]:
         return self.branches[0][1][0].part_widths
 
+    @functools.cached_property
+    def _subtask_rows(self) -> tuple:
+        """The subtask columns that no input or observable changes: the table
+        of distinct part circuits, then the indices (p, i, j, alpha, alpha2, a),
+        left and right circuit positions and coefficients of every row, in id
+        order. Built once, so all plans of this channel share them."""
+        circuits: dict[Circuit, int] = {}  # Circuit hashes by identity
+        indices, left, right, coefficient = [], [], [], []
+        n_parts = len(self.part_widths)
+        parts = range(n_parts)
+        for p, (coeffs, fus) in enumerate(self.branches):
+            m = len(coeffs)
+            conj_coeffs = [np.conj(c) for c in coeffs]
+            for i in range(m):
+                for j in range(m):
+                    c_ij = coeffs[i] * conj_coeffs[j]
+                    for alpha, (ca, left_parts) in enumerate(fus[i].terms):
+                        lefts = [circuits.setdefault(c, len(circuits)) for c in left_parts]
+                        for alpha2, (cb, right_parts) in enumerate(fus[j].terms):
+                            # c_i conj(c_j) coeff_alpha conj(coeff_alpha2), left to right
+                            group_coeff = c_ij * ca * np.conj(cb)
+                            indices += [(p, i, j, alpha, alpha2, a) for a in parts]
+                            left += lefts
+                            right += [circuits.setdefault(c, len(circuits)) for c in right_parts]
+                            coefficient.append(complex(group_coeff))
+                            coefficient += [1.0 + 0j] * (n_parts - 1)
+        return (tuple(circuits), tuple(indices), tuple(left), tuple(right),
+                tuple(coefficient))
+
     def branch_operator(self, p: int) -> np.ndarray:
         coeffs, fus = self.branches[p]
         out = None
@@ -217,6 +250,112 @@ class Subtask:
 
 
 @dataclass(frozen=True, eq=False)
+class Plan:
+    """A subtask plan as a table.
+
+    ``circuits``, ``observables`` and ``labels`` hold the distinct part
+    circuits, observables (PauliStrings or unitary matrices) and input
+    labels. Each row is one subtask, in ascending id order: ``ids``,
+    ``indices`` (p, i, j, alpha, alpha2, a), the table positions ``left``,
+    ``right``, ``observable`` and ``label``, and ``coefficient``. Every
+    distinct operand is checked once, under the rules of
+    ``check_overlap_operands``, and every row's operand widths must agree.
+    ``len`` counts rows; iterating yields them as Subtasks.
+    """
+
+    circuits: tuple[Circuit, ...]
+    observables: tuple[PauliString | np.ndarray, ...]
+    labels: tuple[str, ...]
+    ids: tuple[int, ...]
+    indices: tuple[tuple[int, int, int, int, int, int], ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    observable: tuple[int, ...]
+    label: tuple[int, ...]
+    coefficient: tuple[complex, ...]
+
+    def __post_init__(self):
+        columns = (self.indices, self.left, self.right, self.observable, self.label,
+                   self.coefficient)
+        if any(len(col) != len(self.ids) for col in columns):
+            raise ShapeMismatch("plan columns differ in length")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ShapeMismatch("plan ids must be distinct and ascending")
+        for col, table in ((self.left, self.circuits), (self.right, self.circuits),
+                           (self.observable, self.observables), (self.label, self.labels)):
+            if col and (min(col) < 0 or max(col) >= len(table)):
+                raise ShapeMismatch("plan row points outside its operand table")
+        observables = tuple(
+            o if isinstance(o, PauliString) else np.asarray(o, dtype=complex)
+            for o in self.observables
+        )
+        object.__setattr__(self, "observables", observables)
+        circuit_w = [c.n_qubits for c in self.circuits]
+        observable_w = [_observable_width(o) for o in observables]
+        label_w = [len(b) if b and set(b) <= {"0", "1"} else -1 for b in self.labels]
+        row_widths = (
+            list(map(circuit_w.__getitem__, self.left)),
+            list(map(circuit_w.__getitem__, self.right)),
+            list(map(observable_w.__getitem__, self.observable)),
+            list(map(label_w.__getitem__, self.label)),
+        )
+        if not row_widths[0] == row_widths[1] == row_widths[2] == row_widths[3]:
+            bad = next(k for k, w in enumerate(zip(*row_widths)) if len(set(w)) > 1)
+            s = self.row(bad)  # the rule raises its own error for the first bad row
+            check_overlap_operands(s.left_circuit, s.right_circuit, s.observable, s.input_label)
+        for o in set(self.observable):
+            if not isinstance(observables[o], PauliString) and not is_unitary(observables[o]):
+                raise NonUnitaryObservable("estimator observables must be unitary")
+
+    @classmethod
+    def from_subtasks(cls, subtasks) -> "Plan":
+        """The table of a hand-built subtask list (rows sorted by id)."""
+        rows = sorted(subtasks, key=lambda s: s.id)
+        circuits: dict[Circuit, int] = {}  # Circuit hashes by identity
+        observables: dict = {}  # PauliStrings by value, matrices by identity
+        labels: dict[str, int] = {}
+        left, right, observable, label = [], [], [], []
+        obs_table = []
+        for s in rows:
+            left.append(circuits.setdefault(s.left_circuit, len(circuits)))
+            right.append(circuits.setdefault(s.right_circuit, len(circuits)))
+            key = s.observable if isinstance(s.observable, PauliString) else id(s.observable)
+            if key not in observables:
+                observables[key] = len(obs_table)
+                obs_table.append(s.observable)
+            observable.append(observables[key])
+            label.append(labels.setdefault(s.input_label, len(labels)))
+        return cls(
+            circuits=tuple(circuits), observables=tuple(obs_table), labels=tuple(labels),
+            ids=tuple(s.id for s in rows), indices=tuple(s.indices for s in rows),
+            left=tuple(left), right=tuple(right), observable=tuple(observable),
+            label=tuple(label), coefficient=tuple(s.coefficient for s in rows),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return (self.row(k) for k in range(len(self.ids)))
+
+    def row(self, k: int) -> Subtask:
+        return Subtask(
+            id=self.ids[k],
+            indices=self.indices[k],
+            left_circuit=self.circuits[self.left[k]],
+            right_circuit=self.circuits[self.right[k]],
+            observable=self.observables[self.observable[k]],
+            input_label=self.labels[self.label[k]],
+            coefficient=self.coefficient[k],
+        )
+
+    @property
+    def n_qubits(self) -> int:
+        """The widest part of the plan (0 for an empty plan)."""
+        return max((c.n_qubits for c in self.circuits), default=0)
+
+
+@dataclass(frozen=True, eq=False)
 class EstimatorCircuit:
     """Single-ancilla overlap circuit: qubit 0 is the ancilla.
 
@@ -236,62 +375,46 @@ def enumerate_subtasks(
     ch: ChannelLCU,
     rho_parts: tuple[str, ...],
     obs_parts: tuple,
-) -> list[Subtask]:
-    """Expand a ChannelLCU expectation into its full subtask list.
+) -> Plan:
+    """Expand a ChannelLCU expectation into its full subtask plan.
 
     ``rho_parts`` are per-part computational basis labels (e.g. ("00", "0"));
     ``obs_parts`` are per-part PauliStrings (or unitary RAW matrices). Ids are
     dense 0..N-1 in lexicographic (p, i, j, alpha, alpha2, a) order; N equals
-    q * sum over (i,j) of ell_i * ell_j * A.
+    q * sum over (i,j) of ell_i * ell_j * A. The plan's circuit table holds
+    the channel's distinct part circuits; its observable and label tables
+    hold one entry per part.
     """
-    widths = ch.part_widths
-    n_parts = len(widths)
+    n_parts = len(ch.part_widths)
     if len(rho_parts) != n_parts or len(obs_parts) != n_parts:
         raise ShapeMismatch(
             f"need {n_parts} input labels and observables, got "
             f"{len(rho_parts)} and {len(obs_parts)}"
         )
-    for a, (label, obs) in enumerate(zip(rho_parts, obs_parts)):
-        if len(label) != widths[a] or any(ch not in "01" for ch in label):
-            raise ShapeMismatch(f"input label {label!r} does not fit width {widths[a]}")
-        if isinstance(obs, PauliString):
-            if obs.n_qubits != widths[a]:
-                raise ShapeMismatch(f"observable for part {a} has wrong width")
-        else:
-            mat = np.asarray(obs, dtype=complex)
-            if mat.shape != (2 ** widths[a],) * 2:
-                raise ShapeMismatch(f"observable matrix for part {a} has wrong shape")
-    out: list[Subtask] = []
-    next_id = 0
-    for p, (coeffs, fus) in enumerate(ch.branches):
-        m = len(coeffs)
-        for i in range(m):
-            for j in range(m):
-                for alpha, (ca, left_parts) in enumerate(fus[i].terms):
-                    for alpha2, (cb, right_parts) in enumerate(fus[j].terms):
-                        group_coeff = coeffs[i] * np.conj(coeffs[j]) * ca * np.conj(cb)
-                        for a in range(n_parts):
-                            out.append(
-                                Subtask(
-                                    id=next_id,
-                                    indices=(p, i, j, alpha, alpha2, a),
-                                    left_circuit=left_parts[a],
-                                    right_circuit=right_parts[a],
-                                    observable=obs_parts[a],
-                                    input_label=rho_parts[a],
-                                    coefficient=(
-                                        complex(group_coeff) if a == 0 else 1.0 + 0j
-                                    ),
-                                )
-                            )
-                            next_id += 1
-    return out
+    circuits, indices, left, right, coefficient = ch._subtask_rows
+    part_column = tuple(range(n_parts)) * (len(indices) // n_parts)
+    return Plan(
+        circuits=circuits, observables=tuple(obs_parts), labels=tuple(rho_parts),
+        ids=tuple(range(len(indices))), indices=indices, left=left, right=right,
+        observable=part_column, label=part_column, coefficient=coefficient,
+    )
 
 
 def _observable_matrix(obs) -> np.ndarray:
     if isinstance(obs, PauliString):
         return obs.matrix()
     return np.asarray(obs, dtype=complex)
+
+
+def _observable_width(obs) -> int:
+    """The width an observable fits: its letters, or log2 of a square 2^w matrix
+    (-1 for any other shape)."""
+    if isinstance(obs, PauliString):
+        return obs.n_qubits
+    shape = np.shape(obs)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2 or shape[0] & (shape[0] - 1):
+        return -1
+    return shape[0].bit_length() - 1
 
 
 def check_overlap_operands(left: Circuit, right: Circuit, observable, input_label: str) -> None:

@@ -12,6 +12,13 @@ z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
 carries overlap and density tasks; "estimator" tasks run only in-process, as
 the reference the tests hold overlap tasks to.
 
+``execute_tasks`` also takes a whole pipeline's plans (``planner.Plan``
+tables) in one call. Locally each distinct (circuit, input label) of the call
+is simulated once, each observable is applied once to each distinct left
+state, and each row costs one inner product; no per-row task object is built.
+Over the wire each row still goes out as one overlap task, with each distinct
+circuit's gate JSON encoded once.
+
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
 sampled mode returns the mean of draws from that law.
@@ -20,6 +27,7 @@ sampled mode returns the mean of draws from that law.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import socket
 import socketserver
@@ -42,7 +50,7 @@ from .circuit import (
     _matrix_from_json,
     _matrix_to_json,
 )
-from .planner import Subtask, check_overlap_operands
+from .planner import Plan, Subtask, check_overlap_operands
 
 __all__ = [
     "ClusterConfig",
@@ -255,10 +263,41 @@ def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -
 def overlap_value(left_state: np.ndarray, right_state: np.ndarray, observable) -> complex:
     """z = <right_state| O |left_state>.
 
-    Every overlap task's value comes from this one function, so local batches,
-    single tasks on workers and retried tasks produce bit-identical values.
+    Every overlap value comes from this arithmetic: one observable
+    application, then one ``np.vdot`` (plan rows share O|left_state> across
+    rows, see ``_plan_overlaps``), so plan batches, single tasks on workers and
+    retried tasks produce bit-identical values.
     """
     return complex(np.vdot(right_state, _apply_observable(observable, left_state)))
+
+
+def _cached_state(states: dict, c: Circuit, input_label: str) -> np.ndarray:
+    """The part state U|label>, simulated on a miss of ``states``."""
+    key = (c, input_label)
+    state = states.get(key)
+    if state is None:
+        state = states[key] = _part_state(c, input_label)
+    return state
+
+
+def _plan_overlaps(plan: Plan, states: dict) -> list[float]:
+    """Re z, Im z of every plan row in order, flattened.
+
+    Each observable is applied once to each distinct left state of the plan,
+    and each row is then one ``np.vdot``, as in ``overlap_value``.
+    """
+    rows_left = list(zip(plan.observable, plan.left, plan.label))
+    rows_right = list(zip(plan.right, plan.label))
+    sides = {
+        (c, b): _cached_state(states, plan.circuits[c], plan.labels[b])
+        for c, b in {*((l, b) for _, l, b in rows_left), *rows_right}
+    }
+    applied = {
+        (o, l, b): _apply_observable(plan.observables[o], sides[l, b])
+        for o, l, b in set(rows_left)
+    }
+    z = list(map(np.vdot, map(sides.__getitem__, rows_right), map(applied.__getitem__, rows_left)))
+    return np.array(z, dtype=complex).view(float).tolist()
 
 
 def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
@@ -297,12 +336,7 @@ def _readout_pairs(
     """The (w, m) pairs of a task's readouts, as (all w, all m); ``states`` is
     run_task's cache."""
     if task.kind == "overlap":
-        sides = []
-        for c in (task.left, task.right):
-            key = (c, task.input_label)
-            if key not in states:
-                states[key] = _part_state(c, task.input_label)
-            sides.append(states[key])
+        sides = [_cached_state(states, c, task.input_label) for c in (task.left, task.right)]
         if task.readouts == ("ax", "ay"):  # a plan subtask: one overlap per task
             z = overlap_value(sides[0], sides[1], task.observable)
             return (1.0, 1.0), (z.real, z.imag)
@@ -348,47 +382,84 @@ class ExactBackend:
 
     def run_task(
         self,
-        task: TaskSpec | OverlapSpec,
+        task: TaskSpec | OverlapSpec | Plan,
         shots: int | None,
         seed: int,
         states: dict | None = None,
     ) -> tuple[tuple[float, ...], int]:
         """Run one task; returns (one value per readout, shots used).
 
-        ``states`` lets a batch of overlap tasks share part states: it maps
+        A Plan runs as one task whose readouts are each row's "ax", "ay" in
+        row order, with weight 1 and the stream of (seed, row id, 0 / 1).
+        ``states`` lets the tasks of a batch share part states: it maps
         (circuit, input label) to the simulated state and is filled on a miss.
         """
         n = task.n_qubits
         if n > self.max_qubits:
+            name = "plan" if isinstance(task, Plan) else f"task {task.id}"
             raise CapabilityMismatch(
-                f"task {task.id} needs {n} qubits, node supports {self.max_qubits}"
+                f"{name} needs {n} qubits, node supports {self.max_qubits}"
             )
-        weights, means = _readout_pairs(task, {} if states is None else states)
+        states = {} if states is None else states
+        if isinstance(task, Plan):
+            means = tuple(_plan_overlaps(task, states))
+            weights = itertools.repeat(1.0)
+            streams = ((i, ridx) for i in task.ids for ridx in (0, 1))
+        else:
+            weights, means = _readout_pairs(task, states)
+            streams = ((task.id, ridx) for ridx in range(len(means)))
         if shots is None:
             return means, 0
         values = tuple(
-            _sampled_mean(w, m, shots, np.random.default_rng((seed, task.id, ridx)))
-            for ridx, (w, m) in enumerate(zip(weights, means))
+            _sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
+            for w, m, stream in zip(weights, means, streams)
         )
         return values, shots * len(means)
 
 
 # --- wire protocol (network mode) ----------------------------------------------
 
-def _task_message(task: TaskSpec | OverlapSpec, shots: int | None, seed: int) -> dict:
-    msg: dict = {"type": "task", "id": task.id, "kind": task.kind}
+def _encoded(encoded: dict, c: Circuit) -> dict:
+    """A circuit's gate JSON, encoded once per ``encoded`` cache."""
+    if c not in encoded:
+        encoded[c] = circuit_to_json(c)
+    return encoded[c]
+
+
+def _observable_json(obs):
+    return obs.letters if isinstance(obs, PauliString) else _matrix_to_json(obs)
+
+
+def _overlap_message(task_id: int, left: dict, right: dict, obs, input_label: str,
+                     readouts, shots: int | None, seed: int) -> dict:
+    """An overlap task message; ``left`` / ``right`` are gate JSON, ``obs`` is
+    observable JSON."""
+    return {"type": "task", "id": task_id, "kind": "overlap", "left": left, "right": right,
+            "obs": obs, "input": input_label, "readout": list(readouts), "shots": shots,
+            "seed": seed}
+
+
+def _task_message(task: TaskSpec | OverlapSpec, shots: int | None, seed: int,
+                  encoded: dict) -> dict:
     if task.kind == "overlap":
-        obs = task.observable
-        msg["left"] = circuit_to_json(task.left)
-        msg["right"] = circuit_to_json(task.right)
-        msg["obs"] = obs.letters if isinstance(obs, PauliString) else _matrix_to_json(obs)
-        msg["input"] = task.input_label
-    else:
-        msg["circuit"] = circuit_to_json(task.circuit)
-    msg["readout"] = list(task.readouts)
-    msg["shots"] = shots
-    msg["seed"] = seed
-    return msg
+        return _overlap_message(
+            task.id, _encoded(encoded, task.left), _encoded(encoded, task.right),
+            _observable_json(task.observable), task.input_label, task.readouts, shots, seed,
+        )
+    return {"type": "task", "id": task.id, "kind": task.kind,
+            "circuit": _encoded(encoded, task.circuit), "readout": list(task.readouts),
+            "shots": shots, "seed": seed}
+
+
+def _plan_messages(plan: Plan, shots: int | None, seed: int, encoded: dict):
+    """(row id, width, overlap task message) of every plan row, in row order."""
+    circuits = [_encoded(encoded, c) for c in plan.circuits]
+    observables = [_observable_json(o) for o in plan.observables]
+    for i, l, r, o, b in zip(plan.ids, plan.left, plan.right, plan.observable, plan.label):
+        yield i, plan.circuits[l].n_qubits, _overlap_message(
+            i, circuits[l], circuits[r], observables[o], plan.labels[b], ("ax", "ay"),
+            shots, seed,
+        )
 
 
 def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
@@ -425,6 +496,7 @@ def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
     def handle(self):  # one connection; one JSON message per line
+        greeted = False  # tasks are served only after a hello of our protocol
         for raw_line in self.rfile:
             line = raw_line.decode("utf-8", errors="replace").strip()
             if not line:
@@ -445,11 +517,21 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                         }
                     )
                     return  # close the connection on version mismatch
+                greeted = True
                 self._send(
                     {
                         "type": "hello_ack",
                         "proto": PROTOCOL_VERSION,
                         "max_qubits": self.server.backend.max_qubits,
+                    }
+                )
+            elif mtype == "task" and not greeted:
+                self._send(
+                    {
+                        "type": "error",
+                        "id": msg.get("id", -1),
+                        "message": f"handshake required: send hello with proto "
+                                   f"{PROTOCOL_VERSION} before any task",
                     }
                 )
             elif mtype == "task":
@@ -573,21 +655,20 @@ class _WorkerClient:
             raise ConnectionError(f"connection to {self.address} closed")
         return json.loads(line.decode("utf-8"))
 
-    def run_task(
-        self, task: TaskSpec | OverlapSpec, shots: int | None, seed: int
-    ) -> tuple[tuple[float, ...], int]:
+    def run_task(self, task_id: int, n_qubits: int, msg: dict) -> tuple[tuple[float, ...], int]:
+        """Send one task message and read its result."""
         if self.sock is None:
             self._connect()
-        if task.n_qubits > self.max_qubits:
+        if n_qubits > self.max_qubits:
             raise CapabilityMismatch(
-                f"task {task.id} needs {task.n_qubits} qubits, "
+                f"task {task_id} needs {n_qubits} qubits, "
                 f"worker {self.address} supports {self.max_qubits}"
             )
-        self._send(_task_message(task, shots, seed))
+        self._send(msg)
         reply = self._recv()
         if reply.get("type") == "error":
             raise RuntimeError(f"worker {self.address}: {reply.get('message')}")
-        if reply.get("type") != "result" or reply.get("id") != task.id:
+        if reply.get("type") != "result" or reply.get("id") != task_id:
             raise ConnectionError(f"unexpected reply from {self.address}: {reply}")
         values = tuple(float(v) for v in reply["values"])
         return values, int(reply["shots_used"])
@@ -612,17 +693,28 @@ class _WorkerClient:
 
 
 def execute_tasks(
-    tasks: list[TaskSpec | OverlapSpec], cfg: ClusterConfig
-) -> list[TaskResult]:
+    tasks: list[TaskSpec | OverlapSpec] | list[Plan], cfg: ClusterConfig
+) -> list[TaskResult] | list[list[TaskResult]]:
     """Run every task exactly once; assignment is task id modulo node count.
 
+    ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
+    back in ascending task id order, or a list of Plans, whose results come
+    back as one list per plan, each in the plan's ascending id order. Each
+    plan keeps its own ids, so a row's node, shot stream and result are those
+    of the same row run as a single overlap task.
+
     Dead nodes are skipped; a failed dispatch retries on the next node in ring
-    order, and the task only fails after retry_limit distinct attempts.
-    Results are returned in ascending task id order. In local mode the overlap
-    tasks of one call share their part states: each distinct (circuit object,
-    input label) is simulated once and kept until the call returns.
+    order, and the task only fails after retry_limit distinct attempts. In
+    local mode the tasks and plans of one call share their part states: each
+    distinct (circuit object, input label) is simulated once and kept until
+    the call returns. In network mode each plan row is one overlap task, and
+    each distinct circuit's gate JSON is encoded once per call.
     """
-    tasks = sorted(tasks, key=lambda t: t.id)
+    plans = [t for t in tasks if isinstance(t, Plan)]
+    if plans and len(plans) != len(tasks):
+        raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
+    if not plans:
+        tasks = sorted(tasks, key=lambda t: t.id)
     if cfg.mode == "local":
         backend = ExactBackend()
         worst = max((t.n_qubits for t in tasks), default=0)
@@ -631,99 +723,103 @@ def execute_tasks(
                 f"plan needs {worst} qubits, nodes support {backend.max_qubits}"
             )
         states: dict = {}
-        out = []
-        for t in tasks:
-            values, shots_used = backend.run_task(t, cfg.shots, cfg.seed, states)
-            out.append(
-                TaskResult(
-                    task_id=t.id,
-                    value=values,
-                    shots_used=shots_used,
-                    node_id=t.id % cfg.nodes,
-                )
-            )
-        return out
-    addresses = list(cfg.nodes)
-    clients = [_WorkerClient(a) for a in addresses]
+        if plans:
+            used = 0 if cfg.shots is None else 2 * cfg.shots
+            out = []
+            for plan in plans:
+                values, _ = backend.run_task(plan, cfg.shots, cfg.seed, states)
+                pairs = zip(values[0::2], values[1::2])
+                nodes = [i % cfg.nodes for i in plan.ids]
+                out.append(list(map(TaskResult, plan.ids, pairs, itertools.repeat(used), nodes)))
+            return out
+        return [
+            TaskResult(t.id, *backend.run_task(t, cfg.shots, cfg.seed, states),
+                       node_id=t.id % cfg.nodes)
+            for t in tasks
+        ]
+    clients = [_WorkerClient(a) for a in cfg.nodes]
     alive = [True] * len(clients)
-    out = []
+    encoded: dict = {}
     try:
-        for t in tasks:
-            start = t.id % len(clients)
-            attempts = 0
-            result: TaskResult | None = None
-            failure: Exception | None = None
-            for k in range(len(clients)):
-                idx = (start + k) % len(clients)
-                if not alive[idx] or attempts >= cfg.retry_limit:
-                    continue
-                attempts += 1
-                try:
-                    values, shots_used = clients[idx].run_task(t, cfg.shots, cfg.seed)
-                    result = TaskResult(
-                        task_id=t.id,
-                        value=values,
-                        shots_used=shots_used,
-                        node_id=addresses[idx],
-                    )
-                    break
-                except (OSError, ConnectionError, json.JSONDecodeError) as exc:
-                    failure = exc
-                    alive[idx] = False
-                    clients[idx].close()
-            if result is None:
-                raise NodeFailure(
-                    f"task {t.id} failed after {attempts} attempt(s): {failure}"
-                )
-            out.append(result)
-        return out
+        if plans:
+            return [
+                [_dispatch(clients, alive, job, cfg)
+                 for job in _plan_messages(plan, cfg.shots, cfg.seed, encoded)]
+                for plan in plans
+            ]
+        return [
+            _dispatch(clients, alive,
+                      (t.id, t.n_qubits, _task_message(t, cfg.shots, cfg.seed, encoded)), cfg)
+            for t in tasks
+        ]
     finally:
         for c in clients:
             c.close()
 
 
-def run_plan(plan: list[Subtask], cfg: ClusterConfig) -> list[TaskResult]:
-    """Execute a subtask plan as overlap tasks; each result's value is (Re z, Im z)."""
-    tasks = [
-        OverlapSpec(
-            id=s.id,
-            left=s.left_circuit,
-            right=s.right_circuit,
-            observable=s.observable,
-            input_label=s.input_label,
-        )
-        for s in plan
-    ]
-    return execute_tasks(tasks, cfg)
+def _dispatch(clients: list[_WorkerClient], alive: list[bool], job, cfg: ClusterConfig
+              ) -> TaskResult:
+    """Run one (task id, width, message) job, starting at node id % nodes and
+    retrying in ring order; a node whose connection fails is marked dead."""
+    task_id, n_qubits, msg = job
+    start = task_id % len(clients)
+    attempts = 0
+    failure: Exception | None = None
+    for k in range(len(clients)):
+        idx = (start + k) % len(clients)
+        if not alive[idx] or attempts >= cfg.retry_limit:
+            continue
+        attempts += 1
+        try:
+            values, shots_used = clients[idx].run_task(task_id, n_qubits, msg)
+        except (OSError, ConnectionError, json.JSONDecodeError) as exc:
+            failure = exc
+            alive[idx] = False
+            clients[idx].close()
+            continue
+        return TaskResult(task_id=task_id, value=values, shots_used=shots_used,
+                          node_id=clients[idx].address)
+    raise NodeFailure(f"task {task_id} failed after {attempts} attempt(s): {failure}")
 
 
-def aggregate(plan: list[Subtask], results: list[TaskResult]) -> complex:
+def _as_plan(plan: Plan | list[Subtask]) -> Plan:
+    return plan if isinstance(plan, Plan) else Plan.from_subtasks(plan)
+
+
+def run_plan(plan: Plan | list[Subtask], cfg: ClusterConfig) -> list[TaskResult]:
+    """Execute a plan (or a hand-built subtask list) as overlap tasks; each
+    result's value is (Re z, Im z)."""
+    return execute_tasks([_as_plan(plan)], cfg)[0]
+
+
+def aggregate(plan: Plan | list[Subtask], results: list[TaskResult]) -> complex:
     """Sum over sibling groups of coefficient x product of part overlaps.
 
     Groups are consumed in ascending id order so the floating-point sum is
     reproducible across modes and node counts.
     """
+    plan = _as_plan(plan)
     by_id: dict[int, TaskResult] = {}
     for r in results:
         if r.task_id in by_id:
             raise MissingResult(f"duplicate result for task {r.task_id}")
         by_id[r.task_id] = r
+    for i in plan.ids:
+        if i not in by_id:
+            raise MissingResult(f"no result for task {i}")
     total = 0.0 + 0j
-    for s in plan:
-        if s.id not in by_id:
-            raise MissingResult(f"no result for task {s.id}")
-    ordered = sorted(plan, key=lambda s: s.id)
-    idx = 0
-    while idx < len(ordered):
-        group_key = ordered[idx].indices[:5]
-        coeff = 1.0 + 0j
-        product = 1.0 + 0j
-        while idx < len(ordered) and ordered[idx].indices[:5] == group_key:
-            s = ordered[idx]
-            if s.indices[5] == 0:
-                coeff = s.coefficient
-            re, im = by_id[s.id].value
-            product *= complex(re, im)
-            idx += 1
+    group_key = None
+    coeff = product = 1.0 + 0j
+    for i, indices, c in zip(plan.ids, plan.indices, plan.coefficient):
+        if indices[:5] != group_key:
+            if group_key is not None:
+                total += coeff * product
+            group_key = indices[:5]
+            coeff = product = 1.0 + 0j
+        if indices[5] == 0:
+            coeff = c
+        re, im = by_id[i].value
+        product *= complex(re, im)
+    if group_key is not None:
         total += coeff * product
     return total

@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tlpq import Circuit, Gate, circuit_to_json
+from conftest import PAULI
+
+from tlpq import Circuit, Gate, PauliString, Subtask, circuit_to_json, cli
 from tlpq.cli import main
+from tlpq.lchs import build_quadrature, trotter_oracle, unitary_node
 from tlpq.planner import NonPhysical
-from tlpq.runtime import PROTOCOL_VERSION
+from tlpq.runtime import PROTOCOL_VERSION, ClusterConfig, OverlapSpec, execute_tasks
 
 
 @pytest.fixture()
@@ -254,6 +257,123 @@ def test_nonherm_check_rejects_shot_mode(runner):
     result = runner.invoke(main, ["nonherm", "--T", "0.5", "--shots", "10",
                                   "--check"])
     assert result.exit_code == 2
+
+
+def one_call_per_plan_rows(cluster: ClusterConfig, t_values) -> list[dict]:
+    """The nonherm rows computed the way they were before plans ran as one
+    batch: per (T, Pauli letter), Subtask rows -> one OverlapSpec per row ->
+    its own execute_tasks call -> ordered reduce; the dense column from node
+    states rebuilt for each observable, with O v_b formed inside the pair loop."""
+    g, u0 = cli.nonherm_generator()
+    r = cli.random_hermitian_observable(cluster.seed)
+    paulis = {"sx": PAULI["X"], "sy": PAULI["Y"], "sz": PAULI["Z"]}
+    beta = {p: float(np.trace(r @ PAULI[p]).real) / 2.0 for p in "IXYZ"}
+    rows = []
+    for t in t_values:
+        scheme = build_quadrature(0.2, 0.5, t)
+        cs = scheme.coeffs
+        circuits = [Circuit(1, (Gate("RAW", (0,), raw=unitary_node(g, float(k), scheme.T)),))
+                    for k in scheme.nodes]
+        coeffs = [complex(x) for x in cs]
+        m = len(circuits)
+        forms = {}
+        for letter in "IXYZ":
+            subtasks = [
+                Subtask(id=i * m + j, indices=(0, i, j, 0, 0, 0), left_circuit=circuits[i],
+                        right_circuit=circuits[j], observable=PauliString(1, letter),
+                        input_label="0",
+                        coefficient=complex(coeffs[i] * np.conj(coeffs[j]) * (1.0 + 0j)
+                                            * np.conj(1.0 + 0j)))
+                for i in range(m) for j in range(m)
+            ]
+            tasks = [OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
+                                 observable=s.observable, input_label=s.input_label)
+                     for s in subtasks]
+            total = 0.0 + 0j
+            for s, res in zip(subtasks, execute_tasks(tasks, cluster)):
+                product = 1.0 + 0j  # one part: every row is its own sibling group
+                product *= complex(*res.value)
+                total += s.coefficient * product
+            forms[letter] = float(total.real)
+
+        def dense(obs):
+            v = [unitary_node(g, float(k), scheme.T) @ u0 for k in scheme.nodes]
+            numerator = denominator = 0.0 + 0j
+            for a in range(m):
+                for b in range(m):
+                    weight = cs[a] * cs[b]
+                    numerator += weight * np.vdot(v[a], obs @ v[b])
+                    denominator += weight * np.vdot(v[a], v[b])
+            return float((numerator / denominator).real)
+
+        w = trotter_oracle(g, u0, t, 0.01)
+        w_norm = float(np.vdot(w, w).real)
+        row = {"T": t, "M": scheme.M, "terms": m * m}
+        for name, letter in (("sx", "X"), ("sy", "Y"), ("sz", "Z")):
+            row[f"{name}_tlp"] = forms[letter] / forms["I"]
+            row[f"{name}_dense"] = dense(paulis[name])
+            row[f"{name}_oracle"] = float(np.vdot(w, paulis[name] @ w).real) / w_norm
+        row["R_tlp"] = sum(beta[p] * forms[p] for p in "IXYZ") / forms["I"]
+        row["R_dense"] = dense(r)
+        row["R_oracle"] = float(np.vdot(w, r @ w).real) / w_norm
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("cluster", [
+    ClusterConfig(), ClusterConfig(nodes=4), ClusterConfig(shots=100, seed=5),
+], ids=["exact", "exact-4-nodes", "shots-100-seed-5"])
+def test_nonherm_rows_equal_one_call_per_plan(cluster):
+    _, rows = cli.run_nonherm_rows(cluster)
+    assert rows == one_call_per_plan_rows(cluster, cli._DEFAULT_NONHERM_T)
+
+
+def test_nonherm_simulates_each_node_state_once(monkeypatch):
+    import tlpq.planner
+    import tlpq.runtime
+
+    calls = {"simulate": [], "unitary_node": 0, "overlap_spec": 0, "operand_check": 0}
+    simulate, node = tlpq.runtime.simulate, cli.unitary_node
+
+    def count(key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+        return counted
+
+    monkeypatch.setattr(tlpq.runtime, "simulate",
+                        lambda c, v: calls["simulate"].append(c) or simulate(c, v))
+    monkeypatch.setattr(cli, "unitary_node",
+                        lambda *a: count("unitary_node")() or node(*a))
+    monkeypatch.setattr(tlpq.runtime.OverlapSpec, "__post_init__", count("overlap_spec"))
+    for module in (tlpq.planner, tlpq.runtime):
+        monkeypatch.setattr(module, "check_overlap_operands", count("operand_check"))
+    cli.run_nonherm_rows(ClusterConfig())
+    circuits = sum(build_quadrature(0.2, 0.5, t).M + 1 for t in cli._DEFAULT_NONHERM_T)
+    assert circuits == 120
+    # one simulation per node circuit (4 per circuit when each letter ran alone)
+    assert len(calls["simulate"]) == len({id(c) for c in calls["simulate"]}) == circuits
+    assert calls["unitary_node"] == circuits  # the dense column reuses them
+    assert calls["overlap_spec"] == 0
+    assert calls["operand_check"] <= circuits
+
+
+def test_nonherm_over_a_worker_process_matches_local(runner, tmp_path):
+    args = ["nonherm", "--T", "0.3,0.6", "--format", "json", "--check"]
+    local = invoke(runner, args)
+    proc, line = spawn_worker()
+    try:
+        address = line.rsplit(" ", 1)[-1]
+        net = invoke(runner, args + ["--mode", "network", "--workers", address])
+        host, _, port = address.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(b'{"type": "shutdown"}\n')
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert local.exit_code == net.exit_code == 0
+    assert net.output == local.output  # the same values, bit for bit
 
 
 # --- imagtime ---------------------------------------------------------------------

@@ -222,6 +222,22 @@ class TestEnumerateSubtasks:
                 )
                 assert abs(s.coefficient - want) < 1e-14
 
+    def test_group_coefficient_bits_and_shared_rows(self, rng):
+        # the sibling-group coefficient is c_i conj(c_j) coeff_alpha conj(coeff_alpha2)
+        # multiplied left to right, as each subtask used to be built one by one
+        ch, labels, obs, dense_branches = random_channel_instance(rng)
+        plan = enumerate_subtasks(ch, labels, obs)
+        for s in plan:
+            p, i, j, a, a2, part = s.indices
+            if part == 0:
+                coeffs, fus = ch.branches[p]
+                want = (coeffs[i] * np.conj(coeffs[j]) * fus[i].terms[a][0]
+                        * np.conj(fus[j].terms[a2][0]))
+                assert s.coefficient == complex(want)
+        # plans of one channel share its circuit table and row columns
+        other = enumerate_subtasks(ch, labels, obs)
+        assert other.circuits is plan.circuits and other.coefficient is plan.coefficient
+
     def test_aggregate_matches_dense_channel(self, rng):
         cfg = ClusterConfig()
         for trial in range(60):

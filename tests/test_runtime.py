@@ -33,7 +33,7 @@ from tlpq import (
     run_plan,
     sample_shots,
 )
-from tlpq.planner import ChannelLCU, NonUnitaryObservable, ShapeMismatch
+from tlpq.planner import ChannelLCU, NonUnitaryObservable, Plan, ShapeMismatch
 from tlpq.runtime import (
     PROTOCOL_VERSION,
     CapabilityMismatch,
@@ -644,6 +644,22 @@ def test_protocol_2_hello_is_refused():
             assert recv()["type"] == "hello_ack"
 
 
+def test_protocol_task_before_hello_is_refused():
+    one = circuit_to_json(Circuit(1, (Gate("H", (0,)),)))
+    task = {"type": "task", "id": 7, "kind": "overlap", "left": one, "right": one,
+            "obs": "Z", "input": "0", "readout": ["ax", "ay"], "shots": None, "seed": 0}
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        for _ in range(2):  # refused every time, never served
+            send(task)
+            reply = recv()
+            assert reply["type"] == "error" and reply["id"] == 7
+            assert "handshake required" in reply["message"]
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        assert recv()["type"] == "hello_ack"
+        send(task)
+        assert recv()["type"] == "result"
+
+
 def test_protocol_task_error_reports_id_and_keeps_serving():
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
@@ -986,6 +1002,51 @@ def test_run_plan_bit_identical_across_modes_and_retries(rng, shots):
         retried = ClusterConfig(mode="network", nodes=(flaky, solid), shots=shots,
                                 seed=5, retry_limit=2)
         assert values(retried) == base
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_one_call_over_several_plans_matches_one_call_per_plan(rng, shots):
+    plans = [factorized_plan(rng) for _ in range(3)]
+    plans.append(Plan.from_subtasks(reversed(list(plans[0]))))  # hand-built, same rows
+    for cfg in (ClusterConfig(nodes=1, shots=shots, seed=5),
+                ClusterConfig(nodes=3, shots=shots, seed=5)):
+        batch = execute_tasks(plans, cfg)
+        assert batch == [run_plan(p, cfg) for p in plans]
+        assert batch[3] == batch[0]
+        assert [[r.task_id for r in rs] for rs in batch] == [list(p.ids) for p in plans]
+        assert [[r.node_id for r in rs] for rs in batch] == [
+            [i % cfg.nodes for i in p.ids] for p in plans
+        ]
+    with live_worker() as a, live_worker() as b:
+        net = ClusterConfig(mode="network", nodes=(a, b), shots=shots, seed=5)
+        batch = execute_tasks(plans, net)
+        assert [[r.value for r in rs] for rs in batch] == [
+            [r.value for r in run_plan(p, ClusterConfig(shots=shots, seed=5))] for p in plans
+        ]
+    with pytest.raises(TypeError):
+        execute_tasks([plans[0], overlap_task(plans[0].row(0), 0)], ClusterConfig())
+
+
+def test_plan_checks_operands_under_the_overlap_rules(rng):
+    rows, _ = two_part_plan(rng)
+    assert len(Plan.from_subtasks(rows)) == 2
+    one, two = Circuit(1, ()), Circuit(2, ())
+
+    def with_row(**changes):
+        fields = dict(id=2, indices=(0, 0, 0, 0, 0, 0), left_circuit=one, right_circuit=one,
+                      observable=PauliString(1, "X"), input_label="0", coefficient=1.0)
+        return rows + [Subtask(**{**fields, **changes})]
+
+    for bad in (with_row(right_circuit=two), with_row(input_label="00"),
+                with_row(input_label="2"), with_row(observable=PauliString(2, "XX")),
+                with_row(observable=np.eye(4)), with_row(id=1)):
+        with pytest.raises(ShapeMismatch):
+            Plan.from_subtasks(bad)
+    with pytest.raises(NonUnitaryObservable):
+        Plan.from_subtasks(with_row(observable=np.diag([1.0, 0.5])))
+    with pytest.raises(ShapeMismatch):  # a row pointing past its table
+        plan = Plan.from_subtasks(rows)
+        Plan(**{**vars(plan), "left": (0, 5)})
 
 
 def test_run_plan_never_synthesizes_estimator_circuits(rng, monkeypatch):
