@@ -30,8 +30,6 @@ __all__ = [
     "gate_matrix",
     "simulate",
     "circuit_unitary",
-    "expectation",
-    "layers",
     "circuit_to_json",
     "parse_circuit",
     "pauli_matrix",
@@ -263,41 +261,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     dim = 2**c.n_qubits
     batch = np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,))
     return _evolve(c, batch, check_unitary=True).reshape(dim, dim)
-
-
-def expectation(state, p: PauliString) -> float:
-    """<state|P|state> for a normalized statevector; the result is real."""
-    vec = np.asarray(state, dtype=complex).reshape(-1)
-    if vec.shape[0] != 2**p.n_qubits:
-        raise DimensionMismatch(f"state dim {vec.shape[0]} != 2^{p.n_qubits}")
-    if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-8:
-        raise ValueError("state must be normalized")
-    cur = vec.reshape((2,) * p.n_qubits)
-    for idx, ch in enumerate(p.letters):
-        if ch != "I":
-            cur = _apply(cur, PAULI_1Q[ch], (idx,))
-    val = np.vdot(vec, cur.reshape(-1))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"Pauli expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def layers(c: Circuit) -> list[list[int]]:
-    """Greedy as-soon-as-possible layering; returns lists of gate indices.
-
-    Gates within one layer act on disjoint qubits; every gate is placed in the
-    earliest layer after all earlier gates that share one of its qubits.
-    """
-    depth = [0] * c.n_qubits
-    out: list[list[int]] = []
-    for i, g in enumerate(c.gates):
-        layer = max(depth[q] for q in g.qubits)
-        if layer == len(out):
-            out.append([])
-        out[layer].append(i)
-        for q in g.qubits:
-            depth[q] = layer + 1
-    return out
 
 
 # --- JSON (de)serialization -------------------------------------------------

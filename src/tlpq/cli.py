@@ -689,10 +689,18 @@ def cmd_imagtime(eps, c_param, dt, big_t, gammas, normalize, out_path, fmt, chec
     _run_guard(body)
 
 
+def _listen_address(ctx, param, value: str) -> str:
+    """Reject a --listen value without a port in 0..65535 before the worker binds."""
+    _, sep, port = value.rpartition(":")
+    if not sep or not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise click.BadParameter(f"{value!r} is not host:port with a port in 0..65535")
+    return value
+
+
 @main.command("worker")
-@click.option("--listen", "listen_address", required=True,
+@click.option("--listen", "listen_address", required=True, callback=_listen_address,
               help="host:port to bind (port 0 picks a free port).")
-@click.option("--max-qubits", type=int, default=12,
+@click.option("--max-qubits", type=click.IntRange(min=1), default=12,
               help="Largest circuit width this worker accepts.")
 def cmd_worker(listen_address, max_qubits):
     """Serve tasks over TCP until a shutdown message arrives."""

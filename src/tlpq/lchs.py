@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, pi
 
@@ -130,7 +130,6 @@ class EvolutionResult:
 
     state: np.ndarray
     per_node_states: tuple[np.ndarray, ...] | None = None
-    observables: dict[str, float] = field(default_factory=dict)
 
 
 def unitary_node(g: GeneratorSpec, k: float, T: float, dt: float = 0.01) -> np.ndarray:

@@ -19,7 +19,6 @@ __all__ = [
     "matexp",
     "pure_state_fidelity",
     "vector_fidelity",
-    "dagger",
     "is_unitary",
     "is_hermitian",
 ]
@@ -56,11 +55,6 @@ def _as_vector(v) -> np.ndarray:
     if u.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {u.shape}")
     return u
-
-
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
 
 
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:

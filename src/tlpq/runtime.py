@@ -8,16 +8,14 @@ ordered reduce so results are bit-identical across node counts and transports.
 A plan's subtasks and the GHZ gram entries run as "overlap" tasks: the backend
 simulates the left and right gate lists on the part's w qubits and forms
 z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
-(ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). The wire
-carries overlap and density tasks; "estimator" tasks run only in-process, as
-the reference the tests hold overlap tasks to.
-
-``execute_tasks`` also takes a whole pipeline's plans (``planner.Plan``
-tables) in one call. Locally each distinct (circuit, input label) of the call
-is simulated once, each observable is applied once to each distinct left
-state, and each row costs one inner product; no per-row task object is built.
-Over the wire each row still goes out as one overlap task, with each distinct
-circuit's gate JSON encoded once.
+(ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). One batched
+routine reads them over a table of (left, right, observable, label) rows: a
+``planner.Plan`` is its rows read as ("ax", "ay"), an OverlapSpec (local or
+decoded on a worker) one row, so a row gives the same bits everywhere.
+``execute_tasks`` runs plans, or tasks, as items through one loop per mode;
+locally the items of a call share their part states. The wire carries overlap
+and density tasks, one row per message; "estimator" tasks run only
+in-process, as the reference the tests hold overlap tasks to.
 
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
@@ -26,6 +24,7 @@ sampled mode returns the mean of draws from that law.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -63,7 +62,6 @@ __all__ = [
     "MissingResult",
     "PROTOCOL_VERSION",
     "sample_shots",
-    "overlap_value",
     "execute_tasks",
     "run_plan",
     "aggregate",
@@ -260,17 +258,6 @@ def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -
     return phase * state[source]
 
 
-def overlap_value(left_state: np.ndarray, right_state: np.ndarray, observable) -> complex:
-    """z = <right_state| O |left_state>.
-
-    Every overlap value comes from this arithmetic: one observable
-    application, then one ``np.vdot`` (plan rows share O|left_state> across
-    rows, see ``_plan_overlaps``), so plan batches, single tasks on workers and
-    retried tasks produce bit-identical values.
-    """
-    return complex(np.vdot(right_state, _apply_observable(observable, left_state)))
-
-
 def _cached_state(states: dict, c: Circuit, input_label: str) -> np.ndarray:
     """The part state U|label>, simulated on a miss of ``states``."""
     key = (c, input_label)
@@ -280,24 +267,66 @@ def _cached_state(states: dict, c: Circuit, input_label: str) -> np.ndarray:
     return state
 
 
-def _plan_overlaps(plan: Plan, states: dict) -> list[float]:
-    """Re z, Im z of every plan row in order, flattened.
+# the (ket, bra) sides of the z = <bra| O |ket> that each overlap readout reads
+_READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
+                  "p0": ("right", "right"), "p1": ("left", "left")}
 
-    Each observable is applied once to each distinct left state of the plan,
-    and each row is then one ``np.vdot``, as in ``overlap_value``.
+
+# overlap rows as columns of positions into operand tables, all read by ``readouts``
+_Table = collections.namedtuple(
+    "_Table", "ids readouts circuits observables labels left right observable label")
+
+
+def _rows(item: TaskSpec | OverlapSpec | Plan) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """(row ids, readouts of each row): a Plan's rows read ("ax", "ay"); a task is one row."""
+    return (item.ids, ("ax", "ay")) if isinstance(item, Plan) else ((item.id,), item.readouts)
+
+
+def _table(item: OverlapSpec | Plan) -> _Table:
+    """A Plan's own table, or an OverlapSpec as a table of one row."""
+    if isinstance(item, Plan):
+        return _Table(*_rows(item), item.circuits, item.observables, item.labels,
+                      item.left, item.right, item.observable, item.label)
+    return _Table(*_rows(item), (item.left, item.right), (item.observable,),
+                  (item.input_label,), (0,), (1,), (0,), (0,))
+
+
+def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
+    """The (w, m) pairs of every row's readouts, as (all w, all m), row by row.
+
+    A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
+    names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
+    (|s|^2 / 2, Re z / 2) with s the right / left state. Each distinct
+    (circuit, label) is simulated once per ``states``, each observable is
+    applied once to each distinct state it meets, and each value is one
+    ``np.vdot``.
     """
-    rows_left = list(zip(plan.observable, plan.left, plan.label))
-    rows_right = list(zip(plan.right, plan.label))
-    sides = {
-        (c, b): _cached_state(states, plan.circuits[c], plan.labels[b])
-        for c, b in {*((l, b) for _, l, b in rows_left), *rows_right}
-    }
-    applied = {
-        (o, l, b): _apply_observable(plan.observables[o], sides[l, b])
-        for o, l, b in set(rows_left)
-    }
-    z = list(map(np.vdot, map(sides.__getitem__, rows_right), map(applied.__getitem__, rows_left)))
-    return np.array(z, dtype=complex).view(float).tolist()
+    sides: dict = {}  # (circuit, label) positions -> part state
+    applied: dict = {}  # (observable, circuit, label) positions -> O|part state>
+    z: dict = {}
+    for ket, bra in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
+        kets = list(zip(t.observable, getattr(t, ket), t.label))
+        bras = list(zip(getattr(t, bra), t.label))
+        for c, b in {*((c, b) for _, c, b in kets), *bras} - sides.keys():
+            sides[c, b] = _cached_state(states, t.circuits[c], t.labels[b])
+        for o, c, b in set(kets) - applied.keys():
+            applied[o, c, b] = _apply_observable(t.observables[o], sides[c, b])
+        z[ket, bra] = np.array(
+            list(map(np.vdot, map(sides.__getitem__, bras), map(applied.__getitem__, kets))),
+            dtype=complex,
+        )
+    w = np.ones((len(t.ids), len(t.readouts)))
+    m = np.empty_like(w)
+    for col, desc in enumerate(t.readouts):
+        ket, bra = _READOUT_SIDES[desc]
+        zd = z[ket, bra]
+        if desc in ("ax", "ay"):
+            m[:, col] = zd.real if desc == "ax" else zd.imag
+        else:
+            w[:, col] = [np.vdot(s, s).real / 2.0
+                         for s in map(sides.__getitem__, zip(getattr(t, ket), t.label))]
+            m[:, col] = zd.real / 2.0
+    return w.ravel().tolist(), m.ravel().tolist()
 
 
 def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
@@ -314,45 +343,27 @@ def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     else:
         if anc is not None:
             state = halves[0 if anc == "p0" else 1]
-        m = overlap_value(state, state, PauliString(len(letters), letters)).real
+        p_state = _apply_observable(PauliString(len(letters), letters), state)
+        m = float(np.vdot(state, p_state).real)
     return float(np.vdot(state, state).real), m
 
 
-def _overlap_pair(
-    desc: str, left: np.ndarray, right: np.ndarray, observable
-) -> tuple[float, float]:
-    """(w, m) of one overlap-task readout (see OverlapSpec) from its part states."""
-    if desc in ("ax", "ay"):
-        z = overlap_value(left, right, observable)
-        return 1.0, (z.real if desc == "ax" else z.imag)
-    state = right if desc == "p0" else left
-    w = float(np.vdot(state, state).real) / 2.0
-    return w, overlap_value(state, state, observable).real / 2.0
-
-
-def _readout_pairs(
-    task: TaskSpec | OverlapSpec, states: dict
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The (w, m) pairs of a task's readouts, as (all w, all m); ``states`` is
-    run_task's cache."""
-    if task.kind == "overlap":
-        sides = [_cached_state(states, c, task.input_label) for c in (task.left, task.right)]
-        if task.readouts == ("ax", "ay"):  # a plan subtask: one overlap per task
-            z = overlap_value(sides[0], sides[1], task.observable)
-            return (1.0, 1.0), (z.real, z.imag)
-        pairs = [_overlap_pair(desc, *sides, task.observable) for desc in task.readouts]
+def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: dict):
+    """The (w, m) pairs of an item's readouts, as (all w, all m), row by row;
+    ``states`` is run_task's cache."""
+    if not isinstance(task, TaskSpec):
+        return _overlap_pairs(_table(task), states)
+    n = task.n_qubits
+    if task.kind == "estimator":
+        state = simulate(task.circuit, basis_state(n))
+    elif task.kind == "density":
+        # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
+        state = _evolve(
+            task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
+        ).reshape(-1)
     else:
-        n = task.n_qubits
-        if task.kind == "estimator":
-            state = simulate(task.circuit, basis_state(n))
-        elif task.kind == "density":
-            # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
-            state = _evolve(
-                task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
-            ).reshape(-1)
-        else:
-            raise ValueError(f"unknown task kind {task.kind!r}")
-        pairs = [_readout_pair(desc, state) for desc in task.readouts]
+        raise ValueError(f"unknown task kind {task.kind!r}")
+    pairs = [_readout_pair(desc, state) for desc in task.readouts]
     return tuple(w for w, _ in pairs), tuple(m for _, m in pairs)
 
 
@@ -387,12 +398,13 @@ class ExactBackend:
         seed: int,
         states: dict | None = None,
     ) -> tuple[tuple[float, ...], int]:
-        """Run one task; returns (one value per readout, shots used).
+        """Run one item; returns (one value per readout, row by row, shots used).
 
-        A Plan runs as one task whose readouts are each row's "ax", "ay" in
-        row order, with weight 1 and the stream of (seed, row id, 0 / 1).
-        ``states`` lets the tasks of a batch share part states: it maps
-        (circuit, input label) to the simulated state and is filled on a miss.
+        A task is one row; a Plan is its rows, each read as "ax", "ay". Each
+        readout's (w, m) pair gives m exactly, or with shots the mean of draws
+        on the stream (seed, row id, readout index). ``states`` lets the items
+        of a batch share part states: it maps (circuit, input label) to the
+        simulated state and is filled on a miss.
         """
         n = task.n_qubits
         if n > self.max_qubits:
@@ -400,16 +412,11 @@ class ExactBackend:
             raise CapabilityMismatch(
                 f"{name} needs {n} qubits, node supports {self.max_qubits}"
             )
-        states = {} if states is None else states
-        if isinstance(task, Plan):
-            means = tuple(_plan_overlaps(task, states))
-            weights = itertools.repeat(1.0)
-            streams = ((i, ridx) for i in task.ids for ridx in (0, 1))
-        else:
-            weights, means = _readout_pairs(task, states)
-            streams = ((task.id, ridx) for ridx in range(len(means)))
+        weights, means = _readout_pairs(task, {} if states is None else states)
         if shots is None:
-            return means, 0
+            return tuple(means), 0
+        ids, readouts = _rows(task)
+        streams = itertools.product(ids, range(len(readouts)))
         values = tuple(
             _sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
             for w, m, stream in zip(weights, means, streams)
@@ -426,40 +433,30 @@ def _encoded(encoded: dict, c: Circuit) -> dict:
     return encoded[c]
 
 
-def _observable_json(obs):
-    return obs.letters if isinstance(obs, PauliString) else _matrix_to_json(obs)
+def _jobs(item: TaskSpec | OverlapSpec | Plan, shots: int | None, seed: int, encoded: dict):
+    """(row id, width, task message) of every row of an item, in row order.
 
-
-def _overlap_message(task_id: int, left: dict, right: dict, obs, input_label: str,
-                     readouts, shots: int | None, seed: int) -> dict:
-    """An overlap task message; ``left`` / ``right`` are gate JSON, ``obs`` is
-    observable JSON."""
-    return {"type": "task", "id": task_id, "kind": "overlap", "left": left, "right": right,
-            "obs": obs, "input": input_label, "readout": list(readouts), "shots": shots,
-            "seed": seed}
-
-
-def _task_message(task: TaskSpec | OverlapSpec, shots: int | None, seed: int,
-                  encoded: dict) -> dict:
-    if task.kind == "overlap":
-        return _overlap_message(
-            task.id, _encoded(encoded, task.left), _encoded(encoded, task.right),
-            _observable_json(task.observable), task.input_label, task.readouts, shots, seed,
-        )
-    return {"type": "task", "id": task.id, "kind": task.kind,
-            "circuit": _encoded(encoded, task.circuit), "readout": list(task.readouts),
-            "shots": shots, "seed": seed}
-
-
-def _plan_messages(plan: Plan, shots: int | None, seed: int, encoded: dict):
-    """(row id, width, overlap task message) of every plan row, in row order."""
-    circuits = [_encoded(encoded, c) for c in plan.circuits]
-    observables = [_observable_json(o) for o in plan.observables]
-    for i, l, r, o, b in zip(plan.ids, plan.left, plan.right, plan.observable, plan.label):
-        yield i, plan.circuits[l].n_qubits, _overlap_message(
-            i, circuits[l], circuits[r], observables[o], plan.labels[b], ("ax", "ay"),
-            shots, seed,
-        )
+    The rows of a Plan or an OverlapSpec go out as overlap tasks, a TaskSpec as
+    a task of its own kind; each distinct circuit's gate JSON is encoded once
+    per ``encoded`` cache.
+    """
+    if isinstance(item, TaskSpec):
+        yield item.id, item.n_qubits, {
+            "type": "task", "id": item.id, "kind": item.kind,
+            "circuit": _encoded(encoded, item.circuit), "readout": list(item.readouts),
+            "shots": shots, "seed": seed,
+        }
+        return
+    t = _table(item)
+    circuits = [_encoded(encoded, c) for c in t.circuits]
+    observables = [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
+                   for o in t.observables]
+    for i, l, r, o, b in zip(t.ids, t.left, t.right, t.observable, t.label):
+        yield i, t.circuits[l].n_qubits, {
+            "type": "task", "id": i, "kind": "overlap", "left": circuits[l],
+            "right": circuits[r], "obs": observables[o], "input": t.labels[b],
+            "readout": list(t.readouts), "shots": shots, "seed": seed,
+        }
 
 
 def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
@@ -699,7 +696,8 @@ def execute_tasks(
 
     ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
     back in ascending task id order, or a list of Plans, whose results come
-    back as one list per plan, each in the plan's ascending id order. Each
+    back as one list per plan, each in the plan's ascending id order. Both run
+    as items (a plan, or a task as one row) through one loop per mode. Each
     plan keeps its own ids, so a row's node, shot stream and result are those
     of the same row run as a single overlap task.
 
@@ -713,48 +711,39 @@ def execute_tasks(
     plans = [t for t in tasks if isinstance(t, Plan)]
     if plans and len(plans) != len(tasks):
         raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
-    if not plans:
-        tasks = sorted(tasks, key=lambda t: t.id)
+    items = plans or sorted(tasks, key=lambda t: t.id)
     if cfg.mode == "local":
         backend = ExactBackend()
-        worst = max((t.n_qubits for t in tasks), default=0)
+        worst = max((t.n_qubits for t in items), default=0)
         if worst > backend.max_qubits:
             raise CapabilityMismatch(
                 f"plan needs {worst} qubits, nodes support {backend.max_qubits}"
             )
         states: dict = {}
-        if plans:
-            used = 0 if cfg.shots is None else 2 * cfg.shots
-            out = []
-            for plan in plans:
-                values, _ = backend.run_task(plan, cfg.shots, cfg.seed, states)
-                pairs = zip(values[0::2], values[1::2])
-                nodes = [i % cfg.nodes for i in plan.ids]
-                out.append(list(map(TaskResult, plan.ids, pairs, itertools.repeat(used), nodes)))
-            return out
-        return [
-            TaskResult(t.id, *backend.run_task(t, cfg.shots, cfg.seed, states),
-                       node_id=t.id % cfg.nodes)
-            for t in tasks
-        ]
-    clients = [_WorkerClient(a) for a in cfg.nodes]
-    alive = [True] * len(clients)
-    encoded: dict = {}
-    try:
-        if plans:
-            return [
+        out = []
+        for item in items:
+            values, _ = backend.run_task(item, cfg.shots, cfg.seed, states)
+            ids, readouts = _rows(item)
+            k = len(readouts)
+            used = 0 if cfg.shots is None else cfg.shots * k
+            # row j's values are values[j*k:(j+1)*k]; a TaskSpec may have no readouts
+            rows = zip(*(values[r::k] for r in range(k))) if k else itertools.repeat(())
+            nodes = [i % cfg.nodes for i in ids]
+            out.append(list(map(TaskResult, ids, rows, itertools.repeat(used), nodes)))
+    else:
+        clients = [_WorkerClient(a) for a in cfg.nodes]
+        alive = [True] * len(clients)
+        encoded: dict = {}
+        try:
+            out = [
                 [_dispatch(clients, alive, job, cfg)
-                 for job in _plan_messages(plan, cfg.shots, cfg.seed, encoded)]
-                for plan in plans
+                 for job in _jobs(item, cfg.shots, cfg.seed, encoded)]
+                for item in items
             ]
-        return [
-            _dispatch(clients, alive,
-                      (t.id, t.n_qubits, _task_message(t, cfg.shots, cfg.seed, encoded)), cfg)
-            for t in tasks
-        ]
-    finally:
-        for c in clients:
-            c.close()
+        finally:
+            for c in clients:
+                c.close()
+    return out if plans else [r for (r,) in out]
 
 
 def _dispatch(clients: list[_WorkerClient], alive: list[bool], job, cfg: ClusterConfig

@@ -20,9 +20,7 @@ from tlpq.circuit import (
     basis_state,
     circuit_to_json,
     circuit_unitary,
-    expectation,
     gate_matrix,
-    layers,
     parse_circuit,
     simulate,
 )
@@ -218,25 +216,6 @@ class TestPauliString:
             PauliString(2, "XA")
         with pytest.raises(ValueError):
             PauliString(3, "XZ")
-
-    def test_expectation(self, rng):
-        psi = random_state(4, rng)
-        p = PauliString(2, "ZX")
-        want = np.vdot(psi, pauli_label_matrix("ZX") @ psi).real
-        assert expectation(psi, p) == pytest.approx(want, abs=1e-12)
-
-
-class TestLayers:
-    def test_greedy_asap(self):
-        c = Circuit(3, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("X", (2,))))
-        assert layers(c) == [[0, 2], [1]]
-
-    def test_chain(self):
-        c = Circuit(2, (Gate("H", (0,)), Gate("H", (0,)), Gate("H", (0,))))
-        assert layers(c) == [[0], [1], [2]]
-
-    def test_empty(self):
-        assert layers(Circuit(2, ())) == []
 
 
 class TestSerialization:

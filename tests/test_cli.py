@@ -610,3 +610,25 @@ def test_network_run_on_a_worker_process_matches_local(runner, tmp_path, command
     by_local, by_net = json.loads(local.read_text()), json.loads(net.read_text())
     assert (by_local.pop("mode"), by_net.pop("mode")) == ("local", "network")
     assert by_net == by_local  # the same values, bit for bit
+
+
+def refuse_to_serve(*args, **kwargs):
+    pytest.fail("a worker started on a bad option")
+
+
+@pytest.mark.parametrize("address", ["foo", "127.0.0.1:notaport", "127.0.0.1:",
+                                     "127.0.0.1:70000"])
+def test_worker_rejects_a_listen_address_without_a_port(runner, monkeypatch, address):
+    monkeypatch.setattr("tlpq.cli.serve_worker", refuse_to_serve)
+    result = runner.invoke(main, ["worker", "--listen", address])
+    assert result.exit_code == 2
+    assert "--listen" in combined_output(result)
+
+
+@pytest.mark.parametrize("max_qubits", ["0", "-3"])
+def test_worker_rejects_a_max_qubits_below_one(runner, monkeypatch, max_qubits):
+    monkeypatch.setattr("tlpq.cli.serve_worker", refuse_to_serve)
+    result = runner.invoke(main, ["worker", "--listen", "127.0.0.1:0",
+                                  "--max-qubits", max_qubits])
+    assert result.exit_code == 2
+    assert "--max-qubits" in combined_output(result)

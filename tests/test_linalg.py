@@ -15,7 +15,6 @@ from tlpq.linalg import (
     NotDensityMatrix,
     NotHermitian,
     ZeroVector,
-    dagger,
     eigh,
     is_hermitian,
     is_unitary,
@@ -180,10 +179,6 @@ class TestVectorFidelity:
 
 
 class TestPredicates:
-    def test_dagger(self, rng):
-        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        assert np.array_equal(dagger(a), a.conj().T)
-
     def test_is_unitary(self, rng):
         assert is_unitary(haar_unitary(4, rng))
         assert not is_unitary(np.diag([1.0, 0.999]))

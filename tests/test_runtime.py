@@ -1062,3 +1062,44 @@ def test_run_plan_never_synthesizes_estimator_circuits(rng, monkeypatch):
     monkeypatch.setattr(tlpq, "build_estimator_circuit", boom)
     monkeypatch.setattr(tlpq.runtime, "build_estimator_circuit", boom, raising=False)
     assert abs(aggregate(plan, run_plan(plan, ClusterConfig())) - expected) < 1e-10
+
+
+def test_overlap_readouts_in_any_order_or_subset_read_as_each_alone(rng):
+    from itertools import combinations, permutations
+
+    backend = ExactBackend()
+    for s in random_subtasks(rng, count_per_width=4):
+        if not isinstance(s.observable, PauliString):  # p0 / p1 need a Pauli observable
+            continue
+
+        def task(readouts):
+            return OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
+                               observable=s.observable, input_label=s.input_label,
+                               readouts=readouts)
+
+        alone = {d: _readout_pairs(task((d,)), {}) for d in ("ax", "ay", "p0", "p1")}
+        for size in range(1, 5):
+            for subset in combinations(("ax", "ay", "p0", "p1"), size):
+                for readouts in permutations(subset):
+                    ws, ms = _readout_pairs(task(readouts), {})
+                    assert [list(ws), list(ms)] == [
+                        [alone[d][k][0] for d in readouts] for k in (0, 1)
+                    ], readouts
+                    values, _ = backend.run_task(task(readouts), None, 0)
+                    assert values == tuple(alone[d][1][0] for d in readouts)
+                    assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_plan_rows_equal_the_same_rows_run_as_local_overlap_tasks(rng, shots):
+    plan = factorized_plan(rng)
+    cfg = ClusterConfig(nodes=3, shots=shots, seed=5)
+    tasks = [overlap_task(s, s.id) for s in reversed(list(plan))]
+    assert run_plan(plan, cfg) == execute_tasks(tasks, cfg)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_empty_plan_runs_to_no_results(shots):
+    cfg = ClusterConfig(shots=shots, seed=5)
+    assert run_plan(Plan.from_subtasks([]), cfg) == []
+    assert execute_tasks([Plan.from_subtasks([])] * 2, cfg) == [[], []]
