@@ -298,8 +298,9 @@ def circuit_to_json(c: Circuit) -> dict:
 def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
     """Parse the JSON form back into a Circuit; unknown fields are rejected.
 
-    ``require_unitary=False`` admits non-unitary RAW matrices. Only density tasks
-    parse this way; they push an unnormalized statevector through the gates.
+    ``require_unitary=False`` admits non-unitary RAW matrices. Worker batches
+    parse this way, because density rows push an unnormalized statevector
+    through the gates; simulating an overlap row refuses them.
     """
     if not isinstance(obj, dict):
         raise CircuitFormatError("circuit JSON must be an object")

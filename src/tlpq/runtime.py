@@ -12,10 +12,13 @@ z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
 routine reads them over a table of (left, right, observable, label) rows: a
 ``planner.Plan`` is its rows read as ("ax", "ay"), an OverlapSpec (local or
 decoded on a worker) one row, so a row gives the same bits everywhere.
-``execute_tasks`` runs plans, or tasks, as items through one loop per mode;
-locally the items of a call share their part states. The wire carries overlap
-and density tasks, one row per message; "estimator" tasks run only
-in-process, as the reference the tests hold overlap tasks to.
+``execute_tasks`` runs plans, or tasks, as items through one path per mode;
+locally the items of a call share their part states. Over the wire
+(protocol 4) the rows of a call travel as one batch message per start node,
+each carrying its distinct gate lists once; every batch is sent before any
+reply is read, and a worker parses each circuit once and simulates each part
+state once per batch. The wire carries overlap and density rows; "estimator"
+tasks run only in-process, as the reference the tests hold overlap tasks to.
 
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
@@ -32,7 +35,7 @@ import socket
 import socketserver
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -69,7 +72,7 @@ __all__ = [
     "serve_worker",
 ]
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 class NodeFailure(RuntimeError):
@@ -107,8 +110,13 @@ class ClusterConfig:
                 raise ValueError("local mode needs a node count >= 1")
         else:
             addrs = tuple(self.nodes) if not isinstance(self.nodes, int) else ()
-            if not addrs or not all(isinstance(a, str) and ":" in a for a in addrs):
+            if not addrs:
                 raise ValueError("network mode needs a tuple of host:port addresses")
+            for a in addrs:
+                host, _, port = a.rpartition(":") if isinstance(a, str) else ("", "", "")
+                if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+                    raise ValueError(f"worker address {a!r} is not host:port "
+                                     f"with a port in 1..65535")
             object.__setattr__(self, "nodes", addrs)
         if self.shots is not None and (not isinstance(self.shots, int) or self.shots < 1):
             raise ValueError("shots must be >= 1 when present")
@@ -426,56 +434,88 @@ class ExactBackend:
 
 # --- wire protocol (network mode) ----------------------------------------------
 
-def _encoded(encoded: dict, c: Circuit) -> dict:
-    """A circuit's gate JSON, encoded once per ``encoded`` cache."""
-    if c not in encoded:
-        encoded[c] = circuit_to_json(c)
-    return encoded[c]
+@dataclass
+class _Batch:
+    """The rows of one start node (row id % node count) as one batch message."""
+
+    start: int
+    message: dict
+    rows: list = field(default_factory=list)  # (item position, row position, row id, width)
 
 
-def _jobs(item: TaskSpec | OverlapSpec | Plan, shots: int | None, seed: int, encoded: dict):
-    """(row id, width, task message) of every row of an item, in row order.
+def _wire_rows(item: TaskSpec | OverlapSpec | Plan):
+    """(row id, width, circuits by field name, other fields) of each row of an item.
 
-    The rows of a Plan or an OverlapSpec go out as overlap tasks, a TaskSpec as
-    a task of its own kind; each distinct circuit's gate JSON is encoded once
-    per ``encoded`` cache.
+    The rows of a Plan or an OverlapSpec are overlap rows, a TaskSpec is a row
+    of its own kind.
     """
     if isinstance(item, TaskSpec):
-        yield item.id, item.n_qubits, {
-            "type": "task", "id": item.id, "kind": item.kind,
-            "circuit": _encoded(encoded, item.circuit), "readout": list(item.readouts),
-            "shots": shots, "seed": seed,
-        }
+        yield item.id, item.n_qubits, {"circuit": item.circuit}, {
+            "kind": item.kind, "readout": list(item.readouts)}
         return
     t = _table(item)
-    circuits = [_encoded(encoded, c) for c in t.circuits]
     observables = [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
                    for o in t.observables]
+    readout = list(t.readouts)
     for i, l, r, o, b in zip(t.ids, t.left, t.right, t.observable, t.label):
-        yield i, t.circuits[l].n_qubits, {
-            "type": "task", "id": i, "kind": "overlap", "left": circuits[l],
-            "right": circuits[r], "obs": observables[o], "input": t.labels[b],
-            "readout": list(t.readouts), "shots": shots, "seed": seed,
-        }
+        yield i, t.circuits[l].n_qubits, {"left": t.circuits[l], "right": t.circuits[r]}, {
+            "kind": "overlap", "obs": observables[o], "input": t.labels[b], "readout": readout}
 
 
-def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
-    """Decode a task message; the wire carries only overlap and density tasks."""
-    kind = msg["kind"]
-    readouts = tuple(str(r) for r in msg["readout"])
+def _batches(items: list, n_nodes: int, shots: int | None, seed: int) -> list[_Batch]:
+    """One batch per non-empty start node group, in start node order.
+
+    A batch carries ``shots``, ``seed`` and each distinct circuit's gate JSON
+    once, and one entry per row that points into its circuit list. Each gate
+    JSON is encoded once per call.
+    """
+    batches: dict[int, _Batch] = {}
+    encoded: dict = {}  # Circuit -> gate JSON
+    positions: dict = {}  # (start node, Circuit) -> position in that batch's circuits
+    for at, item in enumerate(items):
+        for j, (row_id, width, refs, fields) in enumerate(_wire_rows(item)):
+            start = row_id % n_nodes
+            if start not in batches:
+                batches[start] = _Batch(start, {
+                    "type": "batch", "shots": shots, "seed": seed, "circuits": [], "tasks": []})
+            b = batches[start]
+            entry = {"id": row_id, **fields}
+            for name, c in refs.items():
+                if (start, c) not in positions:
+                    positions[start, c] = len(b.message["circuits"])
+                    if c not in encoded:
+                        encoded[c] = circuit_to_json(c)
+                    b.message["circuits"].append(encoded[c])
+                entry[name] = positions[start, c]
+            b.message["tasks"].append(entry)
+            b.rows.append((at, j, row_id, width))
+    return [batches[s] for s in sorted(batches)]
+
+
+def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec:
+    """Decode one batch row, whose circuits are positions in ``circuits``; the
+    wire carries only overlap and density rows."""
+
+    def circuit(k) -> Circuit:
+        if type(k) is not int or not 0 <= k < len(circuits):
+            raise ValueError(f"no circuit {k!r} in the batch")
+        return circuits[k]
+
+    kind = row["kind"]
+    readouts = tuple(str(r) for r in row["readout"])
     if kind == "overlap":
-        left = parse_circuit(msg["left"])
-        obs = msg["obs"]
+        left = circuit(row["left"])
+        obs = row["obs"]
         return OverlapSpec(
-            id=int(msg["id"]),
+            id=int(row["id"]),
             left=left,
-            right=parse_circuit(msg["right"]),
+            right=circuit(row["right"]),
             observable=(
                 PauliString(left.n_qubits, obs)
                 if isinstance(obs, str)
                 else _matrix_from_json(obs, "observable")
             ),
-            input_label=str(msg["input"]),
+            input_label=str(row["input"]),
             readouts=readouts,
         )
     if kind != "density":
@@ -483,12 +523,8 @@ def _task_from_message(msg: dict) -> TaskSpec | OverlapSpec:
             f"task kind {kind!r} is not accepted over the wire "
             f"(protocol {PROTOCOL_VERSION} carries overlap and density tasks)"
         )
-    return TaskSpec(
-        id=int(msg["id"]),
-        kind=kind,
-        circuit=parse_circuit(msg["circuit"], require_unitary=False),
-        readouts=readouts,
-    )
+    return TaskSpec(id=int(row["id"]), kind=kind, circuit=circuit(row["circuit"]),
+                    readouts=readouts)
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -522,43 +558,50 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                         "max_qubits": self.server.backend.max_qubits,
                     }
                 )
-            elif mtype == "task" and not greeted:
+            elif mtype == "batch" and not greeted:
                 self._send(
                     {
                         "type": "error",
-                        "id": msg.get("id", -1),
+                        "id": -1,
                         "message": f"handshake required: send hello with proto "
-                                   f"{PROTOCOL_VERSION} before any task",
+                                   f"{PROTOCOL_VERSION} before any batch",
                     }
                 )
-            elif mtype == "task":
-                self._handle_task(msg)
+            elif mtype == "batch":
+                self._send(self._run_batch(msg))
             elif mtype == "shutdown":
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
                 return
             else:
                 self._send({"type": "error", "id": -1, "message": f"unknown type {mtype!r}"})
 
-    def _handle_task(self, msg: dict):
-        task_id = msg.get("id", -1)
+    def _run_batch(self, msg: dict) -> dict:
+        """Run a batch's rows in order with one part-state cache; the reply holds
+        each row's values and shots used, or an error naming the failing row's id
+        (-1 when the batch itself is malformed).
+
+        Each circuit is parsed once, with non-unitary RAW gates admitted as
+        density rows need; simulating an overlap row's part states refuses
+        them, as a local run does.
+        """
+        row_id = -1
+        values, used = [], []
         try:
-            task = _task_from_message(msg)
             shots = msg.get("shots")
             shots = None if shots is None else int(shots)
             seed = int(msg.get("seed", 0))
-            self.server.count_task()
-            values, shots_used = self.server.backend.run_task(task, shots, seed)
+            circuits = [parse_circuit(c, require_unitary=False) for c in msg["circuits"]]
+            states: dict = {}
+            for row in msg["tasks"]:
+                row_id = row.get("id", -1) if isinstance(row, dict) else -1
+                task = _task_from_row(row, circuits)
+                self.server.count_task()
+                row_values, row_used = self.server.backend.run_task(task, shots, seed, states)
+                values.append([float(v) for v in row_values])
+                used.append(row_used)
         except Exception as exc:  # report, keep serving
-            self._send({"type": "error", "id": task_id, "message": str(exc)})
-            return
-        self._send(
-            {
-                "type": "result",
-                "id": task.id,
-                "values": [float(v) for v in values],
-                "shots_used": shots_used,
-            }
-        )
+            return {"type": "error", "id": row_id, "message": str(exc)}
+        return {"type": "result", "values": values, "shots_used": used}
 
     def _send(self, obj: dict):
         if self.server.should_drop():
@@ -650,25 +693,36 @@ class _WorkerClient:
         line = self.file.readline()
         if not line:
             raise ConnectionError(f"connection to {self.address} closed")
-        return json.loads(line.decode("utf-8"))
+        reply = json.loads(line.decode("utf-8"))
+        if not isinstance(reply, dict):
+            raise ConnectionError(f"unexpected reply from {self.address}")
+        return reply
 
-    def run_task(self, task_id: int, n_qubits: int, msg: dict) -> tuple[tuple[float, ...], int]:
-        """Send one task message and read its result."""
+    def send_batch(self, batch: _Batch):
+        """Send one batch, connecting first if needed. A row wider than the
+        worker accepts raises CapabilityMismatch before anything is sent."""
         if self.sock is None:
             self._connect()
-        if n_qubits > self.max_qubits:
-            raise CapabilityMismatch(
-                f"task {task_id} needs {n_qubits} qubits, "
-                f"worker {self.address} supports {self.max_qubits}"
-            )
-        self._send(msg)
+        for _, _, row_id, width in batch.rows:
+            if width > self.max_qubits:
+                raise CapabilityMismatch(
+                    f"task {row_id} needs {width} qubits, "
+                    f"worker {self.address} supports {self.max_qubits}"
+                )
+        self._send(batch.message)
+
+    def read_result(self, batch: _Batch) -> tuple[list, list]:
+        """Read the reply to ``batch``: (values of each row, shots used by each row)."""
         reply = self._recv()
         if reply.get("type") == "error":
-            raise RuntimeError(f"worker {self.address}: {reply.get('message')}")
-        if reply.get("type") != "result" or reply.get("id") != task_id:
-            raise ConnectionError(f"unexpected reply from {self.address}: {reply}")
-        values = tuple(float(v) for v in reply["values"])
-        return values, int(reply["shots_used"])
+            raise RuntimeError(
+                f"worker {self.address}: task {reply.get('id')}: {reply.get('message')}")
+        values, used = reply.get("values"), reply.get("shots_used")
+        if (reply.get("type") != "result" or not isinstance(values, list)
+                or not isinstance(used, list) or not len(values) == len(used) == len(batch.rows)):
+            raise ConnectionError(
+                f"unexpected reply from {self.address} to a batch of {len(batch.rows)} tasks")
+        return values, used
 
     def shutdown(self):
         try:
@@ -697,16 +751,15 @@ def execute_tasks(
     ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
     back in ascending task id order, or a list of Plans, whose results come
     back as one list per plan, each in the plan's ascending id order. Both run
-    as items (a plan, or a task as one row) through one loop per mode. Each
+    as items (a plan, or a task as one row) through one path per mode. Each
     plan keeps its own ids, so a row's node, shot stream and result are those
     of the same row run as a single overlap task.
 
-    Dead nodes are skipped; a failed dispatch retries on the next node in ring
-    order, and the task only fails after retry_limit distinct attempts. In
-    local mode the tasks and plans of one call share their part states: each
-    distinct (circuit object, input label) is simulated once and kept until
-    the call returns. In network mode each plan row is one overlap task, and
-    each distinct circuit's gate JSON is encoded once per call.
+    In local mode the tasks and plans of one call share their part states:
+    each distinct (circuit object, input label) is simulated once and kept
+    until the call returns. In network mode the rows of all items are grouped
+    by start node, each group is one batch message, and every batch is sent
+    before any reply is read, so the workers compute at once (``_dispatch``).
     """
     plans = [t for t in tasks if isinstance(t, Plan)]
     if plans and len(plans) != len(tasks):
@@ -731,44 +784,82 @@ def execute_tasks(
             nodes = [i % cfg.nodes for i in ids]
             out.append(list(map(TaskResult, ids, rows, itertools.repeat(used), nodes)))
     else:
+        batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
         clients = [_WorkerClient(a) for a in cfg.nodes]
-        alive = [True] * len(clients)
-        encoded: dict = {}
         try:
-            out = [
-                [_dispatch(clients, alive, job, cfg)
-                 for job in _jobs(item, cfg.shots, cfg.seed, encoded)]
-                for item in items
-            ]
+            replies = _dispatch(clients, batches, cfg.retry_limit)
         finally:
             for c in clients:
                 c.close()
+        out = [[None] * len(_rows(item)[0]) for item in items]
+        for batch, (address, values, used) in zip(batches, replies):
+            for (at, j, row_id, _), row_values, row_used in zip(batch.rows, values, used):
+                out[at][j] = TaskResult(task_id=row_id, value=tuple(map(float, row_values)),
+                                        shots_used=int(row_used), node_id=address)
     return out if plans else [r for (r,) in out]
 
 
-def _dispatch(clients: list[_WorkerClient], alive: list[bool], job, cfg: ClusterConfig
-              ) -> TaskResult:
-    """Run one (task id, width, message) job, starting at node id % nodes and
-    retrying in ring order; a node whose connection fails is marked dead."""
-    task_id, n_qubits, msg = job
-    start = task_id % len(clients)
-    attempts = 0
-    failure: Exception | None = None
-    for k in range(len(clients)):
-        idx = (start + k) % len(clients)
-        if not alive[idx] or attempts >= cfg.retry_limit:
-            continue
-        attempts += 1
-        try:
-            values, shots_used = clients[idx].run_task(task_id, n_qubits, msg)
-        except (OSError, ConnectionError, json.JSONDecodeError) as exc:
-            failure = exc
-            alive[idx] = False
-            clients[idx].close()
-            continue
-        return TaskResult(task_id=task_id, value=values, shots_used=shots_used,
-                          node_id=clients[idx].address)
-    raise NodeFailure(f"task {task_id} failed after {attempts} attempt(s): {failure}")
+_WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError)
+
+
+def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: int
+              ) -> list[tuple[str, list, list]]:
+    """Run every batch; returns (address that answered, values, shots used) per batch.
+
+    Each round sends every pending batch before it reads any reply, at most one
+    per node. A batch starts at its start node and moves whole to the next live
+    node in ring order when its connection fails; that node is marked dead, and
+    the batch fails after ``retry_limit`` attempts. A batch whose next node
+    already holds one waits for the next round, without spending an attempt:
+    a worker reads its next line only after writing its reply, so a second
+    large batch sent behind a large reply could block both ends.
+    """
+    n = len(clients)
+    alive = [True] * n
+    steps = [0] * len(batches)  # ring positions past each batch's start node used up
+    attempts = [0] * len(batches)
+    failures: list[Exception | None] = [None] * len(batches)
+    replies: list = [None] * len(batches)
+
+    def drop(node: int, b: int, exc: Exception):
+        failures[b] = exc
+        alive[node] = False
+        clients[node].close()
+
+    pending = list(range(len(batches)))
+    while pending:
+        queue, pending, sent = collections.deque(pending), [], {}
+        while queue:
+            b = queue.popleft()
+            batch = batches[b]
+            while steps[b] < n and not alive[(batch.start + steps[b]) % n]:
+                steps[b] += 1
+            if steps[b] == n or attempts[b] >= retry_limit:
+                raise NodeFailure(
+                    f"the batch of {len(batch.rows)} task(s) from node {batch.start} "
+                    f"failed after {attempts[b]} attempt(s): {failures[b]}"
+                )
+            node = (batch.start + steps[b]) % n
+            if node in sent:
+                pending.append(b)
+                continue
+            steps[b] += 1
+            attempts[b] += 1
+            try:
+                clients[node].send_batch(batch)
+            except _WIRE_ERRORS as exc:
+                drop(node, b, exc)
+                queue.appendleft(b)
+                continue
+            sent[node] = b
+        for node, b in sent.items():
+            try:
+                replies[b] = (clients[node].address, *clients[node].read_result(batches[b]))
+            except _WIRE_ERRORS as exc:
+                drop(node, b, exc)
+                pending.append(b)
+        pending.sort()
+    return replies
 
 
 def _as_plan(plan: Plan | list[Subtask]) -> Plan:

@@ -450,6 +450,15 @@ def test_network_mode_requires_workers(runner):
     assert "needs --workers" in combined_output(result)
 
 
+@pytest.mark.parametrize("port", ["notaport", "99999", ""])
+def test_workers_with_a_bad_port_exit_2_before_any_task_runs(runner, monkeypatch, port):
+    monkeypatch.setattr("tlpq.cli.execute_tasks", refuse_to_serve)
+    result = runner.invoke(main, ["ghz", "--mode", "network",
+                                  "--workers", f"127.0.0.1:{port}"])
+    assert result.exit_code == 2, combined_output(result)
+    assert "port in 1..65535" in combined_output(result)
+
+
 def test_workers_flag_requires_network_mode(runner):
     result = runner.invoke(main, ["ghz", "--workers", "127.0.0.1:9"])
     assert result.exit_code == 2
@@ -613,7 +622,7 @@ def test_network_run_on_a_worker_process_matches_local(runner, tmp_path, command
 
 
 def refuse_to_serve(*args, **kwargs):
-    pytest.fail("a worker started on a bad option")
+    pytest.fail("a worker or a task started on a bad option")
 
 
 @pytest.mark.parametrize("address", ["foo", "127.0.0.1:notaport", "127.0.0.1:",

@@ -90,6 +90,14 @@ def raw_connection(address: str):
         sock.close()
 
 
+def batch_message(rows: list[dict], circuits: list, shots=None, seed: int = 0) -> dict:
+    """A batch message by hand: ``circuits`` are Circuits or gate JSON, and each
+    row points into them by position."""
+    return {"type": "batch", "shots": shots, "seed": seed,
+            "circuits": [c if isinstance(c, dict) else circuit_to_json(c) for c in circuits],
+            "tasks": rows}
+
+
 def random_circuit(rng, n_qubits: int, n_gates: int = 4) -> Circuit:
     gates = []
     for _ in range(n_gates):
@@ -451,6 +459,9 @@ def test_cluster_config_rejects_bad_values():
         ClusterConfig(mode="network", nodes=3)
     with pytest.raises(ValueError):
         ClusterConfig(mode="network", nodes=("localhost",))  # no port
+    for address in ("127.0.0.1:0", "127.0.0.1:65536", "127.0.0.1:x", ":80", "127.0.0.1:"):
+        with pytest.raises(ValueError, match="port in 1..65535"):
+            ClusterConfig(mode="network", nodes=("127.0.0.1:1", address))
     with pytest.raises(ValueError):
         ClusterConfig(shots=0)
     with pytest.raises(ValueError):
@@ -546,6 +557,138 @@ def test_network_capability_mismatch_propagates():
             execute_tasks([wide], ClusterConfig(mode="network", nodes=(addr,)))
 
 
+# --- network dispatch: one batch per start node, all sent before any reply ------------
+
+
+def closed_address() -> str:
+    """A 127.0.0.1 address nothing listens on: connecting to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
+
+
+def test_dispatch_sends_every_batch_before_reading_any_reply():
+    b_has_batch = threading.Event()
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    addresses = [f"127.0.0.1:{s.getsockname()[1]}" for s in listeners]
+    batches = {}
+
+    def fake_worker(name, listener, before_reply):
+        """Speaks the protocol by hand; each row's value is its own id."""
+        listener.settimeout(10)
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            def send(obj):
+                f.write((json.dumps(obj) + "\n").encode())
+                f.flush()
+
+            f.readline()  # the hello
+            send({"type": "hello_ack", "proto": PROTOCOL_VERSION, "max_qubits": 12})
+            batches[name] = batch = json.loads(f.readline())
+            if not before_reply():
+                send({"type": "error", "id": -1, "message": "worker B never got its batch"})
+                return
+            rows = batch["tasks"]
+            send({"type": "result", "values": [[float(r["id"])] for r in rows],
+                  "shots_used": [0] * len(rows)})
+
+    # A withholds its reply until B holds its batch: dispatch that waited on A's
+    # reply before sending B its batch would get A's error instead
+    threads = [
+        threading.Thread(target=fake_worker, daemon=True,
+                         args=("a", listeners[0], lambda: b_has_batch.wait(timeout=2))),
+        threading.Thread(target=fake_worker, daemon=True,
+                         args=("b", listeners[1], lambda: b_has_batch.set() or True)),
+    ]
+    for t in threads:
+        t.start()
+    one = Circuit(1, (Gate("H", (0,)),))
+    tasks = [TaskSpec(id=i, kind="density", circuit=one, readouts=("e:Z",)) for i in range(4)]
+    try:
+        results = execute_tasks(tasks, ClusterConfig(mode="network", nodes=tuple(addresses)))
+    finally:
+        for t in threads:
+            t.join(timeout=5)
+        for listener in listeners:
+            listener.close()
+    assert not any(t.is_alive() for t in threads)
+    assert [r.value for r in results] == [(0.0,), (1.0,), (2.0,), (3.0,)]
+    assert [r.node_id for r in results] == [addresses[i % 2] for i in range(4)]
+    assert [[r["id"] for r in batches[k]["tasks"]] for k in "ab"] == [[0, 2], [1, 3]]
+
+
+def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monkeypatch):
+    import tlpq.runtime as runtime
+
+    left = random_circuit(rng, 2)
+    rights = [random_circuit(rng, 2) for _ in range(3)]
+    tasks = [
+        OverlapSpec(id=i, left=left, right=rights[i % 3], input_label=label,
+                    observable=PauliString(2, "XZ" if i < 3 else "ZY"),
+                    readouts=("ax", "ay") if i % 2 else ("p0", "ax", "p1"))
+        for i, label in enumerate(["01"] * 5 + ["10"])
+    ]
+    local = execute_tasks(tasks, ClusterConfig(seed=2, shots=32))
+    parsed, simulated = [], []
+    real_parse, real_simulate = runtime.parse_circuit, runtime.simulate
+    monkeypatch.setattr(runtime, "parse_circuit",
+                        lambda obj, **kw: parsed.append(obj) or real_parse(obj, **kw))
+    monkeypatch.setattr(runtime, "simulate",
+                        lambda c, v: simulated.append(c) or real_simulate(c, v))
+    with live_worker() as addr:  # one node: every row is in one batch
+        net = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(addr,), seed=2,
+                                                 shots=32))
+    assert [r.value for r in net] == [r.value for r in local]
+    assert len(parsed) == 4  # one left and three right circuits
+    states = {(c, t.input_label) for t in tasks for c in (t.left, t.right)}
+    assert len(simulated) == len(states) == 6  # row 5 reads two circuits under label 10
+
+
+def test_a_call_sends_one_batch_per_non_empty_start_node(rng, monkeypatch):
+    import tlpq.runtime as runtime
+
+    sent = []
+    real_send = runtime._WorkerClient._send
+    monkeypatch.setattr(runtime._WorkerClient, "_send",
+                        lambda self, obj: sent.append((self.address, obj["type"]))
+                        or real_send(self, obj))
+    tasks = make_tasks(rng, count=9)
+    plans = [factorized_plan(rng) for _ in range(3)]
+    with live_worker() as a, live_worker() as b:
+        for nodes, items, want in (
+            ((a, b, a), tasks, 3),
+            ((a, b), [t for t in tasks if t.id % 2 == 0], 1),  # node b has no rows
+            ((a, b), plans, 2),  # the rows of all plans of a call share a batch
+        ):
+            sent.clear()
+            execute_tasks(items, ClusterConfig(mode="network", nodes=nodes))
+            batches = [address for address, kind in sent if kind == "batch"]
+            assert len(batches) == want, nodes
+            assert len(set(batches)) == len(set(nodes[:want]))
+
+
+def test_dead_start_node_fails_a_batch_after_retry_limit_attempts(rng):
+    tasks = [t for t in make_tasks(rng, count=8) if t.id % 2 == 0]  # all start on node 0
+    dead = closed_address()
+    with live_worker() as live:
+        with pytest.raises(NodeFailure, match=r"after 1 attempt\(s\)"):
+            execute_tasks(tasks, ClusterConfig(mode="network", nodes=(dead, live),
+                                               retry_limit=1))
+        moved = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(dead, live),
+                                                   retry_limit=2))
+    assert [r.node_id for r in moved] == [live] * len(tasks)
+    assert [r.value for r in moved] == [r.value for r in execute_tasks(tasks, ClusterConfig())]
+
+
+def test_worker_error_reply_names_the_row(rng):
+    estimator = TaskSpec(id=5, kind="estimator", circuit=random_circuit(rng, 2),
+                         readouts=("ax",))
+    with live_worker() as addr:
+        with pytest.raises(RuntimeError, match="task 5: task kind 'estimator'"):
+            execute_tasks(make_tasks(rng, count=4) + [estimator],
+                          ClusterConfig(mode="network", nodes=(addr,)))
+
+
 # --- wire protocol, spoken by hand ---------------------------------------------------
 
 
@@ -598,20 +741,14 @@ def test_protocol_task_roundtrip_matches_local_backend(rng):
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
-        send({
-            "type": "task",
-            "id": 11,
-            "kind": "density",
-            "circuit": circuit_to_json(circ),
-            "readout": ["e:XZ", "p1:Y"],
-            "shots": 50,
-            "seed": 3,
-        })
+        send(batch_message(
+            [{"id": 11, "kind": "density", "circuit": 0, "readout": ["e:XZ", "p1:Y"]}],
+            [circ], shots=50, seed=3,
+        ))
         reply = recv()
-    assert reply["type"] == "result" and reply["id"] == 11
-    assert reply["shots_used"] == local_used
-    assert all(isinstance(v, float) for v in reply["values"])  # plain floats
-    assert tuple(reply["values"]) == local_values
+    assert reply["type"] == "result" and reply["shots_used"] == [local_used]
+    assert all(isinstance(v, float) for v in reply["values"][0])  # plain floats
+    assert tuple(reply["values"][0]) == local_values
 
 
 def test_protocol_refuses_estimator_tasks_and_keeps_serving(rng):
@@ -619,15 +756,13 @@ def test_protocol_refuses_estimator_tasks_and_keeps_serving(rng):
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
-        send({"type": "task", "id": 12, "kind": "estimator",
-              "circuit": circuit_to_json(circ), "readout": ["ax", "ay"],
-              "shots": None, "seed": 0})
+        send(batch_message([{"id": 12, "kind": "estimator", "circuit": 0,
+                             "readout": ["ax", "ay"]}], [circ]))
         reply = recv()
         assert reply["type"] == "error" and reply["id"] == 12
         assert "'estimator'" in reply["message"]
-        send({"type": "task", "id": 13, "kind": "density",
-              "circuit": circuit_to_json(circ), "readout": ["e:ZZ"],
-              "shots": None, "seed": 0})
+        send(batch_message([{"id": 13, "kind": "density", "circuit": 0,
+                             "readout": ["e:ZZ"]}], [circ]))
         assert recv()["type"] == "result"
 
 
@@ -644,29 +779,50 @@ def test_protocol_2_hello_is_refused():
             assert recv()["type"] == "hello_ack"
 
 
-def test_protocol_task_before_hello_is_refused():
+def test_protocol_3_hello_and_task_message_are_refused():
     one = circuit_to_json(Circuit(1, (Gate("H", (0,)),)))
-    task = {"type": "task", "id": 7, "kind": "overlap", "left": one, "right": one,
-            "obs": "Z", "input": "0", "readout": ["ax", "ay"], "shots": None, "seed": 0}
+    with live_worker() as addr:
+        with raw_connection(addr) as (send, recv):
+            send({"type": "hello", "proto": 3})
+            reply = recv()
+            assert reply["type"] == "error" and reply["id"] == -1
+            assert "unsupported protocol 3" in reply["message"]
+            assert recv() is None  # server hung up
+        with raw_connection(addr) as (send, recv):
+            send({"type": "hello", "proto": PROTOCOL_VERSION})
+            assert recv()["type"] == "hello_ack"
+            # the one-row "task" message of protocol 3 is an unknown type now
+            send({"type": "task", "id": 7, "kind": "overlap", "left": one, "right": one,
+                  "obs": "Z", "input": "0", "readout": ["ax", "ay"], "shots": None, "seed": 0})
+            reply = recv()
+            assert reply["type"] == "error" and "unknown type 'task'" in reply["message"]
+
+
+def test_protocol_task_before_hello_is_refused():
+    one = Circuit(1, (Gate("H", (0,)),))
+    batch = batch_message([{"id": 7, "kind": "overlap", "left": 0, "right": 0, "obs": "Z",
+                            "input": "0", "readout": ["ax", "ay"]}], [one])
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         for _ in range(2):  # refused every time, never served
-            send(task)
+            send(batch)
             reply = recv()
-            assert reply["type"] == "error" and reply["id"] == 7
+            assert reply["type"] == "error" and reply["id"] == -1  # the whole batch
             assert "handshake required" in reply["message"]
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         assert recv()["type"] == "hello_ack"
-        send(task)
+        send(batch)
         assert recv()["type"] == "result"
 
 
 def test_protocol_task_error_reports_id_and_keeps_serving():
+    one = Circuit(1, (Gate("H", (0,)),))
+    good = {"id": 41, "kind": "density", "circuit": 0, "readout": ["e:Z"]}
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
-        send({"type": "task", "id": 42, "kind": "bogus",
-              "circuit": {"n": 1, "gates": []}, "readout": ["ax"],
-              "shots": None, "seed": 0})
+        # the error names the failing row, not the batch's first one
+        send(batch_message([good, {"id": 42, "kind": "bogus", "circuit": 0,
+                                   "readout": ["ax"]}], [one]))
         reply = recv()
         assert reply["type"] == "error" and reply["id"] == 42
         send({"type": "hello", "proto": PROTOCOL_VERSION})
@@ -894,14 +1050,9 @@ def test_overlap_task_capability_is_the_part_width():
         ExactBackend(max_qubits=2).run_task(task, None, 0)
 
 
-def overlap_message(task_id: int, left: Circuit, right: Circuit, obs, label: str,
-                    shots=None, seed: int = 0) -> dict:
-    return {
-        "type": "task", "id": task_id, "kind": "overlap",
-        "left": circuit_to_json(left), "right": circuit_to_json(right),
-        "obs": obs, "input": label, "readout": ["ax", "ay"],
-        "shots": shots, "seed": seed,
-    }
+def overlap_row(task_id: int, obs, label: str, left: int = 0, right: int = 1) -> dict:
+    return {"id": task_id, "kind": "overlap", "left": left, "right": right,
+            "obs": obs, "input": label, "readout": ["ax", "ay"]}
 
 
 @pytest.mark.parametrize("shots", [None, 50])
@@ -909,18 +1060,21 @@ def test_protocol_overlap_roundtrip_matches_local_backend(rng, shots):
     left, right = random_circuit(rng, 2), random_circuit(rng, 2)
     unitary_obs = haar_unitary(4, rng)
     cases = [(21, PauliString(2, "YX"), "YX"), (22, unitary_obs, matrix_json(unitary_obs))]
+    local = [
+        ExactBackend().run_task(OverlapSpec(id=task_id, left=left, right=right,
+                                            observable=obs, input_label="10"), shots, 3)
+        for task_id, obs, _ in cases
+    ]
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
-        for task_id, obs, wire_obs in cases:
-            task = OverlapSpec(id=task_id, left=left, right=right, observable=obs,
-                               input_label="10")
-            local_values, local_used = ExactBackend().run_task(task, shots, 3)
-            send(overlap_message(task_id, left, right, wire_obs, "10", shots, 3))
-            reply = recv()
-            assert reply["type"] == "result" and reply["id"] == task_id
-            assert reply["shots_used"] == local_used
-            assert tuple(reply["values"]) == local_values
+        # both rows in one batch, its two circuits sent once: replies come in row order
+        send(batch_message([overlap_row(task_id, wire_obs, "10") for task_id, _, wire_obs in cases],
+                           [left, right], shots, 3))
+        reply = recv()
+    assert reply["type"] == "result"
+    assert reply["shots_used"] == [used for _, used in local]
+    assert [tuple(v) for v in reply["values"]] == [values for values, _ in local]
 
 
 _NON_UNITARY = {"kind": "RAW", "qubits": [0], "raw": [[[1, 0], [0.2, 0]], [[0, 0], [0.5, 0]]]}
@@ -929,42 +1083,45 @@ _NON_UNITARY = {"kind": "RAW", "qubits": [0], "raw": [[[1, 0], [0.2, 0]], [[0, 0
 @pytest.mark.parametrize("case", [
     "mismatched_widths", "non_unitary_raw", "bad_input_label", "too_wide",
     "non_unitary_observable", "other_readouts", "empty_readouts", "unknown_readout",
-    "p0_on_matrix_observable",
+    "p0_on_matrix_observable", "circuit_out_of_range", "negative_circuit",
 ])
 def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
     two = circuit_to_json(Circuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))))
-    msg = {
-        "type": "task", "id": 77, "kind": "overlap", "left": two, "right": two,
-        "obs": "ZX", "input": "01", "readout": ["ax", "ay"], "shots": None, "seed": 0,
-    }
+    good = overlap_row(78, "ZX", "01", 0, 0)
+    row = {**good, "id": 77}
+    circuits = [two]
     if case == "mismatched_widths":
-        msg["right"] = {"n": 1, "gates": [{"kind": "H", "qubits": [0]}]}
+        circuits.append({"n": 1, "gates": [{"kind": "H", "qubits": [0]}]})
+        row["right"] = 1
     elif case == "non_unitary_raw":
-        msg["left"] = {"n": 2, "gates": [_NON_UNITARY]}
+        circuits.append({"n": 2, "gates": [_NON_UNITARY]})
+        row["left"] = 1
     elif case == "bad_input_label":
-        msg["input"] = "012"
+        row["input"] = "012"
     elif case == "too_wide":
-        wide = {"n": 3, "gates": [{"kind": "H", "qubits": [2]}]}
-        msg.update(left=wide, right=wide, obs="ZZZ", input="000")
+        circuits.append({"n": 3, "gates": [{"kind": "H", "qubits": [2]}]})
+        row.update(left=1, right=1, obs="ZZZ", input="000")
     elif case == "non_unitary_observable":
-        msg["obs"] = matrix_json(np.diag([1.0, 1.0, 1.0, 0.5]))
+        row["obs"] = matrix_json(np.diag([1.0, 1.0, 1.0, 0.5]))
     elif case == "other_readouts":
-        msg["readout"] = ["e:ZX"]
+        row["readout"] = ["e:ZX"]
     elif case == "empty_readouts":
-        msg["readout"] = []
+        row["readout"] = []
     elif case == "unknown_readout":
-        msg["readout"] = ["p2"]
+        row["readout"] = ["p2"]
+    elif case == "circuit_out_of_range":
+        row["right"] = 1
+    elif case == "negative_circuit":
+        row["left"] = -1  # not read from the end of the list
     else:
-        msg.update(obs=matrix_json(np.eye(4)), readout=["p0"])
+        row.update(obs=matrix_json(np.eye(4)), readout=["p0"])
     with live_worker(max_qubits=2) as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
-        send(msg)
+        send(batch_message([row], circuits))
         reply = recv()
         assert reply["type"] == "error" and reply["id"] == 77
-        good = {**msg, "id": 78, "left": two, "right": two, "obs": "ZX", "input": "01",
-                "readout": ["ax", "ay"]}
-        send(good)
+        send(batch_message([good], circuits))
         assert recv()["type"] == "result"
 
 
