@@ -13,8 +13,6 @@ as planner subtasks that the runtime runs as overlap tasks.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, pi
@@ -22,7 +20,7 @@ from math import floor, pi
 import numpy as np
 
 from .circuit import PauliString
-from .linalg import NotHermitian, eigh, is_hermitian, matexp
+from .linalg import NotHermitian, _complex_product, _sequential_sum, eigh, is_hermitian, matexp
 
 __all__ = [
     "QuadratureScheme",
@@ -189,9 +187,14 @@ def lchs_expectation(
 def lchs_forms(per_node_states, coeffs, observables, normalize: bool = True) -> list[float]:
     """``lchs_expectation`` of each observable, from node states already built.
 
-    Every observable must be Hermitian. O v_k' is formed once per node; the
-    (k, k') sums run in lexicographic order, and the identity form that
-    ``normalize`` divides by is summed once for all observables.
+    Every observable must be Hermitian. O v_b is formed once per node, and
+    one stacked ``np.vecdot`` gives all (a, b) overlaps <v_a|O v_b>; it runs
+    the BLAS dot of ``np.vdot`` pair by pair. Each term c_a c_b <v_a|O v_b>
+    is rounded as a scalar complex product, and the terms are added left to
+    right in lexicographic (a, b) order, so a form has the bits of the
+    sequential sum of per-pair ``np.vdot`` terms. The identity form that
+    ``normalize`` divides by is summed once for all observables, and each
+    form stays a ``np.complex128`` through the division.
     """
     mats = []
     for obs in observables:
@@ -201,16 +204,15 @@ def lchs_forms(per_node_states, coeffs, observables, normalize: bool = True) -> 
         if not is_hermitian(obs):
             raise NotHermitian("lchs_expectation needs a Hermitian observable")
         mats.append(obs)
-    v = list(per_node_states)
+    v = np.array(list(per_node_states))
     n = len(v)
-    weights = [coeffs[a] * coeffs[b] for a in range(n) for b in range(n)]
-    bras = [v_a for v_a in v for _ in range(n)]
+    weights = np.multiply.outer(coeffs, coeffs).ravel()  # c_a c_b, real
+    bras = np.repeat(v, n, axis=0)
 
-    def form(kets: list) -> complex:  # sum over (a, b) of c_a c_b <v_a|kets[b]>, in order
-        terms = map(operator.mul, weights, map(np.vdot, bras, kets * n))
-        return functools.reduce(operator.add, terms, 0.0 + 0j)
+    def form(kets: np.ndarray) -> np.complex128:  # sum over (a, b) of c_a c_b <v_a|kets[b]>
+        return _sequential_sum(_complex_product(weights, np.vecdot(bras, np.tile(kets, (n, 1)))))
 
-    numerators = [form([obs @ v_b for v_b in v]) for obs in mats]
+    numerators = [form(np.array([obs @ v_b for v_b in v])) for obs in mats]
     denominator = form(v) if normalize else None
     values = []
     for numerator in numerators:

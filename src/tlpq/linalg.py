@@ -72,6 +72,25 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
     return float(np.max(np.abs(m.conj().T @ m - eye))) < tol
 
 
+def _complex_product(a, b) -> np.ndarray:
+    """a * b elementwise, with the bits of Python's and numpy's scalar complex
+    multiply: Re = a.re b.re - a.im b.im and Im = a.re b.im + a.im b.re, each
+    product and sum rounded on its own. numpy's array multiply may fuse a
+    product into the sum (FMA), which can move the last bit."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    return out
+
+
+def _sequential_sum(terms) -> np.complex128:
+    """0j + terms[0] + terms[1] + ..., added left to right as a loop or
+    ``functools.reduce`` adds them (``np.sum`` adds pairwise)."""
+    return np.cumsum(np.concatenate(([0j], terms)))[-1]
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dims multiply, blocks are a[i,j] * b."""
     return np.kron(_as_matrix(a), _as_matrix(b))

@@ -34,7 +34,7 @@ from .circuit import (
     pauli_matrix,
 )
 from .factorize import ChannelQuasiDecomposition, cz_cutting_decomposition
-from .linalg import is_unitary, kron
+from .linalg import _complex_product, is_unitary, kron
 
 __all__ = [
     "FactorizedUnitary",
@@ -186,29 +186,39 @@ class ChannelLCU:
         """The subtask columns that no input or observable changes: the table
         of distinct part circuits, then the indices (p, i, j, alpha, alpha2, a),
         left and right circuit positions and coefficients of every row, in id
-        order. Built once, so all plans of this channel share them."""
-        circuits: dict[Circuit, int] = {}  # Circuit hashes by identity
-        indices, left, right, coefficient = [], [], [], []
+        order. Built once, as arrays, so all plans of this channel share them.
+        A group's coefficient c_i conj(c_j) coeff_alpha conj(coeff_alpha2) is
+        multiplied left to right, each product rounded as a scalar complex
+        multiply rounds it."""
+        # circuits by first use: each branch's unitaries' terms' parts, in order
+        circuits = dict.fromkeys(
+            c for _, fus in self.branches for fu in fus for _, parts in fu.terms for c in parts)
+        position = dict(zip(circuits, range(len(circuits))))
         n_parts = len(self.part_widths)
-        parts = range(n_parts)
+        columns = []  # per branch: indices, left, right, coefficient
         for p, (coeffs, fus) in enumerate(self.branches):
-            m = len(coeffs)
-            conj_coeffs = [np.conj(c) for c in coeffs]
-            for i in range(m):
-                for j in range(m):
-                    c_ij = coeffs[i] * conj_coeffs[j]
-                    for alpha, (ca, left_parts) in enumerate(fus[i].terms):
-                        lefts = [circuits.setdefault(c, len(circuits)) for c in left_parts]
-                        for alpha2, (cb, right_parts) in enumerate(fus[j].terms):
-                            # c_i conj(c_j) coeff_alpha conj(coeff_alpha2), left to right
-                            group_coeff = c_ij * ca * np.conj(cb)
-                            indices += [(p, i, j, alpha, alpha2, a) for a in parts]
-                            left += lefts
-                            right += [circuits.setdefault(c, len(circuits)) for c in right_parts]
-                            coefficient.append(complex(group_coeff))
-                            coefficient += [1.0 + 0j] * (n_parts - 1)
-        return (tuple(circuits), tuple(indices), tuple(left), tuple(right),
-                tuple(coefficient))
+            terms = [(i, alpha, ca, tuple(map(position.__getitem__, parts)))
+                     for i, fu in enumerate(fus) for alpha, (ca, parts) in enumerate(fu.terms)]
+            unitary, alpha, coeff, parts = (np.array(col) for col in zip(*terms))
+            # every (left term, right term) pair, in (i, j, alpha, alpha2) order
+            left, right = np.divmod(np.arange(len(terms) ** 2), len(terms))
+            order = np.lexsort((alpha[right], alpha[left], unitary[right], unitary[left]))
+            left, right = left[order], right[order]
+            c = np.asarray(coeffs, dtype=complex)
+            group_coeff = _complex_product(_complex_product(_complex_product(
+                c[unitary[left]], c[unitary[right]].conj()), coeff[left]), coeff[right].conj())
+            group = np.stack([np.full(len(left), p), unitary[left], unitary[right],
+                              alpha[left], alpha[right]], axis=1)
+            coefficient = np.ones((len(left), n_parts), dtype=complex)
+            coefficient[:, 0] = group_coeff  # on the a = 0 member only
+            columns.append((
+                np.column_stack([np.repeat(group, n_parts, axis=0),
+                                 np.tile(np.arange(n_parts), len(left))]),
+                parts[left].ravel(), parts[right].ravel(), coefficient.ravel(),
+            ))
+        indices, left, right, coefficient = (np.concatenate(col) for col in zip(*columns))
+        return (tuple(circuits), tuple(zip(*indices.T.tolist())), tuple(left.tolist()),
+                tuple(right.tolist()), tuple(coefficient.tolist()))
 
     def branch_operator(self, p: int) -> np.ndarray:
         coeffs, fus = self.branches[p]

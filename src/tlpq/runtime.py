@@ -31,6 +31,7 @@ import collections
 import functools
 import itertools
 import json
+import operator
 import socket
 import socketserver
 import sys
@@ -52,6 +53,7 @@ from .circuit import (
     _matrix_from_json,
     _matrix_to_json,
 )
+from .linalg import _complex_product, _sequential_sum
 from .planner import Plan, Subtask, check_overlap_operands
 
 __all__ = [
@@ -204,16 +206,20 @@ class TaskResult:
 
 
 def sample_shots(exact_probs, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Empirical frequency vector of n multinomial draws from exact_probs."""
-    p = np.asarray(exact_probs, dtype=float)
-    total = float(np.sum(p))
-    if abs(total - 1.0) > 1e-9 or np.any(p < -1e-9):
+    """Empirical frequency vector of n multinomial draws from exact_probs.
+
+    The law is checked, clipped at 0 and renormalized in plain floats,
+    summing left to right: for the 3-entry readout laws that is the order
+    ``np.sum`` adds them in, so the draws are those of numpy's set-up.
+    """
+    p = [float(x) for x in exact_probs]
+    if abs(functools.reduce(operator.add, p, 0.0) - 1.0) > 1e-9 or any(x < -1e-9 for x in p):
         raise ValueError("probabilities must be normalized within 1e-9")
-    p = np.clip(p, 0.0, None)
-    p = p / float(np.sum(p))
+    p = [max(x, 0.0) for x in p]
+    total = functools.reduce(operator.add, p, 0.0)
     if n < 1:
         raise ValueError("need at least one sample")
-    counts = rng.multinomial(n, p)
+    counts = rng.multinomial(n, [x / total for x in p])
     return counts / float(n)
 
 
@@ -266,15 +272,6 @@ def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -
     return phase * state[source]
 
 
-def _cached_state(states: dict, c: Circuit, input_label: str) -> np.ndarray:
-    """The part state U|label>, simulated on a miss of ``states``."""
-    key = (c, input_label)
-    state = states.get(key)
-    if state is None:
-        state = states[key] = _part_state(c, input_label)
-    return state
-
-
 # the (ket, bra) sides of the z = <bra| O |ket> that each overlap readout reads
 _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
                   "p0": ("right", "right"), "p1": ("left", "left")}
@@ -295,8 +292,19 @@ def _table(item: OverlapSpec | Plan) -> _Table:
     if isinstance(item, Plan):
         return _Table(*_rows(item), item.circuits, item.observables, item.labels,
                       item.left, item.right, item.observable, item.label)
-    return _Table(*_rows(item), (item.left, item.right), (item.observable,),
+    return _Table((item.id,), item.readouts, (item.left, item.right), (item.observable,),
                   (item.input_label,), (0,), (1,), (0,), (0,))
+
+
+def _stacked(keys: list, vectors: dict) -> np.ndarray:
+    """The vector of every key as the rows of one array. ``vectors`` maps
+    each distinct key, in first-seen order, to its vector; a repeated key's
+    row is a copy."""
+    stack = np.array(list(vectors.values()))
+    if len(vectors) == len(keys):
+        return stack
+    position = dict(zip(vectors, range(len(vectors))))
+    return stack[list(map(position.__getitem__, keys))]
 
 
 def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
@@ -304,36 +312,64 @@ def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
 
     A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
     names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
-    (|s|^2 / 2, Re z / 2) with s the right / left state. Each distinct
-    (circuit, label) is simulated once per ``states``, each observable is
-    applied once to each distinct state it meets, and each value is one
-    ``np.vdot``.
+    (<s|s> / 2, Re z / 2) with s the right / left state. Each distinct
+    (circuit, label) is simulated once per ``states``, and each observable is
+    applied once to each distinct state it meets. The rows' bra states and
+    O|ket> states are stacked, and one ``np.vecdot`` forms every z (one more
+    forms each <s|s>). It runs the BLAS dot that ``np.vdot`` runs, row by
+    row, so a value has the bits of its row's own ``np.vdot``, whatever
+    table the row is read in. A table whose rows differ in width runs as one
+    table per width.
     """
-    sides: dict = {}  # (circuit, label) positions -> part state
-    applied: dict = {}  # (observable, circuit, label) positions -> O|part state>
-    z: dict = {}
-    for ket, bra in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
-        kets = list(zip(t.observable, getattr(t, ket), t.label))
-        bras = list(zip(getattr(t, bra), t.label))
-        for c, b in {*((c, b) for _, c, b in kets), *bras} - sides.keys():
-            sides[c, b] = _cached_state(states, t.circuits[c], t.labels[b])
-        for o, c, b in set(kets) - applied.keys():
-            applied[o, c, b] = _apply_observable(t.observables[o], sides[c, b])
-        z[ket, bra] = np.array(
-            list(map(np.vdot, map(sides.__getitem__, bras), map(applied.__getitem__, kets))),
-            dtype=complex,
-        )
-    w = np.ones((len(t.ids), len(t.readouts)))
-    m = np.empty_like(w)
+    width = [c.n_qubits for c in t.circuits]
+    if len(set(width)) > 1 and len(set(map(width.__getitem__, t.left))) > 1:
+        return _overlap_pairs_by_width(t, states, width)
+    n = len(t.ids)
+    if not n:
+        return [], []
+
+    def part(c: int, b: int) -> np.ndarray:  # U|label>, simulated on a miss of ``states``
+        key = (t.circuits[c], t.labels[b])
+        state = states.get(key)
+        if state is None:
+            state = states[key] = _part_state(*key)
+        return state
+
+    blocks = {}  # (ket, bra) sides -> the block of their n products
+    bra_keys, ket_keys = [], []  # (circuit, label) and (observable, circuit, label) positions
+    for k, b in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
+        blocks[k, b] = slice(len(bra_keys), len(bra_keys) + n)
+        bra_keys += zip(getattr(t, b), t.label)
+        ket_keys += zip(t.observable, getattr(t, k), t.label)
+    bras = _stacked(bra_keys, {(c, b): part(c, b) for c, b in dict.fromkeys(bra_keys)})
+    kets = {(o, c, b): _apply_observable(t.observables[o], part(c, b))
+            for o, c, b in dict.fromkeys(ket_keys)}
+    z = np.vecdot(bras, _stacked(ket_keys, kets))
+    out = np.empty((2, n, len(t.readouts)))  # w, then m, of each row's readouts
+    out[0] = 1.0
     for col, desc in enumerate(t.readouts):
-        ket, bra = _READOUT_SIDES[desc]
-        zd = z[ket, bra]
+        block = blocks[_READOUT_SIDES[desc]]
         if desc in ("ax", "ay"):
-            m[:, col] = zd.real if desc == "ax" else zd.imag
+            out[1, :, col] = z[block].real if desc == "ax" else z[block].imag
         else:
-            w[:, col] = [np.vdot(s, s).real / 2.0
-                         for s in map(sides.__getitem__, zip(getattr(t, ket), t.label))]
-            m[:, col] = zd.real / 2.0
+            s = bras[block]
+            out[0, :, col] = np.vecdot(s, s).real / 2.0
+            out[1, :, col] = z[block].real / 2.0
+    w, m = out.reshape(2, -1).tolist()
+    return w, m
+
+
+def _overlap_pairs_by_width(t: _Table, states: dict, width: list[int]):
+    """``_overlap_pairs`` of a table whose rows differ in part width, run as
+    one table per width and put back in row order."""
+    row_width = np.take(width, t.left)
+    w = np.empty((len(t.ids), len(t.readouts)))
+    m = np.empty_like(w)
+    for part_width in set(row_width.tolist()):
+        rows = np.flatnonzero(row_width == part_width)
+        columns = ("ids", "left", "right", "observable", "label")
+        sub = t._replace(**{f: [getattr(t, f)[r] for r in rows] for f in columns})
+        w[rows], m[rows] = np.reshape(_overlap_pairs(sub, states), (2, len(rows), -1))
     return w.ravel().tolist(), m.ravel().tolist()
 
 
@@ -781,7 +817,7 @@ def execute_tasks(
             used = 0 if cfg.shots is None else cfg.shots * k
             # row j's values are values[j*k:(j+1)*k]; a TaskSpec may have no readouts
             rows = zip(*(values[r::k] for r in range(k))) if k else itertools.repeat(())
-            nodes = [i % cfg.nodes for i in ids]
+            nodes = map(operator.mod, ids, itertools.repeat(cfg.nodes))
             out.append(list(map(TaskResult, ids, rows, itertools.repeat(used), nodes)))
     else:
         batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
@@ -872,34 +908,62 @@ def run_plan(plan: Plan | list[Subtask], cfg: ClusterConfig) -> list[TaskResult]
     return execute_tasks([_as_plan(plan)], cfg)[0]
 
 
+def _is_pair(value) -> bool:
+    try:
+        return np.asarray(value, dtype=float).shape == (2,)
+    except (TypeError, ValueError):
+        return False
+
+
 def aggregate(plan: Plan | list[Subtask], results: list[TaskResult]) -> complex:
     """Sum over sibling groups of coefficient x product of part overlaps.
 
-    Groups are consumed in ascending id order so the floating-point sum is
-    reproducible across modes and node counts.
+    A group is a run of rows whose indices[:5] agree. Its members' (re, im)
+    values are multiplied in ascending id order, starting from 1, and its
+    coefficient (that of its last a = 0 member, else 1) multiplies the
+    product; the group values are then added in ascending id order, starting
+    from 0. The values are read as arrays, and every product and sum is
+    rounded as Python's complex arithmetic rounds it, so the total is
+    reproducible across modes and node counts. ``results`` must hold exactly
+    one (re, im) pair for each row of the plan.
     """
     plan = _as_plan(plan)
-    by_id: dict[int, TaskResult] = {}
-    for r in results:
-        if r.task_id in by_id:
-            raise MissingResult(f"duplicate result for task {r.task_id}")
-        by_id[r.task_id] = r
-    for i in plan.ids:
-        if i not in by_id:
-            raise MissingResult(f"no result for task {i}")
-    total = 0.0 + 0j
-    group_key = None
-    coeff = product = 1.0 + 0j
-    for i, indices, c in zip(plan.ids, plan.indices, plan.coefficient):
-        if indices[:5] != group_key:
-            if group_key is not None:
-                total += coeff * product
-            group_key = indices[:5]
-            coeff = product = 1.0 + 0j
-        if indices[5] == 0:
-            coeff = c
-        re, im = by_id[i].value
-        product *= complex(re, im)
-    if group_key is not None:
-        total += coeff * product
-    return total
+    if [r.task_id for r in results] != list(plan.ids):  # not one result per row, in order
+        by_id: dict[int, TaskResult] = {}
+        for r in results:
+            if r.task_id in by_id:
+                raise MissingResult(f"duplicate result for task {r.task_id}")
+            by_id[r.task_id] = r
+        for i in plan.ids:
+            if i not in by_id:
+                raise MissingResult(f"no result for task {i}")
+        if len(by_id) > len(plan.ids):
+            stray = min(by_id.keys() - set(plan.ids))
+            raise MissingResult(f"result for task {stray} is not a row of the plan")
+        results = [by_id[i] for i in plan.ids]
+    n = len(plan.ids)
+    if not n:
+        return 0j
+    values = [r.value for r in results]
+    try:
+        if set(map(len, values)) != {2}:
+            raise ValueError
+        z = np.fromiter(itertools.chain.from_iterable(values), float, 2 * n).view(complex)
+    except (TypeError, ValueError):
+        bad = next(i for i, v in zip(plan.ids, values) if not _is_pair(v))
+        raise ValueError(f"result for task {bad} is not an (re, im) pair") from None
+    indices = np.fromiter(itertools.chain.from_iterable(plan.indices), np.intp, 6 * n).reshape(n, 6)
+    first = np.empty(n, dtype=bool)  # where a group starts
+    first[0] = True
+    np.not_equal(indices[1:, :5], indices[:-1, :5]).any(1, out=first[1:])
+    bounds = np.concatenate((first.nonzero()[0], [n]))
+    starts, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    # each group's last a = 0 row, or -1 when it has none
+    coefficient_row = np.maximum.reduceat(np.where(indices[:, 5] == 0, np.arange(n), -1), starts)
+    coefficient = np.fromiter(plan.coefficient, complex, n)[coefficient_row]
+    coefficient[coefficient_row < 0] = 1.0
+    product = np.ones(len(starts), dtype=complex)
+    for k in range(size.max()):
+        more = size > k
+        product[more] = _complex_product(product[more], z[starts[more] + k])
+    return complex(_sequential_sum(_complex_product(coefficient, product)))

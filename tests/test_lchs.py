@@ -320,6 +320,46 @@ def test_expectation_rejects_non_hermitian_observable():
         lchs_expectation(g, u0, q, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def lchs_forms_by_pair(per_node_states, coeffs, observables, normalize=True) -> list[float]:
+    """The reference: one ``np.vdot`` and one scalar product per node pair,
+    added left to right, as the forms were summed before they were stacked."""
+    import functools
+    import operator
+
+    v = list(per_node_states)
+    n = len(v)
+    weights = [coeffs[a] * coeffs[b] for a in range(n) for b in range(n)]
+    bras = [v_a for v_a in v for _ in range(n)]
+
+    def form(kets):
+        terms = map(operator.mul, weights, map(np.vdot, bras, kets * n))
+        return functools.reduce(operator.add, terms, 0.0 + 0j)
+
+    mats = [o.matrix() if isinstance(o, PauliString) else np.asarray(o, dtype=complex)
+            for o in observables]
+    numerators = [form([obs @ v_b for v_b in v]) for obs in mats]
+    denominator = form(v) if normalize else None
+    return [float((x / denominator if normalize else x).real) for x in numerators]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_forms_equal_the_sequential_vdot_sum_bit_for_bit(rng, dim, normalize):
+    from tlpq.lchs import lchs_forms
+
+    for t_val in (0.1, 0.4, 0.7, 1.0):
+        h, l_mat = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        l_mat = l_mat @ l_mat  # PSD decay part
+        g = GeneratorSpec(H=h, L=l_mat)
+        u0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        q = build_quadrature(0.2, 0.5, t_val)
+        v = lchs_state(g, u0 / np.linalg.norm(u0), q).per_node_states
+        observables = (random_hermitian(dim, rng), random_hermitian(dim, rng),
+                       PauliString(dim.bit_length() - 1, "X" * (dim.bit_length() - 1)))
+        got = lchs_forms(v, q.coeffs, observables, normalize)
+        assert got == lchs_forms_by_pair(v, q.coeffs, observables, normalize)
+
+
 # --- frozen regression targets ---------------------------------------------------------
 
 

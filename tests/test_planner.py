@@ -238,6 +238,35 @@ class TestEnumerateSubtasks:
         other = enumerate_subtasks(ch, labels, obs)
         assert other.circuits is plan.circuits and other.coefficient is plan.coefficient
 
+    @pytest.mark.parametrize("n_parts", [1, 2, 3])
+    def test_subtask_columns_equal_the_loop_that_built_them_row_by_row(self, rng, n_parts):
+        def rows_by_loop(ch):
+            circuits: dict = {}
+            indices, left, right, coefficient = [], [], [], []
+            for p, (coeffs, fus) in enumerate(ch.branches):
+                for i in range(len(coeffs)):
+                    for j in range(len(coeffs)):
+                        c_ij = coeffs[i] * np.conj(coeffs[j])
+                        for alpha, (ca, left_parts) in enumerate(fus[i].terms):
+                            lefts = [circuits.setdefault(c, len(circuits)) for c in left_parts]
+                            for alpha2, (cb, right_parts) in enumerate(fus[j].terms):
+                                indices += [(p, i, j, alpha, alpha2, a) for a in range(n_parts)]
+                                left += lefts
+                                right += [circuits.setdefault(c, len(circuits))
+                                          for c in right_parts]
+                                coefficient.append(complex(c_ij * ca * np.conj(cb)))
+                                coefficient += [1.0 + 0j] * (n_parts - 1)
+            return (tuple(circuits), tuple(indices), tuple(left), tuple(right),
+                    tuple(coefficient))
+
+        for _ in range(10):
+            ch = random_channel_instance(rng, n_parts)[0]
+            want = rows_by_loop(ch)
+            got = ch._subtask_rows
+            assert got[0] == want[0]
+            assert repr(got[1:]) == repr(want[1:])  # repr tells -0.0 from 0.0
+            assert all(type(x) is type(y) for g, w in zip(got[1:], want[1:]) for x, y in zip(g, w))
+
     def test_aggregate_matches_dense_channel(self, rng):
         cfg = ClusterConfig()
         for trial in range(60):

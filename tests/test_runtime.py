@@ -171,6 +171,30 @@ def test_sample_shots_rejects_zero_draws():
         sample_shots([1.0], 0, np.random.default_rng(0))
 
 
+def test_sample_shots_draws_from_the_law_numpy_clips_and_renormalizes():
+    class Recorder:  # an rng that keeps the law it is asked to draw from
+        def multinomial(self, n, pvals):
+            self.pvals = [float(x) for x in pvals]
+            return np.zeros(len(pvals), dtype=np.int64)
+
+    laws = np.random.default_rng(17)
+    for k in range(2000):
+        w = 1.0 if k % 3 == 0 else float(laws.uniform(0.0, 1.0))
+        m = float(laws.uniform(-w, w)) if k % 5 else w
+        probs = [(w - m) / 2.0, 1.0 - w, (w + m) / 2.0]
+        if k % 7 == 0:
+            probs[0] -= 1e-12  # a rounding residue below 0, clipped away
+        p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+        want = (p / float(np.sum(p))).tolist()
+        rng = Recorder()
+        sample_shots(probs, 10, rng)
+        assert rng.pvals == want
+        if k < 200:
+            shots = (1, 2, 100, 10_000)[k % 4]
+            draws = np.random.default_rng(k).multinomial(shots, want) / float(shots)
+            assert np.array_equal(sample_shots(probs, shots, np.random.default_rng(k)), draws)
+
+
 def test_sample_shots_error_shrinks_with_more_draws():
     p = np.array([0.5, 0.5])
     errs = {}
@@ -904,6 +928,70 @@ def test_aggregate_rejects_missing_results(rng):
         aggregate(plan, results[:-1])
 
 
+def test_aggregate_rejects_a_result_that_is_no_plan_row(rng):
+    plan, _ = two_part_plan(rng)
+    results = run_plan(plan, ClusterConfig())
+    stray = TaskResult(task_id=99, value=(5.0, 0.0), shots_used=0, node_id=0)
+    with pytest.raises(MissingResult, match="task 99"):
+        aggregate(plan, results + [stray])
+
+
+@pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0), 5.0, ("a", "b"), ((1.0,), (2.0,))])
+def test_aggregate_rejects_a_value_that_is_no_re_im_pair(rng, value):
+    plan, _ = two_part_plan(rng)
+    results = run_plan(plan, ClusterConfig())
+    results[1] = TaskResult(task_id=1, value=value, shots_used=0, node_id=0)
+    with pytest.raises(ValueError, match="task 1 "):
+        aggregate(plan, results)
+
+
+def aggregate_by_row(plan: Plan, results) -> complex:
+    """The reference: one Python complex product and sum per row, in id order,
+    as aggregation ran before it read its values as arrays."""
+    by_id = {r.task_id: r for r in results}
+    total = 0.0 + 0j
+    group_key = None
+    coeff = product = 1.0 + 0j
+    for i, indices, c in zip(plan.ids, plan.indices, plan.coefficient):
+        if indices[:5] != group_key:
+            if group_key is not None:
+                total += coeff * product
+            group_key = indices[:5]
+            coeff = product = 1.0 + 0j
+        if indices[5] == 0:
+            coeff = c
+        re, im = by_id[i].value
+        product *= complex(re, im)
+    if group_key is not None:
+        total += coeff * product
+    return total
+
+
+@pytest.mark.parametrize("widths", [(1, 2), (2, 1, 1)])
+def test_aggregate_equals_the_sequential_loop_bit_for_bit(rng, widths):
+    def fu(ell):
+        return FactorizedUnitary(terms=tuple(
+            (complex(rng.normal(), rng.normal()), tuple(random_circuit(rng, w) for w in widths))
+            for _ in range(ell)))
+
+    branches = tuple((tuple(complex(rng.normal(), rng.normal()) for _ in range(2)),
+                      (fu(1), fu(3))) for _ in range(2))
+    plan = enumerate_subtasks(ChannelLCU(branches=branches), tuple("0" * w for w in widths),
+                              tuple(PauliString(w, "Z" * w) for w in widths))
+    results = run_plan(plan, ClusterConfig())
+    assert aggregate(plan, results) == aggregate_by_row(plan, results)
+    for _ in range(20):  # random values, in a shuffled order
+        shuffled = [TaskResult(r.task_id, tuple(rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)),
+                               0, 0) for r in results]
+        rng.shuffle(shuffled)
+        assert aggregate(plan, shuffled) == aggregate_by_row(plan, shuffled)
+    hand_built = list(plan)[:7]  # a cut-off last group, and float coefficients
+    hand_built = [Subtask(s.id, s.indices, s.left_circuit, s.right_circuit, s.observable,
+                          s.input_label, float(abs(s.coefficient))) for s in hand_built]
+    rows = Plan.from_subtasks(hand_built)
+    assert aggregate(rows, results[:7]) == aggregate_by_row(rows, results[:7])
+
+
 # --- overlap tasks: gate lists in, z = <U_r psi0| O U_l psi0> out -------------------
 
 
@@ -1260,3 +1348,71 @@ def test_empty_plan_runs_to_no_results(shots):
     cfg = ClusterConfig(shots=shots, seed=5)
     assert run_plan(Plan.from_subtasks([]), cfg) == []
     assert execute_tasks([Plan.from_subtasks([])] * 2, cfg) == [[], []]
+
+
+# --- stacked overlaps: every value has the bits of its row's own np.vdot -----------
+
+
+def overlap_pairs_by_row(t):
+    """The reference: every row's readouts from its own part states, one
+    ``np.vdot`` per value, as the routine read them before it was stacked."""
+    from tlpq.runtime import _READOUT_SIDES, _apply_observable, _part_state
+
+    w, m = [], []
+    for o, l, r, b in zip(t.observable, t.left, t.right, t.label):
+        part = {"left": _part_state(t.circuits[l], t.labels[b]),
+                "right": _part_state(t.circuits[r], t.labels[b])}
+        for desc in t.readouts:
+            ket, bra = _READOUT_SIDES[desc]
+            z = np.vdot(part[bra], _apply_observable(t.observables[o], part[ket]))
+            if desc in ("ax", "ay"):
+                w.append(1.0)
+                m.append(float(z.real if desc == "ax" else z.imag))
+            else:
+                w.append(float(np.vdot(part[ket], part[ket]).real / 2.0))
+                m.append(float(z.real / 2.0))
+    return w, m
+
+
+def random_overlap_table(rng, n_rows: int, readouts: tuple, widths=range(1, 7)):
+    """A table of random rows over part widths 1..6: several circuits, labels and
+    observables per width (unitary matrices too, unless p0 / p1 are read),
+    with rows of different widths interleaved."""
+    from tlpq.runtime import _Table
+
+    pauli_only = not {"p0", "p1"}.isdisjoint(readouts)
+    circuits, observables, labels, by_width = [], [], [], {}
+    for w in widths:
+        ops = by_width[w] = ([], [], [])
+        for _ in range(3):
+            ops[0].append(len(circuits))
+            circuits.append(random_circuit(rng, w, n_gates=3))
+        for k in range(3):
+            ops[1].append(len(observables))
+            observables.append(
+                haar_unitary(2**w, rng) if k == 2 and not pauli_only
+                else PauliString(w, "".join(rng.choice(list("IXYZ"), size=w))))
+        for k in range(2):
+            ops[2].append(len(labels))
+            labels.append("".join(rng.choice(list("01"), size=w)))
+    rows = []
+    for _ in range(n_rows):
+        c, o, b = by_width[int(rng.choice(list(widths)))]
+        rows.append((int(rng.choice(c)), int(rng.choice(c)), int(rng.choice(o)),
+                     int(rng.choice(b))))
+    left, right, observable, label = (tuple(col) for col in zip(*rows)) if rows else ((),) * 4
+    return _Table(tuple(range(n_rows)), readouts, tuple(circuits), tuple(observables),
+                  tuple(labels), left, right, observable, label)
+
+
+@pytest.mark.parametrize("readouts", [("ax", "ay"), ("ay",), ("p1", "ax", "p0", "ay"),
+                                      ("p0",), ("p1", "p0")])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 40])
+def test_stacked_overlaps_equal_per_row_vdot_bit_for_bit(rng, readouts, n_rows):
+    from tlpq.runtime import _overlap_pairs
+
+    for widths in (range(1, 7), (3,)):
+        t = random_overlap_table(rng, n_rows, readouts, widths)
+        got = _overlap_pairs(t, {})
+        assert got == overlap_pairs_by_row(t)
+        assert len(got[0]) == len(got[1]) == n_rows * len(readouts)
