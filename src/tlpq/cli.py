@@ -63,7 +63,7 @@ from .runtime import (
     ClusterConfig,
     OverlapSpec,
     TaskSpec,
-    aggregate,
+    estimate_plans,
     execute_tasks,
     serve_worker,
 )
@@ -173,7 +173,7 @@ def run_nonherm_rows(
 
     The tlp column is the raw quadratic form <sum c_k U_k u0 | P | sum c_k' U_k' u0>
     per 1-qubit Pauli P, run as planner subtasks through the runtime: all
-    T x 4 Pauli plans go to one execute_tasks call, and the 4 plans of one T
+    T x 4 Pauli plans go to one estimate_plans call, and the 4 plans of one T
     share its node circuits, so each node state is simulated once. The dense
     column reuses the same node unitaries.
     """
@@ -203,15 +203,10 @@ def run_nonherm_rows(
             enumerate_subtasks(channel, ("0",), (PauliString(1, letter),))
             for letter in _PAULI_1Q_LABELS
         ]
-    results = execute_tasks(plans, cluster)
+    values = estimate_plans(plans, cluster)
     letters = len(_PAULI_1Q_LABELS)
     forms_per_t = [
-        {
-            letter: float(aggregate(plan, plan_results).real)
-            for letter, plan, plan_results in zip(
-                _PAULI_1Q_LABELS, plans[k:k + letters], results[k:k + letters]
-            )
-        }
+        {letter: float(v.real) for letter, v in zip(_PAULI_1Q_LABELS, values[k:k + letters])}
         for k in range(0, len(plans), letters)
     ]
     rows: list[dict] = []

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,14 +183,13 @@ class ChannelLCU:
         return self.branches[0][1][0].part_widths
 
     @functools.cached_property
-    def _subtask_rows(self) -> tuple:
-        """The subtask columns that no input or observable changes: the table
-        of distinct part circuits, then the indices (p, i, j, alpha, alpha2, a),
-        left and right circuit positions and coefficients of every row, in id
-        order. Built once, as arrays, so all plans of this channel share them.
-        A group's coefficient c_i conj(c_j) coeff_alpha conj(coeff_alpha2) is
-        multiplied left to right, each product rounded as a scalar complex
-        multiply rounds it."""
+    def _subtask_columns(self) -> tuple[tuple[Circuit, ...], "_Columns"]:
+        """The subtask rows that no input or observable changes, as arrays: the
+        table of distinct part circuits, and the columns of every row in id
+        order, whose ``observable`` and ``label`` are the part a. Built once,
+        so all plans of this channel share them. A group's coefficient
+        c_i conj(c_j) coeff_alpha conj(coeff_alpha2) is multiplied left to
+        right, each product rounded as a scalar complex multiply rounds it."""
         # circuits by first use: each branch's unitaries' terms' parts, in order
         circuits = dict.fromkeys(
             c for _, fus in self.branches for fu in fus for _, parts in fu.terms for c in parts)
@@ -217,8 +217,27 @@ class ChannelLCU:
                 parts[left].ravel(), parts[right].ravel(), coefficient.ravel(),
             ))
         indices, left, right, coefficient = (np.concatenate(col) for col in zip(*columns))
-        return (tuple(circuits), tuple(zip(*indices.T.tolist())), tuple(left.tolist()),
-                tuple(right.tolist()), tuple(coefficient.tolist()))
+        part = np.ascontiguousarray(indices[:, 5])
+        return tuple(circuits), _Columns(np.arange(len(part)), indices, left, right, part, part,
+                                         coefficient)
+
+    @functools.cached_property
+    def _subtask_rows(self) -> tuple:
+        """``_subtask_columns`` as the tuples a Plan holds: the circuit table,
+        then the indices (p, i, j, alpha, alpha2, a), left and right circuit
+        positions and coefficients of every row."""
+        circuits, rows = self._subtask_columns
+        return (circuits, tuple(zip(*rows.indices.T.tolist())), tuple(rows.left.tolist()),
+                tuple(rows.right.tolist()), tuple(rows.coefficient.tolist()))
+
+    @functools.cached_property
+    def _plan_fields(self) -> dict:
+        """The Plan fields every plan of this channel shares, as tuples."""
+        circuits, indices, left, right, coefficient = self._subtask_rows
+        n_parts = len(self.part_widths)
+        part = tuple(range(n_parts)) * (len(indices) // n_parts)
+        return dict(circuits=circuits, ids=tuple(range(len(indices))), indices=indices,
+                    left=left, right=right, observable=part, label=part, coefficient=coefficient)
 
     def branch_operator(self, p: int) -> np.ndarray:
         coeffs, fus = self.branches[p]
@@ -260,6 +279,84 @@ class Subtask:
 
 
 @dataclass(frozen=True, eq=False)
+class _Columns:
+    """The rows of a plan as arrays: ``ids``, ``left``, ``right``,
+    ``observable`` and ``label`` (intp), ``indices`` (n x 6 intp) and
+    ``coefficient`` (complex). The plans of one channel share one; a plan
+    built by hand reads its own from its tuples, once, at construction.
+    ``sides`` is the runtime's cache of the rows' distinct part states,
+    filled on first use."""
+
+    ids: np.ndarray
+    indices: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    observable: np.ndarray
+    label: np.ndarray
+    coefficient: np.ndarray
+    sides: dict = field(default_factory=dict)
+
+    @classmethod
+    def read(cls, plan: "Plan") -> "_Columns":
+        """The columns of ``plan``'s tuples."""
+        n = len(plan.ids)
+        ids, left, right, observable, label = (
+            np.fromiter(col, np.intp, n)
+            for col in (plan.ids, plan.left, plan.right, plan.observable, plan.label))
+        try:
+            indices = np.array(plan.indices, dtype=np.intp).reshape(n, 6)
+        except (TypeError, ValueError):
+            raise ShapeMismatch("plan indices must be six integers per row") from None
+        return cls(ids, indices, left, right, observable, label,
+                   np.fromiter(plan.coefficient, complex, n))
+
+    @functools.cached_property
+    def extent(self) -> tuple[bool, list[tuple[int, int]], list[int]]:
+        """What the plan checks read of the columns alone: whether the ids
+        ascend strictly; the (least, greatest) position in ``left``,
+        ``right``, ``observable`` and ``label`` ((0, -1) when empty); the
+        observable positions in use."""
+        bounds = [(int(col.min(initial=0)), int(col.max(initial=-1)))
+                  for col in (self.left, self.right, self.observable, self.label)]
+        return (bool((self.ids[1:] > self.ids[:-1]).all()), bounds,
+                sorted(set(self.observable.tolist())))
+
+    @functools.cached_property
+    def groups(self) -> tuple[np.ndarray, list]:
+        """The sibling groups as aggregation reads them: a group is a run of
+        rows whose indices[:5] agree. Returns each group's coefficient (that
+        of its last a = 0 row, else 1) and, for each member position k, the
+        groups that have a k-th member and the row of that member."""
+        n = len(self.ids)
+        first = np.ones(n, dtype=bool)  # where a group starts
+        np.not_equal(self.indices[1:, :5], self.indices[:-1, :5]).any(1, out=first[1:])
+        starts = np.flatnonzero(first)
+        size = np.diff(starts, append=n)
+        # each group's last a = 0 row, or -1 when it has none
+        row = np.maximum.reduceat(np.where(self.indices[:, 5] == 0, np.arange(n), -1), starts)
+        coefficient = self.coefficient[row]
+        coefficient[row < 0] = 1.0
+        members = []
+        for k in range(size.max(initial=0)):
+            more = np.flatnonzero(size > k)
+            members.append((more, starts[more] + k))
+        return coefficient, members
+
+
+# each Plan's _Columns, kept beside the plan so its __dict__ holds only its fields
+_COLUMNS: "weakref.WeakKeyDictionary[Plan, _Columns]" = weakref.WeakKeyDictionary()
+
+
+def _plan_columns(plan: "Plan") -> _Columns:
+    """A plan's rows as arrays: the channel's it shares, or its own, read
+    from its tuples on first use."""
+    rows = _COLUMNS.get(plan)
+    if rows is None:
+        rows = _COLUMNS[plan] = _Columns.read(plan)
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class Plan:
     """A subtask plan as a table.
 
@@ -269,8 +366,11 @@ class Plan:
     ``indices`` (p, i, j, alpha, alpha2, a), the table positions ``left``,
     ``right``, ``observable`` and ``label``, and ``coefficient``. Every
     distinct operand is checked once, under the rules of
-    ``check_overlap_operands``, and every row's operand widths must agree.
-    ``len`` counts rows; iterating yields them as Subtasks.
+    ``check_overlap_operands``, and every row's operand widths must agree;
+    the checks run on the rows as arrays. Those arrays are kept beside the
+    plan, not in it: the plans of one channel share the channel's, and a
+    plan built by hand reads its own from its tuples. ``len`` counts rows;
+    iterating yields them as Subtasks.
     """
 
     circuits: tuple[Circuit, ...]
@@ -289,33 +389,40 @@ class Plan:
                    self.coefficient)
         if any(len(col) != len(self.ids) for col in columns):
             raise ShapeMismatch("plan columns differ in length")
-        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+        rows = _plan_columns(self)
+        ascending, bounds, observables_used = rows.extent
+        if not ascending:
             raise ShapeMismatch("plan ids must be distinct and ascending")
-        for col, table in ((self.left, self.circuits), (self.right, self.circuits),
-                           (self.observable, self.observables), (self.label, self.labels)):
-            if col and (min(col) < 0 or max(col) >= len(table)):
-                raise ShapeMismatch("plan row points outside its operand table")
+        tables = (self.circuits, self.circuits, self.observables, self.labels)
+        if any(low < 0 or high >= len(table) for (low, high), table in zip(bounds, tables)):
+            raise ShapeMismatch("plan row points outside its operand table")
         observables = tuple(
             o if isinstance(o, PauliString) else np.asarray(o, dtype=complex)
             for o in self.observables
         )
         object.__setattr__(self, "observables", observables)
-        circuit_w = [c.n_qubits for c in self.circuits]
-        observable_w = [_observable_width(o) for o in observables]
-        label_w = [len(b) if b and set(b) <= {"0", "1"} else -1 for b in self.labels]
-        row_widths = (
-            list(map(circuit_w.__getitem__, self.left)),
-            list(map(circuit_w.__getitem__, self.right)),
-            list(map(observable_w.__getitem__, self.observable)),
-            list(map(label_w.__getitem__, self.label)),
-        )
-        if not row_widths[0] == row_widths[1] == row_widths[2] == row_widths[3]:
-            bad = next(k for k, w in enumerate(zip(*row_widths)) if len(set(w)) > 1)
-            s = self.row(bad)  # the rule raises its own error for the first bad row
+        circuit_w = np.array([c.n_qubits for c in self.circuits], dtype=np.intp)
+        observable_w = np.array([_observable_width(o) for o in observables], dtype=np.intp)
+        label_w = np.array([len(b) if b and set(b) <= {"0", "1"} else -1 for b in self.labels],
+                           dtype=np.intp)
+        width = circuit_w[rows.left]
+        bad = ((circuit_w[rows.right] != width) | (observable_w[rows.observable] != width)
+               | (label_w[rows.label] != width))
+        if bad.any():
+            s = self.row(int(bad.argmax()))  # the rule raises its own error for the first bad row
             check_overlap_operands(s.left_circuit, s.right_circuit, s.observable, s.input_label)
-        for o in set(self.observable):
+        for o in observables_used:
             if not isinstance(observables[o], PauliString) and not is_unitary(observables[o]):
                 raise NonUnitaryObservable("estimator observables must be unitary")
+
+    @classmethod
+    def _sharing(cls, rows: _Columns, **fields) -> "Plan":
+        """The plan of ``fields`` whose rows, as arrays, are ``rows``: how the
+        plans of one channel share its columns."""
+        plan = object.__new__(cls)
+        _COLUMNS[plan] = rows
+        plan.__init__(**fields)
+        return plan
 
     @classmethod
     def from_subtasks(cls, subtasks) -> "Plan":
@@ -401,13 +508,8 @@ def enumerate_subtasks(
             f"need {n_parts} input labels and observables, got "
             f"{len(rho_parts)} and {len(obs_parts)}"
         )
-    circuits, indices, left, right, coefficient = ch._subtask_rows
-    part_column = tuple(range(n_parts)) * (len(indices) // n_parts)
-    return Plan(
-        circuits=circuits, observables=tuple(obs_parts), labels=tuple(rho_parts),
-        ids=tuple(range(len(indices))), indices=indices, left=left, right=right,
-        observable=part_column, label=part_column, coefficient=coefficient,
-    )
+    return Plan._sharing(ch._subtask_columns[1], observables=tuple(obs_parts),
+                         labels=tuple(rho_parts), **ch._plan_fields)
 
 
 def _observable_matrix(obs) -> np.ndarray:

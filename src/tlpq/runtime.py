@@ -9,16 +9,25 @@ A plan's subtasks and the GHZ gram entries run as "overlap" tasks: the backend
 simulates the left and right gate lists on the part's w qubits and forms
 z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
 (ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). One batched
-routine reads them over a table of (left, right, observable, label) rows: a
-``planner.Plan`` is its rows read as ("ax", "ay"), an OverlapSpec (local or
-decoded on a worker) one row, so a row gives the same bits everywhere.
-``execute_tasks`` runs plans, or tasks, as items through one path per mode;
-locally the items of a call share their part states. Over the wire
-(protocol 4) the rows of a call travel as one batch message per start node,
-each carrying its distinct gate lists once; every batch is sent before any
-reply is read, and a worker parses each circuit once and simulates each part
-state once per batch. The wire carries overlap and density rows; "estimator"
-tasks run only in-process, as the reference the tests hold overlap tasks to.
+routine reads them over a table of (left, right, observable, label) rows that
+carries its own dedupe, the distinct part states its rows read: a
+``planner.Plan`` is its rows read as ("ax", "ay"), with the dedupe kept once
+per channel, and an OverlapSpec (local or decoded on a worker) is one row, so
+a row gives the same bits everywhere.
+
+One runner and one reducer carry a plan from its table to its value as
+arrays. ``_run`` runs plans, or tasks, as items through one path per mode and
+returns each item's values as an array (rows x readouts); locally the items of
+a call share their part states, and over the wire the replies fill the same
+arrays. ``_reduce`` folds a plan's overlaps into its value. ``estimate_plans``
+is the two together; ``execute_tasks`` and ``run_plan`` build TaskResults only
+at their return, and ``aggregate`` reads TaskResults back into one array for
+the same reducer. Over the wire (protocol 4) the rows of a call travel as one
+batch message per start node, each carrying its distinct gate lists once;
+every batch is sent before any reply is read, and a worker parses each circuit
+once and simulates each part state once per batch. The wire carries overlap
+and density rows; "estimator" tasks run only in-process, as the reference the
+tests hold overlap tasks to.
 
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
@@ -54,7 +63,7 @@ from .circuit import (
     _matrix_to_json,
 )
 from .linalg import _complex_product, _sequential_sum
-from .planner import Plan, Subtask, check_overlap_operands
+from .planner import Plan, Subtask, _plan_columns, check_overlap_operands
 
 __all__ = [
     "ClusterConfig",
@@ -69,6 +78,7 @@ __all__ = [
     "sample_shots",
     "execute_tasks",
     "run_plan",
+    "estimate_plans",
     "aggregate",
     "WorkerServer",
     "serve_worker",
@@ -87,6 +97,11 @@ class CapabilityMismatch(ValueError):
 
 class MissingResult(KeyError):
     """Raised when aggregation lacks a result for a plan task."""
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an int (not a bool) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -120,8 +135,10 @@ class ClusterConfig:
                     raise ValueError(f"worker address {a!r} is not host:port "
                                      f"with a port in 1..65535")
             object.__setattr__(self, "nodes", addrs)
-        if self.shots is not None and (not isinstance(self.shots, int) or self.shots < 1):
-            raise ValueError("shots must be >= 1 when present")
+        if self.shots is not None and not _is_count(self.shots, 1):
+            raise ValueError("shots must be an integer >= 1 when present")
+        if not _is_count(self.seed, 0):
+            raise ValueError("seed must be an integer >= 0")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
 
@@ -277,9 +294,11 @@ _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
                   "p0": ("right", "right"), "p1": ("left", "left")}
 
 
-# overlap rows as columns of positions into operand tables, all read by ``readouts``
+# overlap rows as columns of positions into operand tables, all read by ``readouts``;
+# ``sides`` caches each (ket, bra) side pair's ``_side_rows``, or is None
 _Table = collections.namedtuple(
-    "_Table", "ids readouts circuits observables labels left right observable label")
+    "_Table", "ids readouts circuits observables labels left right observable label sides",
+    defaults=(None,))
 
 
 def _rows(item: TaskSpec | OverlapSpec | Plan) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -287,46 +306,51 @@ def _rows(item: TaskSpec | OverlapSpec | Plan) -> tuple[tuple[int, ...], tuple[s
     return (item.ids, ("ax", "ay")) if isinstance(item, Plan) else ((item.id,), item.readouts)
 
 
-def _table(item: OverlapSpec | Plan) -> _Table:
-    """A Plan's own table, or an OverlapSpec as a table of one row."""
-    if isinstance(item, Plan):
-        return _Table(*_rows(item), item.circuits, item.observables, item.labels,
-                      item.left, item.right, item.observable, item.label)
-    return _Table((item.id,), item.readouts, (item.left, item.right), (item.observable,),
-                  (item.input_label,), (0,), (1,), (0,), (0,))
+def _side_rows(t: _Table, ket: str, bra: str) -> list[tuple]:
+    """The distinct states that the rows' z = <bra| O |ket> read, one entry
+    per part width: (the rows of that width, the distinct (circuit, label)
+    positions of their bra states, each row's position among those, the
+    distinct (observable, circuit, label) positions of their O|ket> states,
+    each row's position among those). The rows are a slice when the table
+    has one width, and a row position is a slice when each row has its own
+    state, in row order, so the stacks are read as they are."""
+    k, b, o, label = (np.asarray(col, dtype=np.intp)
+                      for col in (getattr(t, ket), getattr(t, bra), t.observable, t.label))
+    n_circuits, n_labels = len(t.circuits), len(t.labels)
+    width = np.array([c.n_qubits for c in t.circuits], dtype=np.intp)[k]
+    widths = sorted(set(width.tolist()))
+    out = []
+    for w in widths:
+        rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
+        # (circuit, label) and (observable, circuit, label) positions as one integer each
+        bras, bra_of_row = np.unique(b[rows] * n_labels + label[rows], return_inverse=True)
+        kets, ket_of_row = np.unique((o[rows] * n_circuits + k[rows]) * n_labels + label[rows],
+                                     return_inverse=True)
+        ket_o, ket_state = np.divmod(kets, n_circuits * n_labels)
+        in_order = np.arange(len(bra_of_row))
+        out.append((
+            rows,
+            list(zip(*(x.tolist() for x in np.divmod(bras, n_labels)))),
+            slice(None) if np.array_equal(bra_of_row, in_order) else bra_of_row,
+            list(zip(ket_o.tolist(), *(x.tolist() for x in np.divmod(ket_state, n_labels)))),
+            slice(None) if np.array_equal(ket_of_row, in_order) else ket_of_row,
+        ))
+    return out
 
 
-def _stacked(keys: list, vectors: dict) -> np.ndarray:
-    """The vector of every key as the rows of one array. ``vectors`` maps
-    each distinct key, in first-seen order, to its vector; a repeated key's
-    row is a copy."""
-    stack = np.array(list(vectors.values()))
-    if len(vectors) == len(keys):
-        return stack
-    position = dict(zip(vectors, range(len(vectors))))
-    return stack[list(map(position.__getitem__, keys))]
+def _side_states(t: _Table, ket: str, bra: str, states: dict):
+    """For each part width of the table, (its rows, the stacked distinct bra
+    states, each row's position among them, the stacked distinct O|ket>
+    states, each row's position among them) of one (ket, bra) side pair.
 
-
-def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
-    """The (w, m) pairs of every row's readouts, as (all w, all m), row by row.
-
-    A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
-    names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
-    (<s|s> / 2, Re z / 2) with s the right / left state. Each distinct
-    (circuit, label) is simulated once per ``states``, and each observable is
-    applied once to each distinct state it meets. The rows' bra states and
-    O|ket> states are stacked, and one ``np.vecdot`` forms every z (one more
-    forms each <s|s>). It runs the BLAS dot that ``np.vdot`` runs, row by
-    row, so a value has the bits of its row's own ``np.vdot``, whatever
-    table the row is read in. A table whose rows differ in width runs as one
-    table per width.
+    Each distinct (circuit, label) is simulated once per ``states``, and each
+    observable is applied once to each distinct state it meets.
     """
-    width = [c.n_qubits for c in t.circuits]
-    if len(set(width)) > 1 and len(set(map(width.__getitem__, t.left))) > 1:
-        return _overlap_pairs_by_width(t, states, width)
-    n = len(t.ids)
-    if not n:
-        return [], []
+    sides = None if t.sides is None else t.sides.get((ket, bra))
+    if sides is None:
+        sides = _side_rows(t, ket, bra)
+        if t.sides is not None:
+            t.sides[ket, bra] = sides
 
     def part(c: int, b: int) -> np.ndarray:  # U|label>, simulated on a miss of ``states``
         key = (t.circuits[c], t.labels[b])
@@ -335,42 +359,67 @@ def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
             state = states[key] = _part_state(*key)
         return state
 
-    blocks = {}  # (ket, bra) sides -> the block of their n products
-    bra_keys, ket_keys = [], []  # (circuit, label) and (observable, circuit, label) positions
-    for k, b in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
-        blocks[k, b] = slice(len(bra_keys), len(bra_keys) + n)
-        bra_keys += zip(getattr(t, b), t.label)
-        ket_keys += zip(t.observable, getattr(t, k), t.label)
-    bras = _stacked(bra_keys, {(c, b): part(c, b) for c, b in dict.fromkeys(bra_keys)})
-    kets = {(o, c, b): _apply_observable(t.observables[o], part(c, b))
-            for o, c, b in dict.fromkeys(ket_keys)}
-    z = np.vecdot(bras, _stacked(ket_keys, kets))
-    out = np.empty((2, n, len(t.readouts)))  # w, then m, of each row's readouts
+    for rows, bra_at, bra_of_row, ket_at, ket_of_row in sides:
+        bras = np.array([part(c, b) for c, b in bra_at])
+        kets = np.array([_apply_observable(t.observables[o], part(c, b)) for o, c, b in ket_at])
+        yield rows, bras, bra_of_row, kets, ket_of_row
+
+
+def _overlaps(t: _Table, states: dict) -> np.ndarray:
+    """The (w, m) pairs of every row's readouts, as an array (2, rows x
+    readouts), row by row.
+
+    A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
+    names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
+    (<s|s> / 2, Re z / 2) with s the right / left state. One ``np.vecdot``
+    per side pair and part width forms every z from the rows' stacked bra
+    and O|ket> states (``_side_states``): it runs the BLAS dot that
+    ``np.vdot`` runs, row by row, so a value has the bits of its row's own
+    ``np.vdot``, whatever table the row is read in. Each <s|s> is taken once
+    per distinct state.
+    """
+    out = np.empty((2, len(t.ids), len(t.readouts)))  # w, then m, of each row's readouts
     out[0] = 1.0
-    for col, desc in enumerate(t.readouts):
-        block = blocks[_READOUT_SIDES[desc]]
-        if desc in ("ax", "ay"):
-            out[1, :, col] = z[block].real if desc == "ax" else z[block].imag
-        else:
-            s = bras[block]
-            out[0, :, col] = np.vecdot(s, s).real / 2.0
-            out[1, :, col] = z[block].real / 2.0
-    w, m = out.reshape(2, -1).tolist()
+    for sides in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
+        columns = [(col, desc) for col, desc in enumerate(t.readouts)
+                   if _READOUT_SIDES[desc] == sides]
+        for rows, bras, bra_of_row, kets, ket_of_row in _side_states(t, *sides, states):
+            z = np.vecdot(bras[bra_of_row], kets[ket_of_row])
+            for col, desc in columns:
+                if desc in ("ax", "ay"):
+                    out[1, rows, col] = z.real if desc == "ax" else z.imag
+                else:
+                    out[0, rows, col] = (np.vecdot(bras, bras).real / 2.0)[bra_of_row]
+                    out[1, rows, col] = z.real / 2.0
+    return out.reshape(2, -1)
+
+
+def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
+    """``_overlaps`` as two lists of floats, (all w, all m), row by row: the
+    form a per-row reference computes."""
+    w, m = _overlaps(t, states).tolist()
     return w, m
 
 
-def _overlap_pairs_by_width(t: _Table, states: dict, width: list[int]):
-    """``_overlap_pairs`` of a table whose rows differ in part width, run as
-    one table per width and put back in row order."""
-    row_width = np.take(width, t.left)
-    w = np.empty((len(t.ids), len(t.readouts)))
-    m = np.empty_like(w)
-    for part_width in set(row_width.tolist()):
-        rows = np.flatnonzero(row_width == part_width)
-        columns = ("ids", "left", "right", "observable", "label")
-        sub = t._replace(**{f: [getattr(t, f)[r] for r in rows] for f in columns})
-        w[rows], m[rows] = np.reshape(_overlap_pairs(sub, states), (2, len(rows), -1))
-    return w.ravel().tolist(), m.ravel().tolist()
+# an OverlapSpec as a table of one row: the positions of its left circuit (0),
+# right circuit (1), observable and label in its operand tables, and the
+# ``_side_rows`` of each side pair, which reads the row's own two states
+_ONE_ROW = tuple(np.array([k], dtype=np.intp) for k in (0, 1, 0, 0))
+_ONE_ROW_SIDES = {
+    (ket, bra): [(slice(None), [(("left", "right").index(bra), 0)], slice(None),
+                  [(0, ("left", "right").index(ket), 0)], slice(None))]
+    for ket, bra in set(_READOUT_SIDES.values())
+}
+
+
+def _table(item: OverlapSpec | Plan) -> _Table:
+    """A Plan's own table, or an OverlapSpec as a table of one row."""
+    if isinstance(item, Plan):
+        rows = _plan_columns(item)
+        return _Table(item.ids, ("ax", "ay"), item.circuits, item.observables, item.labels,
+                      rows.left, rows.right, rows.observable, rows.label, rows.sides)
+    return _Table((item.id,), item.readouts, (item.left, item.right), (item.observable,),
+                  (item.input_label,), *_ONE_ROW, _ONE_ROW_SIDES)
 
 
 def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
@@ -392,11 +441,11 @@ def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(state, state).real), m
 
 
-def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: dict):
-    """The (w, m) pairs of an item's readouts, as (all w, all m), row by row;
-    ``states`` is run_task's cache."""
+def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: dict) -> np.ndarray:
+    """The (w, m) pairs of an item's readouts, as an array (2, rows x
+    readouts), row by row; ``states`` is run_rows' cache."""
     if not isinstance(task, TaskSpec):
-        return _overlap_pairs(_table(task), states)
+        return _overlaps(_table(task), states)
     n = task.n_qubits
     if task.kind == "estimator":
         state = simulate(task.circuit, basis_state(n))
@@ -407,8 +456,8 @@ def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: dict):
         ).reshape(-1)
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
-    pairs = [_readout_pair(desc, state) for desc in task.readouts]
-    return tuple(w for w, _ in pairs), tuple(m for _, m in pairs)
+    return np.array([_readout_pair(desc, state) for desc in task.readouts],
+                    dtype=float).reshape(-1, 2).T
 
 
 def _sampled_mean(w: float, m: float, shots: int, rng: np.random.Generator) -> float:
@@ -442,7 +491,15 @@ class ExactBackend:
         seed: int,
         states: dict | None = None,
     ) -> tuple[tuple[float, ...], int]:
-        """Run one item; returns (one value per readout, row by row, shots used).
+        """Run one item; returns (one value per readout, row by row, shots used):
+        ``run_rows`` as plain floats."""
+        values = self.run_rows(task, shots, seed, {} if states is None else states)
+        return tuple(values.ravel().tolist()), 0 if shots is None else shots * values.size
+
+    def run_rows(self, task: TaskSpec | OverlapSpec | Plan, shots: int | None, seed: int,
+                 states: dict) -> np.ndarray:
+        """Run one item; returns its values as an array, one row per task row
+        and one column per readout.
 
         A task is one row; a Plan is its rows, each read as "ax", "ay". Each
         readout's (w, m) pair gives m exactly, or with shots the mean of draws
@@ -456,27 +513,30 @@ class ExactBackend:
             raise CapabilityMismatch(
                 f"{name} needs {n} qubits, node supports {self.max_qubits}"
             )
-        weights, means = _readout_pairs(task, {} if states is None else states)
-        if shots is None:
-            return tuple(means), 0
+        pairs = _readout_pairs(task, states)
         ids, readouts = _rows(task)
+        if shots is None:
+            return pairs[1].reshape(len(ids), len(readouts))
         streams = itertools.product(ids, range(len(readouts)))
-        values = tuple(
-            _sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
-            for w, m, stream in zip(weights, means, streams)
-        )
-        return values, shots * len(means)
+        return np.fromiter(
+            (_sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
+             for w, m, stream in zip(*pairs.tolist(), streams)),
+            float, pairs.shape[1]).reshape(len(ids), len(readouts))
 
 
 # --- wire protocol (network mode) ----------------------------------------------
 
 @dataclass
 class _Batch:
-    """The rows of one start node (row id % node count) as one batch message."""
+    """The rows of one start node (row id % node count) as one batch message.
+
+    ``runs`` splits ``rows`` into the consecutive rows of one item: (item
+    position, the row positions, readouts per row)."""
 
     start: int
     message: dict
     rows: list = field(default_factory=list)  # (item position, row position, row id, width)
+    runs: list = field(default_factory=list)
 
 
 def _wire_rows(item: TaskSpec | OverlapSpec | Plan):
@@ -493,7 +553,8 @@ def _wire_rows(item: TaskSpec | OverlapSpec | Plan):
     observables = [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
                    for o in t.observables]
     readout = list(t.readouts)
-    for i, l, r, o, b in zip(t.ids, t.left, t.right, t.observable, t.label):
+    positions = (c.tolist() for c in (t.left, t.right, t.observable, t.label))
+    for i, l, r, o, b in zip(t.ids, *positions):
         yield i, t.circuits[l].n_qubits, {"left": t.circuits[l], "right": t.circuits[r]}, {
             "kind": "overlap", "obs": observables[o], "input": t.labels[b], "readout": readout}
 
@@ -525,6 +586,9 @@ def _batches(items: list, n_nodes: int, shots: int | None, seed: int) -> list[_B
                 entry[name] = positions[start, c]
             b.message["tasks"].append(entry)
             b.rows.append((at, j, row_id, width))
+            if not b.runs or b.runs[-1][0] != at:
+                b.runs.append((at, [], len(fields["readout"])))
+            b.runs[-1][1].append(j)
     return [batches[s] for s in sorted(batches)]
 
 
@@ -618,14 +682,17 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
 
         Each circuit is parsed once, with non-unitary RAW gates admitted as
         density rows need; simulating an overlap row's part states refuses
-        them, as a local run does.
+        them, as a local run does. ``shots`` must be null or an integer >= 1
+        and ``seed`` an integer >= 0, as in a ClusterConfig.
         """
         row_id = -1
         values, used = [], []
+        shots, seed = msg.get("shots"), msg.get("seed")
+        if not ((shots is None or _is_count(shots, 1)) and _is_count(seed, 0)):
+            return {"type": "error", "id": -1,
+                    "message": f"batch shots must be null or an integer >= 1 and its seed an "
+                               f"integer >= 0, got shots {shots!r} and seed {seed!r}"}
         try:
-            shots = msg.get("shots")
-            shots = None if shots is None else int(shots)
-            seed = int(msg.get("seed", 0))
             circuits = [parse_circuit(c, require_unitary=False) for c in msg["circuits"]]
             states: dict = {}
             for row in msg["tasks"]:
@@ -747,18 +814,32 @@ class _WorkerClient:
                 )
         self._send(batch.message)
 
-    def read_result(self, batch: _Batch) -> tuple[list, list]:
-        """Read the reply to ``batch``: (values of each row, shots used by each row)."""
+    def read_result(self, batch: _Batch) -> tuple[list[np.ndarray], list]:
+        """Read the reply to ``batch``: (the values of each of its runs, as an
+        array with one row per task row and one column per readout; the shots
+        used by each row). Values that are not finite numbers in that shape
+        make the reply malformed."""
         reply = self._recv()
         if reply.get("type") == "error":
             raise RuntimeError(
                 f"worker {self.address}: task {reply.get('id')}: {reply.get('message')}")
         values, used = reply.get("values"), reply.get("shots_used")
+        malformed = ConnectionError(
+            f"unexpected reply from {self.address} to a batch of {len(batch.rows)} tasks")
         if (reply.get("type") != "result" or not isinstance(values, list)
                 or not isinstance(used, list) or not len(values) == len(used) == len(batch.rows)):
-            raise ConnectionError(
-                f"unexpected reply from {self.address} to a batch of {len(batch.rows)} tasks")
-        return values, used
+            raise malformed
+        blocks, start = [], 0
+        for _, rows, k in batch.runs:
+            try:
+                block = np.array(values[start:start + len(rows)], dtype=float)
+            except (TypeError, ValueError):
+                raise malformed from None
+            if block.shape != (len(rows), k) or not np.isfinite(block).all():
+                raise malformed
+            blocks.append(block)
+            start += len(rows)
+        return blocks, used
 
     def shutdown(self):
         try:
@@ -779,28 +860,18 @@ class _WorkerClient:
         self.file = None
 
 
-def execute_tasks(
-    tasks: list[TaskSpec | OverlapSpec] | list[Plan], cfg: ClusterConfig
-) -> list[TaskResult] | list[list[TaskResult]]:
-    """Run every task exactly once; assignment is task id modulo node count.
+def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None]:
+    """Run every item exactly once, through one path per mode; returns each
+    item's values (one row per task row, one column per readout) and, in
+    network mode, each batch with its reply (None in local mode).
 
-    ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
-    back in ascending task id order, or a list of Plans, whose results come
-    back as one list per plan, each in the plan's ascending id order. Both run
-    as items (a plan, or a task as one row) through one path per mode. Each
-    plan keeps its own ids, so a row's node, shot stream and result are those
-    of the same row run as a single overlap task.
-
-    In local mode the tasks and plans of one call share their part states:
-    each distinct (circuit object, input label) is simulated once and kept
-    until the call returns. In network mode the rows of all items are grouped
-    by start node, each group is one batch message, and every batch is sent
-    before any reply is read, so the workers compute at once (``_dispatch``).
+    In local mode the items of one call share their part states: each
+    distinct (circuit object, input label) is simulated once and kept until
+    the call returns. In network mode the rows of all items are grouped by
+    start node (row id % node count), each group is one batch message, and
+    every batch is sent before any reply is read, so the workers compute at
+    once (``_dispatch``); the replies fill the same arrays.
     """
-    plans = [t for t in tasks if isinstance(t, Plan)]
-    if plans and len(plans) != len(tasks):
-        raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
-    items = plans or sorted(tasks, key=lambda t: t.id)
     if cfg.mode == "local":
         backend = ExactBackend()
         worst = max((t.n_qubits for t in items), default=0)
@@ -809,30 +880,60 @@ def execute_tasks(
                 f"plan needs {worst} qubits, nodes support {backend.max_qubits}"
             )
         states: dict = {}
-        out = []
-        for item in items:
-            values, _ = backend.run_task(item, cfg.shots, cfg.seed, states)
-            ids, readouts = _rows(item)
-            k = len(readouts)
-            used = 0 if cfg.shots is None else cfg.shots * k
-            # row j's values are values[j*k:(j+1)*k]; a TaskSpec may have no readouts
-            rows = zip(*(values[r::k] for r in range(k))) if k else itertools.repeat(())
-            nodes = map(operator.mod, ids, itertools.repeat(cfg.nodes))
-            out.append(list(map(TaskResult, ids, rows, itertools.repeat(used), nodes)))
-    else:
-        batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
-        clients = [_WorkerClient(a) for a in cfg.nodes]
-        try:
-            replies = _dispatch(clients, batches, cfg.retry_limit)
-        finally:
-            for c in clients:
-                c.close()
-        out = [[None] * len(_rows(item)[0]) for item in items]
-        for batch, (address, values, used) in zip(batches, replies):
-            for (at, j, row_id, _), row_values, row_used in zip(batch.rows, values, used):
-                out[at][j] = TaskResult(task_id=row_id, value=tuple(map(float, row_values)),
-                                        shots_used=int(row_used), node_id=address)
+        return [backend.run_rows(item, cfg.shots, cfg.seed, states) for item in items], None
+    batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
+    clients = [_WorkerClient(a) for a in cfg.nodes]
+    try:
+        replies = _dispatch(clients, batches, cfg.retry_limit)
+    finally:
+        for c in clients:
+            c.close()
+    values = [np.empty((len(ids), len(readouts))) for ids, readouts in map(_rows, items)]
+    for batch, (_, blocks, _) in zip(batches, replies):
+        for (at, rows, _), block in zip(batch.runs, blocks):
+            values[at][rows] = block
+    return values, list(zip(batches, replies))
+
+
+def execute_tasks(
+    tasks: list[TaskSpec | OverlapSpec] | list[Plan], cfg: ClusterConfig
+) -> list[TaskResult] | list[list[TaskResult]]:
+    """Run every task exactly once; assignment is task id modulo node count.
+
+    ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
+    back in ascending task id order, or a list of Plans, whose results come
+    back as one list per plan, each in the plan's ascending id order. Both run
+    as items (a plan, or a task as one row) through ``_run``. Each plan keeps
+    its own ids, so a row's node, shot stream and result are those of the
+    same row run as a single overlap task. The TaskResults are built here,
+    from the run's arrays.
+    """
+    plans = [t for t in tasks if isinstance(t, Plan)]
+    if plans and len(plans) != len(tasks):
+        raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
+    items = plans or sorted(tasks, key=lambda t: t.id)
+    values, answers = _run(items, cfg)
+    if answers is None:  # local: node id % nodes, shots x readouts for every row
+        sources = [(map(operator.mod, _rows(item)[0], itertools.repeat(cfg.nodes)),
+                    itertools.repeat(0 if cfg.shots is None else cfg.shots * v.shape[1]))
+                   for item, v in zip(items, values)]
+    else:  # network: the address that answered, and the shots its reply names
+        sources = [([None] * len(v), [0] * len(v)) for v in values]
+        for batch, (address, _, used) in answers:
+            for (at, j, _, _), row_used in zip(batch.rows, used):
+                sources[at][0][j] = address
+                sources[at][1][j] = int(row_used)
+    out = [list(map(TaskResult, _rows(item)[0], map(tuple, v.tolist()), used, nodes))
+           for item, v, (nodes, used) in zip(items, values, sources)]
     return out if plans else [r for (r,) in out]
+
+
+def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:
+    """The value of each plan: bit for bit
+    ``[aggregate(p, r) for p, r in zip(plans, execute_tasks(plans, cfg))]``,
+    reduced from the run's arrays with no TaskResult built."""
+    values, _ = _run(plans, cfg)
+    return [_reduce(_plan_columns(p), v.view(complex).ravel()) for p, v in zip(plans, values)]
 
 
 _WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError)
@@ -840,7 +941,8 @@ _WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError)
 
 def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: int
               ) -> list[tuple[str, list, list]]:
-    """Run every batch; returns (address that answered, values, shots used) per batch.
+    """Run every batch; returns (address that answered, values of each run of
+    rows, shots used by each row) per batch (``read_result``).
 
     Each round sends every pending batch before it reads any reply, at most one
     per node. A batch starts at its start node and moves whole to the next live
@@ -918,14 +1020,9 @@ def _is_pair(value) -> bool:
 def aggregate(plan: Plan | list[Subtask], results: list[TaskResult]) -> complex:
     """Sum over sibling groups of coefficient x product of part overlaps.
 
-    A group is a run of rows whose indices[:5] agree. Its members' (re, im)
-    values are multiplied in ascending id order, starting from 1, and its
-    coefficient (that of its last a = 0 member, else 1) multiplies the
-    product; the group values are then added in ascending id order, starting
-    from 0. The values are read as arrays, and every product and sum is
-    rounded as Python's complex arithmetic rounds it, so the total is
-    reproducible across modes and node counts. ``results`` must hold exactly
-    one (re, im) pair for each row of the plan.
+    ``results`` must hold exactly one (re, im) pair for each row of the plan;
+    they are read into one array and reduced as ``_reduce`` reduces a run's
+    values, so the total equals ``estimate_plans``'.
     """
     plan = _as_plan(plan)
     if [r.task_id for r in results] != list(plan.ids):  # not one result per row, in order
@@ -941,29 +1038,30 @@ def aggregate(plan: Plan | list[Subtask], results: list[TaskResult]) -> complex:
             stray = min(by_id.keys() - set(plan.ids))
             raise MissingResult(f"result for task {stray} is not a row of the plan")
         results = [by_id[i] for i in plan.ids]
-    n = len(plan.ids)
-    if not n:
-        return 0j
     values = [r.value for r in results]
     try:
-        if set(map(len, values)) != {2}:
+        if set(map(len, values)) - {2}:
             raise ValueError
-        z = np.fromiter(itertools.chain.from_iterable(values), float, 2 * n).view(complex)
+        z = np.fromiter(itertools.chain.from_iterable(values), float, 2 * len(values))
     except (TypeError, ValueError):
         bad = next(i for i, v in zip(plan.ids, values) if not _is_pair(v))
         raise ValueError(f"result for task {bad} is not an (re, im) pair") from None
-    indices = np.fromiter(itertools.chain.from_iterable(plan.indices), np.intp, 6 * n).reshape(n, 6)
-    first = np.empty(n, dtype=bool)  # where a group starts
-    first[0] = True
-    np.not_equal(indices[1:, :5], indices[:-1, :5]).any(1, out=first[1:])
-    bounds = np.concatenate((first.nonzero()[0], [n]))
-    starts, size = bounds[:-1], bounds[1:] - bounds[:-1]
-    # each group's last a = 0 row, or -1 when it has none
-    coefficient_row = np.maximum.reduceat(np.where(indices[:, 5] == 0, np.arange(n), -1), starts)
-    coefficient = np.fromiter(plan.coefficient, complex, n)[coefficient_row]
-    coefficient[coefficient_row < 0] = 1.0
-    product = np.ones(len(starts), dtype=complex)
-    for k in range(size.max()):
-        more = size > k
-        product[more] = _complex_product(product[more], z[starts[more] + k])
+    return _reduce(_plan_columns(plan), z.view(complex))
+
+
+def _reduce(rows, z: np.ndarray) -> complex:
+    """A plan's value from its rows' overlaps z, in ascending id order.
+
+    A group is a run of rows whose indices[:5] agree (``rows.groups``). Its
+    members' overlaps are multiplied in ascending id order, starting from 1,
+    and its coefficient (that of its last a = 0 member, else 1) multiplies
+    the product; the group values are then added in ascending id order,
+    starting from 0. Every product and sum is rounded as Python's complex
+    arithmetic rounds it, so the total is reproducible across modes and node
+    counts.
+    """
+    coefficient, members = rows.groups
+    product = np.ones(len(coefficient), dtype=complex)
+    for groups, member in members:
+        product[groups] = _complex_product(product[groups], z[member])
     return complex(_sequential_sum(_complex_product(coefficient, product)))

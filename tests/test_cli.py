@@ -641,3 +641,13 @@ def test_worker_rejects_a_max_qubits_below_one(runner, monkeypatch, max_qubits):
                                   "--max-qubits", max_qubits])
     assert result.exit_code == 2
     assert "--max-qubits" in combined_output(result)
+
+
+@pytest.mark.parametrize("command", ["nonherm", "ghz", "ghz-cut"])
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_a_negative_seed_exits_2_before_any_task_runs(runner, monkeypatch, command, seed):
+    monkeypatch.setattr("tlpq.cli.execute_tasks", refuse_to_serve)
+    monkeypatch.setattr("tlpq.cli.estimate_plans", refuse_to_serve)
+    result = runner.invoke(main, [command, "--seed", seed])
+    assert result.exit_code == 2
+    assert "seed must be an integer >= 0" in combined_output(result)

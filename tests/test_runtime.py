@@ -1416,3 +1416,130 @@ def test_stacked_overlaps_equal_per_row_vdot_bit_for_bit(rng, readouts, n_rows):
         got = _overlap_pairs(t, {})
         assert got == overlap_pairs_by_row(t)
         assert len(got[0]) == len(got[1]) == n_rows * len(readouts)
+
+
+# --- estimate_plans: one runner and one reducer, values as arrays ------------------
+
+
+def mixed_width_plan(rng, widths):
+    """A channel plan over parts of ``widths``: complex coefficients, random
+    labels, Pauli observables and a unitary matrix on the second part."""
+    def fu(ell):
+        return FactorizedUnitary(terms=tuple(
+            (complex(rng.normal(), rng.normal()), tuple(random_circuit(rng, w) for w in widths))
+            for _ in range(ell)))
+
+    branches = tuple((tuple(complex(rng.normal(), rng.normal()) for _ in range(2)),
+                      (fu(1), fu(2))) for _ in range(2))
+    obs = tuple(haar_unitary(2**w, rng) if a == 1
+                else PauliString(w, "".join(rng.choice(list("IXYZ"), size=w)))
+                for a, w in enumerate(widths))
+    labels = tuple("".join(rng.choice(list("01"), size=w)) for w in widths)
+    return enumerate_subtasks(ChannelLCU(branches=branches), labels, obs)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_estimate_plans_equals_aggregate_of_execute_tasks(rng, shots):
+    from tlpq.runtime import estimate_plans
+
+    plans = [mixed_width_plan(rng, widths) for widths in ((2,), (1, 2), (2, 1, 3))]
+    plans.append(Plan.from_subtasks(reversed(list(plans[2]))))  # hand-built, same rows
+
+    def values(cfg):
+        got = estimate_plans(plans, cfg)
+        assert got == [aggregate(p, r) for p, r in zip(plans, execute_tasks(plans, cfg))]
+        assert all(type(v) is complex for v in got)
+        return got
+
+    base = values(ClusterConfig(nodes=1, shots=shots, seed=5))
+    assert base[3] == base[2]
+    assert values(ClusterConfig(nodes=3, shots=shots, seed=5)) == base
+    with live_worker() as a, live_worker() as b:
+        assert values(ClusterConfig(mode="network", nodes=(a, b), shots=shots, seed=5)) == base
+    with live_worker(fail_after_tasks=5) as flaky, live_worker() as solid:
+        retried = ClusterConfig(mode="network", nodes=(flaky, solid), shots=shots,
+                                seed=5, retry_limit=2)
+        assert values(retried) == base
+
+
+def test_estimate_plans_reduces_cut_off_groups_as_the_row_loop(rng):
+    from tlpq.runtime import estimate_plans
+
+    # groups of two rows: the first lacks its a = 0 row, the last is cut off
+    plan = Plan.from_subtasks(list(mixed_width_plan(rng, (1, 2)))[1:7])
+    results = run_plan(plan, ClusterConfig())
+    assert estimate_plans([plan], ClusterConfig()) == [aggregate_by_row(plan, results)]
+    assert aggregate(plan, results) == aggregate_by_row(plan, results)
+
+
+def test_a_run_and_reduced_plan_holds_only_its_fields(rng):
+    import dataclasses
+
+    from tlpq.runtime import estimate_plans
+
+    plans = [mixed_width_plan(rng, (1, 2)), Plan.from_subtasks(list(mixed_width_plan(rng, (2,))))]
+    estimate_plans(plans, ClusterConfig(shots=8, seed=1))
+    for plan in plans:
+        aggregate(plan, run_plan(plan, ClusterConfig()))
+        assert set(vars(plan)) == {f.name for f in dataclasses.fields(Plan)}
+
+
+@pytest.mark.parametrize("changes", [
+    dict(shots=True), dict(shots=1.5), dict(shots="7"), dict(seed=-1), dict(seed=2.5),
+    dict(seed="x"), dict(seed=True), dict(seed=None),
+])
+def test_cluster_config_rejects_bad_seeds_and_shots(changes):
+    with pytest.raises(ValueError, match="shots|seed"):
+        ClusterConfig(**changes)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(shots=1.5), dict(shots=True), dict(shots="7"), dict(shots=0), dict(seed=2.7),
+    dict(seed="5"), dict(seed=-1), dict(seed=True), dict(seed=None), dict(seed="missing"),
+])
+def test_worker_rejects_a_batch_with_bad_shots_or_seed_and_keeps_serving(fields):
+    circuits = [Circuit(1, (Gate("H", (0,)),)), Circuit(1, ())]
+    good = batch_message([overlap_row(4, "Z", "0")], circuits, shots=5, seed=3)
+    bad = {**good, **fields}
+    if bad["seed"] == "missing":
+        del bad["seed"]
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(bad)
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == -1
+        assert "seed" in reply["message"]
+        send(good)
+        assert recv()["type"] == "result"
+
+
+@pytest.mark.parametrize("values", [[[None, 0.0]], [[1.0]], [[1.0, 2.0, 3.0]], [["a", 0.0]],
+                                    [1.0], [[float("nan"), 0.0]]])
+def test_a_malformed_reply_value_fails_the_node(rng, values):
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = f"127.0.0.1:{listener.getsockname()[1]}"
+
+    def fake_worker():
+        listener.settimeout(10)
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            f.readline()  # the hello
+            f.write((json.dumps({"type": "hello_ack", "proto": PROTOCOL_VERSION,
+                                 "max_qubits": 12}) + "\n").encode())
+            f.flush()
+            f.readline()  # the batch
+            f.write((json.dumps({"type": "result", "values": values, "shots_used": [0]})
+                     + "\n").encode())
+            f.flush()
+
+    thread = threading.Thread(target=fake_worker, daemon=True)
+    thread.start()
+    task = OverlapSpec(id=0, left=random_circuit(rng, 1), right=random_circuit(rng, 1),
+                       observable=PauliString(1, "Z"), input_label="0")
+    try:
+        with pytest.raises(NodeFailure, match="unexpected reply"):
+            execute_tasks([task], ClusterConfig(mode="network", nodes=(address,)))
+    finally:
+        thread.join(timeout=5)
+        listener.close()
