@@ -61,8 +61,10 @@ from .planner import (
 )
 from .runtime import (
     ClusterConfig,
+    ExactBackend,
     OverlapSpec,
     TaskSpec,
+    _host_port,
     estimate_plans,
     execute_tasks,
     serve_worker,
@@ -339,19 +341,18 @@ class _ListType(click.ParamType):
             self.fail(f"bad list {value!r}: {exc}", param, ctx)
 
 
-def _read_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON value of the file at ``path``; an unreadable or malformed
+    file exits 2, naming ``what`` the file is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.UsageError(
-            f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{what} parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
     except OSError as exc:
-        raise click.UsageError(f"cannot read config: {exc}")
-    if not isinstance(cfg, dict):
-        raise click.UsageError("config file must hold a JSON object")
-    return cfg
+        raise click.UsageError(f"cannot read {what}: {exc}")
 
 
 def _config_option(*config_only: str):
@@ -361,7 +362,9 @@ def _config_option(*config_only: str):
     def load(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
         if path is None:
             return
-        cfg = _read_config(path)
+        cfg = _read_json(path, "config")
+        if not isinstance(cfg, dict):
+            raise click.UsageError("config file must hold a JSON object")
         options = {
             p.opts[0][2:].replace("-", "_"): p
             for p in ctx.command.params
@@ -441,7 +444,7 @@ def _make_cluster(mode, nodes, workers, shots, seed) -> ClusterConfig:
             nodes=nodes,
             shots=shots,
             seed=seed,
-            retry_limit=ClusterConfig.retry_limit if retry_limit is None else int(retry_limit),
+            retry_limit=ClusterConfig.retry_limit if retry_limit is None else retry_limit,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -506,15 +509,7 @@ def cmd_plan(circuit_path, out_path):
     if circuit_path == "ghz4":
         circ = ghz4_template()
     else:
-        try:
-            with open(circuit_path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(
-                f"circuit parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            )
-        except OSError as exc:
-            raise click.UsageError(f"cannot read circuit: {exc}")
+        obj = _read_json(circuit_path, "circuit")
         try:
             circ = parse_circuit(obj)
         except (CircuitFormatError, NotUnitary) as exc:
@@ -685,17 +680,19 @@ def cmd_imagtime(eps, c_param, dt, big_t, gammas, normalize, out_path, fmt, chec
 
 
 def _listen_address(ctx, param, value: str) -> str:
-    """Reject a --listen value without a port in 0..65535 before the worker binds."""
-    _, sep, port = value.rpartition(":")
-    if not sep or not (port.isascii() and port.isdigit() and int(port) <= 65535):
-        raise click.BadParameter(f"{value!r} is not host:port with a port in 0..65535")
+    """Reject a --listen value that ``serve_worker`` would refuse, before the
+    worker binds."""
+    try:
+        _host_port(value, listen=True)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     return value
 
 
 @main.command("worker")
 @click.option("--listen", "listen_address", required=True, callback=_listen_address,
               help="host:port to bind (port 0 picks a free port).")
-@click.option("--max-qubits", type=click.IntRange(min=1), default=12,
+@click.option("--max-qubits", type=click.IntRange(min=1), default=ExactBackend.max_qubits,
               help="Largest circuit width this worker accepts.")
 def cmd_worker(listen_address, max_qubits):
     """Serve tasks over TCP until a shutdown message arrives."""

@@ -142,10 +142,10 @@ def _reshuffle(m4: np.ndarray) -> np.ndarray:
     return m4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def reshuffled_rank(u4: np.ndarray, tol: float = 1e-10) -> int:
-    """Number of nonzero singular values of the reshuffled matrix."""
+def reshuffled_rank(u4: np.ndarray) -> int:
+    """Number of singular values of the reshuffled matrix above 1e-10."""
     s = np.linalg.svd(_reshuffle(np.asarray(u4, dtype=complex)), compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > 1e-10))
 
 
 def _kron_factor(m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +167,7 @@ def _unitarize(a: np.ndarray) -> tuple[np.ndarray, float]:
     return a / c, c
 
 
-def _simdiag_real_sym(p: np.ndarray, q: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _simdiag_real_sym(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthogonal O simultaneously diagonalizing commuting real symmetric p, q."""
     wp, o = np.linalg.eigh(p)
     o = o.copy()
@@ -175,7 +175,7 @@ def _simdiag_real_sym(p: np.ndarray, q: np.ndarray, tol: float = 1e-8) -> np.nda
     i = 0
     while i < n:
         j = i + 1
-        while j < n and abs(wp[j] - wp[i]) < tol:
+        while j < n and abs(wp[j] - wp[i]) < 1e-8:
             j += 1
         if j - i > 1:
             block = o[:, i:j]
@@ -187,7 +187,7 @@ def _simdiag_real_sym(p: np.ndarray, q: np.ndarray, tol: float = 1e-8) -> np.nda
     return o
 
 
-def operator_schmidt(u4, tol: float = 1e-10) -> GateLCU:
+def operator_schmidt(u4) -> GateLCU:
     """Minimal tensor-product expansion of a two-qubit unitary with unitary factors.
 
     The term count equals the operator Schmidt rank (the rank of the reshuffled
@@ -199,7 +199,7 @@ def operator_schmidt(u4, tol: float = 1e-10) -> GateLCU:
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     if not is_unitary(u):
         raise NotUnitary("operator_schmidt needs a unitary matrix")
-    rank = reshuffled_rank(u, tol)
+    rank = reshuffled_rank(u)
     if rank == 1:
         a, b = _kron_factor(u)
         a_u, ca = _unitarize(a)
@@ -281,7 +281,7 @@ def _magic_schmidt(u: np.ndarray, rank: int) -> GateLCU | None:
     return lcu
 
 
-def pauli_expansion(u4, tol: float = 1e-12) -> GateLCU:
+def pauli_expansion(u4) -> GateLCU:
     """Expansion of any two-qubit unitary over the Pauli basis (<= 16 terms)."""
     u = np.asarray(u4, dtype=complex)
     if u.shape != (4, 4):
@@ -292,7 +292,7 @@ def pauli_expansion(u4, tol: float = 1e-12) -> GateLCU:
     for sa in _PAULIS:
         for sb in _PAULIS:
             coeff = complex(np.trace(kron(sa, sb).conj().T @ u) / 4.0)
-            if abs(coeff) > tol:
+            if abs(coeff) > 1e-12:
                 terms.append((coeff, (sa, sb)))
     return GateLCU(terms=tuple(terms))
 

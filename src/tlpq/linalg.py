@@ -57,19 +57,19 @@ def _as_vector(v) -> np.ndarray:
     return u
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m - m.conj().T))) < tol
+    return float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_TOL
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m) -> bool:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m.conj().T @ m - eye))) < tol
+    return float(np.max(np.abs(m.conj().T @ m - eye))) < UNITARY_TOL
 
 
 def _complex_product(a, b) -> np.ndarray:

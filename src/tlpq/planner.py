@@ -10,8 +10,8 @@ product input make Tr(O Phi(rho)) a weighted sum of per-part overlaps
 each measurable with one ancilla (Hadamard-test style). This module enumerates
 those subtasks as a ``Plan``: tables of the distinct part circuits,
 observables and input labels, and one row of table positions per subtask, so
-operands are checked once per distinct operand rather than once per row. The
-runtime computes each row's overlap from the gate lists;
+operands are checked once per distinct combination rather than once per row.
+The runtime computes each row's overlap from the gate lists;
 ``build_estimator_circuit`` gives the hardware-faithful single-ancilla circuit
 of a subtask on request. The module also carries the two GHZ pipelines:
 overlap tomography across a cut, whose gram entries are overlaps of two-qubit
@@ -129,10 +129,6 @@ class FactorizedUnitary:
             out += coeff * block
         return out
 
-    def check_unitary(self, tol: float = 1e-8) -> None:
-        if not is_unitary(self.dense(), tol):
-            raise ShapeMismatch("factorized terms do not resum to a unitary")
-
     @classmethod
     def from_circuits(cls, circuits: tuple[Circuit, ...]) -> "FactorizedUnitary":
         """Single-term wrapper (ell = 1, coefficient 1)."""
@@ -175,10 +171,6 @@ class ChannelLCU:
         return len(self.branches)
 
     @property
-    def m(self) -> int:
-        return len(self.branches[0][0])
-
-    @property
     def part_widths(self) -> tuple[int, ...]:
         return self.branches[0][1][0].part_widths
 
@@ -218,8 +210,9 @@ class ChannelLCU:
             ))
         indices, left, right, coefficient = (np.concatenate(col) for col in zip(*columns))
         part = np.ascontiguousarray(indices[:, 5])
-        return tuple(circuits), _Columns(np.arange(len(part)), indices, left, right, part, part,
-                                         coefficient)
+        circuits = tuple(circuits)
+        return circuits, _Columns(circuits, np.arange(len(part)), indices, left, right, part, part,
+                                  coefficient)
 
     @functools.cached_property
     def _subtask_rows(self) -> tuple:
@@ -247,7 +240,7 @@ class ChannelLCU:
             out = block if out is None else out + block
         return out
 
-    def _check_trace_preserving(self, tol: float = 1e-8) -> None:
+    def _check_trace_preserving(self) -> None:
         total_width = sum(self.part_widths)
         if total_width > 6:
             return  # dense check only at small scale
@@ -256,7 +249,7 @@ class ChannelLCU:
         for p in range(self.q):
             a_p = self.branch_operator(p)
             acc += a_p.conj().T @ a_p
-        if float(np.max(np.abs(acc - np.eye(dim)))) > tol:
+        if float(np.max(np.abs(acc - np.eye(dim)))) > 1e-8:
             raise NonPhysical("channel is not trace preserving within 1e-8")
 
 
@@ -282,11 +275,13 @@ class Subtask:
 class _Columns:
     """The rows of a plan as arrays: ``ids``, ``left``, ``right``,
     ``observable`` and ``label`` (intp), ``indices`` (n x 6 intp) and
-    ``coefficient`` (complex). The plans of one channel share one; a plan
-    built by hand reads its own from its tuples, once, at construction.
-    ``sides`` is the runtime's cache of the rows' distinct part states,
-    filled on first use."""
+    ``coefficient`` (complex), with the ``circuits`` table that ``left`` and
+    ``right`` point into. The plans of one channel share one; a plan built by
+    hand reads its own from its tuples, once, at construction. ``sides`` is
+    the runtime's cache of the rows' distinct part states, filled on first
+    use."""
 
+    circuits: tuple[Circuit, ...]
     ids: np.ndarray
     indices: np.ndarray
     left: np.ndarray
@@ -307,19 +302,31 @@ class _Columns:
             indices = np.array(plan.indices, dtype=np.intp).reshape(n, 6)
         except (TypeError, ValueError):
             raise ShapeMismatch("plan indices must be six integers per row") from None
-        return cls(ids, indices, left, right, observable, label,
+        return cls(plan.circuits, ids, indices, left, right, observable, label,
                    np.fromiter(plan.coefficient, complex, n))
 
     @functools.cached_property
-    def extent(self) -> tuple[bool, list[tuple[int, int]], list[int]]:
+    def extent(self) -> tuple[bool, list[tuple[int, int]]]:
         """What the plan checks read of the columns alone: whether the ids
-        ascend strictly; the (least, greatest) position in ``left``,
-        ``right``, ``observable`` and ``label`` ((0, -1) when empty); the
-        observable positions in use."""
+        ascend strictly, and the (least, greatest) position in ``left``,
+        ``right``, ``observable`` and ``label`` ((0, -1) when empty)."""
         bounds = [(int(col.min(initial=0)), int(col.max(initial=-1)))
                   for col in (self.left, self.right, self.observable, self.label)]
-        return (bool((self.ids[1:] > self.ids[:-1]).all()), bounds,
-                sorted(set(self.observable.tolist())))
+        return bool((self.ids[1:] > self.ids[:-1]).all()), bounds
+
+    @functools.cached_property
+    def operand_rows(self) -> list[int]:
+        """The first row, in id order, of each distinct (left width, right
+        width, observable position, label position): what
+        ``check_overlap_operands`` reads of a row, so a row passes or fails
+        with the first row of its combination. Read only once the positions
+        are in bounds."""
+        width = np.array([c.n_qubits for c in self.circuits], dtype=np.intp)
+        first: dict = {}
+        for k, key in enumerate(zip(width[self.left].tolist(), width[self.right].tolist(),
+                                    self.observable.tolist(), self.label.tolist())):
+            first.setdefault(key, k)
+        return list(first.values())
 
     @functools.cached_property
     def groups(self) -> tuple[np.ndarray, list]:
@@ -364,13 +371,15 @@ class Plan:
     circuits, observables (PauliStrings or unitary matrices) and input
     labels. Each row is one subtask, in ascending id order: ``ids``,
     ``indices`` (p, i, j, alpha, alpha2, a), the table positions ``left``,
-    ``right``, ``observable`` and ``label``, and ``coefficient``. Every
-    distinct operand is checked once, under the rules of
-    ``check_overlap_operands``, and every row's operand widths must agree;
-    the checks run on the rows as arrays. Those arrays are kept beside the
-    plan, not in it: the plans of one channel share the channel's, and a
-    plan built by hand reads its own from its tuples. ``len`` counts rows;
-    iterating yields them as Subtasks.
+    ``right``, ``observable`` and ``label``, and ``coefficient``. The
+    columns' lengths, the ascending ids and the table bounds are checked
+    here; a row's operands are checked by ``check_overlap_operands`` alone,
+    called once per distinct (left width, right width, observable, label)
+    on that combination's first row, so the first bad row raises that
+    rule's own error. The rows as arrays are kept beside the plan, not in
+    it: the plans of one channel share the channel's, and a plan built by
+    hand reads its own from its tuples. ``len`` counts rows; iterating
+    yields them as Subtasks.
     """
 
     circuits: tuple[Circuit, ...]
@@ -390,7 +399,7 @@ class Plan:
         if any(len(col) != len(self.ids) for col in columns):
             raise ShapeMismatch("plan columns differ in length")
         rows = _plan_columns(self)
-        ascending, bounds, observables_used = rows.extent
+        ascending, bounds = rows.extent
         if not ascending:
             raise ShapeMismatch("plan ids must be distinct and ascending")
         tables = (self.circuits, self.circuits, self.observables, self.labels)
@@ -401,19 +410,9 @@ class Plan:
             for o in self.observables
         )
         object.__setattr__(self, "observables", observables)
-        circuit_w = np.array([c.n_qubits for c in self.circuits], dtype=np.intp)
-        observable_w = np.array([_observable_width(o) for o in observables], dtype=np.intp)
-        label_w = np.array([len(b) if b and set(b) <= {"0", "1"} else -1 for b in self.labels],
-                           dtype=np.intp)
-        width = circuit_w[rows.left]
-        bad = ((circuit_w[rows.right] != width) | (observable_w[rows.observable] != width)
-               | (label_w[rows.label] != width))
-        if bad.any():
-            s = self.row(int(bad.argmax()))  # the rule raises its own error for the first bad row
+        for k in rows.operand_rows:
+            s = self.row(k)
             check_overlap_operands(s.left_circuit, s.right_circuit, s.observable, s.input_label)
-        for o in observables_used:
-            if not isinstance(observables[o], PauliString) and not is_unitary(observables[o]):
-                raise NonUnitaryObservable("estimator observables must be unitary")
 
     @classmethod
     def _sharing(cls, rows: _Columns, **fields) -> "Plan":
@@ -516,17 +515,6 @@ def _observable_matrix(obs) -> np.ndarray:
     if isinstance(obs, PauliString):
         return obs.matrix()
     return np.asarray(obs, dtype=complex)
-
-
-def _observable_width(obs) -> int:
-    """The width an observable fits: its letters, or log2 of a square 2^w matrix
-    (-1 for any other shape)."""
-    if isinstance(obs, PauliString):
-        return obs.n_qubits
-    shape = np.shape(obs)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2 or shape[0] & (shape[0] - 1):
-        return -1
-    return shape[0].bit_length() - 1
 
 
 def check_overlap_operands(left: Circuit, right: Circuit, observable, input_label: str) -> None:

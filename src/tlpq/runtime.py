@@ -29,6 +29,14 @@ once and simulates each part state once per batch. The wire carries overlap
 and density rows; "estimator" tasks run only in-process, as the reference the
 tests hold overlap tasks to.
 
+Each input rule has one implementation: ``_host_port`` reads worker
+addresses (to connect to, and to listen on); ``_is_count`` checks node counts,
+shots, seeds and retry limits, in a ClusterConfig and in a batch a worker
+receives; ``planner.check_overlap_operands`` checks an overlap row's operands
+in a Plan and in an OverlapSpec, so a worker refuses the rows a controller
+would; ``ExactBackend.run_rows`` holds a node's width cap, in-process and on a
+worker, whose announced cap the controller checks before sending it a batch.
+
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
 sampled mode returns the mean of draws from that law.
@@ -104,13 +112,30 @@ def _is_count(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _host_port(address, *, listen: bool = False) -> tuple[str, int]:
+    """The (host, port) of a "host:port" address: the one rule for worker
+    addresses. An address to connect to needs a host and a port in
+    1..65535; a listen address takes a port in 0..65535 (0 picks a free
+    one), and an empty host means 127.0.0.1. Anything else raises
+    ValueError."""
+    least = 0 if listen else 1
+    host, sep, port = address.rpartition(":") if isinstance(address, str) else ("", "", "")
+    if not (sep and (host or listen) and port.isascii() and port.isdigit()
+            and least <= int(port) <= 65535):
+        raise ValueError(f"{address!r} is not host:port with a port in {least}..65535")
+    return host or "127.0.0.1", int(port)
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """How to run a plan: local in-process nodes or remote TCP workers.
 
     mode="local": ``nodes`` is a node count. mode="network": ``nodes`` is a
-    tuple of "host:port" worker addresses. ``shots=None`` means exact
-    expectations; otherwise each readout is estimated from that many samples.
+    tuple of "host:port" worker addresses, read by ``_host_port`` into the
+    (host, port) pairs the controller connects to. ``shots=None`` means
+    exact expectations; otherwise each readout is estimated from that many
+    samples. Node counts, shots, seed and retry_limit must be ints, not
+    bools (``_is_count``).
     """
 
     mode: str = "local"
@@ -118,29 +143,31 @@ class ClusterConfig:
     shots: int | None = None
     seed: int = 0
     retry_limit: int = 2
+    _peers: tuple[tuple[str, int], ...] = field(default=(), init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         if self.mode not in ("local", "network"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "local":
-            if not isinstance(self.nodes, int) or self.nodes < 1:
+            if not _is_count(self.nodes, 1):
                 raise ValueError("local mode needs a node count >= 1")
         else:
             addrs = tuple(self.nodes) if not isinstance(self.nodes, int) else ()
             if not addrs:
                 raise ValueError("network mode needs a tuple of host:port addresses")
-            for a in addrs:
-                host, _, port = a.rpartition(":") if isinstance(a, str) else ("", "", "")
-                if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
-                    raise ValueError(f"worker address {a!r} is not host:port "
-                                     f"with a port in 1..65535")
+            try:
+                peers = tuple(map(_host_port, addrs))
+            except ValueError as exc:
+                raise ValueError(f"worker address {exc}") from None
             object.__setattr__(self, "nodes", addrs)
+            object.__setattr__(self, "_peers", peers)
         if self.shots is not None and not _is_count(self.shots, 1):
             raise ValueError("shots must be an integer >= 1 when present")
         if not _is_count(self.seed, 0):
             raise ValueError("seed must be an integer >= 0")
-        if self.retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
+        if not _is_count(self.retry_limit, 1):
+            raise ValueError("retry_limit must be an integer >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -725,7 +752,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], max_qubits: int = 12,
+    def __init__(self, address: tuple[str, int], max_qubits: int = ExactBackend.max_qubits,
                  fail_after_tasks: int | None = None):
         super().__init__(address, _WorkerHandler)
         self.backend = ExactBackend(max_qubits=max_qubits)
@@ -753,10 +780,13 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         super().handle_error(request, client_address)
 
 
-def serve_worker(listen_address: str, *, max_qubits: int = 12, announce=None):
-    """Run a worker until a shutdown message arrives. Blocks."""
-    host, _, port_text = listen_address.rpartition(":")
-    server = WorkerServer((host or "127.0.0.1", int(port_text)), max_qubits=max_qubits)
+def serve_worker(listen_address: str, *, max_qubits: int = ExactBackend.max_qubits,
+                 announce=None):
+    """Run a worker until a shutdown message arrives. Blocks.
+
+    ``listen_address`` is read by ``_host_port`` as a listen address; a bad
+    one raises ValueError before anything is bound."""
+    server = WorkerServer(_host_port(listen_address, listen=True), max_qubits=max_qubits)
     bound = server.server_address
     line = f"tlpq-worker listening on {bound[0]}:{bound[1]}"
     if announce is None:
@@ -770,17 +800,19 @@ def serve_worker(listen_address: str, *, max_qubits: int = 12, announce=None):
 
 
 class _WorkerClient:
-    """Controller-side persistent connection to one worker."""
+    """Controller-side persistent connection to one worker: ``address`` as
+    given, which results and errors name, and the (host, port) ``peer`` it
+    connects to."""
 
-    def __init__(self, address: str):
+    def __init__(self, address: str, peer: tuple[str, int]):
         self.address = address
+        self.peer = peer
         self.sock: socket.socket | None = None
         self.file = None
         self.max_qubits: int | None = None
 
     def _connect(self):
-        host, _, port_text = self.address.rpartition(":")
-        self.sock = socket.create_connection((host, int(port_text)), timeout=30)
+        self.sock = socket.create_connection(self.peer, timeout=30)
         self.file = self.sock.makefile("rwb")
         self._send({"type": "hello", "proto": PROTOCOL_VERSION})
         ack = self._recv()
@@ -867,22 +899,19 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
 
     In local mode the items of one call share their part states: each
     distinct (circuit object, input label) is simulated once and kept until
-    the call returns. In network mode the rows of all items are grouped by
-    start node (row id % node count), each group is one batch message, and
-    every batch is sent before any reply is read, so the workers compute at
-    once (``_dispatch``); the replies fill the same arrays.
+    the call returns; an item wider than a node's cap raises
+    CapabilityMismatch (``ExactBackend.run_rows``). In network mode the rows
+    of all items are grouped by start node (row id % node count), each group
+    is one batch message, and every batch is sent before any reply is read,
+    so the workers compute at once (``_dispatch``); the replies fill the same
+    arrays.
     """
     if cfg.mode == "local":
         backend = ExactBackend()
-        worst = max((t.n_qubits for t in items), default=0)
-        if worst > backend.max_qubits:
-            raise CapabilityMismatch(
-                f"plan needs {worst} qubits, nodes support {backend.max_qubits}"
-            )
         states: dict = {}
         return [backend.run_rows(item, cfg.shots, cfg.seed, states) for item in items], None
     batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
-    clients = [_WorkerClient(a) for a in cfg.nodes]
+    clients = list(map(_WorkerClient, cfg.nodes, cfg._peers))
     try:
         replies = _dispatch(clients, batches, cfg.retry_limit)
     finally:

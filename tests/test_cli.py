@@ -444,6 +444,17 @@ def test_config_parse_error_reports_position(runner, tmp_path):
     assert "config parse error at line 1 column" in combined_output(result)
 
 
+@pytest.mark.parametrize("retry_limit", [2.7, True, "3"])
+def test_config_retry_limit_that_is_not_a_count_exits_2(runner, monkeypatch, tmp_path,
+                                                        retry_limit):
+    monkeypatch.setattr("tlpq.cli.execute_tasks", refuse_to_serve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retry_limit": retry_limit}))
+    result = runner.invoke(main, ["ghz", "--config", str(cfg)])
+    assert result.exit_code == 2, combined_output(result)
+    assert "retry_limit must be an integer >= 1" in combined_output(result)
+
+
 def test_network_mode_requires_workers(runner):
     result = runner.invoke(main, ["ghz", "--mode", "network"])
     assert result.exit_code == 2

@@ -5,6 +5,9 @@ materialized as Phi(rho) = sum_p A_p rho A_p† and compared against the
 aggregated subtask sum.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -23,10 +26,13 @@ from tlpq.planner import (
     FactorizedUnitary,
     IncompleteTables,
     NonPhysical,
+    NonUnitaryObservable,
+    Plan,
     ShapeMismatch,
     Subtask,
     assemble_grams,
     build_estimator_circuit,
+    check_overlap_operands,
     enumerate_subtasks,
     ghz4_template,
     ghz_cutting_plan,
@@ -292,6 +298,72 @@ class TestEnumerateSubtasks:
         ChannelLCU(branches=(((1.0 + 0j,), (fu,)),), cptp_expected=True)
         with pytest.raises(NonPhysical):
             ChannelLCU(branches=(((0.5 + 0j,), (fu,)),), cptp_expected=True)
+
+
+def two_width_rows(n: int = 60) -> list[Subtask]:
+    """``n`` rows in two operand combinations: even ids are one-qubit rows
+    (Z, label "0"), odd ids two-qubit rows (XY, label "01"); every row has
+    its own circuit objects."""
+    rows = []
+    for k in range(n):
+        w = 1 + k % 2
+        rows.append(Subtask(
+            id=k, indices=(0, k, k, 0, 0, 0),
+            left_circuit=Circuit(w, (Gate("X", (0,)),)), right_circuit=Circuit(w, ()),
+            observable=PauliString(1, "Z") if w == 1 else PauliString(2, "XY"),
+            input_label="0" * w if w == 1 else "01", coefficient=1.0))
+    return rows
+
+
+def replaced(rows: list[Subtask], k: int, **changes) -> list[Subtask]:
+    return rows[:k] + [dataclasses.replace(rows[k], **changes)] + rows[k + 1:]
+
+
+def rule_error(s: Subtask) -> ValueError:
+    """The error ``check_overlap_operands`` raises for ``s``."""
+    try:
+        check_overlap_operands(s.left_circuit, s.right_circuit, s.observable, s.input_label)
+    except ValueError as exc:
+        return exc
+    pytest.fail(f"row {s.id} passes the operand rule")
+
+
+class TestPlanOperandRule:
+    def test_one_rule_call_per_operand_combination(self, monkeypatch):
+        import tlpq.planner
+
+        seen = []
+        rule = tlpq.planner.check_overlap_operands
+        monkeypatch.setattr(tlpq.planner, "check_overlap_operands",
+                            lambda *operands: seen.append(operands) or rule(*operands))
+        rows = two_width_rows()
+        plan = Plan.from_subtasks(rows)
+        assert len(plan) == 60 and len(plan.circuits) == 120
+        first = [(s.left_circuit, s.right_circuit, s.observable, s.input_label)
+                 for s in rows[:2]]
+        assert seen == first
+
+    @pytest.mark.parametrize("changes", [
+        {"observable": PauliString(2, "XX")},
+        {"observable": np.diag([1.0, 0.5])},
+        {"observable": np.eye(4)},
+        {"input_label": "2"},
+        {"input_label": "00"},
+        {"right_circuit": Circuit(2, ())},
+    ], ids=["pauli-width", "non-unitary", "matrix-width", "label-bits", "label-width",
+            "right-width"])
+    def test_a_bad_row_deep_in_a_plan_raises_the_rule_error(self, changes):
+        rows = replaced(two_width_rows(), 46, **changes)
+        want = rule_error(rows[46])
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            Plan.from_subtasks(rows)
+
+    def test_the_first_bad_row_reports_by_any_rule(self):
+        # a non-unitary observable at id 10 comes before a width fault at id 30
+        rows = replaced(replaced(two_width_rows(), 10, observable=np.diag([1.0, 0.5])),
+                        30, right_circuit=Circuit(2, ()))
+        with pytest.raises(NonUnitaryObservable):
+            Plan.from_subtasks(rows)
 
 
 class TestGhzTemplatesAndPlan:

@@ -497,6 +497,16 @@ def test_cluster_config_normalizes_address_list():
     assert isinstance(cfg.nodes, tuple) and len(cfg.nodes) == 2
 
 
+@pytest.mark.parametrize("changes", [
+    {"retry_limit": 1.5}, {"retry_limit": True}, {"retry_limit": "3"}, {"retry_limit": 0},
+    {"nodes": True}, {"nodes": 1.5}, {"nodes": "2"},
+], ids=["retry-float", "retry-bool", "retry-str", "retry-0", "nodes-bool", "nodes-float",
+        "nodes-str"])
+def test_cluster_config_rejects_a_retry_limit_or_node_count_that_is_not_a_count(changes):
+    with pytest.raises(ValueError, match="retry_limit must be an integer|node count"):
+        ClusterConfig(**changes)
+
+
 # --- execute_tasks: local scheduling ------------------------------------------------
 
 
@@ -851,6 +861,16 @@ def test_protocol_task_error_reports_id_and_keeps_serving():
         assert reply["type"] == "error" and reply["id"] == 42
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         assert recv()["type"] == "hello_ack"
+
+
+@pytest.mark.parametrize("address", ["127.0.0.1:99999", "127.0.0.1:x", "nohostport"])
+def test_serve_worker_refuses_a_bad_listen_address_before_binding(monkeypatch, address):
+    def bind(*args, **kwargs):
+        pytest.fail("the worker bound a bad address")
+
+    monkeypatch.setattr("tlpq.runtime.WorkerServer", bind)
+    with pytest.raises(ValueError, match=r"port in 0\.\.65535"):
+        serve_worker(address, announce=bind)
 
 
 def test_serve_worker_announces_bound_address_and_stops_on_shutdown():
