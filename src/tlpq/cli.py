@@ -26,6 +26,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .circuit import (
+    PAULI_1Q,
     Circuit,
     CircuitFormatError,
     Gate,
@@ -69,8 +70,6 @@ from .runtime import (
     execute_tasks,
     serve_worker,
 )
-
-_PAULI_1Q_LABELS = ("I", "X", "Y", "Z")
 
 _DEFAULT_NONHERM_T = tuple(0.1 + j * 0.1 for j in range(10))
 _DEFAULT_GAMMAS = tuple(0.2 * k for k in range(11))
@@ -140,15 +139,14 @@ def run_ghz_cut_pipeline(cluster: ClusterConfig) -> dict:
 
 def nonherm_generator() -> tuple[GeneratorSpec, np.ndarray]:
     """The driven-dissipative benchmark: H = sigma_x, L = I + sigma_z, u0 = |0>."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return GeneratorSpec(H=sx, L=np.eye(2) + sz), np.array([1.0, 0.0], dtype=complex)
+    return (GeneratorSpec(H=PAULI_1Q["X"], L=np.eye(2) + PAULI_1Q["Z"]),
+            np.array([1.0, 0.0], dtype=complex))
 
 
-def random_hermitian_observable(seed: int, dim: int = 2) -> np.ndarray:
-    """Seed-derived Hermitian observable, written to output headers."""
+def random_hermitian_observable(seed: int) -> np.ndarray:
+    """Seed-derived 2 x 2 Hermitian observable, written to output headers."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return (g + g.conj().T) / 2.0
 
 
@@ -181,18 +179,7 @@ def run_nonherm_rows(
     """
     g, u0 = nonherm_generator()
     observable_r = random_hermitian_observable(cluster.seed)
-    paulis = {
-        "sx": np.array([[0, 1], [1, 0]], dtype=complex),
-        "sy": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "sz": np.diag([1.0, -1.0]).astype(complex),
-    }
-    beta = {
-        name: float(np.trace(observable_r @ mat).real) / 2.0
-        for name, mat in zip(
-            _PAULI_1Q_LABELS,
-            (np.eye(2, dtype=complex), paulis["sx"], paulis["sy"], paulis["sz"]),
-        )
-    }
+    beta = {p: float(np.trace(observable_r @ mat).real) / 2.0 for p, mat in PAULI_1Q.items()}
     schemes = [
         build_quadrature(eps, c, t, emulate_float_truncation=emulate_float_truncation)
         for t in t_values
@@ -203,12 +190,12 @@ def run_nonherm_rows(
         channel = _channel_from_unitaries(us, scheme.coeffs)
         plans += [
             enumerate_subtasks(channel, ("0",), (PauliString(1, letter),))
-            for letter in _PAULI_1Q_LABELS
+            for letter in PAULI_1Q
         ]
     values = estimate_plans(plans, cluster)
-    letters = len(_PAULI_1Q_LABELS)
+    letters = len(PAULI_1Q)
     forms_per_t = [
-        {letter: float(v.real) for letter, v in zip(_PAULI_1Q_LABELS, values[k:k + letters])}
+        {letter: float(v.real) for letter, v in zip(PAULI_1Q, values[k:k + letters])}
         for k in range(0, len(plans), letters)
     ]
     rows: list[dict] = []
@@ -216,7 +203,7 @@ def run_nonherm_rows(
         norm_form = forms["I"]
         dense = lchs_forms(
             [u @ u0 for u in us], scheme.coeffs,
-            (paulis["sx"], paulis["sy"], paulis["sz"], observable_r), normalize,
+            (PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"], observable_r), normalize,
         )
         w = trotter_oracle(g, u0, t, dt)
         w_norm = float(np.vdot(w, w).real)
@@ -227,8 +214,8 @@ def run_nonherm_rows(
             raw = forms[letter]
             row[f"{name}_tlp"] = raw / norm_form if normalize else raw
             row[f"{name}_dense"] = dense_value
-            row[f"{name}_oracle"] = float(np.vdot(w, paulis[name] @ w).real) / w_norm
-        raw_r = sum(beta[p] * forms[p] for p in _PAULI_1Q_LABELS)
+            row[f"{name}_oracle"] = float(np.vdot(w, PAULI_1Q[letter] @ w).real) / w_norm
+        raw_r = sum(beta[p] * forms[p] for p in PAULI_1Q)
         row["R_tlp"] = raw_r / norm_form if normalize else raw_r
         row["R_dense"] = dense[3]
         row["R_oracle"] = float(np.vdot(w, observable_r @ w).real) / w_norm
@@ -250,8 +237,7 @@ def run_imagtime_rows(
 
     The sweep is dense in-process code; ``cluster`` is not read. Each gamma's
     node states are built once and serve the state and all three expectations."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx, sz = PAULI_1Q["X"], PAULI_1Q["Z"]
     scheme = build_quadrature(eps, c, big_t)
     u0 = np.array([1.0, 0.0], dtype=complex)
     rows: list[dict] = []
@@ -325,7 +311,8 @@ def plan_report(circ: Circuit) -> dict:
 
 class _ListType(click.ParamType):
     """A list option: comma-separated on the command line, a JSON list (or the
-    same comma-separated string) in a config file."""
+    same comma-separated string) in a config file. Each item is converted
+    from its text, so a config file's item means what it means in the flag."""
 
     name = "list"
 
@@ -336,7 +323,7 @@ class _ListType(click.ParamType):
         if not isinstance(value, (list, tuple)):
             value = [piece.strip() for piece in str(value).split(",") if piece.strip()]
         try:
-            return tuple(self.item(x) for x in value)
+            return tuple(self.item(str(x)) for x in value)
         except (TypeError, ValueError) as exc:
             self.fail(f"bad list {value!r}: {exc}", param, ctx)
 
@@ -378,8 +365,11 @@ def _config_option(*config_only: str):
                 key in options and isinstance(options[key].type, _ListType)
             ):
                 raise click.UsageError(f"config key {key!r} takes a single value")
+        # an option's single value is given as its text, so it means what that
+        # text means on the command line; a config-only key keeps its JSON value
         ctx.default_map = {
-            options[key].name if key in options else key: value
+            options[key].name if key in options else key:
+                str(value) if key in options and not isinstance(value, list) else value
             for key, value in cfg.items()
             if value is not None
         }
@@ -458,20 +448,32 @@ def _write_text(out_path: str | None, text: str):
             fh.write(text)
 
 
+def _write_json(out_path: str | None, obj) -> None:
+    _write_text(out_path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _fmt_cell(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
-def _rows_to_csv(columns: list[str], rows: list[dict], header_comments: list[str]) -> str:
-    lines = list(header_comments)
+def _write_rows(out_path: str | None, fmt: str, columns: list[str], rows: list[dict],
+                header: dict) -> None:
+    """A sweep's rows: as CSV under one "# key = value" line per header entry
+    (a str value as it is, any other value as JSON), or as JSON with the
+    header's keys beside "rows"."""
+    if fmt == "json":
+        return _write_json(out_path, {**header, "rows": rows})
+    lines = [f"# {key} = {value if isinstance(value, str) else json.dumps(value)}"
+             for key, value in header.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    lines += [",".join(_fmt_cell(row[c]) for c in columns) for row in rows]
+    _write_text(out_path, "\n".join(lines) + "\n")
+
+
+def _fail_check(message: str):
+    """A run that misses its acceptance threshold under --check: exit 4."""
+    click.echo(f"check failed: {message}", err=True)
+    sys.exit(4)
 
 
 def _run_guard(fn):
@@ -515,12 +517,7 @@ def cmd_plan(circuit_path, out_path):
         except (CircuitFormatError, NotUnitary) as exc:
             raise click.UsageError(f"bad circuit: {exc}")
 
-    def body():
-        report = plan_report(circ)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        _write_text(out_path, text)
-
-    _run_guard(body)
+    _run_guard(lambda: _write_json(out_path, plan_report(circ)))
 
 
 def _ghz_command(name: str, doc: str, pipeline, out_default: str,
@@ -542,20 +539,18 @@ def _ghz_command(name: str, doc: str, pipeline, out_default: str,
             except NonPhysical as exc:  # a sampled reconstruction can be starved
                 if not check:
                     raise
-                click.echo(f"check failed: {exc}", err=True)
-                sys.exit(4)
+                _fail_check(str(exc))
             payload = {key: res[key] for key in fields}
             payload.update(fidelity=res["fidelity"], mode=cluster.mode,
                            rho=_matrix_to_json(res["rho"]), shots=cluster.shots)
-            _write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _write_json(out_path, payload)
             counts = "".join(f" {key}={res[key]}" for key in summary)
             click.echo(f"fidelity={res['fidelity']!r}{counts} "
                        f"mode={cluster.mode} shots={cluster.shots}")
             if check:
                 threshold = (1.0 - 1e-9) if cluster.shots is None else 0.97
                 if res["fidelity"] < threshold:
-                    click.echo(f"check failed: fidelity < {threshold}", err=True)
-                    sys.exit(4)
+                    _fail_check(f"fidelity < {threshold}")
 
         _run_guard(body)
 
@@ -606,18 +601,8 @@ def cmd_nonherm(eps, c_param, dt, t_values, emulate_float_truncation, normalize,
         columns = ["T", "M", "terms"]
         for name in ("sy", "sz", "R", "sx"):
             columns += [f"{name}_tlp", f"{name}_dense", f"{name}_oracle"]
-        if fmt == "csv":
-            header = [
-                "# R = " + json.dumps(_matrix_to_json(observable_r)),
-                f"# seed = {cluster.seed}",
-            ]
-            text = _rows_to_csv(columns, rows, header)
-        else:
-            text = json.dumps(
-                {"R": _matrix_to_json(observable_r), "seed": cluster.seed, "rows": rows},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        _write_text(out_path, text)
+        _write_rows(out_path, fmt, columns, rows,
+                    {"R": _matrix_to_json(observable_r), "seed": cluster.seed})
         if check:
             worst = max(
                 abs(row[f"{name}_tlp"] - row[f"{name}_dense"])
@@ -625,8 +610,7 @@ def cmd_nonherm(eps, c_param, dt, t_values, emulate_float_truncation, normalize,
                 for name in ("sy", "sz", "R", "sx")
             )
             if worst > 1e-9:
-                click.echo(f"check failed: max |tlp - dense| = {worst!r} > 1e-9", err=True)
-                sys.exit(4)
+                _fail_check(f"max |tlp - dense| = {worst!r} > 1e-9")
 
     _run_guard(body)
 
@@ -662,19 +646,11 @@ def cmd_imagtime(eps, c_param, dt, big_t, gammas, normalize, out_path, fmt, chec
             "gamma", "M", "terms", "H_lchs", "sx_lchs", "sz_lchs",
             "E0_exact", "fidelity", "H_trotter_T05", "H_trotter_T15",
         ]
-        if fmt == "csv":
-            text = _rows_to_csv(columns, rows, [f"# fidelity_convention = {FIDELITY_CONVENTION}"])
-        else:
-            text = json.dumps(
-                {"fidelity_convention": FIDELITY_CONVENTION, "rows": rows},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        _write_text(out_path, text)
+        _write_rows(out_path, fmt, columns, rows, {"fidelity_convention": FIDELITY_CONVENTION})
         if check:
             worst = min(row["fidelity"] for row in rows)
             if worst < 0.99:
-                click.echo(f"check failed: min fidelity = {worst!r} < 0.99", err=True)
-                sys.exit(4)
+                _fail_check(f"min fidelity = {worst!r} < 0.99")
 
     _run_guard(body)
 

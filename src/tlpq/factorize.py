@@ -75,10 +75,6 @@ class GateLCU:
     def ell(self) -> int:
         return len(self.terms)
 
-    @property
-    def parts(self) -> int:
-        return len(self.terms[0][1])
-
     def resum(self) -> np.ndarray:
         """Dense matrix sum_t coeff_t * kron(factors_t...)."""
         out = None

@@ -109,10 +109,6 @@ class FactorizedUnitary:
         return len(self.terms)
 
     @property
-    def n_parts(self) -> int:
-        return len(self.terms[0][1])
-
-    @property
     def part_widths(self) -> tuple[int, ...]:
         return tuple(c.n_qubits for c in self.terms[0][1])
 

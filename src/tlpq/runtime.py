@@ -339,8 +339,7 @@ def _side_rows(t: _Table, ket: str, bra: str) -> list[tuple]:
     positions of their bra states, each row's position among those, the
     distinct (observable, circuit, label) positions of their O|ket> states,
     each row's position among those). The rows are a slice when the table
-    has one width, and a row position is a slice when each row has its own
-    state, in row order, so the stacks are read as they are."""
+    has one width; the row positions are arrays."""
     k, b, o, label = (np.asarray(col, dtype=np.intp)
                       for col in (getattr(t, ket), getattr(t, bra), t.observable, t.label))
     n_circuits, n_labels = len(t.circuits), len(t.labels)
@@ -354,13 +353,12 @@ def _side_rows(t: _Table, ket: str, bra: str) -> list[tuple]:
         kets, ket_of_row = np.unique((o[rows] * n_circuits + k[rows]) * n_labels + label[rows],
                                      return_inverse=True)
         ket_o, ket_state = np.divmod(kets, n_circuits * n_labels)
-        in_order = np.arange(len(bra_of_row))
         out.append((
             rows,
             list(zip(*(x.tolist() for x in np.divmod(bras, n_labels)))),
-            slice(None) if np.array_equal(bra_of_row, in_order) else bra_of_row,
+            bra_of_row,
             list(zip(ket_o.tolist(), *(x.tolist() for x in np.divmod(ket_state, n_labels)))),
-            slice(None) if np.array_equal(ket_of_row, in_order) else ket_of_row,
+            ket_of_row,
         ))
     return out
 
@@ -562,7 +560,7 @@ class _Batch:
 
     start: int
     message: dict
-    rows: list = field(default_factory=list)  # (item position, row position, row id, width)
+    rows: list = field(default_factory=list)  # (row id, width)
     runs: list = field(default_factory=list)
 
 
@@ -612,7 +610,7 @@ def _batches(items: list, n_nodes: int, shots: int | None, seed: int) -> list[_B
                     b.message["circuits"].append(encoded[c])
                 entry[name] = positions[start, c]
             b.message["tasks"].append(entry)
-            b.rows.append((at, j, row_id, width))
+            b.rows.append((row_id, width))
             if not b.runs or b.runs[-1][0] != at:
                 b.runs.append((at, [], len(fields["readout"])))
             b.runs[-1][1].append(j)
@@ -705,7 +703,8 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
     def _run_batch(self, msg: dict) -> dict:
         """Run a batch's rows in order with one part-state cache; the reply holds
         each row's values and shots used, or an error naming the failing row's id
-        (-1 when the batch itself is malformed).
+        (-1 when the batch itself is malformed). The controller derives shots
+        used from its own call and does not read them.
 
         Each circuit is parsed once, with non-unitary RAW gates admitted as
         density rows need; simulating an overlap row's part states refuses
@@ -727,7 +726,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                 task = _task_from_row(row, circuits)
                 self.server.count_task()
                 row_values, row_used = self.server.backend.run_task(task, shots, seed, states)
-                values.append([float(v) for v in row_values])
+                values.append(row_values)
                 used.append(row_used)
         except Exception as exc:  # report, keep serving
             return {"type": "error", "id": row_id, "message": str(exc)}
@@ -838,7 +837,7 @@ class _WorkerClient:
         worker accepts raises CapabilityMismatch before anything is sent."""
         if self.sock is None:
             self._connect()
-        for _, _, row_id, width in batch.rows:
+        for row_id, width in batch.rows:
             if width > self.max_qubits:
                 raise CapabilityMismatch(
                     f"task {row_id} needs {width} qubits, "
@@ -846,20 +845,21 @@ class _WorkerClient:
                 )
         self._send(batch.message)
 
-    def read_result(self, batch: _Batch) -> tuple[list[np.ndarray], list]:
-        """Read the reply to ``batch``: (the values of each of its runs, as an
-        array with one row per task row and one column per readout; the shots
-        used by each row). Values that are not finite numbers in that shape
-        make the reply malformed."""
+    def read_result(self, batch: _Batch) -> list[np.ndarray]:
+        """Read the reply to ``batch``: the values of each of its runs, as an
+        array with one row per task row and one column per readout. Values
+        that are not finite numbers in that shape make the reply malformed.
+        The reply's ``shots_used`` is not read: the controller derives it
+        from its own call (``execute_tasks``)."""
         reply = self._recv()
         if reply.get("type") == "error":
             raise RuntimeError(
                 f"worker {self.address}: task {reply.get('id')}: {reply.get('message')}")
-        values, used = reply.get("values"), reply.get("shots_used")
+        values = reply.get("values")
         malformed = ConnectionError(
             f"unexpected reply from {self.address} to a batch of {len(batch.rows)} tasks")
         if (reply.get("type") != "result" or not isinstance(values, list)
-                or not isinstance(used, list) or not len(values) == len(used) == len(batch.rows)):
+                or len(values) != len(batch.rows)):
             raise malformed
         blocks, start = [], 0
         for _, rows, k in batch.runs:
@@ -871,16 +871,7 @@ class _WorkerClient:
                 raise malformed
             blocks.append(block)
             start += len(rows)
-        return blocks, used
-
-    def shutdown(self):
-        try:
-            if self.sock is None:
-                self._connect()
-            self._send({"type": "shutdown"})
-        except OSError:
-            pass
-        self.close()
+        return blocks
 
     def close(self):
         if self.sock is not None:
@@ -918,7 +909,7 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
         for c in clients:
             c.close()
     values = [np.empty((len(ids), len(readouts))) for ids, readouts in map(_rows, items)]
-    for batch, (_, blocks, _) in zip(batches, replies):
+    for batch, (_, blocks) in zip(batches, replies):
         for (at, rows, _), block in zip(batch.runs, blocks):
             values[at][rows] = block
     return values, list(zip(batches, replies))
@@ -935,25 +926,25 @@ def execute_tasks(
     as items (a plan, or a task as one row) through ``_run``. Each plan keeps
     its own ids, so a row's node, shot stream and result are those of the
     same row run as a single overlap task. The TaskResults are built here,
-    from the run's arrays.
+    from the run's arrays; every row's shots used is 0 in exact mode and
+    shots x its readouts in sampled mode, in both modes.
     """
     plans = [t for t in tasks if isinstance(t, Plan)]
     if plans and len(plans) != len(tasks):
         raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
     items = plans or sorted(tasks, key=lambda t: t.id)
     values, answers = _run(items, cfg)
-    if answers is None:  # local: node id % nodes, shots x readouts for every row
-        sources = [(map(operator.mod, _rows(item)[0], itertools.repeat(cfg.nodes)),
-                    itertools.repeat(0 if cfg.shots is None else cfg.shots * v.shape[1]))
-                   for item, v in zip(items, values)]
-    else:  # network: the address that answered, and the shots its reply names
-        sources = [([None] * len(v), [0] * len(v)) for v in values]
-        for batch, (address, _, used) in answers:
-            for (at, j, _, _), row_used in zip(batch.rows, used):
-                sources[at][0][j] = address
-                sources[at][1][j] = int(row_used)
-    out = [list(map(TaskResult, _rows(item)[0], map(tuple, v.tolist()), used, nodes))
-           for item, v, (nodes, used) in zip(items, values, sources)]
+    if answers is None:  # local: node id % nodes
+        nodes = [[i % cfg.nodes for i in _rows(item)[0]] for item in items]
+    else:  # network: the address that answered each row
+        nodes = [[None] * len(v) for v in values]
+        for batch, (address, _) in answers:
+            for at, rows, _ in batch.runs:
+                for j in rows:
+                    nodes[at][j] = address
+    out = [list(map(TaskResult, _rows(item)[0], map(tuple, v.tolist()),
+                    itertools.repeat(0 if cfg.shots is None else cfg.shots * v.shape[1]), labels))
+           for item, v, labels in zip(items, values, nodes)]
     return out if plans else [r for (r,) in out]
 
 
@@ -969,9 +960,9 @@ _WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError)
 
 
 def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: int
-              ) -> list[tuple[str, list, list]]:
+              ) -> list[tuple[str, list]]:
     """Run every batch; returns (address that answered, values of each run of
-    rows, shots used by each row) per batch (``read_result``).
+    rows) per batch (``read_result``).
 
     Each round sends every pending batch before it reads any reply, at most one
     per node. A batch starts at its start node and moves whole to the next live
@@ -1021,7 +1012,7 @@ def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: 
             sent[node] = b
         for node, b in sent.items():
             try:
-                replies[b] = (clients[node].address, *clients[node].read_result(batches[b]))
+                replies[b] = (clients[node].address, clients[node].read_result(batches[b]))
             except _WIRE_ERRORS as exc:
                 drop(node, b, exc)
                 pending.append(b)

@@ -455,6 +455,24 @@ def test_config_retry_limit_that_is_not_a_count_exits_2(runner, monkeypatch, tmp
     assert "retry_limit must be an integer >= 1" in combined_output(result)
 
 
+@pytest.mark.parametrize("command, cfg, option", [
+    ("ghz-cut", {"shots": 2.7}, "--shots"),
+    ("ghz-cut", {"seed": True}, "--seed"),
+    ("ghz", {"nodes": 2.9}, "--nodes"),
+    ("nonherm", {"T": [True]}, "--T"),
+], ids=["shots-float", "seed-bool", "nodes-float", "T-bool-item"])
+def test_config_value_means_what_its_flag_text_means(runner, monkeypatch, tmp_path,
+                                                    command, cfg, option):
+    """A config value is read as the flag's text: values the flag refuses exit 2."""
+    monkeypatch.setattr("tlpq.cli.execute_tasks", refuse_to_serve)
+    monkeypatch.setattr("tlpq.cli.estimate_plans", refuse_to_serve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, [command, "--config", str(path)])
+    assert result.exit_code == 2, combined_output(result)
+    assert f"Invalid value for '{option}'" in combined_output(result)
+
+
 def test_network_mode_requires_workers(runner):
     result = runner.invoke(main, ["ghz", "--mode", "network"])
     assert result.exit_code == 2
@@ -549,7 +567,10 @@ def test_config_keys_a_command_does_not_read_exit_2(runner, tmp_path, args, cfg)
     ("ghz",
      ["--shots", "100", "--seed", "3"],
      {"shots": 100, "seed": 3, "retry_limit": 3}),
-], ids=["nonherm", "imagtime", "ghz"])
+    ("nonherm",
+     ["--T", "0.6", "--emulate-float-truncation", "--nodes", "3"],
+     {"T": [0.6], "emulate_float_truncation": True, "nodes": 3}),
+], ids=["nonherm", "imagtime", "ghz", "nonherm-flag-and-count"])
 def test_config_file_matches_the_same_flags(runner, tmp_path, command, flags, cfg):
     """A config file gives byte-identical output to the flags it stands for."""
     path = tmp_path / "cfg.json"

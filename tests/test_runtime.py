@@ -1534,6 +1534,47 @@ def test_worker_rejects_a_batch_with_bad_shots_or_seed_and_keeps_serving(fields)
         assert recv()["type"] == "result"
 
 
+@pytest.mark.parametrize("shots", [None, 10])
+@pytest.mark.parametrize("shots_used", [["x"], [2.7], [-5], [None], "missing"],
+                         ids=["text", "float", "negative", "null", "missing"])
+def test_shots_used_comes_from_the_call_not_the_reply(rng, shots, shots_used):
+    """A reply's shots_used is not read: with good values, any shots_used (or
+    none) gives the TaskResults of a local run, with the worker as node."""
+    task = OverlapSpec(id=3, left=random_circuit(rng, 1), right=random_circuit(rng, 1),
+                       observable=PauliString(1, "Z"), input_label="0",
+                       readouts=("ax", "ay", "p0", "p1"))
+    cluster = dict(shots=shots, seed=4)
+    local = execute_tasks([task], ClusterConfig(**cluster))
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = f"127.0.0.1:{listener.getsockname()[1]}"
+    reply = {"type": "result", "values": [list(local[0].value)], "shots_used": shots_used}
+    if shots_used == "missing":
+        del reply["shots_used"]
+
+    def fake_worker():
+        listener.settimeout(10)
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            f.readline()  # the hello
+            f.write((json.dumps({"type": "hello_ack", "proto": PROTOCOL_VERSION,
+                                 "max_qubits": 12}) + "\n").encode())
+            f.flush()
+            f.readline()  # the batch
+            f.write((json.dumps(reply) + "\n").encode())
+            f.flush()
+
+    thread = threading.Thread(target=fake_worker, daemon=True)
+    thread.start()
+    try:
+        remote = execute_tasks([task], ClusterConfig(mode="network", nodes=(address,),
+                                                     **cluster))
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    assert remote == [TaskResult(r.task_id, r.value, r.shots_used, address) for r in local]
+    assert remote[0].shots_used == (0 if shots is None else 40)
+
+
 @pytest.mark.parametrize("values", [[[None, 0.0]], [[1.0]], [[1.0, 2.0, 3.0]], [["a", 0.0]],
                                     [1.0], [[float("nan"), 0.0]]])
 def test_a_malformed_reply_value_fails_the_node(rng, values):
