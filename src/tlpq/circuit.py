@@ -8,15 +8,26 @@ Conventions:
 - Controlled two-qubit gates store (control, target) in that order in ``qubits``.
 - RAW gates carry an explicit matrix over their qubit tuple (first listed qubit is
   the most significant bit of the block).
+
+Per-gate work is done once per distinct gate: a ``Gate`` computes its
+read-only matrix on first use and keeps it, and ``parse_circuit`` decodes
+value-equal non-RAW entries to one shared ``Gate``, keyed by the parameters'
+exact bits (so 0.0 and -0.0 stay apart), through a memo that lives for one
+call or for the calls that share it (a worker's batch). ``_apply`` makes the
+one ``np.dot`` call that ``np.tensordot`` makes, on the same operands, so
+states keep their bits.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, is_unitary
+from .linalg import DimensionMismatch, _is_count, is_unitary
 
 __all__ = [
     "Gate",
@@ -49,29 +60,37 @@ class CircuitFormatError(ValueError):
     """Raised on malformed circuit JSON."""
 
 
+def _bits(params) -> bytes:
+    """The exact bits of a parameter tuple: a memo key that keeps 0.0 and -0.0
+    apart, as a float key would not."""
+    return struct.pack("d" * len(params), *params)
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 PAULI_1Q: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": _read_only(np.eye(2, dtype=complex)),
+    "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
-_FIXED_1Q: dict[str, np.ndarray] = {
-    "I": PAULI_1Q["I"],
-    "X": PAULI_1Q["X"],
-    "Y": PAULI_1Q["Y"],
-    "Z": PAULI_1Q["Z"],
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "S": np.diag([1.0, 1.0j]).astype(complex),
-    "T": np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex),
+# the matrices of the kinds without parameters
+_FIXED: dict[str, np.ndarray] = {
+    **PAULI_1Q,
+    "H": _read_only(np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
+    "S": _read_only(np.diag([1.0, 1.0j]).astype(complex)),
+    "T": _read_only(np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)),
+    "CZ": _read_only(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+    "CNOT": _read_only(np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    )),
 }
-
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 # arity None means "derived from the RAW matrix shape"
 GATE_ARITY: dict[str, int | None] = {
@@ -94,25 +113,28 @@ class Gate:
     raw: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
-            raise CircuitFormatError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if any(q < 0 for q in self.qubits):
-            raise CircuitFormatError(f"negative qubit index in {self.kind}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitFormatError(f"repeated qubit in {self.kind} gate {self.qubits}")
-        want_params = _PARAM_COUNT.get(self.kind, 0)
-        if len(self.params) != want_params:
+        kind = self.kind
+        if kind not in GATE_ARITY:
+            raise CircuitFormatError(f"unknown gate kind {kind!r}")
+        qubits = tuple(map(int, self.qubits))
+        params = tuple(map(float, self.params))
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "params", params)
+        k = len(qubits)
+        if k and min(qubits) < 0:
+            raise CircuitFormatError(f"negative qubit index in {kind}")
+        if len(set(qubits)) != k:
+            raise CircuitFormatError(f"repeated qubit in {kind} gate {qubits}")
+        want_params = _PARAM_COUNT.get(kind, 0)
+        if len(params) != want_params:
             raise CircuitFormatError(
-                f"{self.kind} takes {want_params} parameter(s), got {len(self.params)}"
+                f"{kind} takes {want_params} parameter(s), got {len(params)}"
             )
-        if self.kind == "RAW":
+        if kind == "RAW":
             if self.raw is None:
                 raise CircuitFormatError("RAW gate needs a matrix")
             mat = np.asarray(self.raw, dtype=complex)
             object.__setattr__(self, "raw", mat)
-            k = len(self.qubits)
             if k == 0:
                 raise CircuitFormatError("RAW gate needs at least one qubit")
             if mat.shape != (2**k, 2**k):
@@ -121,12 +143,19 @@ class Gate:
                 )
         else:
             if self.raw is not None:
-                raise CircuitFormatError(f"{self.kind} gate must not carry a matrix")
-            arity = GATE_ARITY[self.kind]
-            if len(self.qubits) != arity:
-                raise CircuitFormatError(
-                    f"{self.kind} acts on {arity} qubit(s), got {len(self.qubits)}"
-                )
+                raise CircuitFormatError(f"{kind} gate must not carry a matrix")
+            arity = GATE_ARITY[kind]
+            if k != arity:
+                raise CircuitFormatError(f"{kind} acts on {arity} qubit(s), got {k}")
+
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        """``gate_matrix``, computed on first use and kept with the gate."""
+        if self.kind == "RAW":
+            return self.raw
+        if not self.params:
+            return _FIXED[self.kind]
+        return _read_only(_rotation(self.kind, self.params[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,42 +207,57 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return out
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """Dense matrix of a gate over its own qubit tuple (first qubit = MSB)."""
-    if g.kind in _FIXED_1Q:
-        return _FIXED_1Q[g.kind]
-    if g.kind == "RX":
-        t = g.params[0] / 2
+def _rotation(kind: str, theta: float) -> np.ndarray:
+    """The matrix of a one-parameter gate."""
+    if kind == "RX":
+        t = theta / 2
         return np.array(
             [[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]], dtype=complex
         )
-    if g.kind == "RY":
-        t = g.params[0] / 2
+    if kind == "RY":
+        t = theta / 2
         return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
-    if g.kind == "RZ":
-        t = g.params[0] / 2
+    if kind == "RZ":
+        t = theta / 2
         return np.diag([np.exp(-1j * t), np.exp(1j * t)]).astype(complex)
-    if g.kind == "PHASE":
-        return np.diag([1.0, np.exp(1j * g.params[0])]).astype(complex)
-    if g.kind == "CZ":
-        return _CZ
-    if g.kind == "CNOT":
-        return _CNOT
-    if g.kind == "RAW":
-        return g.raw
-    raise CircuitFormatError(f"unknown gate kind {g.kind!r}")
+    return np.diag([1.0, np.exp(1j * theta)]).astype(complex)  # PHASE
+
+
+def gate_matrix(g: Gate) -> np.ndarray:
+    """Dense matrix of a gate over its own qubit tuple (first qubit = MSB).
+
+    Every kind but RAW gets a read-only matrix: a module constant for the
+    kinds without parameters, else one computed on the gate's first use and
+    kept with it. A RAW gate returns its own matrix.
+    """
+    return g._matrix
+
+
+@functools.lru_cache(maxsize=1024)
+def _axes(ndim: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that brings ``qubits`` to the front of ``ndim`` axes,
+    and its inverse."""
+    front = qubits + tuple(a for a in range(ndim) if a not in qubits)
+    return front, tuple(np.argsort(front).tolist())
 
 
 def _apply(state_t: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply a gate matrix to the given qubit axes of a tensored state.
 
     ``state_t`` has one axis of length 2 per qubit, plus optionally trailing batch
-    axes; qubit axes come first.
+    axes; qubit axes come first. The result is bit for bit
+    ``np.moveaxis(np.tensordot(mat_t, state_t, axes=(range(k, 2k), qubits)),
+    range(k), qubits)`` with ``mat_t`` the matrix as (2,) * 2k: the same
+    ``np.dot`` call on the same operands, without tensordot's per-call
+    bookkeeping, and the same transposed view back. Those operands are the
+    matrix itself (tensordot's reshapes of ``mat_t`` back to 2**k x 2**k
+    are views with the matrix's own strides, contiguous or not) and the
+    state with the target axes first as a (2**k, -1) matrix.
     """
     k = len(qubits)
-    mat_t = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(mat_t, state_t, axes=(tuple(range(k, 2 * k)), qubits))
-    return np.moveaxis(out, tuple(range(k)), qubits)
+    front, back = _axes(state_t.ndim, qubits)
+    moved = state_t.transpose(front)
+    return np.dot(mat, moved.reshape(2**k, -1)).reshape(moved.shape).transpose(back)
 
 
 def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
@@ -295,13 +339,33 @@ def circuit_to_json(c: Circuit) -> dict:
     return {"n": c.n_qubits, "gates": gates}
 
 
-def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
+def _finite(p) -> bool:
+    """Whether ``p`` is a finite JSON number: an int or a float, not a bool."""
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        return False
+    try:
+        return math.isfinite(p)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def parse_circuit(obj, *, require_unitary: bool = True, _shared: dict | None = None
+                  ) -> Circuit:
     """Parse the JSON form back into a Circuit; unknown fields are rejected.
+
+    ``n`` and every qubit must be JSON integers (not bools, floats or
+    strings) and every param a finite JSON number, or CircuitFormatError is
+    raised. Value-equal non-RAW entries decode to one shared Gate; RAW gates
+    are parsed and checked one by one. Calls that pass one ``_shared`` dict
+    share their decoded gates too: a worker passes one per batch, whose part
+    circuits repeat most of their gates, so each distinct gate is decoded,
+    and its matrix computed, once per batch.
 
     ``require_unitary=False`` admits non-unitary RAW matrices. Worker batches
     parse this way, because density rows push an unnormalized statevector
     through the gates; simulating an overlap row refuses them.
     """
+    shared = {} if _shared is None else _shared  # (kind, qubits, param bits) -> Gate
     if not isinstance(obj, dict):
         raise CircuitFormatError("circuit JSON must be an object")
     extra = set(obj) - {"n", "gates"}
@@ -309,10 +373,9 @@ def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
         raise CircuitFormatError(f"unknown circuit fields {sorted(extra)}")
     if "n" not in obj or "gates" not in obj:
         raise CircuitFormatError("circuit JSON needs 'n' and 'gates'")
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise CircuitFormatError(f"bad qubit count: {obj['n']!r}") from exc
+    n = obj["n"]
+    if not _is_count(n, 1):
+        raise CircuitFormatError(f"bad qubit count: {n!r}")
     raw_gates = obj["gates"]
     if not isinstance(raw_gates, list):
         raise CircuitFormatError("'gates' must be a list")
@@ -320,7 +383,7 @@ def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
     for idx, entry in enumerate(raw_gates):
         if not isinstance(entry, dict):
             raise CircuitFormatError(f"gate {idx} must be an object")
-        extra = set(entry) - {"kind", "qubits", "params", "raw"}
+        extra = entry.keys() - {"kind", "qubits", "params", "raw"}
         if extra:
             raise CircuitFormatError(f"gate {idx} has unknown fields {sorted(extra)}")
         if "kind" not in entry or "qubits" not in entry:
@@ -328,17 +391,27 @@ def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
         kind = entry["kind"]
         if not isinstance(kind, str):
             raise CircuitFormatError(f"gate {idx} kind must be a string")
-        try:
-            qubits = tuple(int(q) for q in entry["qubits"])
-            params = tuple(float(p) for p in entry.get("params", []))
-        except (TypeError, ValueError) as exc:
-            raise CircuitFormatError(f"gate {idx} has bad qubits/params: {exc}") from exc
-        raw = None
-        if "raw" in entry:
+        qubits, params = entry["qubits"], entry.get("params", [])
+        if not (isinstance(qubits, list) and all(_is_count(q, 0) for q in qubits)):
+            raise CircuitFormatError(
+                f"gate {idx} has bad qubits/params: qubits must be integers >= 0, "
+                f"got {qubits!r}")
+        if not (isinstance(params, list) and all(map(_finite, params))):
+            raise CircuitFormatError(
+                f"gate {idx} has bad qubits/params: params must be finite numbers, "
+                f"got {params!r}")
+        qubits = tuple(qubits)
+        if kind == "RAW" or "raw" in entry:
             if kind != "RAW":
                 raise CircuitFormatError(f"gate {idx}: only RAW gates carry a matrix")
-            raw = _matrix_from_json(entry["raw"], f"gate {idx}")
-        gates.append(Gate(kind=kind, qubits=qubits, params=params, raw=raw))
+            raw = _matrix_from_json(entry["raw"], f"gate {idx}") if "raw" in entry else None
+            gates.append(Gate(kind=kind, qubits=qubits, params=tuple(params), raw=raw))
+            continue
+        key = (kind, qubits, _bits(params))
+        gate = shared.get(key)
+        if gate is None:
+            gate = shared[key] = Gate(kind=kind, qubits=qubits, params=tuple(params))
+        gates.append(gate)
     circ = Circuit(n_qubits=n, gates=tuple(gates))
     if require_unitary:
         for idx, g in enumerate(circ.gates):

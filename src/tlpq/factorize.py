@@ -18,6 +18,7 @@ operator Schmidt expansion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,8 +29,9 @@ from .circuit import (
     Gate,
     NotUnitary,
     PAULI_1Q,
+    _FIXED,
+    _read_only,
     circuit_unitary,
-    gate_matrix,
 )
 from .linalg import is_unitary, kron
 from .partition import CutAssignment
@@ -131,6 +133,9 @@ _MAGIC = np.array(
 ) / np.sqrt(2.0)
 
 _PAULIS = (PAULI_1Q["I"], PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"])
+# kron(s, s) for each Pauli s, and its adjoint as the view .conj().T makes
+_PAULI_PAIRS = tuple(kron(s, s) for s in _PAULIS)
+_PAULI_PAIRS_H = tuple(ss.conj().T for ss in _PAULI_PAIRS)
 
 
 def _reshuffle(m4: np.ndarray) -> np.ndarray:
@@ -237,10 +242,8 @@ def _magic_schmidt(u: np.ndarray, rank: int) -> GateLCU | None:
         if float(np.max(np.abs(o_lr @ o_lr.T - np.eye(4)))) > 1e-7:
             continue
         diag_core = m @ np.diag(d) @ mdag
-        gammas = np.array(
-            [np.trace(kron(s, s).conj().T @ diag_core) / 4.0 for s in _PAULIS]
-        )
-        residual = sum(gm * kron(s, s) for gm, s in zip(gammas, _PAULIS)) - diag_core
+        gammas = np.array([np.trace(ss_h @ diag_core) / 4.0 for ss_h in _PAULI_PAIRS_H])
+        residual = sum(gm * ss for gm, ss in zip(gammas, _PAULI_PAIRS)) - diag_core
         if float(np.max(np.abs(residual))) > 1e-9:
             continue
         nnz = int(np.sum(np.abs(gammas) > 1e-10))
@@ -394,6 +397,17 @@ class LayeredDecomposition:
         return total.reshape(2**n, 2**n)
 
 
+@functools.lru_cache(maxsize=None)
+def _fixed_lcu(kind: str) -> GateLCU:
+    """``operator_schmidt`` of a two-qubit kind without parameters (CZ, CNOT),
+    computed once per process; its factors are read-only."""
+    lcu = operator_schmidt(_FIXED[kind])
+    for _, factors in lcu.terms:
+        for f in factors:
+            _read_only(f)
+    return lcu
+
+
 def expand_layered(c: Circuit, cut: CutAssignment) -> LayeredDecomposition:
     """Expand a bipartitioned circuit into per-part circuit products, using the
     minimal operator Schmidt expansion of each crossing gate."""
@@ -416,7 +430,7 @@ def expand_layered(c: Circuit, cut: CutAssignment) -> LayeredDecomposition:
                 f"gate {gi} ({g.kind}) crosses the cut with arity {len(g.qubits)}"
             )
         cut_indices.append(gi)
-        lcus.append(operator_schmidt(gate_matrix(g)))
+        lcus.append(operator_schmidt(g.raw) if g.kind == "RAW" else _fixed_lcu(g.kind))
     return LayeredDecomposition(
         circuit=c,
         cut=cut,

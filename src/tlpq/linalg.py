@@ -43,6 +43,12 @@ class DimensionMismatch(ValueError):
     """Raised when operand dimensions are incompatible."""
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an int (not a bool) of at least ``least``: the one
+    rule for counts, seeds and indices read from configs and JSON."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:

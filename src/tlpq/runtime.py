@@ -30,11 +30,13 @@ and density rows; "estimator" tasks run only in-process, as the reference the
 tests hold overlap tasks to.
 
 Each input rule has one implementation: ``_host_port`` reads worker
-addresses (to connect to, and to listen on); ``_is_count`` checks node counts,
-shots, seeds and retry limits, in a ClusterConfig and in a batch a worker
-receives; ``planner.check_overlap_operands`` checks an overlap row's operands
-in a Plan and in an OverlapSpec, so a worker refuses the rows a controller
-would; ``ExactBackend.run_rows`` holds a node's width cap, in-process and on a
+addresses (to connect to, and to listen on); ``linalg._is_count`` checks node
+counts, shots, seeds and retry limits, in a ClusterConfig and in a batch a
+worker receives, the width cap a worker announces, and (in
+``circuit.parse_circuit``) the width and qubits of circuit JSON;
+``planner.check_overlap_operands`` checks an overlap row's operands in a Plan
+and in an OverlapSpec, so a worker refuses the rows a controller would;
+``ExactBackend.run_rows`` holds a node's width cap, in-process and on a
 worker, whose announced cap the controller checks before sending it a batch.
 
 Every readout of every task kind is a pair (w, m) with one outcome law:
@@ -70,7 +72,7 @@ from .circuit import (
     _matrix_from_json,
     _matrix_to_json,
 )
-from .linalg import _complex_product, _sequential_sum
+from .linalg import _complex_product, _is_count, _sequential_sum
 from .planner import Plan, Subtask, _plan_columns, check_overlap_operands
 
 __all__ = [
@@ -105,11 +107,6 @@ class CapabilityMismatch(ValueError):
 
 class MissingResult(KeyError):
     """Raised when aggregation lacks a result for a plan task."""
-
-
-def _is_count(value, least: int) -> bool:
-    """Whether ``value`` is an int (not a bool) of at least ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _host_port(address, *, listen: bool = False) -> tuple[str, int]:
@@ -719,7 +716,9 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                     "message": f"batch shots must be null or an integer >= 1 and its seed an "
                                f"integer >= 0, got shots {shots!r} and seed {seed!r}"}
         try:
-            circuits = [parse_circuit(c, require_unitary=False) for c in msg["circuits"]]
+            shared: dict = {}  # one Gate per distinct non-RAW gate of the batch
+            circuits = [parse_circuit(c, require_unitary=False, _shared=shared)
+                        for c in msg["circuits"]]
             states: dict = {}
             for row in msg["tasks"]:
                 row_id = row.get("id", -1) if isinstance(row, dict) else -1
@@ -815,9 +814,10 @@ class _WorkerClient:
         self.file = self.sock.makefile("rwb")
         self._send({"type": "hello", "proto": PROTOCOL_VERSION})
         ack = self._recv()
-        if ack.get("type") != "hello_ack" or ack.get("proto") != PROTOCOL_VERSION:
+        if (ack.get("type") != "hello_ack" or ack.get("proto") != PROTOCOL_VERSION
+                or not _is_count(ack.get("max_qubits"), 1)):
             raise ConnectionError(f"bad handshake from {self.address}: {ack}")
-        self.max_qubits = int(ack["max_qubits"])
+        self.max_qubits = ack["max_qubits"]
 
     def _send(self, obj: dict):
         self.file.write((json.dumps(obj) + "\n").encode("utf-8"))
@@ -956,7 +956,7 @@ def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:
     return [_reduce(_plan_columns(p), v.view(complex).ravel()) for p, v in zip(plans, values)]
 
 
-_WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError)
+_WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: int

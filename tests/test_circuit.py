@@ -275,3 +275,170 @@ class TestSerialization:
             parse_circuit({"n": "x", "gates": []})
         with pytest.raises(CircuitFormatError):
             parse_circuit({"n": 1, "gates": [{"kind": "H"}]})
+
+
+def _reference_apply(state_t, mat, qubits):
+    """The gate kernel as np.tensordot writes it."""
+    k = len(qubits)
+    out = np.tensordot(mat.reshape((2,) * (2 * k)), state_t,
+                       axes=(tuple(range(k, 2 * k)), qubits))
+    return np.moveaxis(out, tuple(range(k)), qubits)
+
+
+def _reference_rotation(kind: str, theta: float) -> np.ndarray:
+    t = theta / 2
+    if kind == "RX":
+        return np.array([[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]],
+                        dtype=complex)
+    if kind == "RY":
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
+    if kind == "RZ":
+        return np.diag([np.exp(-1j * t), np.exp(1j * t)]).astype(complex)
+    return np.diag([1.0, np.exp(1j * theta)]).astype(complex)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGateKernel:
+    """``_apply`` is tensordot's own np.dot call: same bits, same result layout."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_apply_equals_tensordot_bit_for_bit(self, rng, n):
+        from tlpq.circuit import _apply
+
+        state = random_state(2**n, rng).reshape((2,) * n)
+        targets = [(q,) for q in range(n)]
+        targets += [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in targets:
+            mat = haar_unitary(2 ** len(qubits), rng)
+            for m in (mat, np.ascontiguousarray(mat.T)):
+                got, want = _apply(state, m, qubits), _reference_apply(state, m, qubits)
+                assert np.array_equal(got, want) and _same_bits(got, want)
+                assert got.strides == want.strides
+
+    def test_apply_takes_a_transposed_raw_matrix_as_tensordot_does(self, rng):
+        from tlpq.circuit import _apply
+
+        state = random_state(8, rng).reshape(2, 2, 2)
+        for qubits in ((2, 0), (1,), (0, 2)):
+            dim = 2 ** len(qubits)
+            for mat in (haar_unitary(dim, rng).T, haar_unitary(2 * dim, rng)[::2, 1::2]):
+                assert not mat.flags.c_contiguous
+                # tensordot's reshapes hand np.dot the matrix with its own strides
+                view = mat.reshape((2,) * (2 * len(qubits))).reshape(mat.shape)
+                assert np.shares_memory(view, mat) and view.strides == mat.strides
+                got, want = _apply(state, mat, qubits), _reference_apply(state, mat, qubits)
+                assert np.array_equal(got, want) and _same_bits(got, want)
+
+    def test_apply_keeps_a_trailing_batch_axis(self, rng):
+        from tlpq.circuit import _apply
+
+        batch = (random_state(8, rng)[:, None] * np.arange(1, 6)).reshape(2, 2, 2, 5)
+        for qubits in ((2, 0), (1,), (0, 1, 2)):
+            mat = haar_unitary(2 ** len(qubits), rng)
+            got, want = _apply(batch, mat, qubits), _reference_apply(batch, mat, qubits)
+            assert got.shape == (2, 2, 2, 5)
+            assert np.array_equal(got, want) and _same_bits(got, want)
+
+    def test_a_circuit_evolves_as_the_tensordot_loop(self, rng):
+        from tlpq.circuit import _evolve
+
+        gates = [Gate("RY", (q,), params=(float(rng.normal()),)) for q in range(5)]
+        gates += [Gate("CZ", (4, 1)), Gate("CNOT", (0, 3)), Gate("H", (2,)),
+                  Gate("RAW", (3, 0), raw=haar_unitary(4, rng).T),
+                  Gate("PHASE", (1,), params=(-0.0,)), Gate("RX", (4,), params=(0.3,))]
+        c = Circuit(5, tuple(gates))
+        want = basis_state(5).reshape((2,) * 5)
+        for g in gates:
+            want = _reference_apply(want, gate_matrix(g), g.qubits)
+        got = _evolve(c, basis_state(5).reshape((2,) * 5), check_unitary=True)
+        assert _same_bits(got, want)
+        assert _same_bits(circuit_unitary(c), circuit_unitary(c))
+
+
+class TestGateCaches:
+    """A gate keeps its matrix; decoded gates are shared per exact parameter
+    bits within one parse, or within the calls that pass one memo."""
+
+    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "PHASE"])
+    def test_signed_zero_keeps_its_own_matrix_bits_in_either_order(self, kind):
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            for theta in order + order:
+                got = gate_matrix(Gate(kind, (0,), params=(theta,)))
+                assert _same_bits(got, _reference_rotation(kind, theta))
+        plus, minus = (_reference_rotation(kind, t) for t in (0.0, -0.0))
+        if kind != "PHASE":  # exp(1j * -0.0) has the bits of exp(1j * 0.0)
+            assert not _same_bits(plus, minus)
+
+    @pytest.mark.parametrize("kind", ["RY", "RZ", "PHASE"])
+    def test_parsed_signed_zero_keeps_its_own_matrix_bits_in_either_order(self, kind):
+        import json
+
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            entries = [{"kind": kind, "qubits": [0], "params": [t]} for t in order + order]
+            parsed = parse_circuit(json.loads(json.dumps({"n": 1, "gates": entries})))
+            for theta, g in zip(order + order, parsed.gates):
+                assert np.copysign(1.0, g.params[0]) == np.copysign(1.0, theta)
+                assert _same_bits(gate_matrix(g), _reference_rotation(kind, theta))
+            a, b, a_again, b_again = parsed.gates
+            assert a is a_again and b is b_again and a is not b
+
+    def test_cached_matrices_are_read_only(self):
+        for g in (Gate("RY", (0,), params=(0.7,)), Gate("H", (0,)), Gate("CZ", (0, 1)),
+                  Gate("X", (0,)), Gate("PHASE", (0,), params=(1.0,))):
+            mat = gate_matrix(g)
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 2.0
+            assert gate_matrix(g) is mat
+
+    def test_raw_gates_decode_one_by_one_and_others_are_shared(self):
+        entry = {"kind": "RAW", "qubits": [0], "raw": [[[0.0, 0.0], [1.0, 0.0]],
+                                                       [[1.0, 0.0], [0.0, 0.0]]]}
+        h = {"kind": "H", "qubits": [1]}
+        raw_a, h_a, raw_b, h_b, h_0 = parse_circuit(
+            {"n": 2, "gates": [entry, h, entry, h, {"kind": "H", "qubits": [0]}]}).gates
+        assert raw_a is not raw_b and h_a is h_b and h_0 is not h_a
+
+    def test_the_memo_lives_for_one_call_or_the_calls_that_share_it(self):
+        obj = {"n": 2, "gates": [{"kind": "RY", "qubits": [1], "params": [0.5]}]}
+        assert parse_circuit(obj).gates[0] is not parse_circuit(obj).gates[0]
+        shared: dict = {}
+        first, second = (parse_circuit(obj, _shared=shared) for _ in range(2))
+        assert first.gates[0] is second.gates[0]
+        assert gate_matrix(first.gates[0]) is gate_matrix(second.gates[0])
+
+
+class TestStrictNumbers:
+    """Counts and qubits are JSON integers, params finite JSON numbers."""
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 2.7, "gates": []},
+        {"n": "2", "gates": []},
+        {"n": True, "gates": []},
+        {"n": 2, "gates": [{"kind": "H", "qubits": [1.9]}]},
+        {"n": 2, "gates": [{"kind": "H", "qubits": [True]}]},
+        {"n": 2, "gates": [{"kind": "H", "qubits": ["1"]}]},
+        {"n": 2, "gates": [{"kind": "CZ", "qubits": "01"}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": ["0.5"]}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": ["nan"]}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": [float("nan")]}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": [float("-inf")]}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": [True]}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": [10**400]}]},
+        {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": 0.5}]},
+        {"n": 2, "gates": [{"kind": "RAW", "qubits": [True], "raw": [[[1, 0], [0, 0]],
+                                                                     [[0, 0], [1, 0]]]}]},
+    ])
+    def test_truncated_or_text_numbers_are_rejected(self, obj):
+        with pytest.raises(CircuitFormatError):
+            parse_circuit(obj)
+
+    def test_integer_params_and_a_true_after_a_one_are_read_as_before(self):
+        c = parse_circuit({"n": 2, "gates": [{"kind": "RY", "qubits": [1], "params": [2]}]})
+        assert c.gates[0].params == (2.0,) and c.gates[0].qubits == (1,)
+        with pytest.raises(CircuitFormatError):  # (1, True) equals (1, 1) as a key
+            parse_circuit({"n": 2, "gates": [{"kind": "CZ", "qubits": [0, True]}]})

@@ -108,6 +108,21 @@ def test_plan_rejects_invalid_gate(runner, tmp_path):
     assert "bad circuit" in combined_output(result)
 
 
+@pytest.mark.parametrize("circuit", [
+    {"n": 2.7, "gates": [{"kind": "CZ", "qubits": [0, 1]}]},
+    {"n": 2, "gates": [{"kind": "CZ", "qubits": [0, 1.9]}]},
+    {"n": 2, "gates": [{"kind": "CZ", "qubits": [0, True]}]},
+    {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": ["0.5"]}]},
+    {"n": 2, "gates": [{"kind": "RY", "qubits": [0], "params": ["nan"]}]},
+], ids=["float_width", "float_qubit", "true_qubit", "text_param", "text_nan"])
+def test_plan_rejects_truncated_or_text_numbers(runner, tmp_path, circuit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(circuit))
+    result = runner.invoke(main, ["plan", "--circuit", str(path)])
+    assert result.exit_code == 2
+    assert "bad circuit" in combined_output(result)
+
+
 # --- ghz --------------------------------------------------------------------------
 
 

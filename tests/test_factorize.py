@@ -236,3 +236,31 @@ class TestExpandLayered:
         bad = type(cut)(part_of={0: 0, 1: 0, 2: 1}, weight=0, crossing_gate_indices=())
         with pytest.raises(ValueError):
             expand_layered(c, bad)
+
+
+class TestExpansionCache:
+    def test_each_distinct_non_raw_crossing_gate_is_expanded_once(self, rng, monkeypatch):
+        from tlpq import factorize
+
+        calls = []
+        real = factorize.operator_schmidt
+        monkeypatch.setattr(factorize, "operator_schmidt",
+                            lambda u: calls.append(u) or real(u))
+        factorize._fixed_lcu.cache_clear()
+        raw = haar_unitary(4, rng)
+        c = Circuit(4, (Gate("CZ", (0, 2)), Gate("H", (1,)), Gate("CZ", (3, 1)),
+                        Gate("CNOT", (1, 2)), Gate("RAW", (0, 3), raw=raw),
+                        Gate("RAW", (0, 3), raw=raw), Gate("CZ", (1, 2))))
+        cut = CutAssignment(part_of={0: 0, 1: 0, 2: 1, 3: 1}, weight=0)
+        ld = expand_layered(c, cut)
+        assert len(calls) == 4  # CZ, CNOT and each RAW gate on its own
+        assert ld.lcus[0] is ld.lcus[1] is ld.lcus[5]
+        assert ld.lcus[3] is not ld.lcus[4]
+        again = expand_layered(c, cut)
+        assert len(calls) == 6 and again.lcus[0] is ld.lcus[0]
+        fresh = real(CZ)
+        for (c0, f0), (c1, f1) in zip(ld.lcus[0].terms, fresh.terms):
+            assert c0 == c1
+            for a, b in zip(f0, f1):
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+        assert np.allclose(ld.resum_unitary(), circuit_unitary(c), atol=1e-9)

@@ -1604,3 +1604,82 @@ def test_a_malformed_reply_value_fails_the_node(rng, values):
     finally:
         thread.join(timeout=5)
         listener.close()
+
+
+@pytest.mark.parametrize("gate", [
+    {"kind": "H", "qubits": [0.9]}, {"kind": "H", "qubits": [False]},
+    {"kind": "RY", "qubits": [0], "params": ["0.5"]},
+    {"kind": "RY", "qubits": [0], "params": ["nan"]},
+    {"kind": "RY", "qubits": [0], "params": [float("nan")]},
+    "width",
+], ids=["float_qubit", "false_qubit", "text_param", "text_nan", "nan", "float_width"])
+def test_worker_answers_a_circuit_with_truncated_numbers_with_an_error(gate):
+    good = [Circuit(1, (Gate("H", (0,)),)), Circuit(1, ())]
+    bad = ({"n": 1.5, "gates": []} if gate == "width" else {"n": 1, "gates": [gate]})
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(batch_message([overlap_row(4, "Z", "0")], [bad, good[1]]))
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == -1
+        send(batch_message([overlap_row(4, "Z", "0")], good))
+        assert recv()["type"] == "result"
+
+
+def _fake_worker(listener, ack: bytes, reply: bytes | None = None):
+    """Answers one connection's hello with ``ack`` and its batch with ``reply``."""
+    listener.settimeout(10)
+    conn, _ = listener.accept()
+    with conn, conn.makefile("rwb") as f:
+        f.readline()  # the hello
+        f.write(ack + b"\n")
+        f.flush()
+        if reply is not None and f.readline():
+            f.write(reply + b"\n")
+            f.flush()
+
+
+_BAD_WIRE = {
+    "text_max_qubits": ({"max_qubits": "x"}, None),
+    "missing_max_qubits": ({"max_qubits": "missing"}, None),
+    "float_max_qubits": ({"max_qubits": 1.5}, None),
+    "true_max_qubits": ({"max_qubits": True}, None),
+    "undecodable_reply": ({}, b"\xff\xfe"),
+}
+
+
+def _bad_ack(changes: dict) -> bytes:
+    ack = {"type": "hello_ack", "proto": PROTOCOL_VERSION, "max_qubits": 12, **changes}
+    if ack["max_qubits"] == "missing":
+        del ack["max_qubits"]
+    return json.dumps(ack).encode()
+
+
+@pytest.mark.parametrize("case", list(_BAD_WIRE))
+def test_a_malformed_handshake_or_reply_is_a_wire_error(case):
+    """A bad hello_ack or an undecodable reply fails the node: with one node
+    the run ends in NodeFailure, with two the batch moves to the live one."""
+    changes, reply = _BAD_WIRE[case]
+    task = TaskSpec(id=0, kind="density", readouts=("e:ZZ",),
+                    circuit=Circuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))))
+    local = execute_tasks([task], ClusterConfig())
+    for live in (False, True):
+        listener = socket.create_server(("127.0.0.1", 0))
+        bad = f"127.0.0.1:{listener.getsockname()[1]}"
+        thread = threading.Thread(target=_fake_worker, daemon=True,
+                                  args=(listener, _bad_ack(changes), reply))
+        thread.start()
+        try:
+            if live:
+                with live_worker() as addr:
+                    moved = execute_tasks([task], ClusterConfig(mode="network",
+                                                                nodes=(bad, addr)))
+                assert [(r.value, r.node_id) for r in moved] == [(local[0].value, addr)]
+            else:
+                with pytest.raises(NodeFailure):
+                    execute_tasks([task], ClusterConfig(mode="network", nodes=(bad,),
+                                                        retry_limit=1))
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
