@@ -230,7 +230,9 @@ def _magic_schmidt(u: np.ndarray, rank: int) -> GateLCU | None:
     lam = np.diag(o_r @ g @ o_r.T)
     lam = lam / np.abs(lam)
     half = np.exp(1j * np.angle(lam) / 2)
-    best: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+    # Keep the first valid sign choice with as many terms as the Schmidt rank.
+    # A valid choice rebuilds u from its nnz product terms, so nnz >= rank: a
+    # scan of all 16 choices for the fewest terms would keep this one.
     for signs in itertools.product((1.0, -1.0), repeat=4):
         d = np.array(signs) * half
         o_l = v @ o_r.T @ np.diag(1.0 / d)
@@ -246,12 +248,10 @@ def _magic_schmidt(u: np.ndarray, rank: int) -> GateLCU | None:
         residual = sum(gm * ss for gm, ss in zip(gammas, _PAULI_PAIRS)) - diag_core
         if float(np.max(np.abs(residual))) > 1e-9:
             continue
-        nnz = int(np.sum(np.abs(gammas) > 1e-10))
-        if best is None or nnz < best[0]:
-            best = (nnz, d, o_lr, gammas)
-    if best is None:
+        if int(np.sum(np.abs(gammas) > 1e-10)) == rank:
+            break
+    else:
         return None
-    nnz, d, o_lr, gammas = best
     k_l = m @ o_lr.astype(complex) @ mdag
     k_r = m @ (o_r if isinstance(o_r, np.ndarray) else o_r).astype(complex) @ mdag
     try:
@@ -274,8 +274,6 @@ def _magic_schmidt(u: np.ndarray, rank: int) -> GateLCU | None:
         terms.append((coeff, (a @ s @ b, c @ s @ dm)))
     lcu = GateLCU(terms=tuple(terms))
     if float(np.max(np.abs(lcu.resum() - u))) > 1e-9:
-        return None
-    if lcu.ell != rank:
         return None
     return lcu
 
@@ -349,33 +347,37 @@ class LayeredDecomposition:
         """Yield (coefficient, (part0 circuit, part1 circuit)) lexicographically.
 
         The index tuple runs over the per-crossing-gate term indices, first
-        crossing gate slowest.
+        crossing gate slowest. Each non-crossing gate is mapped to its part
+        once, and each crossing gate's factors once per LCU term, so every
+        term holds the same Gate objects for them.
         """
-        local = [
-            {q: i for i, q in enumerate(self.part_qubits[0])},
-            {q: i for i, q in enumerate(self.part_qubits[1])},
-        ]
+        part_of = self.cut.part_of
+        local = {q: i for part in self.part_qubits for i, q in enumerate(part)}
         cut_pos = {gi: t for t, gi in enumerate(self.cut_gate_indices)}
+        # per gate: its (part, Gate) placements, or for a crossing gate its
+        # position t, whose placements per LCU term are factor_gates[t]
+        placed = [
+            cut_pos[gi] if gi in cut_pos else (
+                (part_of[g.qubits[0]],
+                 Gate(g.kind, tuple(local[q] for q in g.qubits), params=g.params, raw=g.raw)),)
+            for gi, g in enumerate(self.circuit.gates)
+        ]
+        factor_gates = [
+            [tuple((part_of[q], Gate("RAW", (local[q],), raw=f))
+                   for q, f in zip(self.circuit.gates[gi].qubits, factors))
+             for _, factors in lcu.terms]
+            for gi, lcu in zip(self.cut_gate_indices, self.lcus)
+        ]
+        crossing = [at for at in placed if isinstance(at, int)]  # in gate order
         ranges = [range(lcu.ell) for lcu in self.lcus]
         for alpha in itertools.product(*ranges):
             coeff = 1.0 + 0j
+            for t in crossing:
+                coeff *= self.lcus[t].terms[alpha[t]][0]
             part_gates: tuple[list[Gate], list[Gate]] = ([], [])
-            for gi, g in enumerate(self.circuit.gates):
-                if gi in cut_pos:
-                    t = cut_pos[gi]
-                    c_t, factors = self.lcus[t].terms[alpha[t]]
-                    coeff *= c_t
-                    for pos, q in enumerate(g.qubits):
-                        p = self.cut.part_of[q]
-                        part_gates[p].append(
-                            Gate("RAW", (local[p][q],), raw=factors[pos])
-                        )
-                else:
-                    p = self.cut.part_of[g.qubits[0]]
-                    mapped = tuple(local[p][q] for q in g.qubits)
-                    part_gates[p].append(
-                        Gate(g.kind, mapped, params=g.params, raw=g.raw)
-                    )
+            for at in placed:
+                for p, gate in factor_gates[at][alpha[at]] if isinstance(at, int) else at:
+                    part_gates[p].append(gate)
             yield coeff, (
                 Circuit(max(1, len(self.part_qubits[0])), tuple(part_gates[0])),
                 Circuit(max(1, len(self.part_qubits[1])), tuple(part_gates[1])),

@@ -29,6 +29,14 @@ once and simulates each part state once per batch. The wire carries overlap
 and density rows; "estimator" tasks run only in-process, as the reference the
 tests hold overlap tasks to.
 
+Worker connections live as long as the ClusterConfig object that opened them
+(``_check_out`` / ``_check_in``). A dispatch round sends hello to every chosen
+worker without a live connection before it reads any ack, so the handshakes
+overlap; a call that returns keeps its connections for the config's next
+call. A kept connection is dropped when it is readable while idle (and is
+replaced by a fresh handshake), when a call that holds it raises, and when
+the config is collected.
+
 Each input rule has one implementation: ``_host_port`` reads worker
 addresses (to connect to, and to listen on); ``linalg._is_count`` checks node
 counts, shots, seeds and retry limits, in a ClusterConfig and in a batch a
@@ -51,10 +59,12 @@ import functools
 import itertools
 import json
 import operator
+import select
 import socket
 import socketserver
 import sys
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -548,6 +558,14 @@ class ExactBackend:
 
 # --- wire protocol (network mode) ----------------------------------------------
 
+def _line(obj: dict) -> bytes:
+    """One wire message as sent: its JSON and a newline, in UTF-8."""
+    return (json.dumps(obj) + "\n").encode("utf-8")
+
+
+_HELLO = _line({"type": "hello", "proto": PROTOCOL_VERSION})
+
+
 @dataclass
 class _Batch:
     """The rows of one start node (row id % node count) as one batch message.
@@ -559,6 +577,11 @@ class _Batch:
     message: dict
     rows: list = field(default_factory=list)  # (row id, width)
     runs: list = field(default_factory=list)
+
+    @functools.cached_property
+    def line(self) -> bytes:
+        """The message as sent, encoded once, also for a batch that moves."""
+        return _line(self.message)
 
 
 def _wire_rows(item: TaskSpec | OverlapSpec | Plan):
@@ -736,7 +759,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             # testing hook: simulate a crashed node by slamming the connection
             self.connection.close()
             raise ConnectionAbortedError("worker dropped by failure-injection hook")
-        self.wfile.write((json.dumps(obj) + "\n").encode("utf-8"))
+        self.wfile.write(_line(obj))
         self.wfile.flush()
 
 
@@ -745,6 +768,8 @@ class WorkerServer(socketserver.ThreadingTCPServer):
 
     ``fail_after_tasks`` is a failure-injection hook for tests: after that many
     tasks have been accepted, the worker drops connections as if it crashed.
+    ``server_close`` also shuts down the connections still open, which a
+    controller keeps between calls, so a stopped worker answers no one.
     """
 
     allow_reuse_address = True
@@ -757,6 +782,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         self.fail_after_tasks = fail_after_tasks
         self._tasks_seen = 0
         self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()  # connections not yet closed
 
     def count_task(self):
         with self._lock:
@@ -768,6 +794,25 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                 self.fail_after_tasks is not None
                 and self._tasks_seen > self.fail_after_tasks
             )
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:  # shutdown_request closes a connection only after discarding it
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
     def handle_error(self, request, client_address):
         # A controller hanging up mid-stream (or the failure-injection hook)
@@ -798,29 +843,47 @@ def serve_worker(listen_address: str, *, max_qubits: int = ExactBackend.max_qubi
 
 
 class _WorkerClient:
-    """Controller-side persistent connection to one worker: ``address`` as
-    given, which results and errors name, and the (host, port) ``peer`` it
-    connects to."""
+    """Controller-side connection to one worker: ``address`` as given, which
+    results and errors name, and the (host, port) ``peer`` it connects to.
+
+    ``open`` connects and sends hello, and ``send_batch`` reads the ack
+    before its first batch, so a dispatch round can greet every worker before
+    it waits on any (``_dispatch``). A connection outlives its call: it is
+    kept with the ClusterConfig that opened it (``_check_in``)."""
 
     def __init__(self, address: str, peer: tuple[str, int]):
         self.address = address
         self.peer = peer
         self.sock: socket.socket | None = None
         self.file = None
-        self.max_qubits: int | None = None
+        self.max_qubits: int | None = None  # None while the ack is due
 
-    def _connect(self):
-        self.sock = socket.create_connection(self.peer, timeout=30)
+    def open(self):
+        """Connect and send hello, unless a live connection is kept. A kept
+        connection that is readable while idle (the worker closed it or sent
+        something unasked) is closed first."""
+        if self.sock is not None:
+            idle = select.poll()  # not select.select, which refuses descriptors >= 1024
+            idle.register(self.sock, select.POLLIN)
+            if not idle.poll(0):
+                return
+            self.close()
+        host, port = self.peer
+        # an ASCII host goes to getaddrinfo as bytes, which imports no idna codec
+        self.sock = socket.create_connection(
+            (host.encode("ascii") if host.isascii() else host, port), timeout=30)
         self.file = self.sock.makefile("rwb")
-        self._send({"type": "hello", "proto": PROTOCOL_VERSION})
+        self._send(_HELLO)
+
+    def _read_ack(self):
         ack = self._recv()
         if (ack.get("type") != "hello_ack" or ack.get("proto") != PROTOCOL_VERSION
                 or not _is_count(ack.get("max_qubits"), 1)):
             raise ConnectionError(f"bad handshake from {self.address}: {ack}")
         self.max_qubits = ack["max_qubits"]
 
-    def _send(self, obj: dict):
-        self.file.write((json.dumps(obj) + "\n").encode("utf-8"))
+    def _send(self, line: bytes):
+        self.file.write(line)
         self.file.flush()
 
     def _recv(self) -> dict:
@@ -833,17 +896,18 @@ class _WorkerClient:
         return reply
 
     def send_batch(self, batch: _Batch):
-        """Send one batch, connecting first if needed. A row wider than the
-        worker accepts raises CapabilityMismatch before anything is sent."""
-        if self.sock is None:
-            self._connect()
+        """Send one batch on the connection ``open`` made, reading its hello
+        ack first if that is due. A row wider than the worker accepts raises
+        CapabilityMismatch before the batch is sent."""
+        if self.max_qubits is None:
+            self._read_ack()
         for row_id, width in batch.rows:
             if width > self.max_qubits:
                 raise CapabilityMismatch(
                     f"task {row_id} needs {width} qubits, "
                     f"worker {self.address} supports {self.max_qubits}"
                 )
-        self._send(batch.message)
+        self._send(batch.line)
 
     def read_result(self, batch: _Batch) -> list[np.ndarray]:
         """Read the reply to ``batch``: the values of each of its runs, as an
@@ -874,13 +938,57 @@ class _WorkerClient:
         return blocks
 
     def close(self):
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+        for stream in (self.file, self.sock):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
         self.sock = None
         self.file = None
+        self.max_qubits = None
+
+
+# The connections each network ClusterConfig keeps between calls: id(config)
+# -> {node position: client}. Keyed by identity, so equal configs never share
+# a socket; a call checks its config's connections out and a clean call checks
+# them back in, so two threads never share one at once. The entry is made
+# with a weakref.finalize that closes what is kept when the config goes.
+_KEPT: dict[int, dict[int, _WorkerClient]] = {}
+_KEPT_LOCK = threading.RLock()  # reentrant: a finalizer may run under it
+
+
+def _close_kept(key: int):
+    with _KEPT_LOCK:
+        kept = _KEPT.pop(key, {})
+    for client in kept.values():
+        client.close()
+
+
+def _check_out(cfg: ClusterConfig) -> list[_WorkerClient]:
+    """A client per node of ``cfg``: the connection the config kept, taken
+    for this call alone, or an unconnected one."""
+    with _KEPT_LOCK:
+        kept = _KEPT.get(id(cfg))
+        if kept is None:
+            kept = _KEPT[id(cfg)] = {}
+            weakref.finalize(cfg, _close_kept, id(cfg))
+        taken = kept.copy()
+        kept.clear()
+    return [taken.get(i) or _WorkerClient(address, peer)
+            for i, (address, peer) in enumerate(zip(cfg.nodes, cfg._peers))]
+
+
+def _check_in(cfg: ClusterConfig, clients: list[_WorkerClient]):
+    """Keep the live connections of a clean call with ``cfg``; where another
+    call has checked one in for the same node meanwhile, close this one."""
+    with _KEPT_LOCK:
+        kept = _KEPT[id(cfg)]
+        for i, client in enumerate(clients):
+            if client.sock is not None and i not in kept:
+                kept[i] = client
+            else:
+                client.close()
 
 
 def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None]:
@@ -895,19 +1003,22 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
     of all items are grouped by start node (row id % node count), each group
     is one batch message, and every batch is sent before any reply is read,
     so the workers compute at once (``_dispatch``); the replies fill the same
-    arrays.
+    arrays. The call runs on the connections ``cfg`` kept, and keeps them
+    again only if it returns.
     """
     if cfg.mode == "local":
         backend = ExactBackend()
         states: dict = {}
         return [backend.run_rows(item, cfg.shots, cfg.seed, states) for item in items], None
     batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
-    clients = list(map(_WorkerClient, cfg.nodes, cfg._peers))
+    clients = _check_out(cfg)
     try:
         replies = _dispatch(clients, batches, cfg.retry_limit)
-    finally:
+    except BaseException:  # a call that raises keeps none of its connections
         for c in clients:
             c.close()
+        raise
+    _check_in(cfg, clients)
     values = [np.empty((len(ids), len(readouts))) for ids, readouts in map(_rows, items)]
     for batch, (_, blocks) in zip(batches, replies):
         for (at, rows, _), block in zip(batch.runs, blocks):
@@ -956,7 +1067,9 @@ def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:
     return [_reduce(_plan_columns(p), v.view(complex).ravel()) for p, v in zip(plans, values)]
 
 
-_WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError, UnicodeDecodeError)
+# UnicodeError covers a reply that is not UTF-8 and a non-ASCII host that the
+# idna codec refuses
+_WIRE_ERRORS = (OSError, ConnectionError, json.JSONDecodeError, UnicodeError)
 
 
 def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: int
@@ -971,6 +1084,13 @@ def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: 
     already holds one waits for the next round, without spending an attempt:
     a worker reads its next line only after writing its reply, so a second
     large batch sent behind a large reply could block both ends.
+
+    Within a round, each pass picks a node for every queued batch, sends hello
+    to every picked node without a live connection, encodes the picked
+    batches (``_Batch.line``), and only then reads the acks and sends the
+    batches (``_WorkerClient.open``, ``send_batch``), so the handshakes
+    overlap each other and the encoding. A failed handshake is a failed
+    connection.
     """
     n = len(clients)
     alive = [True] * n
@@ -986,30 +1106,39 @@ def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: 
 
     pending = list(range(len(batches)))
     while pending:
-        queue, pending, sent = collections.deque(pending), [], {}
+        queue, pending, sent = pending, [], {}
         while queue:
-            b = queue.popleft()
-            batch = batches[b]
-            while steps[b] < n and not alive[(batch.start + steps[b]) % n]:
+            picked = {}  # node -> batch, this pass
+            for b in queue:
+                batch = batches[b]
+                while steps[b] < n and not alive[(batch.start + steps[b]) % n]:
+                    steps[b] += 1
+                if steps[b] == n or attempts[b] >= retry_limit:
+                    raise NodeFailure(
+                        f"the batch of {len(batch.rows)} task(s) from node {batch.start} "
+                        f"failed after {attempts[b]} attempt(s): {failures[b]}"
+                    )
+                node = (batch.start + steps[b]) % n
+                if node in sent or node in picked:
+                    pending.append(b)
+                    continue
                 steps[b] += 1
-            if steps[b] == n or attempts[b] >= retry_limit:
-                raise NodeFailure(
-                    f"the batch of {len(batch.rows)} task(s) from node {batch.start} "
-                    f"failed after {attempts[b]} attempt(s): {failures[b]}"
-                )
-            node = (batch.start + steps[b]) % n
-            if node in sent:
-                pending.append(b)
-                continue
-            steps[b] += 1
-            attempts[b] += 1
-            try:
-                clients[node].send_batch(batch)
-            except _WIRE_ERRORS as exc:
-                drop(node, b, exc)
-                queue.appendleft(b)
-                continue
-            sent[node] = b
+                attempts[b] += 1
+                picked[node] = b
+            queue = []
+            # every hello of the pass goes out before any ack is read, and the
+            # batches are encoded while the acks travel
+            for step in (lambda node, b: clients[node].open(),
+                         lambda node, b: batches[b].line,
+                         lambda node, b: clients[node].send_batch(batches[b])):
+                for node, b in list(picked.items()):
+                    try:
+                        step(node, b)
+                    except _WIRE_ERRORS as exc:
+                        drop(node, b, exc)
+                        queue.append(b)
+                        del picked[node]
+            sent.update(picked)
         for node, b in sent.items():
             try:
                 replies[b] = (clients[node].address, clients[node].read_result(batches[b]))

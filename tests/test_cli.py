@@ -9,6 +9,7 @@ import os
 import socket
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_ghz_writes_default_file_and_reports_fidelity(runner):
         assert result.exit_code == 0
         assert result.output.startswith("fidelity=")
         assert "evaluations=128" in result.output
-        payload = json.loads(open("ghz_density.json").read())
+        payload = json.loads(Path("ghz_density.json").read_text())
     assert set(payload) == {"evaluations", "fidelity", "mode", "rho", "shots"}
     assert payload["evaluations"] == 128
     assert payload["shots"] is None
@@ -375,18 +376,13 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
 def test_nonherm_over_a_worker_process_matches_local(runner, tmp_path):
     args = ["nonherm", "--T", "0.3,0.6", "--format", "json", "--check"]
     local = invoke(runner, args)
-    proc, line = spawn_worker()
-    try:
+    with worker_process() as (proc, line):
         address = line.rsplit(" ", 1)[-1]
         net = invoke(runner, args + ["--mode", "network", "--workers", address])
         host, _, port = address.rpartition(":")
         with socket.create_connection((host, int(port)), timeout=10) as sock:
             sock.sendall(b'{"type": "shutdown"}\n')
         assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
     assert local.exit_code == net.exit_code == 0
     assert net.output == local.output  # the same values, bit for bit
 
@@ -608,25 +604,30 @@ def test_every_command_has_help(runner, command):
 # --- worker subprocess ---------------------------------------------------------------
 
 
-def spawn_worker() -> tuple[subprocess.Popen, str]:
-    """A `tlpq worker` child process on a free port, and its first output line."""
+@contextmanager
+def worker_process():
+    """A `tlpq worker` child process on a free port, and its first output
+    line; killed if still running afterwards, with its output pipe closed."""
     env = dict(os.environ)  # the child imports tlpq from this checkout's src
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "tlpq.cli", "worker", "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         bufsize=1,
         env=env,
-    )
-    return proc, proc.stdout.readline().strip()
+    ) as proc:
+        try:
+            yield proc, proc.stdout.readline().strip()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def test_worker_announces_and_stops_on_shutdown(tmp_path):
-    proc, line = spawn_worker()
-    try:
+    with worker_process() as (proc, line):
         assert line.startswith("tlpq-worker listening on 127.0.0.1:")
         host, _, port = line.rsplit(" ", 1)[-1].rpartition(":")
         with socket.create_connection((host, int(port)), timeout=10) as sock:
@@ -639,18 +640,13 @@ def test_worker_announces_and_stops_on_shutdown(tmp_path):
             f.write(b'{"type": "shutdown"}\n')
             f.flush()
         assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
 
 
 @pytest.mark.parametrize("command", ["ghz", "ghz-cut"])
 def test_network_run_on_a_worker_process_matches_local(runner, tmp_path, command):
     local, net = tmp_path / "local.json", tmp_path / "net.json"
     assert invoke(runner, [command, "--check", "--out", str(local)]).exit_code == 0
-    proc, line = spawn_worker()
-    try:
+    with worker_process() as (proc, line):
         address = line.rsplit(" ", 1)[-1]
         result = invoke(runner, [command, "--mode", "network", "--workers", address,
                                  "--check", "--out", str(net)])
@@ -659,10 +655,6 @@ def test_network_run_on_a_worker_process_matches_local(runner, tmp_path, command
         with socket.create_connection((host, int(port)), timeout=10) as sock:
             sock.sendall(b'{"type": "shutdown"}\n')
         assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
     by_local, by_net = json.loads(local.read_text()), json.loads(net.read_text())
     assert (by_local.pop("mode"), by_net.pop("mode")) == ("local", "network")
     assert by_net == by_local  # the same values, bit for bit

@@ -264,3 +264,68 @@ class TestExpansionCache:
             for a, b in zip(f0, f1):
                 assert a.tobytes() == b.tobytes() and not a.flags.writeable
         assert np.allclose(ld.resum_unitary(), circuit_unitary(c), atol=1e-9)
+
+
+class TestExpansionBits:
+    # sha256 over each term's coefficient and factor bytes, taken with
+    # numpy 2.4 (OpenBLAS) on x86-64 before the magic-basis sign search
+    # stopped at its first choice with as many terms as the Schmidt rank
+    PINNED = {
+        "CZ": "e237c8582d564e953413684b7293be0d3a596c1d5d43bb0f94f21fb242916a8f",
+        "CNOT": "9d98870b9772a9093dcc5a65d6686704dfad2d8dd6b4c332cb42e9a1f38b104b",
+    }
+
+    @pytest.mark.parametrize("kind", ["CZ", "CNOT"])
+    def test_fixed_expansions_keep_their_bits(self, kind):
+        import hashlib
+
+        from tlpq.factorize import _fixed_lcu
+
+        digest = hashlib.sha256()
+        for coeff, factors in _fixed_lcu(kind).terms:
+            digest.update(np.complex128(coeff).tobytes())
+            for f in factors:
+                digest.update(np.ascontiguousarray(f).tobytes())
+        assert digest.hexdigest() == self.PINNED[kind]
+
+    def test_terms_share_each_mapped_gate_and_resum_as_fresh_gates(self, rng):
+        # parts {0, 1} | {2, 3}; CZ(0, 2), RAW(1, 3) and CZ(1, 2) cross the cut
+        gates = (Gate("H", (0,)), Gate("CZ", (0, 2)), Gate("RY", (3,), params=(0.4,)),
+                 Gate("RAW", (1, 3), raw=haar_unitary(4, rng)), Gate("CNOT", (0, 1)),
+                 Gate("CZ", (1, 2)))
+        c = Circuit(4, gates)
+        cut = CutAssignment(part_of={0: 0, 1: 0, 2: 1, 3: 1}, weight=0)
+        ld = expand_layered(c, cut)
+        terms = list(ld.terms())
+        assert len(terms) == ld.term_count == 2 * 4 * 2
+        alphas = list(np.ndindex(2, 4, 2))  # first crossing gate slowest
+        # part 0 runs H, CZ factor, RAW factor, CNOT, CZ factor; part 1 runs
+        # CZ factor, RY, RAW factor, CZ factor
+        for part, at in ((0, 0), (0, 3), (1, 1)):  # H, CNOT, RY: one Gate in every term
+            assert len({id(parts[part].gates[at]) for _, parts in terms}) == 1
+        for part, at, t in ((0, 1, 0), (1, 0, 0), (0, 2, 1), (1, 2, 1), (0, 4, 2), (1, 3, 2)):
+            # a crossing factor: one Gate per LCU term of its gate, in every term
+            by_index = {}
+            for alpha, (_, parts) in zip(alphas, terms):
+                assert by_index.setdefault(alpha[t], parts[part].gates[at]) is parts[part].gates[at]
+            assert len({id(g) for g in by_index.values()}) == ld.lcus[t].ell
+        # the resummation has the bits of one built from fresh Gates per term
+        local = {0: 0, 1: 1, 2: 0, 3: 1}
+        total = np.zeros((16, 16), dtype=complex)
+        for alpha in np.ndindex(*(lcu.ell for lcu in ld.lcus)):
+            coeff, part_gates = 1.0 + 0j, ([], [])
+            for gi, g in enumerate(gates):
+                if gi in ld.cut_gate_indices:
+                    t = ld.cut_gate_indices.index(gi)
+                    c_t, factors = ld.lcus[t].terms[alpha[t]]
+                    coeff *= c_t
+                    for q, f in zip(g.qubits, factors):
+                        part_gates[cut.part_of[q]].append(Gate("RAW", (local[q],), raw=f))
+                else:
+                    part_gates[cut.part_of[g.qubits[0]]].append(Gate(
+                        g.kind, tuple(local[q] for q in g.qubits), params=g.params, raw=g.raw))
+            total += coeff * kron_all([circuit_unitary(Circuit(2, tuple(p))) for p in part_gates])
+        order = ld.part_qubits[0] + ld.part_qubits[1]
+        axes = [order.index(q) for q in range(4)]
+        total = total.reshape((2,) * 8).transpose(axes + [4 + a for a in axes]).reshape(16, 16)
+        assert ld.resum_unitary().tobytes() == total.tobytes()

@@ -7,7 +7,9 @@ is checked against an independent computation.
 """
 
 import json
+import select
 import socket
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -88,6 +90,19 @@ def raw_connection(address: str):
         yield send, recv
     finally:
         sock.close()
+
+
+@contextmanager
+def counted_sends(monkeypatch):
+    """(worker address, message type) of every message the controller sends."""
+    import tlpq.runtime as runtime
+
+    sent = []
+    real_send = runtime._WorkerClient._send
+    monkeypatch.setattr(runtime._WorkerClient, "_send",
+                        lambda self, line: sent.append((self.address, json.loads(line)["type"]))
+                        or real_send(self, line))
+    yield sent
 
 
 def batch_message(rows: list[dict], circuits: list, shots=None, seed: int = 0) -> dict:
@@ -679,16 +694,9 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
 
 
 def test_a_call_sends_one_batch_per_non_empty_start_node(rng, monkeypatch):
-    import tlpq.runtime as runtime
-
-    sent = []
-    real_send = runtime._WorkerClient._send
-    monkeypatch.setattr(runtime._WorkerClient, "_send",
-                        lambda self, obj: sent.append((self.address, obj["type"]))
-                        or real_send(self, obj))
     tasks = make_tasks(rng, count=9)
     plans = [factorized_plan(rng) for _ in range(3)]
-    with live_worker() as a, live_worker() as b:
+    with counted_sends(monkeypatch) as sent, live_worker() as a, live_worker() as b:
         for nodes, items, want in (
             ((a, b, a), tasks, 3),
             ((a, b), [t for t in tasks if t.id % 2 == 0], 1),  # node b has no rows
@@ -721,6 +729,200 @@ def test_worker_error_reply_names_the_row(rng):
         with pytest.raises(RuntimeError, match="task 5: task kind 'estimator'"):
             execute_tasks(make_tasks(rng, count=4) + [estimator],
                           ClusterConfig(mode="network", nodes=(addr,)))
+
+
+# --- worker sessions: one handshake per worker per ClusterConfig ---------------------
+
+
+def kept_sockets(cfg: ClusterConfig) -> list[socket.socket]:
+    """The connections ``cfg`` keeps between calls."""
+    import tlpq.runtime as runtime
+
+    return [c.sock for c in runtime._KEPT.get(id(cfg), {}).values()]
+
+
+def test_calls_on_one_config_handshake_each_worker_once(rng, monkeypatch):
+    tasks = make_tasks(rng, count=8)
+    plan = factorized_plan(rng)
+    local_tasks = execute_tasks(tasks, ClusterConfig(seed=3))
+    local_plan = run_plan(plan, ClusterConfig(seed=3))
+    with counted_sends(monkeypatch) as sent, live_worker() as a, live_worker() as b:
+        cfg = ClusterConfig(mode="network", nodes=(a, b), seed=3)
+        first = execute_tasks(tasks, cfg)
+        second = run_plan(plan, cfg)
+        # the first call greets both workers before it sends either batch
+        assert sent == [(a, "hello"), (b, "hello"), (a, "batch"), (b, "batch"),
+                        (a, "batch"), (b, "batch")]
+        assert len(kept_sockets(cfg)) == 2
+        # an equal config is another object: it shares no connection
+        sent.clear()
+        other = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(a, b), seed=3))
+        assert sorted(kind for _, kind in sent) == ["batch", "batch", "hello", "hello"]
+    assert [r.value for r in first] == [r.value for r in other] == [r.value for r in local_tasks]
+    assert [r.value for r in second] == [r.value for r in local_plan]
+    assert [r.node_id for r in first] == [(a, b)[r.task_id % 2] for r in first]
+    assert [r.node_id for r in second] == [(a, b)[r.task_id % 2] for r in second]
+    assert vars(cfg) == vars(ClusterConfig(mode="network", nodes=(a, b), seed=3))
+
+
+def _greeting_worker(listener, greeted: threading.Event, other: threading.Event):
+    """Acks a hello only once ``other`` is set (another worker read its hello),
+    and hangs up after 2 s without one; then answers one batch, each row's
+    value its own id."""
+    listener.settimeout(10)
+    conn, _ = listener.accept()
+    with conn, conn.makefile("rwb") as f:
+        f.readline()  # the hello
+        greeted.set()
+        if not other.wait(timeout=2):
+            return
+        f.write((json.dumps({"type": "hello_ack", "proto": PROTOCOL_VERSION,
+                             "max_qubits": 12}) + "\n").encode())
+        f.flush()
+        rows = json.loads(f.readline())["tasks"]
+        f.write((json.dumps({"type": "result", "values": [[float(r["id"])] for r in rows],
+                             "shots_used": [0] * len(rows)}) + "\n").encode())
+        f.flush()
+
+
+def test_handshakes_overlap():
+    """Each worker acks its hello only after the other has read its own: a
+    controller that waited for one ack before greeting the next worker gets
+    a hang-up instead."""
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    addresses = tuple(f"127.0.0.1:{s.getsockname()[1]}" for s in listeners)
+    greeted = [threading.Event(), threading.Event()]
+    threads = [threading.Thread(target=_greeting_worker, daemon=True,
+                                args=(listeners[k], greeted[k], greeted[1 - k]))
+               for k in range(2)]
+    for t in threads:
+        t.start()
+    one = Circuit(1, (Gate("H", (0,)),))
+    tasks = [TaskSpec(id=i, kind="density", circuit=one, readouts=("e:Z",)) for i in range(2)]
+    try:
+        results = execute_tasks(tasks, ClusterConfig(mode="network", nodes=addresses,
+                                                     retry_limit=1))
+    finally:
+        for t in threads:
+            t.join(timeout=5)
+        for listener in listeners:
+            listener.close()
+    assert not any(t.is_alive() for t in threads)
+    assert [(r.value, r.node_id) for r in results] == [((0.0,), addresses[0]),
+                                                       ((1.0,), addresses[1])]
+
+
+def test_a_connection_the_worker_closed_is_replaced_without_an_attempt(rng):
+    """A worker that serves each connection once: the second call finds its
+    kept connection closed and handshakes afresh, within retry_limit=1."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = f"127.0.0.1:{listener.getsockname()[1]}"
+    closed = threading.Event()
+    task = OverlapSpec(id=0, left=random_circuit(rng, 1), right=random_circuit(rng, 1),
+                       observable=PauliString(1, "Z"), input_label="0")
+    local = execute_tasks([task], ClusterConfig())
+    reply = json.dumps({"type": "result", "values": [list(local[0].value)], "shots_used": [0]})
+
+    def fake_worker():
+        for _ in range(2):
+            _fake_worker(listener, _hello_ack({}), reply.encode())
+            closed.set()
+
+    thread = threading.Thread(target=fake_worker, daemon=True)
+    thread.start()
+    cfg = ClusterConfig(mode="network", nodes=(address,), retry_limit=1)
+    try:
+        first = execute_tasks([task], cfg)
+        assert closed.wait(timeout=5)
+        (kept,) = kept_sockets(cfg)
+        assert select.select([kept], [], [], 5)[0]  # the worker's hang-up has arrived
+        second = execute_tasks([task], cfg)
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()  # both connections served
+    assert first == second == [TaskResult(0, local[0].value, 0, address)]
+
+
+def test_a_call_that_raises_keeps_no_connection(rng, monkeypatch):
+    """After CapabilityMismatch, an error reply or NodeFailure, the next call
+    on the same config handshakes again."""
+    tasks = [t for t in make_tasks(rng, count=4) if t.id % 2 == 0]  # all start on node 0
+    local = [r.value for r in execute_tasks(tasks, ClusterConfig())]
+    with counted_sends(monkeypatch) as sent, live_worker(max_qubits=4) as a:
+        dead = closed_address()
+        for bad, error, nodes in (
+            (TaskSpec(id=0, kind="density", circuit=Circuit(5, ()), readouts=("e:IIIII",)),
+             CapabilityMismatch, (a,)),
+            (TaskSpec(id=0, kind="estimator", circuit=random_circuit(rng, 2), readouts=("ax",)),
+             RuntimeError, (a,)),  # the worker's error reply
+            (TaskSpec(id=1, kind="density", circuit=random_circuit(rng, 2), readouts=("e:ZZ",)),
+             NodeFailure, (a, dead)),  # id 1 starts on the dead node
+        ):
+            cfg = ClusterConfig(mode="network", nodes=nodes, retry_limit=1)
+            assert [r.value for r in execute_tasks(tasks, cfg)] == local
+            with pytest.raises(error):
+                execute_tasks([bad], cfg)
+            assert kept_sockets(cfg) == []
+            sent.clear()
+            assert [r.value for r in execute_tasks(tasks, cfg)] == local
+            assert [m for m in sent if m[0] == a] == [(a, "hello"), (a, "batch")]
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_threads_sharing_one_config_get_local_values(rng, shots):
+    tasks = make_tasks(rng, count=8)
+    plan = factorized_plan(rng)
+    local = ([r.value for r in execute_tasks(tasks, ClusterConfig(shots=shots, seed=6))],
+             [r.value for r in run_plan(plan, ClusterConfig(shots=shots, seed=6))])
+    got, start = [], threading.Barrier(3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads trade places often, at check-out and check-in too
+    try:
+        with live_worker() as a, live_worker() as b:
+            cfg = ClusterConfig(mode="network", nodes=(a, b), shots=shots, seed=6)
+
+            def run():
+                start.wait(timeout=10)
+                for _ in range(4):
+                    got.append(([r.value for r in execute_tasks(tasks, cfg)],
+                                [r.value for r in run_plan(plan, cfg)]))
+
+            threads = [threading.Thread(target=run, daemon=True) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert len(kept_sockets(cfg)) == 2  # one per worker, the others closed
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [local] * 12
+
+
+@pytest.mark.parametrize("host", ["a..b", "x" * 64 + ".example", "é..x"],
+                         ids=["empty_label", "long_label", "non_ascii"])
+def test_a_host_that_cannot_be_resolved_fails_its_node(rng, host):
+    """A host the resolver or the idna codec refuses is a failed connection:
+    alone it ends in NodeFailure, next to a live worker its batch moves there."""
+    tasks = make_tasks(rng, count=4)
+    local = [r.value for r in execute_tasks(tasks, ClusterConfig())]
+    bad = f"{host}:5000"
+    with pytest.raises(NodeFailure):
+        execute_tasks(tasks, ClusterConfig(mode="network", nodes=(bad,), retry_limit=1))
+    with live_worker() as addr:
+        moved = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(bad, addr)))
+    assert [(r.value, r.node_id) for r in moved] == [(v, addr) for v in local]
+
+
+def test_a_stopped_worker_answers_no_kept_connection(rng):
+    tasks = make_tasks(rng, count=4)
+    with live_worker() as addr:
+        cfg = ClusterConfig(mode="network", nodes=(addr,), retry_limit=1)
+        execute_tasks(tasks, cfg)
+        assert len(kept_sockets(cfg)) == 1
+    with pytest.raises(NodeFailure):
+        execute_tasks(tasks, cfg)
 
 
 # --- wire protocol, spoken by hand ---------------------------------------------------
@@ -1648,7 +1850,7 @@ _BAD_WIRE = {
 }
 
 
-def _bad_ack(changes: dict) -> bytes:
+def _hello_ack(changes: dict) -> bytes:
     ack = {"type": "hello_ack", "proto": PROTOCOL_VERSION, "max_qubits": 12, **changes}
     if ack["max_qubits"] == "missing":
         del ack["max_qubits"]
@@ -1667,7 +1869,7 @@ def test_a_malformed_handshake_or_reply_is_a_wire_error(case):
         listener = socket.create_server(("127.0.0.1", 0))
         bad = f"127.0.0.1:{listener.getsockname()[1]}"
         thread = threading.Thread(target=_fake_worker, daemon=True,
-                                  args=(listener, _bad_ack(changes), reply))
+                                  args=(listener, _hello_ack(changes), reply))
         thread.start()
         try:
             if live:
