@@ -13,9 +13,14 @@ Per-gate work is done once per distinct gate: a ``Gate`` computes its
 read-only matrix on first use and keeps it, and ``parse_circuit`` decodes
 value-equal non-RAW entries to one shared ``Gate``, keyed by the parameters'
 exact bits (so 0.0 and -0.0 stay apart), through a memo that lives for one
-call or for the calls that share it (a worker's batch). ``_apply`` makes the
-one ``np.dot`` call that ``np.tensordot`` makes, on the same operands, so
-states keep their bits.
+call. A worker batch (runtime, protocol 5) carries its distinct gates as one
+circuit JSON, its gate table: ``circuit_to_json`` encodes it and one
+``parse_circuit`` call decodes it, and the batch's circuits are positions in
+it. ``_gate_key`` tells value-equal gates apart from the others, RAW gates
+included, by exact bits. ``_apply`` makes the one ``np.dot`` call that
+``np.tensordot`` makes, on the same operands, so states keep their bits, and
+``_PartStates``, the runtime's one cache of part states, applies each gate
+prefix that its circuits share once.
 """
 
 from __future__ import annotations
@@ -66,6 +71,12 @@ def _bits(params) -> bytes:
     return struct.pack("d" * len(params), *params)
 
 
+def _gate_key(g: Gate) -> tuple:
+    """A key that value-equal gates share: kind, qubits and the exact bits of
+    the parameters and of a RAW matrix."""
+    return g.kind, g.qubits, _bits(g.params), None if g.raw is None else g.raw.tobytes()
+
+
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
@@ -103,50 +114,63 @@ GATE_ARITY: dict[str, int | None] = {
 _PARAM_COUNT: dict[str, int] = {"RX": 1, "RY": 1, "RZ": 1, "PHASE": 1}
 
 
-@dataclass(frozen=True, eq=False)
+@functools.lru_cache(maxsize=4096, typed=True)
+def _qubit_tuple(*qubits) -> tuple[tuple[int, ...], bool, bool]:
+    """(the qubits as ints, whether one is negative, whether one repeats), kept
+    per typed value: ``typed`` keeps 1 and True apart, as ``int`` would see them."""
+    q = tuple(map(int, qubits))
+    return q, bool(q) and min(q) < 0, len(set(q)) != len(q)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Gate:
-    """One gate application: a kind, the qubits it acts on, optional params/matrix."""
+    """One gate application: a kind, the qubits it acts on, optional params/matrix.
+
+    ``qubits`` is stored as a tuple of ints and ``params`` as a tuple of
+    floats, whatever numbers they were given as; a qubit tuple is converted
+    and checked once per distinct typed value (``_qubit_tuple``).
+    """
 
     kind: str
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
     raw: np.ndarray | None = None
 
-    def __post_init__(self):
-        kind = self.kind
+    def __init__(self, kind: str, qubits, params=(), raw=None):
         if kind not in GATE_ARITY:
             raise CircuitFormatError(f"unknown gate kind {kind!r}")
-        qubits = tuple(map(int, self.qubits))
-        params = tuple(map(float, self.params))
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "params", params)
-        k = len(qubits)
-        if k and min(qubits) < 0:
+        qubits, negative, repeated = _qubit_tuple(*qubits)
+        if params.__class__ is not tuple or params:
+            params = tuple(map(float, params))
+        fields = self.__dict__  # frozen: the fields are set here once
+        fields["kind"], fields["qubits"], fields["params"] = kind, qubits, params
+        if negative:
             raise CircuitFormatError(f"negative qubit index in {kind}")
-        if len(set(qubits)) != k:
+        if repeated:
             raise CircuitFormatError(f"repeated qubit in {kind} gate {qubits}")
         want_params = _PARAM_COUNT.get(kind, 0)
         if len(params) != want_params:
             raise CircuitFormatError(
                 f"{kind} takes {want_params} parameter(s), got {len(params)}"
             )
+        k = len(qubits)
         if kind == "RAW":
-            if self.raw is None:
+            if raw is None:
                 raise CircuitFormatError("RAW gate needs a matrix")
-            mat = np.asarray(self.raw, dtype=complex)
-            object.__setattr__(self, "raw", mat)
+            raw = np.asarray(raw, dtype=complex)
             if k == 0:
                 raise CircuitFormatError("RAW gate needs at least one qubit")
-            if mat.shape != (2**k, 2**k):
+            if raw.shape != (2**k, 2**k):
                 raise CircuitFormatError(
-                    f"RAW matrix shape {mat.shape} does not match {k} qubit(s)"
+                    f"RAW matrix shape {raw.shape} does not match {k} qubit(s)"
                 )
         else:
-            if self.raw is not None:
+            if raw is not None:
                 raise CircuitFormatError(f"{kind} gate must not carry a matrix")
             arity = GATE_ARITY[kind]
             if k != arity:
                 raise CircuitFormatError(f"{kind} acts on {arity} qubit(s), got {k}")
+        fields["raw"] = raw
 
     @functools.cached_property
     def _matrix(self) -> np.ndarray:
@@ -267,18 +291,111 @@ def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
     return v
 
 
-def _evolve(c: Circuit, state_t: np.ndarray, *, check_unitary: bool) -> np.ndarray:
-    """Push a tensored state (qubit axes first, then batch axes) through the gate list.
+def _evolve(gates, state_t: np.ndarray, *, check_unitary: bool) -> np.ndarray:
+    """Push a tensored state (qubit axes first, then batch axes) through a gate list.
 
     The one gate loop of the package. With ``check_unitary=False`` every gate is
-    applied as the linear map its matrix gives, unitary or not.
+    applied as the linear map its matrix gives, unitary or not. ``state_t`` is
+    only read, so a caller may push it through several gate lists.
     """
-    for g in c.gates:
+    for g in gates:
         mat = gate_matrix(g)
         if check_unitary and g.kind == "RAW" and not is_unitary(mat):
             raise NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
         state_t = _apply(state_t, mat, g.qubits)
     return state_t
+
+
+class _Prefix:
+    """A node of ``_PartStates``' prefix tree: the nodes one gate further, by
+    Gate object, and whether a registered circuit ends here."""
+
+    __slots__ = ("next", "end")
+
+    def __init__(self):
+        self.next: dict[Gate, _Prefix] = {}
+        self.end = False
+
+    @property
+    def branches(self) -> bool:
+        """Whether more than one registered circuit goes on from here in
+        different ways: two next gates, or an end with a next gate."""
+        return len(self.next) > 1 or (self.end and bool(self.next))
+
+
+class _PartStates:
+    """The runtime's one part-state cache, for a local call or a worker's
+    batch: U|label> for each (circuit, input label, unitary) that its rows
+    read, each shared gate prefix applied once.
+
+    The gate lists of the registered circuits (``add``) form a prefix tree
+    whose edges are Gate objects. A state starts from the deepest state kept
+    on its circuit's path for the same input, and intermediate states are
+    kept only where the tree branches: k circuits have fewer than 2k such
+    points, so the cache holds fewer than 3k states per input. ``_evolve``
+    only reads its input, so every state has the bits of its circuit run
+    alone. A circuit registered after a state was pushed past its branch
+    point starts from the deepest state kept above that point.
+
+    unitary=True is ``simulate``: RAW gates must be unitary and the norm must
+    hold. unitary=False is the density rows' linear map, with its states
+    kept apart, so an overlap row refuses a non-unitary RAW gate that a
+    density row has pushed a vector through.
+    """
+
+    def __init__(self, circuits=()):
+        self._tree = _Prefix()
+        self._paths: dict[Circuit, list[_Prefix]] = {}  # the tree nodes of each gate
+        self._kept: dict = {}  # (branch node, label, unitary) -> state tensor there
+        self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
+        self.add(circuits)
+
+    def __len__(self) -> int:
+        """The number of states kept."""
+        return len(self._kept) + len(self._done)
+
+    def add(self, circuits):
+        """Register circuits, so their shared gate prefixes are applied once."""
+        for c in circuits:
+            if c in self._paths:
+                continue
+            node, path = self._tree, []
+            for g in c.gates:
+                child = node.next.get(g)
+                if child is None:
+                    child = node.next[g] = _Prefix()
+                node = child
+                path.append(node)
+            node.end = True
+            self._paths[c] = path
+
+    def state(self, c: Circuit, label: str, unitary: bool = True) -> np.ndarray:
+        """U|label> over the circuit's own qubits, computed on a miss."""
+        key = (c, label, unitary)
+        state = self._done.get(key)
+        if state is None:
+            state = self._done[key] = self._push(c, label, unitary)
+        return state
+
+    def _push(self, c: Circuit, label: str, unitary: bool) -> np.ndarray:
+        self.add((c,))
+        path = self._paths[c]
+        stops = [at for at, node in enumerate(path, 1) if node.branches]
+        start, state_t = 0, basis_state(c.n_qubits, int(label, 2)).reshape((2,) * c.n_qubits)
+        for at in reversed(stops):  # the deepest state kept on the path
+            kept = self._kept.get((path[at - 1], label, unitary))
+            if kept is not None:
+                start, state_t = at, kept
+                break
+        for stop in stops:
+            if stop > start:
+                state_t = self._kept[path[stop - 1], label, unitary] = _evolve(
+                    c.gates[start:stop], state_t, check_unitary=unitary)
+                start = stop
+        state = _evolve(c.gates[start:], state_t, check_unitary=unitary).reshape(-1)
+        if unitary and abs(float(np.linalg.norm(state)) - 1.0) > 1e-10:
+            raise NotUnitary("simulation did not preserve the state norm")
+        return state
 
 
 def simulate(c: Circuit, input_state) -> np.ndarray:
@@ -292,7 +409,7 @@ def simulate(c: Circuit, input_state) -> np.ndarray:
             f"input dim {vec.shape[0]} != 2^{c.n_qubits}"
         )
     norm_in = float(np.linalg.norm(vec))
-    out = _evolve(c, vec.reshape((2,) * c.n_qubits), check_unitary=True).reshape(-1)
+    out = _evolve(c.gates, vec.reshape((2,) * c.n_qubits), check_unitary=True).reshape(-1)
     if abs(float(np.linalg.norm(out)) - norm_in) > 1e-10 * max(1.0, norm_in):
         raise NotUnitary("simulation did not preserve the state norm")
     return out
@@ -304,7 +421,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
         raise TooLarge(f"dense unitary capped at 12 qubits, got {c.n_qubits}")
     dim = 2**c.n_qubits
     batch = np.eye(dim, dtype=complex).reshape((2,) * c.n_qubits + (dim,))
-    return _evolve(c, batch, check_unitary=True).reshape(dim, dim)
+    return _evolve(c.gates, batch, check_unitary=True).reshape(dim, dim)
 
 
 # --- JSON (de)serialization -------------------------------------------------
@@ -349,23 +466,20 @@ def _finite(p) -> bool:
         return False
 
 
-def parse_circuit(obj, *, require_unitary: bool = True, _shared: dict | None = None
-                  ) -> Circuit:
+def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
     """Parse the JSON form back into a Circuit; unknown fields are rejected.
 
     ``n`` and every qubit must be JSON integers (not bools, floats or
     strings) and every param a finite JSON number, or CircuitFormatError is
     raised. Value-equal non-RAW entries decode to one shared Gate; RAW gates
-    are parsed and checked one by one. Calls that pass one ``_shared`` dict
-    share their decoded gates too: a worker passes one per batch, whose part
-    circuits repeat most of their gates, so each distinct gate is decoded,
-    and its matrix computed, once per batch.
+    are parsed and checked one by one.
 
-    ``require_unitary=False`` admits non-unitary RAW matrices. Worker batches
-    parse this way, because density rows push an unnormalized statevector
-    through the gates; simulating an overlap row refuses them.
+    ``require_unitary=False`` admits non-unitary RAW matrices. A worker
+    parses its batch's gate table this way, because density rows push an
+    unnormalized statevector through the gates; simulating an overlap row
+    refuses them.
     """
-    shared = {} if _shared is None else _shared  # (kind, qubits, param bits) -> Gate
+    shared: dict = {}  # (kind, qubits, param bits) -> Gate
     if not isinstance(obj, dict):
         raise CircuitFormatError("circuit JSON must be an object")
     extra = set(obj) - {"n", "gates"}

@@ -18,16 +18,24 @@ a row gives the same bits everywhere.
 One runner and one reducer carry a plan from its table to its value as
 arrays. ``_run`` runs plans, or tasks, as items through one path per mode and
 returns each item's values as an array (rows x readouts); locally the items of
-a call share their part states, and over the wire the replies fill the same
+a call share one part-state cache, and over the wire the replies fill the same
 arrays. ``_reduce`` folds a plan's overlaps into its value. ``estimate_plans``
 is the two together; ``execute_tasks`` and ``run_plan`` build TaskResults only
 at their return, and ``aggregate`` reads TaskResults back into one array for
-the same reducer. Over the wire (protocol 4) the rows of a call travel as one
-batch message per start node, each carrying its distinct gate lists once;
-every batch is sent before any reply is read, and a worker parses each circuit
-once and simulates each part state once per batch. The wire carries overlap
-and density rows; "estimator" tasks run only in-process, as the reference the
-tests hold overlap tasks to.
+the same reducer. The wire carries overlap and density rows; "estimator" tasks
+run only in-process, as the reference the tests hold overlap tasks to.
+
+Over the wire (protocol 5) the rows of a call travel as one batch message per
+start node. A batch carries its distinct gates once, as a gate table that one
+``circuit_to_json`` call encodes, and each distinct circuit once, as positions
+in that table; every batch is sent before any reply is read. A worker decodes
+the table with one ``parse_circuit`` call, so each distinct gate is one Gate.
+
+The part-state cache (``circuit._PartStates``) is the same locally and on a worker:
+each distinct (circuit, input label) is simulated once per call or batch, and
+circuits that start with the same Gate objects continue from one kept
+intermediate state, so each shared gate prefix is applied once. Simulation
+stays inside ``ExactBackend.run_task`` / ``run_rows``.
 
 Worker connections live as long as the ClusterConfig object that opened them
 (``_check_out`` / ``_check_in``). A dispatch round sends hello to every chosen
@@ -40,8 +48,9 @@ the config is collected.
 Each input rule has one implementation: ``_host_port`` reads worker
 addresses (to connect to, and to listen on); ``linalg._is_count`` checks node
 counts, shots, seeds and retry limits, in a ClusterConfig and in a batch a
-worker receives, the width cap a worker announces, and (in
-``circuit.parse_circuit``) the width and qubits of circuit JSON;
+worker receives, the width cap a worker announces, a batch's row ids and its
+circuits' widths and gate table positions, and (in ``circuit.parse_circuit``)
+the width and qubits of circuit JSON;
 ``planner.check_overlap_operands`` checks an overlap row's operands in a Plan
 and in an OverlapSpec, so a worker refuses the rows a controller would;
 ``ExactBackend.run_rows`` holds a node's width cap, in-process and on a
@@ -73,14 +82,16 @@ import numpy as np
 from .circuit import (
     PAULI_1Q,
     Circuit,
+    Gate,
     PauliString,
     basis_state,
     circuit_to_json,
     parse_circuit,
     simulate,
-    _evolve,
+    _gate_key,
     _matrix_from_json,
     _matrix_to_json,
+    _PartStates,
 )
 from .linalg import _complex_product, _is_count, _sequential_sum
 from .planner import Plan, Subtask, _plan_columns, check_overlap_operands
@@ -104,7 +115,7 @@ __all__ = [
     "serve_worker",
 ]
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 
 class NodeFailure(RuntimeError):
@@ -288,11 +299,6 @@ def _parse_readout(desc: str, n_qubits: int) -> tuple[str | None, str]:
     raise ValueError(f"unknown readout descriptor {desc!r}")
 
 
-def _part_state(c: Circuit, input_label: str) -> np.ndarray:
-    """U|label> on the part's own qubits (RAW gates must be unitary)."""
-    return simulate(c, basis_state(c.n_qubits, int(input_label, 2)))
-
-
 @functools.lru_cache(maxsize=64)
 def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """A Pauli string as a signed permutation: (P psi)[i] = phase[i] * psi[source[i]].
@@ -340,6 +346,13 @@ def _rows(item: TaskSpec | OverlapSpec | Plan) -> tuple[tuple[int, ...], tuple[s
     return (item.ids, ("ax", "ay")) if isinstance(item, Plan) else ((item.id,), item.readouts)
 
 
+def _circuits(item: TaskSpec | OverlapSpec | Plan) -> tuple[Circuit, ...]:
+    """The circuits an item's rows read."""
+    if isinstance(item, Plan):
+        return item.circuits
+    return (item.left, item.right) if isinstance(item, OverlapSpec) else (item.circuit,)
+
+
 def _side_rows(t: _Table, ket: str, bra: str) -> list[tuple]:
     """The distinct states that the rows' z = <bra| O |ket> read, one entry
     per part width: (the rows of that width, the distinct (circuit, label)
@@ -370,7 +383,7 @@ def _side_rows(t: _Table, ket: str, bra: str) -> list[tuple]:
     return out
 
 
-def _side_states(t: _Table, ket: str, bra: str, states: dict):
+def _side_states(t: _Table, ket: str, bra: str, states: _PartStates):
     """For each part width of the table, (its rows, the stacked distinct bra
     states, each row's position among them, the stacked distinct O|ket>
     states, each row's position among them) of one (ket, bra) side pair.
@@ -385,11 +398,7 @@ def _side_states(t: _Table, ket: str, bra: str, states: dict):
             t.sides[ket, bra] = sides
 
     def part(c: int, b: int) -> np.ndarray:  # U|label>, simulated on a miss of ``states``
-        key = (t.circuits[c], t.labels[b])
-        state = states.get(key)
-        if state is None:
-            state = states[key] = _part_state(*key)
-        return state
+        return states.state(t.circuits[c], t.labels[b])
 
     for rows, bra_at, bra_of_row, ket_at, ket_of_row in sides:
         bras = np.array([part(c, b) for c, b in bra_at])
@@ -397,7 +406,7 @@ def _side_states(t: _Table, ket: str, bra: str, states: dict):
         yield rows, bras, bra_of_row, kets, ket_of_row
 
 
-def _overlaps(t: _Table, states: dict) -> np.ndarray:
+def _overlaps(t: _Table, states: _PartStates) -> np.ndarray:
     """The (w, m) pairs of every row's readouts, as an array (2, rows x
     readouts), row by row.
 
@@ -426,7 +435,7 @@ def _overlaps(t: _Table, states: dict) -> np.ndarray:
     return out.reshape(2, -1)
 
 
-def _overlap_pairs(t: _Table, states: dict) -> tuple[list[float], list[float]]:
+def _overlap_pairs(t: _Table, states: _PartStates) -> tuple[list[float], list[float]]:
     """``_overlaps`` as two lists of floats, (all w, all m), row by row: the
     form a per-row reference computes."""
     w, m = _overlaps(t, states).tolist()
@@ -473,7 +482,7 @@ def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(state, state).real), m
 
 
-def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: dict) -> np.ndarray:
+def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: _PartStates) -> np.ndarray:
     """The (w, m) pairs of an item's readouts, as an array (2, rows x
     readouts), row by row; ``states`` is run_rows' cache."""
     if not isinstance(task, TaskSpec):
@@ -483,9 +492,7 @@ def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: dict) -> np.ndar
         state = simulate(task.circuit, basis_state(n))
     elif task.kind == "density":
         # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
-        state = _evolve(
-            task.circuit, basis_state(n).reshape((2,) * n), check_unitary=False
-        ).reshape(-1)
+        state = states.state(task.circuit, "0" * n, unitary=False)
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
     return np.array([_readout_pair(desc, state) for desc in task.readouts],
@@ -521,23 +528,23 @@ class ExactBackend:
         task: TaskSpec | OverlapSpec | Plan,
         shots: int | None,
         seed: int,
-        states: dict | None = None,
+        states: _PartStates | None = None,
     ) -> tuple[tuple[float, ...], int]:
         """Run one item; returns (one value per readout, row by row, shots used):
         ``run_rows`` as plain floats."""
-        values = self.run_rows(task, shots, seed, {} if states is None else states)
+        values = self.run_rows(task, shots, seed, _PartStates() if states is None else states)
         return tuple(values.ravel().tolist()), 0 if shots is None else shots * values.size
 
     def run_rows(self, task: TaskSpec | OverlapSpec | Plan, shots: int | None, seed: int,
-                 states: dict) -> np.ndarray:
+                 states: _PartStates) -> np.ndarray:
         """Run one item; returns its values as an array, one row per task row
         and one column per readout.
 
         A task is one row; a Plan is its rows, each read as "ax", "ay". Each
         readout's (w, m) pair gives m exactly, or with shots the mean of draws
         on the stream (seed, row id, readout index). ``states`` lets the items
-        of a batch share part states: it maps (circuit, input label) to the
-        simulated state and is filled on a miss.
+        of a call or a batch share part states and gate prefixes; the item's
+        own circuits are registered in it first (``_PartStates.add``).
         """
         n = task.n_qubits
         if n > self.max_qubits:
@@ -545,6 +552,7 @@ class ExactBackend:
             raise CapabilityMismatch(
                 f"{name} needs {n} qubits, node supports {self.max_qubits}"
             )
+        states.add(_circuits(task))
         pairs = _readout_pairs(task, states)
         ids, readouts = _rows(task)
         if shots is None:
@@ -571,12 +579,31 @@ class _Batch:
     """The rows of one start node (row id % node count) as one batch message.
 
     ``runs`` splits ``rows`` into the consecutive rows of one item: (item
-    position, the row positions, readouts per row)."""
+    position, the row positions, readouts per row). ``gates`` holds the
+    batch's gate table, each distinct gate value once with its position
+    (``_gate_key``), and ``circuits`` the position of each circuit in the
+    message's circuit list, by object and by value."""
 
     start: int
     message: dict
     rows: list = field(default_factory=list)  # (row id, width)
     runs: list = field(default_factory=list)
+    gates: dict = field(default_factory=dict)  # gate key -> (position, Gate)
+    circuits: dict = field(default_factory=dict)  # Circuit or (n, *positions) -> position
+
+    def circuit(self, c: Circuit) -> int:
+        """The position of ``c`` in the message's circuits: {"n", "gates": [its
+        gates' positions in the gate table]}, added on first use."""
+        at = self.circuits.get(c)
+        if at is None:
+            table = self.gates
+            positions = [table.setdefault(_gate_key(g), (len(table), g))[0] for g in c.gates]
+            wire = self.message["circuits"]
+            at = self.circuits.setdefault((c.n_qubits, *positions), len(wire))
+            if at == len(wire):
+                wire.append({"n": c.n_qubits, "gates": positions})
+            self.circuits[c] = at
+        return at
 
     @functools.cached_property
     def line(self) -> bytes:
@@ -607,52 +634,73 @@ def _wire_rows(item: TaskSpec | OverlapSpec | Plan):
 def _batches(items: list, n_nodes: int, shots: int | None, seed: int) -> list[_Batch]:
     """One batch per non-empty start node group, in start node order.
 
-    A batch carries ``shots``, ``seed`` and each distinct circuit's gate JSON
-    once, and one entry per row that points into its circuit list. Each gate
-    JSON is encoded once per call.
+    A batch carries ``shots``, ``seed``, its gate table, each distinct
+    circuit once as positions in that table, and one entry per row that
+    points into its circuit list. Value-equal gates share one table entry,
+    and one ``circuit_to_json`` call encodes the table, over the batch's
+    widest row.
     """
     batches: dict[int, _Batch] = {}
-    encoded: dict = {}  # Circuit -> gate JSON
-    positions: dict = {}  # (start node, Circuit) -> position in that batch's circuits
     for at, item in enumerate(items):
         for j, (row_id, width, refs, fields) in enumerate(_wire_rows(item)):
             start = row_id % n_nodes
             if start not in batches:
                 batches[start] = _Batch(start, {
-                    "type": "batch", "shots": shots, "seed": seed, "circuits": [], "tasks": []})
+                    "type": "batch", "shots": shots, "seed": seed, "gates": None,
+                    "circuits": [], "tasks": []})
             b = batches[start]
-            entry = {"id": row_id, **fields}
-            for name, c in refs.items():
-                if (start, c) not in positions:
-                    positions[start, c] = len(b.message["circuits"])
-                    if c not in encoded:
-                        encoded[c] = circuit_to_json(c)
-                    b.message["circuits"].append(encoded[c])
-                entry[name] = positions[start, c]
-            b.message["tasks"].append(entry)
+            b.message["tasks"].append(
+                {"id": row_id, **fields, **{name: b.circuit(c) for name, c in refs.items()}})
             b.rows.append((row_id, width))
             if not b.runs or b.runs[-1][0] != at:
                 b.runs.append((at, [], len(fields["readout"])))
             b.runs[-1][1].append(j)
+    for b in batches.values():
+        b.message["gates"] = circuit_to_json(Circuit(
+            max(width for _, width in b.rows), tuple(g for _, g in b.gates.values())))
     return [batches[s] for s in sorted(batches)]
+
+
+def _batch_circuit(k: int, obj, table: tuple[Gate, ...]) -> Circuit:
+    """Decode circuit ``k`` of a batch: {"n", "gates": [positions in the
+    batch's gate table]}, each position an integer >= 0 within the table."""
+    if not (isinstance(obj, dict) and obj.keys() == {"n", "gates"}
+            and isinstance(obj["gates"], list)):
+        raise ValueError(f"batch circuit {k} is not {{\"n\", \"gates\": [gate table positions]}}")
+    n, positions = obj["n"], obj["gates"]
+    if not _is_count(n, 1):
+        raise ValueError(f"batch circuit {k} has a bad qubit count: {n!r}")
+    for p in positions:
+        if not (_is_count(p, 0) and p < len(table)):
+            raise ValueError(f"batch circuit {k}: no gate {p!r} in a gate table of {len(table)}")
+    return Circuit(n, tuple(map(table.__getitem__, positions)))
 
 
 def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec:
     """Decode one batch row, whose circuits are positions in ``circuits``; the
-    wire carries only overlap and density rows."""
+    wire carries only overlap and density rows.
+
+    Nothing is coerced: the id must be an integer >= 0 (``_is_count``), the
+    readouts a list of strings and an overlap row's input a string.
+    """
 
     def circuit(k) -> Circuit:
-        if type(k) is not int or not 0 <= k < len(circuits):
+        if not (_is_count(k, 0) and k < len(circuits)):
             raise ValueError(f"no circuit {k!r} in the batch")
         return circuits[k]
 
-    kind = row["kind"]
-    readouts = tuple(str(r) for r in row["readout"])
+    row_id, kind, readouts = row.get("id"), row["kind"], row["readout"]
+    if not _is_count(row_id, 0):
+        raise ValueError(f"a row id must be an integer >= 0, got {row_id!r}")
+    if not (isinstance(readouts, list) and all(isinstance(r, str) for r in readouts)):
+        raise ValueError(f"a row's readout must be a list of strings, got {readouts!r}")
+    readouts = tuple(readouts)
     if kind == "overlap":
-        left = circuit(row["left"])
-        obs = row["obs"]
+        left, obs, label = circuit(row["left"]), row["obs"], row["input"]
+        if not isinstance(label, str):
+            raise ValueError(f"an overlap row's input must be a string, got {label!r}")
         return OverlapSpec(
-            id=int(row["id"]),
+            id=row_id,
             left=left,
             right=circuit(row["right"]),
             observable=(
@@ -660,7 +708,7 @@ def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec
                 if isinstance(obs, str)
                 else _matrix_from_json(obs, "observable")
             ),
-            input_label=str(row["input"]),
+            input_label=label,
             readouts=readouts,
         )
     if kind != "density":
@@ -668,8 +716,7 @@ def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec
             f"task kind {kind!r} is not accepted over the wire "
             f"(protocol {PROTOCOL_VERSION} carries overlap and density tasks)"
         )
-    return TaskSpec(id=int(row["id"]), kind=kind, circuit=circuit(row["circuit"]),
-                    readouts=readouts)
+    return TaskSpec(id=row_id, kind=kind, circuit=circuit(row["circuit"]), readouts=readouts)
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -723,13 +770,15 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
     def _run_batch(self, msg: dict) -> dict:
         """Run a batch's rows in order with one part-state cache; the reply holds
         each row's values and shots used, or an error naming the failing row's id
-        (-1 when the batch itself is malformed). The controller derives shots
-        used from its own call and does not read them.
+        (-1 when the batch itself is malformed or the row's id is bad). The
+        controller derives shots used from its own call and does not read them.
 
-        Each circuit is parsed once, with non-unitary RAW gates admitted as
+        The gate table is parsed once, with non-unitary RAW gates admitted as
         density rows need; simulating an overlap row's part states refuses
-        them, as a local run does. ``shots`` must be null or an integer >= 1
-        and ``seed`` an integer >= 0, as in a ClusterConfig.
+        them, as a local run does. Each circuit is built from its table
+        positions, so each distinct gate is one Gate, and the cache applies
+        each gate prefix the circuits share once. ``shots`` must be null or an
+        integer >= 1 and ``seed`` an integer >= 0, as in a ClusterConfig.
         """
         row_id = -1
         values, used = [], []
@@ -739,12 +788,13 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                     "message": f"batch shots must be null or an integer >= 1 and its seed an "
                                f"integer >= 0, got shots {shots!r} and seed {seed!r}"}
         try:
-            shared: dict = {}  # one Gate per distinct non-RAW gate of the batch
-            circuits = [parse_circuit(c, require_unitary=False, _shared=shared)
-                        for c in msg["circuits"]]
-            states: dict = {}
+            table = parse_circuit(msg["gates"], require_unitary=False).gates
+            circuits = [_batch_circuit(k, c, table) for k, c in enumerate(msg["circuits"])]
+            states = _PartStates(circuits)
             for row in msg["tasks"]:
-                row_id = row.get("id", -1) if isinstance(row, dict) else -1
+                row_id = row.get("id") if isinstance(row, dict) else None
+                if not _is_count(row_id, 0):
+                    row_id = -1
                 task = _task_from_row(row, circuits)
                 self.server.count_task()
                 row_values, row_used = self.server.backend.run_task(task, shots, seed, states)
@@ -996,19 +1046,20 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
     item's values (one row per task row, one column per readout) and, in
     network mode, each batch with its reply (None in local mode).
 
-    In local mode the items of one call share their part states: each
-    distinct (circuit object, input label) is simulated once and kept until
-    the call returns; an item wider than a node's cap raises
-    CapabilityMismatch (``ExactBackend.run_rows``). In network mode the rows
-    of all items are grouped by start node (row id % node count), each group
-    is one batch message, and every batch is sent before any reply is read,
-    so the workers compute at once (``_dispatch``); the replies fill the same
+    In local mode the items of one call share one ``_PartStates``, which
+    holds every item's circuits from the start: each distinct (circuit
+    object, input label) is simulated once, each shared gate prefix applied
+    once, and the states are kept until the call returns; an item wider than
+    a node's cap raises CapabilityMismatch (``ExactBackend.run_rows``). In
+    network mode the rows of all items are grouped by start node (row id %
+    node count), each group is one batch message, and every batch is sent
+    before any reply is read (``_dispatch``); the replies fill the same
     arrays. The call runs on the connections ``cfg`` kept, and keeps them
     again only if it returns.
     """
     if cfg.mode == "local":
         backend = ExactBackend()
-        states: dict = {}
+        states = _PartStates(c for item in items for c in _circuits(item))
         return [backend.run_rows(item, cfg.shots, cfg.seed, states) for item in items], None
     batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
     clients = _check_out(cfg)

@@ -133,6 +133,23 @@ class TestGateValidation:
         with pytest.raises(CircuitFormatError):
             Circuit(1, (Gate("H", (1,)),))
 
+    def test_fields_are_stored_as_ints_and_floats_whatever_they_were_given_as(self):
+        for qubits in ((1,), [1], (True,), (np.int64(1),), (1.0,), (1.7,)):
+            for params in ((0.5,), [0.5], (np.float64(0.5),), [1]):
+                g = Gate("RY", qubits, params=params)
+                assert g.qubits == (1,) and type(g.qubits) is tuple
+                assert type(g.qubits[0]) is int and type(g.params[0]) is float
+        assert Gate("CZ", [0, True]).qubits == (0, 1)
+        assert Gate("H", (0,), params=[]).params == ()
+        with pytest.raises(CircuitFormatError, match="repeated qubit in CZ gate"):
+            Gate("CZ", (1, True))  # the typed memo keeps True beside 1, and both are 1
+        with pytest.raises(CircuitFormatError, match="negative qubit index in H"):
+            Gate("H", (-1,))
+        with pytest.raises(TypeError):
+            Gate("H", (1 + 0j,))
+        with pytest.raises(TypeError):
+            Gate("RY", (0,), params=None)
+
 
 class TestSimulate:
     def test_bell_pair(self):
@@ -354,14 +371,14 @@ class TestGateKernel:
         want = basis_state(5).reshape((2,) * 5)
         for g in gates:
             want = _reference_apply(want, gate_matrix(g), g.qubits)
-        got = _evolve(c, basis_state(5).reshape((2,) * 5), check_unitary=True)
+        got = _evolve(c.gates, basis_state(5).reshape((2,) * 5), check_unitary=True)
         assert _same_bits(got, want)
         assert _same_bits(circuit_unitary(c), circuit_unitary(c))
 
 
 class TestGateCaches:
     """A gate keeps its matrix; decoded gates are shared per exact parameter
-    bits within one parse, or within the calls that pass one memo."""
+    bits within one parse."""
 
     @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "PHASE"])
     def test_signed_zero_keeps_its_own_matrix_bits_in_either_order(self, kind):
@@ -403,13 +420,9 @@ class TestGateCaches:
             {"n": 2, "gates": [entry, h, entry, h, {"kind": "H", "qubits": [0]}]}).gates
         assert raw_a is not raw_b and h_a is h_b and h_0 is not h_a
 
-    def test_the_memo_lives_for_one_call_or_the_calls_that_share_it(self):
+    def test_the_memo_lives_for_one_call(self):
         obj = {"n": 2, "gates": [{"kind": "RY", "qubits": [1], "params": [0.5]}]}
         assert parse_circuit(obj).gates[0] is not parse_circuit(obj).gates[0]
-        shared: dict = {}
-        first, second = (parse_circuit(obj, _shared=shared) for _ in range(2))
-        assert first.gates[0] is second.gates[0]
-        assert gate_matrix(first.gates[0]) is gate_matrix(second.gates[0])
 
 
 class TestStrictNumbers:

@@ -348,16 +348,16 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     import tlpq.planner
     import tlpq.runtime
 
-    calls = {"simulate": [], "unitary_node": 0, "overlap_spec": 0, "operand_check": 0}
-    simulate, node = tlpq.runtime.simulate, cli.unitary_node
+    calls = {"applied": [], "unitary_node": 0, "overlap_spec": 0, "operand_check": 0}
+    evolve, node = tlpq.circuit._evolve, cli.unitary_node
 
     def count(key):
         def counted(*args, **kwargs):
             calls[key] += 1
         return counted
 
-    monkeypatch.setattr(tlpq.runtime, "simulate",
-                        lambda c, v: calls["simulate"].append(c) or simulate(c, v))
+    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
+                        calls["applied"].extend(gates) or evolve(gates, state, **kw))
     monkeypatch.setattr(cli, "unitary_node",
                         lambda *a: count("unitary_node")() or node(*a))
     monkeypatch.setattr(tlpq.runtime.OverlapSpec, "__post_init__", count("overlap_spec"))
@@ -366,8 +366,8 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     cli.run_nonherm_rows(ClusterConfig())
     circuits = sum(build_quadrature(0.2, 0.5, t).M + 1 for t in cli._DEFAULT_NONHERM_T)
     assert circuits == 120
-    # one simulation per node circuit (4 per circuit when each letter ran alone)
-    assert len(calls["simulate"]) == len({id(c) for c in calls["simulate"]}) == circuits
+    # one simulation per node circuit of one gate (4 per circuit when each letter ran alone)
+    assert len(calls["applied"]) == len({id(g) for g in calls["applied"]}) == circuits
     assert calls["unitary_node"] == circuits  # the dense column reuses them
     assert calls["overlap_spec"] == 0
     assert calls["operand_check"] <= circuits

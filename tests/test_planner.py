@@ -46,6 +46,7 @@ from tlpq.runtime import (
     ExactBackend,
     OverlapSpec,
     TaskSpec,
+    _PartStates,
     _readout_pairs,
     aggregate,
     run_plan,
@@ -423,8 +424,8 @@ class TestGhzTemplatesAndPlan:
             task = OverlapSpec(id=ev.id, left=left, right=right,
                                observable=PauliString(2, ev.setting), input_label="00",
                                readouts=(ev.readout,))
-            want = np.array(_readout_pairs(reference, {}))
-            got = np.array(_readout_pairs(task, {}))
+            want = np.array(_readout_pairs(reference, _PartStates()))
+            got = np.array(_readout_pairs(task, _PartStates()))
             assert np.max(np.abs(got - want)) <= 1e-12, ev
 
     def test_assemble_grams_missing_value(self):

@@ -34,7 +34,9 @@ from tlpq import (
     execute_tasks,
     run_plan,
     sample_shots,
+    simulate,
 )
+from tlpq.circuit import basis_state
 from tlpq.planner import ChannelLCU, NonUnitaryObservable, Plan, ShapeMismatch
 from tlpq.runtime import (
     PROTOCOL_VERSION,
@@ -45,6 +47,7 @@ from tlpq.runtime import (
     OverlapSpec,
     TaskResult,
     WorkerServer,
+    _PartStates,
     _readout_pairs,
     _sampled_mean,
     serve_worker,
@@ -106,11 +109,19 @@ def counted_sends(monkeypatch):
 
 
 def batch_message(rows: list[dict], circuits: list, shots=None, seed: int = 0) -> dict:
-    """A batch message by hand: ``circuits`` are Circuits or gate JSON, and each
-    row points into them by position."""
-    return {"type": "batch", "shots": shots, "seed": seed,
-            "circuits": [c if isinstance(c, dict) else circuit_to_json(c) for c in circuits],
-            "tasks": rows}
+    """A protocol-5 batch message by hand: the gates of ``circuits`` (Circuits
+    or circuit JSON) go into one gate table in order, each circuit becomes
+    {"n", "gates": [its positions in that table]}, and each row points into
+    the circuits by position."""
+    objs = [c if isinstance(c, dict) else circuit_to_json(c) for c in circuits]
+    table, wire = [], []
+    for obj in objs:
+        first = len(table)
+        table.extend(obj["gates"])
+        wire.append({"n": obj["n"], "gates": list(range(first, len(table)))})
+    width = max((obj["n"] for obj in objs if type(obj["n"]) is int), default=1)
+    return {"type": "batch", "shots": shots, "seed": seed, "gates": {"n": width, "gates": table},
+            "circuits": wire, "tasks": rows}
 
 
 def random_circuit(rng, n_qubits: int, n_gates: int = 4) -> Circuit:
@@ -383,7 +394,7 @@ def test_readout_law_matches_dense_probabilities_on_estimator_circuits(rng, w):
                         readouts=every_descriptor(rng, w + 1))
         psi = dense_state(circ)
         rho = np.outer(psi, psi.conj())
-        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, {}))):
+        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, _PartStates()))):
             assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
 
 
@@ -395,7 +406,7 @@ def test_readout_law_matches_dense_probabilities_on_density_circuits(rng, n):
         assert np.real(np.trace(rho)) < 0.99  # the maps lose weight: P(0) > 0 everywhere
         task = TaskSpec(id=trial, kind="density", circuit=circ,
                         readouts=every_descriptor(rng, n))
-        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, {}))):
+        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, _PartStates()))):
             assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
 
 
@@ -411,7 +422,7 @@ def test_readout_law_of_overlap_tasks_matches_estimator_circuits(rng):
         task = OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
                            observable=s.observable, input_label=s.input_label,
                            readouts=readouts)
-        for desc, (wt, m) in zip(descriptors, zip(*_readout_pairs(task, {}))):
+        for desc, (wt, m) in zip(descriptors, zip(*_readout_pairs(task, _PartStates()))):
             if desc in ("ax", "ay"):
                 assert wt == 1.0
             assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
@@ -678,19 +689,21 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
         for i, label in enumerate(["01"] * 5 + ["10"])
     ]
     local = execute_tasks(tasks, ClusterConfig(seed=2, shots=32))
-    parsed, simulated = [], []
-    real_parse, real_simulate = runtime.parse_circuit, runtime.simulate
+    parsed, applied = [], []
+    real_parse, real_evolve = runtime.parse_circuit, tlpq.circuit._evolve
     monkeypatch.setattr(runtime, "parse_circuit",
                         lambda obj, **kw: parsed.append(obj) or real_parse(obj, **kw))
-    monkeypatch.setattr(runtime, "simulate",
-                        lambda c, v: simulated.append(c) or real_simulate(c, v))
+    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
+                        applied.extend(gates) or real_evolve(gates, state, **kw))
     with live_worker() as addr:  # one node: every row is in one batch
         net = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(addr,), seed=2,
                                                  shots=32))
     assert [r.value for r in net] == [r.value for r in local]
-    assert len(parsed) == 4  # one left and three right circuits
+    # one gate table: the 4 distinct gates of one left and three right circuits
+    assert len(parsed) == 1 and len(parsed[0]["gates"]) == 4 * 4
     states = {(c, t.input_label) for t in tasks for c in (t.left, t.right)}
-    assert len(simulated) == len(states) == 6  # row 5 reads two circuits under label 10
+    # each state simulated once, no two share a gate: row 5 reads two circuits under label 10
+    assert len(states) == 6 and len(applied) == 4 * len(states)
 
 
 def test_a_call_sends_one_batch_per_non_empty_start_node(rng, monkeypatch):
@@ -1304,11 +1317,13 @@ def test_overlap_task_shares_states_within_a_batch(rng, monkeypatch):
         for i, r in enumerate(rights)
     ]
     alone = [ExactBackend().run_task(t, None, 0)[0] for t in tasks]
-    calls = []
-    real = runtime.simulate
-    monkeypatch.setattr(runtime, "simulate", lambda c, v: calls.append(c) or real(c, v))
+    applied = []
+    real = tlpq.circuit._evolve
+    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
+                        applied.extend(gates) or real(gates, state, **kw))
     batch = execute_tasks(tasks, ClusterConfig())
-    assert len(calls) == 4  # one left state, three right states
+    # one left state, three right states: each of their gates applied once
+    assert sorted(map(id, applied)) == sorted(id(g) for c in (left, *rights) for g in c.gates)
     assert [r.value for r in batch] == alone
 
 
@@ -1544,11 +1559,11 @@ def test_overlap_readouts_in_any_order_or_subset_read_as_each_alone(rng):
                                observable=s.observable, input_label=s.input_label,
                                readouts=readouts)
 
-        alone = {d: _readout_pairs(task((d,)), {}) for d in ("ax", "ay", "p0", "p1")}
+        alone = {d: _readout_pairs(task((d,)), _PartStates()) for d in ("ax", "ay", "p0", "p1")}
         for size in range(1, 5):
             for subset in combinations(("ax", "ay", "p0", "p1"), size):
                 for readouts in permutations(subset):
-                    ws, ms = _readout_pairs(task(readouts), {})
+                    ws, ms = _readout_pairs(task(readouts), _PartStates())
                     assert [list(ws), list(ms)] == [
                         [alone[d][k][0] for d in readouts] for k in (0, 1)
                     ], readouts
@@ -1578,12 +1593,15 @@ def test_empty_plan_runs_to_no_results(shots):
 def overlap_pairs_by_row(t):
     """The reference: every row's readouts from its own part states, one
     ``np.vdot`` per value, as the routine read them before it was stacked."""
-    from tlpq.runtime import _READOUT_SIDES, _apply_observable, _part_state
+    from tlpq.runtime import _READOUT_SIDES, _apply_observable
+
+    def part_state(c, label):
+        return simulate(c, basis_state(c.n_qubits, int(label, 2)))
 
     w, m = [], []
     for o, l, r, b in zip(t.observable, t.left, t.right, t.label):
-        part = {"left": _part_state(t.circuits[l], t.labels[b]),
-                "right": _part_state(t.circuits[r], t.labels[b])}
+        part = {"left": part_state(t.circuits[l], t.labels[b]),
+                "right": part_state(t.circuits[r], t.labels[b])}
         for desc in t.readouts:
             ket, bra = _READOUT_SIDES[desc]
             z = np.vdot(part[bra], _apply_observable(t.observables[o], part[ket]))
@@ -1635,7 +1653,7 @@ def test_stacked_overlaps_equal_per_row_vdot_bit_for_bit(rng, readouts, n_rows):
 
     for widths in (range(1, 7), (3,)):
         t = random_overlap_table(rng, n_rows, readouts, widths)
-        got = _overlap_pairs(t, {})
+        got = _overlap_pairs(t, _PartStates())
         assert got == overlap_pairs_by_row(t)
         assert len(got[0]) == len(got[1]) == n_rows * len(readouts)
 
@@ -1885,3 +1903,202 @@ def test_a_malformed_handshake_or_reply_is_a_wire_error(case):
             thread.join(timeout=5)
             listener.close()
         assert not thread.is_alive()
+
+
+# --- protocol 5: one gate table per batch, each shared gate prefix applied once ----
+
+
+def _pin_gates():
+    """Gates of three-qubit circuits: rotations, fixed gates and two RAW gates."""
+    u = np.array([[0, 1], [1, 0]], dtype=complex)
+    v = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    return [Gate("H", (0,)), Gate("RY", (1,), params=(0.3,)), Gate("CZ", (0, 1)),
+            Gate("RX", (2,), params=(1.1,)), Gate("CNOT", (1, 2)), Gate("RZ", (0,), params=(0.4,)),
+            Gate("RAW", (2,), raw=u), Gate("RAW", (1,), raw=v)]
+
+
+def _pin_tasks(case: str) -> list:
+    """The rows of one pin: overlap rows and density rows on the same circuits."""
+    g = _pin_gates()
+
+    def overlap(i, left, right, label="010", obs="XZY"):
+        return OverlapSpec(id=i, left=Circuit(3, tuple(left)), right=Circuit(3, tuple(right)),
+                           observable=PauliString(3, obs), input_label=label,
+                           readouts=("ax", "ay", "p0", "p1"))
+
+    def density(i, gates):
+        return TaskSpec(id=i, kind="density", circuit=Circuit(3, tuple(gates)),
+                        readouts=("e:ZXI", "e:IYZ"))
+
+    if case == "prefix":  # one circuit is a prefix of another
+        return [overlap(0, g[:3], g[:6]), overlap(1, g[:6], g[:3]), density(2, g[:3]),
+                density(3, g[:6])]
+    if case == "raw_divergence":  # a shared prefix, then different RAW gates, then one tail
+        a, b = g[:3] + [g[6]] + g[3:6], g[:3] + [g[7]] + g[3:6]
+        return [overlap(0, a, b), density(1, a), density(2, b)]
+    if case == "two_labels":  # one circuit read under two input labels
+        return [overlap(0, g[:6], g[:6], "000"), overlap(1, g[:6], g[:6], "101"),
+                overlap(2, g[:4], g[:6], "101")]
+    if case == "equal_values":  # value-equal gates as distinct objects
+        again = _pin_gates()
+        return [overlap(0, g[:7], again[:7]), density(1, again), density(2, g)]
+    # "signed_zero": params of 0.0 and -0.0 are different gates
+    plus, minus = (Gate("RX", (0,), params=(t,)) for t in (0.0, -0.0))
+    return [overlap(0, g[:2] + [plus] + g[2:4], g[:2] + [minus] + g[2:4]),
+            density(1, g[:2] + [minus, plus])]
+
+
+def _one_batch(tasks, shots=None, seed=0):
+    """The controller's own protocol-5 message for ``tasks`` on one node, and
+    an in-thread worker's reply to it."""
+    from tlpq.runtime import _batches
+
+    (batch,) = _batches(tasks, 1, shots, seed)
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(batch.message)
+        return batch.message, recv()
+
+
+@pytest.mark.parametrize("shots", [None, 40])
+@pytest.mark.parametrize("case", ["prefix", "raw_divergence", "two_labels", "equal_values",
+                                  "signed_zero"])
+def test_a_protocol_5_batch_answers_each_row_bit_for_bit_as_it_runs_alone(case, shots):
+    def value(g):  # a gate's value, parameters and matrix by their exact bits
+        return g.kind, g.qubits, np.array(g.params).tobytes(), np.asarray(g.raw).tobytes()
+
+    tasks = _pin_tasks(case)
+    message, reply = _one_batch(tasks, shots, seed=7)
+    alone = [list(ExactBackend().run_task(t, shots, 7)[0]) for t in tasks]
+    assert reply["type"] == "result"
+    assert reply["values"] == alone  # ==, bit for bit
+    local = execute_tasks(tasks, ClusterConfig(shots=shots, seed=7))
+    assert [list(r.value) for r in local] == alone
+    # each distinct gate value crosses the wire once, 0.0 and -0.0 apart
+    circuits = [c for t in tasks for c in ((t.left, t.right) if t.kind == "overlap"
+                                           else (t.circuit,))]
+    assert len(message["gates"]["gates"]) == len({value(g) for c in circuits for g in c.gates})
+    assert len(message["circuits"]) == len({tuple(map(value, c.gates)) for c in circuits})
+    if case == "signed_zero":
+        signs = [np.copysign(1.0, g["params"][0]) for g in message["gates"]["gates"]
+                 if g["kind"] == "RX" and g["params"] == [0.0]]
+        assert sorted(signs) == [-1.0, 1.0]
+
+
+def test_a_density_row_never_lets_an_overlap_row_skip_its_unitarity_check():
+    from tlpq.circuit import NotUnitary
+
+    g = _pin_gates()
+    bad = Gate("RAW", (1,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
+    prefix = g[:3] + [bad]
+    rows = [TaskSpec(id=0, kind="density", circuit=Circuit(3, tuple(prefix + g[3:5])),
+                     readouts=("e:ZZZ",)),
+            OverlapSpec(id=1, left=Circuit(3, tuple(prefix + g[5:6])),
+                        right=Circuit(3, tuple(g[:3])), observable=PauliString(3, "ZZZ"),
+                        input_label="000")]
+    with pytest.raises(NotUnitary) as local:
+        ExactBackend().run_task(rows[1], None, 0)
+    with pytest.raises(NotUnitary) as shared:  # locally, both rows in one call
+        execute_tasks(rows, ClusterConfig())
+    assert str(shared.value) == str(local.value)
+    _, reply = _one_batch(rows)
+    assert reply == {"type": "error", "id": 1, "message": str(local.value)}
+
+
+def _comb(k: int, depth: int = 6) -> list[Circuit]:
+    """k circuits over one shared gate list: circuit i leaves it after i gates
+    for a gate of its own, then all go on with the same tail."""
+    shared = [Gate("RY", (q % 3,), params=(0.1 * (q + 1),)) for q in range(k + depth)]
+    tail = [Gate("CZ", (0, 1)), Gate("RX", (2,), params=(0.5,))]
+    return [Circuit(3, tuple(shared[:i] + [Gate("RZ", (i % 3,), params=(1.0 + i,))] + tail))
+            for i in range(k)] + [Circuit(3, tuple(shared))]
+
+
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_a_batch_of_k_circuits_keeps_fewer_than_3k_states(monkeypatch, k):
+    import tlpq.runtime as runtime
+    from tlpq.circuit import _gate_key
+
+    made, applied = [], []
+
+    class Recorded(runtime._PartStates):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    real_evolve = tlpq.circuit._evolve
+    monkeypatch.setattr(runtime, "_PartStates", Recorded)
+    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
+                        applied.extend(gates) or real_evolve(gates, state, **kw))
+    circuits = _comb(k)
+    tasks = [TaskSpec(id=i, kind="density", circuit=c, readouts=("e:ZZZ",))
+             for i, c in enumerate(circuits)]
+    _, reply = _one_batch(tasks)
+    assert reply["type"] == "result"
+    (states,) = made  # the worker's one cache for the batch
+    assert len(states) < 3 * len(circuits)
+    # every distinct gate prefix of the batch is applied once, and no other gate
+    prefixes = {tuple(map(_gate_key, c.gates[:d])) for c in circuits
+                for d in range(1, len(c.gates) + 1)}
+    assert len(applied) == len(prefixes)
+
+
+_GOOD_TABLE = {"n": 2, "gates": [{"kind": "H", "qubits": [0]}, {"kind": "CZ", "qubits": [0, 1]}]}
+
+
+@pytest.mark.parametrize("change", [
+    {"gates": [{"kind": "H", "qubits": [0]}]},  # a list, not circuit JSON
+    {"gates": {"n": 2}},
+    {"gates": {"n": 2, "gates": [{"kind": "H", "qubits": [0], "extra": 1}]}},
+    {"circuits": [{"n": 2, "gates": [True]}]},
+    {"circuits": [{"n": 2, "gates": [1.0]}]},
+    {"circuits": [{"n": 2, "gates": [-1]}]},
+    {"circuits": [{"n": 2, "gates": [0, 2]}]},  # past the end of a table of two
+    {"circuits": [{"n": 2, "gates": ["0"]}]},
+    {"circuits": [{"n": 1, "gates": [0, 1]}]},  # CZ on qubit 1 in a one-qubit circuit
+    {"circuits": [{"n": 2.0, "gates": [0]}]},
+    {"circuits": [{"n": 2, "gates": [0], "raw": []}]},
+    # protocol 4: no gate table, circuits of gate dicts
+    {"gates": None, "circuits": [{"n": 2, "gates": [{"kind": "H", "qubits": [0]}]}]},
+], ids=["table_list", "table_without_gates", "table_bad_field", "bool_position",
+        "float_position", "negative_position", "position_past_end", "text_position",
+        "narrow_circuit", "float_width", "extra_field", "protocol_4"])
+def test_a_malformed_protocol_5_batch_gets_an_error_and_the_worker_keeps_serving(change):
+    good = {"type": "batch", "shots": None, "seed": 0, "gates": _GOOD_TABLE,
+            "circuits": [{"n": 2, "gates": [0, 1]}],
+            "tasks": [{"id": 3, "kind": "density", "circuit": 0, "readout": ["e:ZZ"]}]}
+    bad = {**good, **change}
+    if bad["gates"] is None:
+        del bad["gates"]
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(bad)
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == -1, reply
+        send(good)
+        assert recv()["type"] == "result"
+
+
+@pytest.mark.parametrize("change, want_id, message", [
+    ({"id": "3"}, -1, "row id"),
+    ({"id": 3.9}, -1, "row id"),
+    ({"id": True}, -1, "row id"),
+    ({"id": -3}, -1, "row id"),
+    ({"input": 10}, 3, "input must be a string"),
+    ({"readout": "ax"}, 3, "list of strings"),
+    ({"readout": ["ax", 1]}, 3, "list of strings"),
+])
+def test_worker_checks_row_fields_rather_than_coercing_them(change, want_id, message):
+    one = Circuit(1, (Gate("H", (0,)),))
+    good = overlap_row(3, "Z", "1", 0, 0)
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(batch_message([{**good, **change}], [one]))
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == want_id
+        assert message in reply["message"]
+        send(batch_message([good], [one]))
+        assert recv()["type"] == "result"
