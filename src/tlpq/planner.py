@@ -8,10 +8,14 @@ product input make Tr(O Phi(rho)) a weighted sum of per-part overlaps
     <psi0^a| (U^a_{p,j,alpha'})^dagger O^a U^a_{p,i,alpha} |psi0^a>,
 
 each measurable with one ancilla (Hadamard-test style). This module enumerates
-those subtasks as a ``Plan``: tables of the distinct part circuits,
-observables and input labels, and one row of table positions per subtask, so
-operands are checked once per distinct combination rather than once per row.
-The runtime computes each row's overlap from the gate lists;
+those subtasks as a ``Plan``, an ``OverlapTable`` with each row's indices and
+coefficient. The table is the one type of overlap rows from planner to
+backend: tables of the distinct part circuits, observables and input labels,
+and read-only columns of row ids and table positions, converted and checked
+once at construction (operands once per distinct combination rather than
+once per row). It keeps what the runtime derives from its columns, shared by
+the plans of one channel. The runtime computes each row's overlap from the
+gate lists;
 ``build_estimator_circuit`` gives the hardware-faithful single-ancilla circuit
 of a subtask on request. The module also carries the two GHZ pipelines:
 overlap tomography across a cut, whose gram entries are overlaps of two-qubit
@@ -21,9 +25,9 @@ part states, and the wire-cut density baseline.
 from __future__ import annotations
 
 import functools
-import itertools
-import weakref
+import operator
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -171,11 +175,12 @@ class ChannelLCU:
         return self.branches[0][1][0].part_widths
 
     @functools.cached_property
-    def _subtask_columns(self) -> tuple[tuple[Circuit, ...], "_Columns"]:
-        """The subtask rows that no input or observable changes, as arrays: the
-        table of distinct part circuits, and the columns of every row in id
-        order, whose ``observable`` and ``label`` are the part a. Built once,
-        so all plans of this channel share them. A group's coefficient
+    def _subtask_columns(self) -> dict:
+        """The Plan fields that no input or observable changes: the table of
+        distinct part circuits, the read-only columns of every row in id
+        order, whose ``observable`` and ``label`` are the part a, and one
+        holder of what the runtime derives from them. Built once, so all
+        plans of this channel share them. A group's coefficient
         c_i conj(c_j) coeff_alpha conj(coeff_alpha2) is multiplied left to
         right, each product rounded as a scalar complex multiply rounds it."""
         # circuits by first use: each branch's unitaries' terms' parts, in order
@@ -206,27 +211,12 @@ class ChannelLCU:
             ))
         indices, left, right, coefficient = (np.concatenate(col) for col in zip(*columns))
         part = np.ascontiguousarray(indices[:, 5])
-        circuits = tuple(circuits)
-        return circuits, _Columns(circuits, np.arange(len(part)), indices, left, right, part, part,
-                                  coefficient)
-
-    @functools.cached_property
-    def _subtask_rows(self) -> tuple:
-        """``_subtask_columns`` as the tuples a Plan holds: the circuit table,
-        then the indices (p, i, j, alpha, alpha2, a), left and right circuit
-        positions and coefficients of every row."""
-        circuits, rows = self._subtask_columns
-        return (circuits, tuple(zip(*rows.indices.T.tolist())), tuple(rows.left.tolist()),
-                tuple(rows.right.tolist()), tuple(rows.coefficient.tolist()))
-
-    @functools.cached_property
-    def _plan_fields(self) -> dict:
-        """The Plan fields every plan of this channel shares, as tuples."""
-        circuits, indices, left, right, coefficient = self._subtask_rows
-        n_parts = len(self.part_widths)
-        part = tuple(range(n_parts)) * (len(indices) // n_parts)
-        return dict(circuits=circuits, ids=tuple(range(len(indices))), indices=indices,
-                    left=left, right=right, observable=part, label=part, coefficient=coefficient)
+        fields = dict(circuits=tuple(circuits), ids=np.arange(len(part)), indices=indices,
+                      left=left, right=right, observable=part, label=part, coefficient=coefficient)
+        for column in fields.values():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        return dict(fields, _derived=_Derived(map(fields.get, ("circuits", *Plan._columns))))
 
     def branch_operator(self, p: int) -> np.ndarray:
         coeffs, fus = self.branches[p]
@@ -267,157 +257,240 @@ class Subtask:
     coefficient: complex
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """The rows of a plan as arrays: ``ids``, ``left``, ``right``,
-    ``observable`` and ``label`` (intp), ``indices`` (n x 6 intp) and
-    ``coefficient`` (complex), with the ``circuits`` table that ``left`` and
-    ``right`` point into. The plans of one channel share one; a plan built by
-    hand reads its own from its tuples, once, at construction. ``sides`` is
-    the runtime's cache of the rows' distinct part states, filled on first
-    use."""
+_OVERLAP_READOUTS = frozenset(("ax", "ay", "p0", "p1"))
 
-    circuits: tuple[Circuit, ...]
-    ids: np.ndarray
-    indices: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    observable: np.ndarray
-    label: np.ndarray
-    coefficient: np.ndarray
-    sides: dict = field(default_factory=dict)
+# the one message of each column rule, locally and on a worker (``runtime._task_from_row``)
+_ID_RULE = "a row id must be an integer >= 0, got {!r}"
+_POSITION_RULE = "a table position must be an integer, got {!r}"
 
-    @classmethod
-    def read(cls, plan: "Plan") -> "_Columns":
-        """The columns of ``plan``'s tuples."""
-        n = len(plan.ids)
-        ids, left, right, observable, label = (
-            np.fromiter(col, np.intp, n)
-            for col in (plan.ids, plan.left, plan.right, plan.observable, plan.label))
-        try:
-            indices = np.array(plan.indices, dtype=np.intp).reshape(n, 6)
-        except (TypeError, ValueError):
-            raise ShapeMismatch("plan indices must be six integers per row") from None
-        return cls(plan.circuits, ids, indices, left, right, observable, label,
-                   np.fromiter(plan.coefficient, complex, n))
 
-    @functools.cached_property
-    def extent(self) -> tuple[bool, list[tuple[int, int]]]:
-        """What the plan checks read of the columns alone: whether the ids
-        ascend strictly, and the (least, greatest) position in ``left``,
-        ``right``, ``observable`` and ``label`` ((0, -1) when empty)."""
-        bounds = [(int(col.min(initial=0)), int(col.max(initial=-1)))
-                  for col in (self.left, self.right, self.observable, self.label)]
-        return bool((self.ids[1:] > self.ids[:-1]).all()), bounds
+def _frozen(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` and ``shape``; an array
+    that is one already is kept as it is."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype and values.shape == shape
+            and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        if values.shape != shape:
+            values = values.reshape(shape)
+        values.setflags(write=False)
+    return values
 
-    @functools.cached_property
-    def operand_rows(self) -> list[int]:
-        """The first row, in id order, of each distinct (left width, right
-        width, observable position, label position): what
-        ``check_overlap_operands`` reads of a row, so a row passes or fails
-        with the first row of its combination. Read only once the positions
-        are in bounds."""
-        width = np.array([c.n_qubits for c in self.circuits], dtype=np.intp)
-        first: dict = {}
-        for k, key in enumerate(zip(width[self.left].tolist(), width[self.right].tolist(),
-                                    self.observable.tolist(), self.label.tolist())):
+
+def _index_column(values, rule: str, least: int | None = None) -> np.ndarray:
+    """``values`` as a read-only intp column. Each must be an int, not a bool,
+    and at least ``least`` when that is given; ``rule`` is the message that
+    refuses the first that is not. An integer array is checked as a whole."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        bad = [] if least is None else values[values < least].tolist()
+    else:
+        values = values.tolist() if isinstance(values, np.ndarray) else tuple(values)
+        bad = [x for x in values if not isinstance(x, int) or isinstance(x, bool)
+               or least is not None and x < least]
+    if bad:
+        raise ValueError(rule.format(bad[0]))
+    return _frozen(values, np.intp, (len(values),))
+
+
+class _Derived(dict):
+    """What the runtime derives from a table's columns, by key, each computed
+    on first use. ``source`` is the circuit table and the columns it is
+    derived from: the tables built on these same objects share the holder
+    (the plans of one channel), and a table with any other column gets its
+    own, so it never reads values derived from another's."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = tuple(source)
+
+
+def _extent(t: "OverlapTable") -> tuple:
+    """What the table checks read of the columns alone: whether the ids
+    ascend strictly, the (least, greatest) position
+    in ``left``, ``right``, ``observable`` and ``label`` ((0, -1) when
+    empty), and the first row, in id order, of each distinct (left width,
+    right width, observable position, label position), none when a circuit
+    position is out of bounds. That is what
+    ``check_overlap_operands`` reads of a row, so a row passes or fails
+    with the first row of its combination."""
+    ids, *columns = (c.tolist() for c in (t.ids, t.left, t.right, t.observable, t.label))
+    bounds = [(min(col), max(col)) if col else (0, -1) for col in columns]
+    width = [c.n_qubits for c in t.circuits]
+    first: dict = {}
+    if all(0 <= low and high < len(width) for low, high in bounds[:2]):
+        for k, key in enumerate(zip(map(width.__getitem__, columns[0]),
+                                    map(width.__getitem__, columns[1]), *columns[2:])):
             first.setdefault(key, k)
-        return list(first.values())
-
-    @functools.cached_property
-    def groups(self) -> tuple[np.ndarray, list]:
-        """The sibling groups as aggregation reads them: a group is a run of
-        rows whose indices[:5] agree. Returns each group's coefficient (that
-        of its last a = 0 row, else 1) and, for each member position k, the
-        groups that have a k-th member and the row of that member."""
-        n = len(self.ids)
-        first = np.ones(n, dtype=bool)  # where a group starts
-        np.not_equal(self.indices[1:, :5], self.indices[:-1, :5]).any(1, out=first[1:])
-        starts = np.flatnonzero(first)
-        size = np.diff(starts, append=n)
-        # each group's last a = 0 row, or -1 when it has none
-        row = np.maximum.reduceat(np.where(self.indices[:, 5] == 0, np.arange(n), -1), starts)
-        coefficient = self.coefficient[row]
-        coefficient[row < 0] = 1.0
-        members = []
-        for k in range(size.max(initial=0)):
-            more = np.flatnonzero(size > k)
-            members.append((more, starts[more] + k))
-        return coefficient, members
+    return all(map(operator.lt, ids, ids[1:])), bounds, list(first.values())
 
 
-# each Plan's _Columns, kept beside the plan so its __dict__ holds only its fields
-_COLUMNS: "weakref.WeakKeyDictionary[Plan, _Columns]" = weakref.WeakKeyDictionary()
+def _side_rows(t: "OverlapTable", ket: str, bra: str) -> list[tuple]:
+    """The distinct states that the rows' z = <bra| O |ket> read, one entry
+    per part width: (the rows of that width, the distinct (circuit, label)
+    positions of their bra states, each row's position among those, the
+    distinct (observable, circuit, label) positions of their O|ket> states,
+    each row's position among those). The rows are a slice when the table
+    has one width, and so are the row positions when it has one row."""
+    k, b, o, label = getattr(t, ket), getattr(t, bra), t.observable, t.label
+    if len(k) == 1:  # one row reads one state per side
+        (k,), (b,), (o,), (label,) = (col.tolist() for col in (k, b, o, label))
+        return [(slice(None), [(b, label)], slice(None), [(o, k, label)], slice(None))]
+    n_circuits, n_labels = len(t.circuits), int(label.max(initial=-1)) + 1
+    width = np.array([c.n_qubits for c in t.circuits], dtype=np.intp)[k]
+    widths = sorted(set(width.tolist()))
+    out = []
+    for w in widths:
+        rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
+        # (circuit, label) and (observable, circuit, label) positions as one integer each
+        bras, bra_of_row = np.unique(b[rows] * n_labels + label[rows], return_inverse=True)
+        kets, ket_of_row = np.unique((o[rows] * n_circuits + k[rows]) * n_labels + label[rows],
+                                     return_inverse=True)
+        ket_o, ket_state = np.divmod(kets, n_circuits * n_labels)
+        out.append((
+            rows,
+            list(zip(*(x.tolist() for x in np.divmod(bras, n_labels)))),
+            bra_of_row,
+            list(zip(ket_o.tolist(), *(x.tolist() for x in np.divmod(ket_state, n_labels)))),
+            ket_of_row,
+        ))
+    return out
 
 
-def _plan_columns(plan: "Plan") -> _Columns:
-    """A plan's rows as arrays: the channel's it shares, or its own, read
-    from its tuples on first use."""
-    rows = _COLUMNS.get(plan)
-    if rows is None:
-        rows = _COLUMNS[plan] = _Columns.read(plan)
-    return rows
-
-
-@dataclass(frozen=True, eq=False)
-class Plan:
-    """A subtask plan as a table.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class OverlapTable:
+    """Overlap rows z = <label| U_right^dagger O U_left |label> as one table.
 
     ``circuits``, ``observables`` and ``labels`` hold the distinct part
     circuits, observables (PauliStrings or unitary matrices) and input
-    labels. Each row is one subtask, in ascending id order: ``ids``,
-    ``indices`` (p, i, j, alpha, alpha2, a), the table positions ``left``,
-    ``right``, ``observable`` and ``label``, and ``coefficient``. The
-    columns' lengths, the ascending ids and the table bounds are checked
+    labels. Each row is one overlap, in ascending id order: ``ids`` and the
+    table positions ``left``, ``right``, ``observable`` and ``label``, each
+    a read-only intp column, converted here once. An id is an int >= 0 and
+    a position an int, neither a bool, the rules a worker reads a batch
+    row by. Every row is read as ``readouts``, drawn from "ax", "ay", "p0"
+    and "p1" (p0 / p1 need Pauli observables).
+
+    The columns' lengths, the ascending ids and the table bounds are checked
     here; a row's operands are checked by ``check_overlap_operands`` alone,
     called once per distinct (left width, right width, observable, label)
     on that combination's first row, so the first bad row raises that
-    rule's own error. The rows as arrays are kept beside the plan, not in
-    it: the plans of one channel share the channel's, and a plan built by
-    hand reads its own from its tuples. ``len`` counts rows; iterating
-    yields them as Subtasks.
+    rule's own error. What the runtime derives from the columns (each side
+    pair's distinct states, and a plan's sibling groups) is kept in
+    ``_derived``, shared by the tables built on the same columns.
     """
 
     circuits: tuple[Circuit, ...]
     observables: tuple[PauliString | np.ndarray, ...]
     labels: tuple[str, ...]
-    ids: tuple[int, ...]
-    indices: tuple[tuple[int, int, int, int, int, int], ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    observable: tuple[int, ...]
-    label: tuple[int, ...]
-    coefficient: tuple[complex, ...]
+    ids: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    observable: np.ndarray
+    label: np.ndarray
+    readouts: tuple[str, ...] = ("ax", "ay")
+    _derived: _Derived | None = field(default=None, repr=False)
+
+    # the columns, which with the circuit table are the derived values' source
+    _columns: ClassVar[tuple[str, ...]] = ("ids", "left", "right", "observable", "label")
 
     def __post_init__(self):
-        columns = (self.indices, self.left, self.right, self.observable, self.label,
-                   self.coefficient)
+        fields = vars(self)  # each field is converted here, once
+        fields["ids"] = _index_column(self.ids, _ID_RULE, 0)
+        for name in ("left", "right", "observable", "label"):
+            fields[name] = _index_column(fields[name], _POSITION_RULE)
+        columns = [fields[name] for name in self._columns]
         if any(len(col) != len(self.ids) for col in columns):
             raise ShapeMismatch("plan columns differ in length")
-        rows = _plan_columns(self)
-        ascending, bounds = rows.extent
+        circuits = fields["circuits"] = tuple(self.circuits)
+        labels = fields["labels"] = tuple(self.labels)
+        if self._derived is None or not all(map(operator.is_, self._derived.source,
+                                                (circuits, *columns))):
+            fields["_derived"] = _Derived((circuits, *columns))
+
+        ascending, bounds, operand_rows = self._derive("extent", _extent)
         if not ascending:
             raise ShapeMismatch("plan ids must be distinct and ascending")
-        tables = (self.circuits, self.circuits, self.observables, self.labels)
-        if any(low < 0 or high >= len(table) for (low, high), table in zip(bounds, tables)):
+        if any(low < 0 or high >= len(table)
+               for (low, high), table in zip(bounds, (circuits, circuits, self.observables, labels))):
             raise ShapeMismatch("plan row points outside its operand table")
-        observables = tuple(
+        observables = fields["observables"] = tuple(
             o if isinstance(o, PauliString) else np.asarray(o, dtype=complex)
-            for o in self.observables
-        )
-        object.__setattr__(self, "observables", observables)
-        for k in rows.operand_rows:
-            s = self.row(k)
-            check_overlap_operands(s.left_circuit, s.right_circuit, s.observable, s.input_label)
+            for o in self.observables)
+        for k in operand_rows:
+            check_overlap_operands(circuits[self.left[k]], circuits[self.right[k]],
+                                   observables[self.observable[k]], labels[self.label[k]])
+        readouts = self.readouts
+        if not readouts or not _OVERLAP_READOUTS.issuperset(readouts):
+            raise ValueError(f"overlap readouts must be drawn from {sorted(_OVERLAP_READOUTS)}, "
+                             f"got {list(readouts)}")
+        if not ({"p0", "p1"}.isdisjoint(readouts)
+                or all(isinstance(o, PauliString) for o in observables)):
+            raise ValueError("overlap readouts p0 / p1 need a Pauli observable")
+        if not isinstance(readouts, tuple):
+            fields["readouts"] = tuple(readouts)
 
-    @classmethod
-    def _sharing(cls, rows: _Columns, **fields) -> "Plan":
-        """The plan of ``fields`` whose rows, as arrays, are ``rows``: how the
-        plans of one channel share its columns."""
-        plan = object.__new__(cls)
-        _COLUMNS[plan] = rows
-        plan.__init__(**fields)
-        return plan
+    def _derive(self, key, compute):
+        """``compute(self)``, kept in the derived values under ``key``."""
+        derived = self._derived
+        if key not in derived:
+            derived[key] = compute(self)
+        return derived[key]
+
+    def sides(self, ket: str, bra: str) -> list[tuple]:
+        """``_side_rows`` of the (ket, bra) side pair, computed once per columns."""
+        return self._derive((ket, bra), lambda t: _side_rows(t, ket, bra))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def n_qubits(self) -> int:
+        """The widest part of the table (0 for an empty table)."""
+        return max((c.n_qubits for c in self.circuits), default=0)
+
+
+def _groups(plan: "Plan") -> tuple[np.ndarray, list]:
+    """The sibling groups as aggregation reads them: a group is a run of
+    rows whose indices[:5] agree. Returns each group's coefficient (that of
+    its last a = 0 row, else 1) and, for each member position k, the groups
+    that have a k-th member and the row of that member."""
+    n = len(plan)
+    first = np.ones(n, dtype=bool)  # where a group starts
+    np.not_equal(plan.indices[1:, :5], plan.indices[:-1, :5]).any(1, out=first[1:])
+    starts = np.flatnonzero(first)
+    size = np.diff(starts, append=n)
+    # each group's last a = 0 row, or -1 when it has none
+    row = np.maximum.reduceat(np.where(plan.indices[:, 5] == 0, np.arange(n), -1), starts)
+    coefficient = plan.coefficient[row]
+    coefficient[row < 0] = 1.0
+    members = []
+    for k in range(size.max(initial=0)):
+        more = np.flatnonzero(size > k)
+        members.append((more, starts[more] + k))
+    return coefficient, members
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Plan(OverlapTable):
+    """A subtask plan: an overlap table whose rows read ("ax", "ay"), with
+    each row's ``indices`` (p, i, j, alpha, alpha2, a), an n x 6 intp array,
+    and its ``coefficient``, a complex column. The plans of one channel share
+    its circuit table, columns and derived values. ``len`` counts rows;
+    iterating yields them as Subtasks.
+    """
+
+    readouts: ClassVar[tuple[str, ...]] = ("ax", "ay")
+    indices: np.ndarray
+    coefficient: np.ndarray
+
+    _columns: ClassVar[tuple[str, ...]] = OverlapTable._columns + ("indices", "coefficient")
+
+    def __post_init__(self):
+        fields = vars(self)
+        try:
+            fields["indices"] = _frozen(self.indices, np.intp, (len(self.indices), 6))
+        except (TypeError, ValueError):
+            raise ShapeMismatch("plan indices must be six integers per row") from None
+        fields["coefficient"] = _frozen(self.coefficient, complex, (len(self.coefficient),))
+        super().__post_init__()
 
     @classmethod
     def from_subtasks(cls, subtasks) -> "Plan":
@@ -444,27 +517,24 @@ class Plan:
             label=tuple(label), coefficient=tuple(s.coefficient for s in rows),
         )
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @property
+    def groups(self) -> tuple[np.ndarray, list]:
+        """``_groups``, computed once per columns."""
+        return self._derive("groups", _groups)
 
     def __iter__(self):
-        return (self.row(k) for k in range(len(self.ids)))
+        return (self.row(k) for k in range(len(self)))
 
     def row(self, k: int) -> Subtask:
         return Subtask(
-            id=self.ids[k],
-            indices=self.indices[k],
+            id=int(self.ids[k]),
+            indices=tuple(self.indices[k].tolist()),
             left_circuit=self.circuits[self.left[k]],
             right_circuit=self.circuits[self.right[k]],
             observable=self.observables[self.observable[k]],
             input_label=self.labels[self.label[k]],
-            coefficient=self.coefficient[k],
+            coefficient=complex(self.coefficient[k]),
         )
-
-    @property
-    def n_qubits(self) -> int:
-        """The widest part of the plan (0 for an empty plan)."""
-        return max((c.n_qubits for c in self.circuits), default=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,8 +573,7 @@ def enumerate_subtasks(
             f"need {n_parts} input labels and observables, got "
             f"{len(rho_parts)} and {len(obs_parts)}"
         )
-    return Plan._sharing(ch._subtask_columns[1], observables=tuple(obs_parts),
-                         labels=tuple(rho_parts), **ch._plan_fields)
+    return Plan(observables=tuple(obs_parts), labels=tuple(rho_parts), **ch._subtask_columns)
 
 
 def _observable_matrix(obs) -> np.ndarray:

@@ -9,11 +9,11 @@ A plan's subtasks and the GHZ gram entries run as "overlap" tasks: the backend
 simulates the left and right gate lists on the part's w qubits and forms
 z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
 (ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). One batched
-routine reads them over a table of (left, right, observable, label) rows that
-carries its own dedupe, the distinct part states its rows read: a
-``planner.Plan`` is its rows read as ("ax", "ay"), with the dedupe kept once
-per channel, and an OverlapSpec (local or decoded on a worker) is one row, so
-a row gives the same bits everywhere.
+routine reads them over a ``planner.OverlapTable``, the one type of overlap
+rows, and the distinct part states its rows read, which the table derives
+once and keeps: a ``planner.Plan`` is a table whose rows read ("ax", "ay"),
+and an OverlapSpec (local or decoded on a worker) holds a one-row table, so a
+row gives the same bits everywhere.
 
 One runner and one reducer carry a plan from its table to its value as
 arrays. ``_run`` runs plans, or tasks, as items through one path per mode and
@@ -48,11 +48,12 @@ the config is collected.
 Each input rule has one implementation: ``_host_port`` reads worker
 addresses (to connect to, and to listen on); ``linalg._is_count`` checks node
 counts, shots, seeds and retry limits, in a ClusterConfig and in a batch a
-worker receives, the width cap a worker announces, a batch's row ids and its
-circuits' widths and gate table positions, and (in ``circuit.parse_circuit``)
-the width and qubits of circuit JSON;
-``planner.check_overlap_operands`` checks an overlap row's operands in a Plan
-and in an OverlapSpec, so a worker refuses the rows a controller would;
+worker receives, the width cap a worker announces, and a batch's circuits'
+widths and gate table positions, and (in ``circuit.parse_circuit``) the
+width and qubits of circuit JSON; ``planner._index_column`` reads row ids
+and table positions in every table and task, a worker's decoded rows among
+them, and ``planner.check_overlap_operands`` an overlap row's operands, so a
+worker refuses the rows a controller would, with the same message;
 ``ExactBackend.run_rows`` holds a node's width cap, in-process and on a
 worker, whose announced cap the controller checks before sending it a batch.
 
@@ -63,7 +64,6 @@ sampled mode returns the mean of draws from that law.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
@@ -94,7 +94,8 @@ from .circuit import (
     _PartStates,
 )
 from .linalg import _complex_product, _is_count, _sequential_sum
-from .planner import Plan, Subtask, _plan_columns, check_overlap_operands
+from .planner import (  # check_overlap_operands: the operand rule, which tests patch here too
+    _ID_RULE, OverlapTable, Plan, Subtask, _index_column, check_overlap_operands)
 
 __all__ = [
     "ClusterConfig",
@@ -208,13 +209,18 @@ class TaskSpec:
     kind: str
     circuit: Circuit
     readouts: tuple[str, ...]
+    ids: np.ndarray = field(init=False, repr=False)  # the id as a one-row column
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", _index_column((self.id,), _ID_RULE, 0))
+
+    @property
+    def circuits(self) -> tuple[Circuit]:
+        return (self.circuit,)
 
     @property
     def n_qubits(self) -> int:
         return self.circuit.n_qubits
-
-
-_OVERLAP_READOUTS = frozenset(("ax", "ay", "p0", "p1"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +236,8 @@ class OverlapSpec:
       - "p0": (|r|^2 / 2, <r|O|r> / 2), the ancilla-0 branch
       - "p1": (|l|^2 / 2, <l|O|l> / 2), the ancilla-1 branch
     p0 / p1 need a Pauli observable. The width is that of the part; no
-    ancilla is added.
+    ancilla is added. ``table`` is the task as a one-row OverlapTable, which
+    checks it and is what runs.
     """
 
     id: int
@@ -239,20 +246,25 @@ class OverlapSpec:
     observable: PauliString | np.ndarray
     input_label: str
     readouts: tuple[str, ...] = ("ax", "ay")
+    table: OverlapTable = field(init=False, repr=False)
 
     kind: ClassVar[str] = "overlap"
 
     def __post_init__(self):
-        check_overlap_operands(self.left, self.right, self.observable, self.input_label)
-        if not self.readouts or not _OVERLAP_READOUTS.issuperset(self.readouts):
-            raise ValueError(
-                f"overlap readouts must be drawn from {sorted(_OVERLAP_READOUTS)}, "
-                f"got {list(self.readouts)}"
-            )
-        if not isinstance(self.observable, PauliString):
-            if not {"p0", "p1"}.isdisjoint(self.readouts):
-                raise ValueError("overlap readouts p0 / p1 need a Pauli observable")
-            object.__setattr__(self, "observable", np.asarray(self.observable, dtype=complex))
+        table = OverlapTable(
+            circuits=(self.left, self.right), observables=(self.observable,),
+            labels=(self.input_label,), ids=(self.id,), left=(0,), right=(1,), observable=(0,),
+            label=(0,), readouts=self.readouts)
+        object.__setattr__(self, "observable", table.observables[0])
+        object.__setattr__(self, "table", table)
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self.table.ids
+
+    @property
+    def circuits(self) -> tuple[Circuit, Circuit]:
+        return self.table.circuits
 
     @property
     def n_qubits(self) -> int:
@@ -334,79 +346,26 @@ _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
                   "p0": ("right", "right"), "p1": ("left", "left")}
 
 
-# overlap rows as columns of positions into operand tables, all read by ``readouts``;
-# ``sides`` caches each (ket, bra) side pair's ``_side_rows``, or is None
-_Table = collections.namedtuple(
-    "_Table", "ids readouts circuits observables labels left right observable label sides",
-    defaults=(None,))
-
-
-def _rows(item: TaskSpec | OverlapSpec | Plan) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """(row ids, readouts of each row): a Plan's rows read ("ax", "ay"); a task is one row."""
-    return (item.ids, ("ax", "ay")) if isinstance(item, Plan) else ((item.id,), item.readouts)
-
-
-def _circuits(item: TaskSpec | OverlapSpec | Plan) -> tuple[Circuit, ...]:
-    """The circuits an item's rows read."""
-    if isinstance(item, Plan):
-        return item.circuits
-    return (item.left, item.right) if isinstance(item, OverlapSpec) else (item.circuit,)
-
-
-def _side_rows(t: _Table, ket: str, bra: str) -> list[tuple]:
-    """The distinct states that the rows' z = <bra| O |ket> read, one entry
-    per part width: (the rows of that width, the distinct (circuit, label)
-    positions of their bra states, each row's position among those, the
-    distinct (observable, circuit, label) positions of their O|ket> states,
-    each row's position among those). The rows are a slice when the table
-    has one width; the row positions are arrays."""
-    k, b, o, label = (np.asarray(col, dtype=np.intp)
-                      for col in (getattr(t, ket), getattr(t, bra), t.observable, t.label))
-    n_circuits, n_labels = len(t.circuits), len(t.labels)
-    width = np.array([c.n_qubits for c in t.circuits], dtype=np.intp)[k]
-    widths = sorted(set(width.tolist()))
-    out = []
-    for w in widths:
-        rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
-        # (circuit, label) and (observable, circuit, label) positions as one integer each
-        bras, bra_of_row = np.unique(b[rows] * n_labels + label[rows], return_inverse=True)
-        kets, ket_of_row = np.unique((o[rows] * n_circuits + k[rows]) * n_labels + label[rows],
-                                     return_inverse=True)
-        ket_o, ket_state = np.divmod(kets, n_circuits * n_labels)
-        out.append((
-            rows,
-            list(zip(*(x.tolist() for x in np.divmod(bras, n_labels)))),
-            bra_of_row,
-            list(zip(ket_o.tolist(), *(x.tolist() for x in np.divmod(ket_state, n_labels)))),
-            ket_of_row,
-        ))
-    return out
-
-
-def _side_states(t: _Table, ket: str, bra: str, states: _PartStates):
+def _side_states(t: OverlapTable, ket: str, bra: str, states: _PartStates):
     """For each part width of the table, (its rows, the stacked distinct bra
     states, each row's position among them, the stacked distinct O|ket>
-    states, each row's position among them) of one (ket, bra) side pair.
+    states, each row's position among them) of one (ket, bra) side pair
+    (``OverlapTable.sides``).
 
     Each distinct (circuit, label) is simulated once per ``states``, and each
     observable is applied once to each distinct state it meets.
     """
-    sides = None if t.sides is None else t.sides.get((ket, bra))
-    if sides is None:
-        sides = _side_rows(t, ket, bra)
-        if t.sides is not None:
-            t.sides[ket, bra] = sides
 
     def part(c: int, b: int) -> np.ndarray:  # U|label>, simulated on a miss of ``states``
         return states.state(t.circuits[c], t.labels[b])
 
-    for rows, bra_at, bra_of_row, ket_at, ket_of_row in sides:
+    for rows, bra_at, bra_of_row, ket_at, ket_of_row in t.sides(ket, bra):
         bras = np.array([part(c, b) for c, b in bra_at])
         kets = np.array([_apply_observable(t.observables[o], part(c, b)) for o, c, b in ket_at])
         yield rows, bras, bra_of_row, kets, ket_of_row
 
 
-def _overlaps(t: _Table, states: _PartStates) -> np.ndarray:
+def _overlaps(t: OverlapTable, states: _PartStates) -> np.ndarray:
     """The (w, m) pairs of every row's readouts, as an array (2, rows x
     readouts), row by row.
 
@@ -435,34 +394,6 @@ def _overlaps(t: _Table, states: _PartStates) -> np.ndarray:
     return out.reshape(2, -1)
 
 
-def _overlap_pairs(t: _Table, states: _PartStates) -> tuple[list[float], list[float]]:
-    """``_overlaps`` as two lists of floats, (all w, all m), row by row: the
-    form a per-row reference computes."""
-    w, m = _overlaps(t, states).tolist()
-    return w, m
-
-
-# an OverlapSpec as a table of one row: the positions of its left circuit (0),
-# right circuit (1), observable and label in its operand tables, and the
-# ``_side_rows`` of each side pair, which reads the row's own two states
-_ONE_ROW = tuple(np.array([k], dtype=np.intp) for k in (0, 1, 0, 0))
-_ONE_ROW_SIDES = {
-    (ket, bra): [(slice(None), [(("left", "right").index(bra), 0)], slice(None),
-                  [(0, ("left", "right").index(ket), 0)], slice(None))]
-    for ket, bra in set(_READOUT_SIDES.values())
-}
-
-
-def _table(item: OverlapSpec | Plan) -> _Table:
-    """A Plan's own table, or an OverlapSpec as a table of one row."""
-    if isinstance(item, Plan):
-        rows = _plan_columns(item)
-        return _Table(item.ids, ("ax", "ay"), item.circuits, item.observables, item.labels,
-                      rows.left, rows.right, rows.observable, rows.label, rows.sides)
-    return _Table((item.id,), item.readouts, (item.left, item.right), (item.observable,),
-                  (item.input_label,), *_ONE_ROW, _ONE_ROW_SIDES)
-
-
 def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     """(w, m) of one readout descriptor on an n-qubit vector (qubit 0 is the top bit).
 
@@ -482,11 +413,12 @@ def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(state, state).real), m
 
 
-def _readout_pairs(task: TaskSpec | OverlapSpec | Plan, states: _PartStates) -> np.ndarray:
+def _readout_pairs(task: TaskSpec | OverlapSpec | OverlapTable, states: _PartStates
+                   ) -> np.ndarray:
     """The (w, m) pairs of an item's readouts, as an array (2, rows x
     readouts), row by row; ``states`` is run_rows' cache."""
     if not isinstance(task, TaskSpec):
-        return _overlaps(_table(task), states)
+        return _overlaps(task.table if isinstance(task, OverlapSpec) else task, states)
     n = task.n_qubits
     if task.kind == "estimator":
         state = simulate(task.circuit, basis_state(n))
@@ -525,7 +457,7 @@ class ExactBackend:
 
     def run_task(
         self,
-        task: TaskSpec | OverlapSpec | Plan,
+        task: TaskSpec | OverlapSpec | OverlapTable,
         shots: int | None,
         seed: int,
         states: _PartStates | None = None,
@@ -535,33 +467,34 @@ class ExactBackend:
         values = self.run_rows(task, shots, seed, _PartStates() if states is None else states)
         return tuple(values.ravel().tolist()), 0 if shots is None else shots * values.size
 
-    def run_rows(self, task: TaskSpec | OverlapSpec | Plan, shots: int | None, seed: int,
-                 states: _PartStates) -> np.ndarray:
+    def run_rows(self, task: TaskSpec | OverlapSpec | OverlapTable, shots: int | None,
+                 seed: int, states: _PartStates) -> np.ndarray:
         """Run one item; returns its values as an array, one row per task row
         and one column per readout.
 
-        A task is one row; a Plan is its rows, each read as "ax", "ay". Each
-        readout's (w, m) pair gives m exactly, or with shots the mean of draws
-        on the stream (seed, row id, readout index). ``states`` lets the items
-        of a call or a batch share part states and gate prefixes; the item's
-        own circuits are registered in it first (``_PartStates.add``).
+        A task is one row, and a table (a Plan, whose rows read "ax", "ay")
+        its rows. Each readout's (w, m) pair gives m exactly, or with shots
+        the mean of draws on the stream (seed, row id, readout index).
+        ``states`` lets the items of a call or a batch share part states and
+        gate prefixes; the item's own circuits are registered in it first
+        (``_PartStates.add``).
         """
         n = task.n_qubits
         if n > self.max_qubits:
-            name = "plan" if isinstance(task, Plan) else f"task {task.id}"
+            name = "plan" if isinstance(task, Plan) else f"task {task.ids[0]}"
             raise CapabilityMismatch(
                 f"{name} needs {n} qubits, node supports {self.max_qubits}"
             )
-        states.add(_circuits(task))
+        states.add(task.circuits)
         pairs = _readout_pairs(task, states)
-        ids, readouts = _rows(task)
+        shape = (len(task.ids), len(task.readouts))
         if shots is None:
-            return pairs[1].reshape(len(ids), len(readouts))
-        streams = itertools.product(ids, range(len(readouts)))
+            return pairs[1].reshape(shape)
+        streams = itertools.product(task.ids.tolist(), range(shape[1]))
         return np.fromiter(
             (_sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
              for w, m, stream in zip(*pairs.tolist(), streams)),
-            float, pairs.shape[1]).reshape(len(ids), len(readouts))
+            float, pairs.shape[1]).reshape(shape)
 
 
 # --- wire protocol (network mode) ----------------------------------------------
@@ -611,22 +544,22 @@ class _Batch:
         return _line(self.message)
 
 
-def _wire_rows(item: TaskSpec | OverlapSpec | Plan):
+def _wire_rows(item: TaskSpec | OverlapSpec | OverlapTable):
     """(row id, width, circuits by field name, other fields) of each row of an item.
 
-    The rows of a Plan or an OverlapSpec are overlap rows, a TaskSpec is a row
-    of its own kind.
+    The rows of a table or an OverlapSpec are overlap rows, a TaskSpec is a
+    row of its own kind.
     """
     if isinstance(item, TaskSpec):
         yield item.id, item.n_qubits, {"circuit": item.circuit}, {
             "kind": item.kind, "readout": list(item.readouts)}
         return
-    t = _table(item)
+    t = item.table if isinstance(item, OverlapSpec) else item
     observables = [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
                    for o in t.observables]
     readout = list(t.readouts)
-    positions = (c.tolist() for c in (t.left, t.right, t.observable, t.label))
-    for i, l, r, o, b in zip(t.ids, *positions):
+    columns = (c.tolist() for c in (t.ids, t.left, t.right, t.observable, t.label))
+    for i, l, r, o, b in zip(*columns):
         yield i, t.circuits[l].n_qubits, {"left": t.circuits[l], "right": t.circuits[r]}, {
             "kind": "overlap", "obs": observables[o], "input": t.labels[b], "readout": readout}
 
@@ -680,8 +613,9 @@ def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec
     """Decode one batch row, whose circuits are positions in ``circuits``; the
     wire carries only overlap and density rows.
 
-    Nothing is coerced: the id must be an integer >= 0 (``_is_count``), the
-    readouts a list of strings and an overlap row's input a string.
+    Nothing is coerced: the readouts must be a list of strings and an
+    overlap row's input a string, and the id is checked by the task's own
+    constructor, under the rule a local task is (an integer >= 0).
     """
 
     def circuit(k) -> Circuit:
@@ -690,8 +624,6 @@ def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec
         return circuits[k]
 
     row_id, kind, readouts = row.get("id"), row["kind"], row["readout"]
-    if not _is_count(row_id, 0):
-        raise ValueError(f"a row id must be an integer >= 0, got {row_id!r}")
     if not (isinstance(readouts, list) and all(isinstance(r, str) for r in readouts)):
         raise ValueError(f"a row's readout must be a list of strings, got {readouts!r}")
     readouts = tuple(readouts)
@@ -1059,7 +991,7 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
     """
     if cfg.mode == "local":
         backend = ExactBackend()
-        states = _PartStates(c for item in items for c in _circuits(item))
+        states = _PartStates(c for item in items for c in item.circuits)
         return [backend.run_rows(item, cfg.shots, cfg.seed, states) for item in items], None
     batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
     clients = _check_out(cfg)
@@ -1070,7 +1002,7 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
             c.close()
         raise
     _check_in(cfg, clients)
-    values = [np.empty((len(ids), len(readouts))) for ids, readouts in map(_rows, items)]
+    values = [np.empty((len(item.ids), len(item.readouts))) for item in items]
     for batch, (_, blocks) in zip(batches, replies):
         for (at, rows, _), block in zip(batch.runs, blocks):
             values[at][rows] = block
@@ -1096,17 +1028,18 @@ def execute_tasks(
         raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
     items = plans or sorted(tasks, key=lambda t: t.id)
     values, answers = _run(items, cfg)
+    ids = [item.ids.tolist() for item in items]
     if answers is None:  # local: node id % nodes
-        nodes = [[i % cfg.nodes for i in _rows(item)[0]] for item in items]
+        nodes = [[i % cfg.nodes for i in row_ids] for row_ids in ids]
     else:  # network: the address that answered each row
         nodes = [[None] * len(v) for v in values]
         for batch, (address, _) in answers:
             for at, rows, _ in batch.runs:
                 for j in rows:
                     nodes[at][j] = address
-    out = [list(map(TaskResult, _rows(item)[0], map(tuple, v.tolist()),
+    out = [list(map(TaskResult, row_ids, map(tuple, v.tolist()),
                     itertools.repeat(0 if cfg.shots is None else cfg.shots * v.shape[1]), labels))
-           for item, v, labels in zip(items, values, nodes)]
+           for row_ids, v, labels in zip(ids, values, nodes)]
     return out if plans else [r for (r,) in out]
 
 
@@ -1115,7 +1048,7 @@ def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:
     ``[aggregate(p, r) for p, r in zip(plans, execute_tasks(plans, cfg))]``,
     reduced from the run's arrays with no TaskResult built."""
     values, _ = _run(plans, cfg)
-    return [_reduce(_plan_columns(p), v.view(complex).ravel()) for p, v in zip(plans, values)]
+    return [_reduce(p, v.view(complex).ravel()) for p, v in zip(plans, values)]
 
 
 # UnicodeError covers a reply that is not UTF-8 and a non-ASCII host that the
@@ -1225,34 +1158,35 @@ def aggregate(plan: Plan | list[Subtask], results: list[TaskResult]) -> complex:
     values, so the total equals ``estimate_plans``'.
     """
     plan = _as_plan(plan)
-    if [r.task_id for r in results] != list(plan.ids):  # not one result per row, in order
+    ids = plan.ids.tolist()
+    if [r.task_id for r in results] != ids:  # not one result per row, in order
         by_id: dict[int, TaskResult] = {}
         for r in results:
             if r.task_id in by_id:
                 raise MissingResult(f"duplicate result for task {r.task_id}")
             by_id[r.task_id] = r
-        for i in plan.ids:
+        for i in ids:
             if i not in by_id:
                 raise MissingResult(f"no result for task {i}")
-        if len(by_id) > len(plan.ids):
-            stray = min(by_id.keys() - set(plan.ids))
+        if len(by_id) > len(ids):
+            stray = min(by_id.keys() - set(ids))
             raise MissingResult(f"result for task {stray} is not a row of the plan")
-        results = [by_id[i] for i in plan.ids]
+        results = [by_id[i] for i in ids]
     values = [r.value for r in results]
     try:
         if set(map(len, values)) - {2}:
             raise ValueError
         z = np.fromiter(itertools.chain.from_iterable(values), float, 2 * len(values))
     except (TypeError, ValueError):
-        bad = next(i for i, v in zip(plan.ids, values) if not _is_pair(v))
+        bad = next(i for i, v in zip(ids, values) if not _is_pair(v))
         raise ValueError(f"result for task {bad} is not an (re, im) pair") from None
-    return _reduce(_plan_columns(plan), z.view(complex))
+    return _reduce(plan, z.view(complex))
 
 
-def _reduce(rows, z: np.ndarray) -> complex:
+def _reduce(plan: Plan, z: np.ndarray) -> complex:
     """A plan's value from its rows' overlaps z, in ascending id order.
 
-    A group is a run of rows whose indices[:5] agree (``rows.groups``). Its
+    A group is a run of rows whose indices[:5] agree (``Plan.groups``). Its
     members' overlaps are multiplied in ascending id order, starting from 1,
     and its coefficient (that of its last a = 0 member, else 1) multiplies
     the product; the group values are then added in ascending id order,
@@ -1260,7 +1194,7 @@ def _reduce(rows, z: np.ndarray) -> complex:
     arithmetic rounds it, so the total is reproducible across modes and node
     counts.
     """
-    coefficient, members = rows.groups
+    coefficient, members = plan.groups
     product = np.ones(len(coefficient), dtype=complex)
     for groups, member in members:
         product[groups] = _complex_product(product[groups], z[member])

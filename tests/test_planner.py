@@ -267,9 +267,11 @@ class TestEnumerateSubtasks:
                     tuple(coefficient))
 
         for _ in range(10):
-            ch = random_channel_instance(rng, n_parts)[0]
+            ch, labels, obs, _ = random_channel_instance(rng, n_parts)
             want = rows_by_loop(ch)
-            got = ch._subtask_rows
+            plan = enumerate_subtasks(ch, labels, obs)
+            got = (plan.circuits, tuple(map(tuple, plan.indices.tolist())),
+                   *(tuple(col.tolist()) for col in (plan.left, plan.right, plan.coefficient)))
             assert got[0] == want[0]
             assert repr(got[1:]) == repr(want[1:])  # repr tells -0.0 from 0.0
             assert all(type(x) is type(y) for g, w in zip(got[1:], want[1:]) for x, y in zip(g, w))

@@ -6,7 +6,9 @@ explicit density-matrix propagation) so the backend's tensor-contraction path
 is checked against an independent computation.
 """
 
+import dataclasses
 import json
+import re
 import select
 import socket
 import sys
@@ -1187,7 +1189,7 @@ def aggregate_by_row(plan: Plan, results) -> complex:
     total = 0.0 + 0j
     group_key = None
     coeff = product = 1.0 + 0j
-    for i, indices, c in zip(plan.ids, plan.indices, plan.coefficient):
+    for i, indices, c in zip(plan.ids.tolist(), plan.indices.tolist(), plan.coefficient.tolist()):
         if indices[:5] != group_key:
             if group_key is not None:
                 total += coeff * product
@@ -1618,7 +1620,7 @@ def random_overlap_table(rng, n_rows: int, readouts: tuple, widths=range(1, 7)):
     """A table of random rows over part widths 1..6: several circuits, labels and
     observables per width (unitary matrices too, unless p0 / p1 are read),
     with rows of different widths interleaved."""
-    from tlpq.runtime import _Table
+    from tlpq.planner import OverlapTable
 
     pauli_only = not {"p0", "p1"}.isdisjoint(readouts)
     circuits, observables, labels, by_width = [], [], [], {}
@@ -1641,19 +1643,20 @@ def random_overlap_table(rng, n_rows: int, readouts: tuple, widths=range(1, 7)):
         rows.append((int(rng.choice(c)), int(rng.choice(c)), int(rng.choice(o)),
                      int(rng.choice(b))))
     left, right, observable, label = (tuple(col) for col in zip(*rows)) if rows else ((),) * 4
-    return _Table(tuple(range(n_rows)), readouts, tuple(circuits), tuple(observables),
-                  tuple(labels), left, right, observable, label)
+    return OverlapTable(circuits=tuple(circuits), observables=tuple(observables),
+                        labels=tuple(labels), ids=tuple(range(n_rows)), left=left, right=right,
+                        observable=observable, label=label, readouts=readouts)
 
 
 @pytest.mark.parametrize("readouts", [("ax", "ay"), ("ay",), ("p1", "ax", "p0", "ay"),
                                       ("p0",), ("p1", "p0")])
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 40])
 def test_stacked_overlaps_equal_per_row_vdot_bit_for_bit(rng, readouts, n_rows):
-    from tlpq.runtime import _overlap_pairs
+    from tlpq.runtime import _overlaps
 
     for widths in (range(1, 7), (3,)):
         t = random_overlap_table(rng, n_rows, readouts, widths)
-        got = _overlap_pairs(t, _PartStates())
+        got = tuple(_overlaps(t, _PartStates()).tolist())
         assert got == overlap_pairs_by_row(t)
         assert len(got[0]) == len(got[1]) == n_rows * len(readouts)
 
@@ -1722,6 +1725,116 @@ def test_a_run_and_reduced_plan_holds_only_its_fields(rng):
     for plan in plans:
         aggregate(plan, run_plan(plan, ClusterConfig()))
         assert set(vars(plan)) == {f.name for f in dataclasses.fields(Plan)}
+
+
+# --- one checked row table: ids and positions are checked, not coerced -------------
+
+
+def one_qubit_plan() -> Plan:
+    """Two rows of one one-qubit group: ids 0 and 1."""
+    c = Circuit(1, (Gate("H", (0,)),))
+    return Plan.from_subtasks([
+        Subtask(id=k, indices=(0, 0, 0, 0, 0, k), left_circuit=c, right_circuit=c,
+                observable=PauliString(1, "Z"), input_label="0", coefficient=1.0)
+        for k in range(2)])
+
+
+_ID_RULE = "a row id must be an integer >= 0, got "
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda p: dataclasses.replace(p, ids=(0, 1.5)), _ID_RULE + "1.5"),
+    (lambda p: dataclasses.replace(p, ids=(-2, -1)), _ID_RULE + "-2"),
+    (lambda p: dataclasses.replace(p, ids=("0", "1")), _ID_RULE + "'0'"),
+    (lambda p: dataclasses.replace(p, left=(0, 0.7)),
+     "a table position must be an integer, got 0.7"),
+    (lambda p: OverlapSpec(id=True, left=p.circuits[0], right=p.circuits[0],
+                           observable=PauliString(1, "Z"), input_label="0"), _ID_RULE + "True"),
+    (lambda p: TaskSpec(id=1.5, kind="density", circuit=p.circuits[0], readouts=("e:Z",)),
+     _ID_RULE + "1.5"),
+    (lambda p: TaskSpec(id=-1, kind="density", circuit=p.circuits[0], readouts=("e:Z",)),
+     _ID_RULE + "-1"),
+    (lambda p: dataclasses.replace(p, ids=np.array([-3, 4])), _ID_RULE + "-3"),
+], ids=["plan-float-id", "plan-negative-ids", "plan-text-ids", "plan-float-position",
+        "overlap-bool-id", "density-float-id", "density-negative-id", "plan-negative-id-array"])
+def test_row_ids_and_table_positions_are_refused_at_construction(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(one_qubit_plan())
+
+
+@pytest.mark.parametrize("row_id", [1.5, -2, "0", True])
+def test_a_bad_row_id_is_refused_locally_and_on_a_worker_with_one_message(row_id):
+    c = Circuit(1, (Gate("H", (0,)),))
+    with pytest.raises(ValueError) as local:
+        OverlapSpec(id=row_id, left=c, right=c, observable=PauliString(1, "Z"), input_label="0")
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(batch_message([overlap_row(row_id, "Z", "0")], [c, c]))
+        assert recv() == {"type": "error", "id": -1, "message": str(local.value)}
+
+
+@pytest.mark.parametrize("case", ["mismatched_widths", "bad_input_label", "wrong_width_pauli",
+                                  "wrong_width_matrix", "non_unitary_observable"])
+def test_an_overlap_task_and_a_one_row_plan_refuse_operands_alike(case):
+    two = Circuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1))))
+    fields = dict(left_circuit=two, right_circuit=two, observable=PauliString(2, "ZX"),
+                  input_label="01")
+    if case == "mismatched_widths":
+        fields["right_circuit"] = Circuit(1, (Gate("H", (0,)),))
+    elif case == "bad_input_label":
+        fields["input_label"] = "012"
+    elif case == "wrong_width_pauli":
+        fields["observable"] = PauliString(3, "ZZZ")
+    elif case == "wrong_width_matrix":
+        fields["observable"] = np.eye(2)
+    else:
+        fields["observable"] = np.diag([1.0, 1.0, 1.0, 0.5])
+    with pytest.raises(ValueError) as task:
+        OverlapSpec(id=77, left=fields["left_circuit"], right=fields["right_circuit"],
+                    observable=fields["observable"], input_label=fields["input_label"])
+    with pytest.raises(ValueError) as plan:
+        Plan.from_subtasks([Subtask(id=77, indices=(0,) * 6, coefficient=1.0, **fields)])
+    assert type(plan.value) is type(task.value)
+    assert str(plan.value) == str(task.value)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_a_plan_with_a_changed_column_never_reads_the_values_derived_from_the_old_one(
+        rng, shots):
+    from tlpq.runtime import estimate_plans
+
+    plan = mixed_width_plan(rng, (1, 2))
+    cfg = ClusterConfig(shots=shots, seed=5)
+    before = estimate_plans([plan], cfg)  # fills the channel's side rows and groups
+    # the first row's right circuit becomes another circuit of the same width
+    width = [c.n_qubits for c in plan.circuits]
+    other = next(k for k, w in enumerate(width)
+                 if w == width[plan.right[0]] and k != plan.right[0])
+    right = plan.right.copy()
+    right[0] = other
+    for changed in (dataclasses.replace(plan, right=right), Plan(**{**vars(plan), "right": right})):
+        assert changed.right[0] == other and changed.left is plan.left
+        rebuilt = Plan.from_subtasks(list(changed))
+        assert estimate_plans([changed], cfg) == estimate_plans([rebuilt], cfg) != before
+        assert run_plan(changed, cfg) == run_plan(rebuilt, cfg)
+
+
+def test_the_plans_of_one_channel_derive_their_side_rows_once(rng, monkeypatch):
+    import tlpq.planner
+    from tlpq.runtime import estimate_plans
+
+    seen = []
+    side_rows = tlpq.planner._side_rows
+    monkeypatch.setattr(tlpq.planner, "_side_rows",
+                        lambda t, ket, bra: seen.append((ket, bra)) or side_rows(t, ket, bra))
+    fus = tuple(FactorizedUnitary.from_circuits((random_circuit(rng, 1),)) for _ in range(5))
+    channel = ChannelLCU(branches=((tuple(complex(c) for c in rng.normal(size=5)), fus),))
+    plans = [enumerate_subtasks(channel, ("0",), (PauliString(1, letter),)) for letter in "IXYZ"]
+    estimate_plans(plans, ClusterConfig())
+    assert seen == [("left", "right")]
+    estimate_plans(plans, ClusterConfig(shots=8, seed=1))
+    assert seen == [("left", "right")]
 
 
 @pytest.mark.parametrize("changes", [
