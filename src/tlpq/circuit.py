@@ -13,14 +13,16 @@ Per-gate work is done once per distinct gate: a ``Gate`` computes its
 read-only matrix on first use and keeps it, and ``parse_circuit`` decodes
 value-equal non-RAW entries to one shared ``Gate``, keyed by the parameters'
 exact bits (so 0.0 and -0.0 stay apart), through a memo that lives for one
-call. A worker batch (runtime, protocol 5) carries its distinct gates as one
-circuit JSON, its gate table: ``circuit_to_json`` encodes it and one
+call. A worker batch (runtime, since protocol 5) carries its distinct gates
+as one circuit JSON, its gate table: ``circuit_to_json`` encodes it and one
 ``parse_circuit`` call decodes it, and the batch's circuits are positions in
 it. ``_gate_key`` tells value-equal gates apart from the others, RAW gates
 included, by exact bits. ``_apply`` makes the one ``np.dot`` call that
 ``np.tensordot`` makes, on the same operands, so states keep their bits, and
 ``_PartStates``, the runtime's one cache of part states, applies each gate
-prefix that its circuits share once.
+prefix that its circuits share once. ``_apply_observable`` is an observable's
+action on a state, which the runtime's readouts read: a Pauli string as a
+cached signed permutation, a matrix as a matvec.
 """
 
 from __future__ import annotations
@@ -229,6 +231,36 @@ def pauli_matrix(letters: str) -> np.ndarray:
     for ch in letters:
         out = np.kron(out, PAULI_1Q[ch])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli string as a signed permutation: (P psi)[i] = phase[i] * psi[source[i]].
+
+    Each one-qubit Pauli has one nonzero per row, so row bit i_q reads column
+    bit col[i_q] with coefficient P[i_q, col[i_q]]; no 2^w x 2^w matrix is built.
+    """
+    n = len(letters)
+    index = np.arange(2**n)
+    source = np.zeros(2**n, dtype=np.intp)
+    phase = np.ones(2**n, dtype=complex)
+    for q, ch in enumerate(letters):
+        mat = PAULI_1Q[ch]
+        col = np.argmax(np.abs(mat), axis=1)
+        bit = (index >> (n - 1 - q)) & 1
+        source |= col[bit] << (n - 1 - q)
+        phase *= mat[bit, col[bit]]
+    source.flags.writeable = False  # cached and shared by every caller
+    phase.flags.writeable = False
+    return source, phase
+
+
+def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -> np.ndarray:
+    """O|state>: a signed permutation for Pauli letters, a matvec for a matrix."""
+    if not isinstance(observable, PauliString):
+        return observable @ state
+    source, phase = _pauli_action(observable.letters)
+    return phase * state[source]
 
 
 def _rotation(kind: str, theta: float) -> np.ndarray:

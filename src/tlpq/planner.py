@@ -259,7 +259,7 @@ class Subtask:
 
 _OVERLAP_READOUTS = frozenset(("ax", "ay", "p0", "p1"))
 
-# the one message of each column rule, locally and on a worker (``runtime._task_from_row``)
+# the one message of each column rule, locally and in a worker's decoded batch items
 _ID_RULE = "a row id must be an integer >= 0, got {!r}"
 _POSITION_RULE = "a table position must be an integer, got {!r}"
 
@@ -443,8 +443,10 @@ class OverlapTable:
 
     @property
     def n_qubits(self) -> int:
-        """The widest part of the table (0 for an empty table)."""
-        return max((c.n_qubits for c in self.circuits), default=0)
+        """The widest part its rows read (0 for a table without rows): a
+        worker's table holds every circuit of its batch."""
+        first_rows = self._derive("extent", _extent)[2]
+        return max((self.circuits[k].n_qubits for k in self.left[first_rows].tolist()), default=0)
 
 
 def _groups(plan: "Plan") -> tuple[np.ndarray, list]:
@@ -485,8 +487,14 @@ class Plan(OverlapTable):
 
     def __post_init__(self):
         fields = vars(self)
+        indices = self.indices
         try:
-            fields["indices"] = _frozen(self.indices, np.intp, (len(self.indices), 6))
+            if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
+                rows = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+                if any(len(row) != 6 for row in rows):
+                    raise ValueError
+                _index_column([x for row in rows for x in row], _POSITION_RULE)
+            fields["indices"] = _frozen(indices, np.intp, (len(indices), 6))
         except (TypeError, ValueError):
             raise ShapeMismatch("plan indices must be six integers per row") from None
         fields["coefficient"] = _frozen(self.coefficient, complex, (len(self.coefficient),))
@@ -586,12 +594,14 @@ def check_overlap_operands(left: Circuit, right: Circuit, observable, input_labe
     """Validate one overlap <label| U_right^dagger O U_left |label>.
 
     The circuits must share a width w, the observable must be a w-letter
-    PauliString or a unitary 2^w x 2^w matrix, and the input label must be w
-    bits. Pauli observables are never expanded to a dense matrix here.
+    PauliString or a unitary 2^w x 2^w matrix, and the input label must be a
+    string of w bits. Pauli observables are never expanded to a dense matrix here.
     """
     w = left.n_qubits
     if right.n_qubits != w:
         raise ShapeMismatch("left/right circuits must have the same width")
+    if not isinstance(input_label, str):
+        raise ShapeMismatch(f"an overlap's input must be a string, got {input_label!r}")
     if len(input_label) != w or any(ch not in "01" for ch in input_label):
         raise ShapeMismatch(f"input label {input_label!r} does not fit width {w}")
     if isinstance(observable, PauliString):
@@ -766,11 +776,12 @@ def reconstruct_density_matrix(
     norm = contract(gram_a["II"], gram_b["II"])
     if abs(norm) < 1e-12:
         raise NonPhysical("normalization contraction vanished")
+    paulis = {p: pauli_matrix(p) for p in PAULI_2Q_LABELS}
     rho = np.zeros((16, 16), dtype=complex)
     for pa in PAULI_2Q_LABELS:
         for pb in PAULI_2Q_LABELS:
             expec = contract(gram_a[pa], gram_b[pb]) / norm
-            rho += expec * kron(pauli_matrix(pa), pauli_matrix(pb))
+            rho += expec * kron(paulis[pa], paulis[pb])
     rho /= 16.0
     rho = (rho + rho.conj().T) / 2.0
     if abs(float(np.trace(rho).real) - 1.0) > 1e-9:

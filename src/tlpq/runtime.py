@@ -12,8 +12,8 @@ z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
 routine reads them over a ``planner.OverlapTable``, the one type of overlap
 rows, and the distinct part states its rows read, which the table derives
 once and keeps: a ``planner.Plan`` is a table whose rows read ("ax", "ay"),
-and an OverlapSpec (local or decoded on a worker) holds a one-row table, so a
-row gives the same bits everywhere.
+an OverlapSpec holds a one-row table, and a worker decodes each overlap item
+of a batch as one table, so a row gives the same bits everywhere.
 
 One runner and one reducer carry a plan from its table to its value as
 arrays. ``_run`` runs plans, or tasks, as items through one path per mode and
@@ -22,14 +22,18 @@ a call share one part-state cache, and over the wire the replies fill the same
 arrays. ``_reduce`` folds a plan's overlaps into its value. ``estimate_plans``
 is the two together; ``execute_tasks`` and ``run_plan`` build TaskResults only
 at their return, and ``aggregate`` reads TaskResults back into one array for
-the same reducer. The wire carries overlap and density rows; "estimator" tasks
-run only in-process, as the reference the tests hold overlap tasks to.
+the same reducer. The wire carries overlap tables and density rows;
+"estimator" tasks run only in-process, as the reference the tests hold
+overlap tasks to.
 
-Over the wire (protocol 5) the rows of a call travel as one batch message per
+Over the wire (protocol 6) the rows of a call travel as one batch message per
 start node. A batch carries its distinct gates once, as a gate table that one
-``circuit_to_json`` call encodes, and each distinct circuit once, as positions
-in that table; every batch is sent before any reply is read. A worker decodes
-the table with one ``parse_circuit`` call, so each distinct gate is one Gate.
+``circuit_to_json`` call encodes, each distinct circuit once, as positions in
+that table, and one entry per item: an overlap table's operands once and its
+columns cut to the batch's rows, or a density row. Every batch is sent before
+any reply is read. A worker decodes the gate table with one ``parse_circuit``
+call, so each distinct gate is one Gate, and runs each overlap item as one
+OverlapTable over the batch's circuits, checked as a local table is.
 
 The part-state cache (``circuit._PartStates``) is the same locally and on a worker:
 each distinct (circuit, input label) is simulated once per call or batch, and
@@ -50,12 +54,13 @@ addresses (to connect to, and to listen on); ``linalg._is_count`` checks node
 counts, shots, seeds and retry limits, in a ClusterConfig and in a batch a
 worker receives, the width cap a worker announces, and a batch's circuits'
 widths and gate table positions, and (in ``circuit.parse_circuit``) the
-width and qubits of circuit JSON; ``planner._index_column`` reads row ids
-and table positions in every table and task, a worker's decoded rows among
-them, and ``planner.check_overlap_operands`` an overlap row's operands, so a
-worker refuses the rows a controller would, with the same message;
-``ExactBackend.run_rows`` holds a node's width cap, in-process and on a
-worker, whose announced cap the controller checks before sending it a batch.
+width and qubits of circuit JSON; ``planner.OverlapTable`` checks overlap
+rows, locally and in a worker's decoded items, with ``planner._index_column``
+for row ids and table positions (a density task's id too) and
+``planner.check_overlap_operands`` for operands, so a worker refuses the rows
+a controller would, with the same message; ``ExactBackend.run_rows`` holds a
+node's width cap, in-process and on a worker, whose announced cap the
+controller checks before sending it a batch.
 
 Every readout of every task kind is a pair (w, m) with one outcome law:
 P(+1) = (w + m) / 2, P(-1) = (w - m) / 2, P(0) = 1 - w. Exact mode returns m;
@@ -80,7 +85,6 @@ from typing import ClassVar
 import numpy as np
 
 from .circuit import (
-    PAULI_1Q,
     Circuit,
     Gate,
     PauliString,
@@ -88,14 +92,14 @@ from .circuit import (
     circuit_to_json,
     parse_circuit,
     simulate,
+    _apply_observable,
     _gate_key,
     _matrix_from_json,
     _matrix_to_json,
     _PartStates,
 )
 from .linalg import _complex_product, _is_count, _sequential_sum
-from .planner import (  # check_overlap_operands: the operand rule, which tests patch here too
-    _ID_RULE, OverlapTable, Plan, Subtask, _index_column, check_overlap_operands)
+from .planner import _ID_RULE, OverlapTable, Plan, Subtask, _index_column
 
 __all__ = [
     "ClusterConfig",
@@ -116,7 +120,7 @@ __all__ = [
     "serve_worker",
 ]
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 
 class NodeFailure(RuntimeError):
@@ -311,36 +315,6 @@ def _parse_readout(desc: str, n_qubits: int) -> tuple[str | None, str]:
     raise ValueError(f"unknown readout descriptor {desc!r}")
 
 
-@functools.lru_cache(maxsize=64)
-def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """A Pauli string as a signed permutation: (P psi)[i] = phase[i] * psi[source[i]].
-
-    Each one-qubit Pauli has one nonzero per row, so row bit i_q reads column
-    bit col[i_q] with coefficient P[i_q, col[i_q]]; no 2^w x 2^w matrix is built.
-    """
-    n = len(letters)
-    index = np.arange(2**n)
-    source = np.zeros(2**n, dtype=np.intp)
-    phase = np.ones(2**n, dtype=complex)
-    for q, ch in enumerate(letters):
-        mat = PAULI_1Q[ch]
-        col = np.argmax(np.abs(mat), axis=1)
-        bit = (index >> (n - 1 - q)) & 1
-        source |= col[bit] << (n - 1 - q)
-        phase *= mat[bit, col[bit]]
-    source.flags.writeable = False  # cached and shared by every caller
-    phase.flags.writeable = False
-    return source, phase
-
-
-def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -> np.ndarray:
-    """O|state>: a signed permutation for Pauli letters, a matvec for a matrix."""
-    if not isinstance(observable, PauliString):
-        return observable @ state
-    source, phase = _pauli_action(observable.letters)
-    return phase * state[source]
-
-
 # the (ket, bra) sides of the z = <bra| O |ket> that each overlap readout reads
 _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
                   "p0": ("right", "right"), "p1": ("left", "left")}
@@ -511,16 +485,17 @@ _HELLO = _line({"type": "hello", "proto": PROTOCOL_VERSION})
 class _Batch:
     """The rows of one start node (row id % node count) as one batch message.
 
-    ``runs`` splits ``rows`` into the consecutive rows of one item: (item
-    position, the row positions, readouts per row). ``gates`` holds the
-    batch's gate table, each distinct gate value once with its position
-    (``_gate_key``), and ``circuits`` the position of each circuit in the
-    message's circuit list, by object and by value."""
+    ``runs`` holds one entry per item with rows here, in message order: (item
+    position, its row positions, readouts per row), and ``width`` the widest
+    of those rows. ``gates`` holds the batch's gate table, each distinct gate
+    value once with its position (``_gate_key``), and ``circuits`` the
+    position of each circuit in the message's circuit list, by object and by
+    value."""
 
     start: int
     message: dict
-    rows: list = field(default_factory=list)  # (row id, width)
     runs: list = field(default_factory=list)
+    width: int = 0
     gates: dict = field(default_factory=dict)  # gate key -> (position, Gate)
     circuits: dict = field(default_factory=dict)  # Circuit or (n, *positions) -> position
 
@@ -538,59 +513,61 @@ class _Batch:
             self.circuits[c] = at
         return at
 
+    def add(self, at: int, t: TaskSpec | OverlapTable, rows: np.ndarray):
+        """Add item ``at`` as one message entry: a task as one row that points
+        into the circuit list, a table as its operands once and its columns
+        cut to ``rows``, with ``left`` and ``right`` as circuit list positions."""
+        if isinstance(t, TaskSpec):
+            self.message["items"].append({"kind": t.kind, "id": t.id, "readout": list(t.readouts),
+                                          "circuit": self.circuit(t.circuit)})
+            self.width = max(self.width, t.n_qubits)
+        else:
+            left, right = t.left[rows], t.right[rows]
+            position = np.zeros(len(t.circuits), dtype=np.intp)
+            for k in dict.fromkeys(np.concatenate((left, right)).tolist()):
+                position[k] = self.circuit(t.circuits[k])
+                self.width = max(self.width, t.circuits[k].n_qubits)
+            self.message["items"].append({
+                "kind": "overlap", "labels": list(t.labels), "readout": list(t.readouts),
+                "observables": [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
+                                for o in t.observables],
+                "ids": t.ids[rows].tolist(), "left": position[left].tolist(),
+                "right": position[right].tolist(), "observable": t.observable[rows].tolist(),
+                "label": t.label[rows].tolist()})
+        self.runs.append((at, rows, len(t.readouts)))
+
+    @property
+    def n_rows(self) -> int:
+        return sum(len(rows) for _, rows, _ in self.runs)
+
     @functools.cached_property
     def line(self) -> bytes:
         """The message as sent, encoded once, also for a batch that moves."""
         return _line(self.message)
 
 
-def _wire_rows(item: TaskSpec | OverlapSpec | OverlapTable):
-    """(row id, width, circuits by field name, other fields) of each row of an item.
-
-    The rows of a table or an OverlapSpec are overlap rows, a TaskSpec is a
-    row of its own kind.
-    """
-    if isinstance(item, TaskSpec):
-        yield item.id, item.n_qubits, {"circuit": item.circuit}, {
-            "kind": item.kind, "readout": list(item.readouts)}
-        return
-    t = item.table if isinstance(item, OverlapSpec) else item
-    observables = [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
-                   for o in t.observables]
-    readout = list(t.readouts)
-    columns = (c.tolist() for c in (t.ids, t.left, t.right, t.observable, t.label))
-    for i, l, r, o, b in zip(*columns):
-        yield i, t.circuits[l].n_qubits, {"left": t.circuits[l], "right": t.circuits[r]}, {
-            "kind": "overlap", "obs": observables[o], "input": t.labels[b], "readout": readout}
-
-
 def _batches(items: list, n_nodes: int, shots: int | None, seed: int) -> list[_Batch]:
     """One batch per non-empty start node group, in start node order.
 
     A batch carries ``shots``, ``seed``, its gate table, each distinct
-    circuit once as positions in that table, and one entry per row that
-    points into its circuit list. Value-equal gates share one table entry,
-    and one ``circuit_to_json`` call encodes the table, over the batch's
-    widest row.
+    circuit once as positions in that table, and one entry per item with
+    rows in its group (``_Batch.add``; an OverlapSpec is its one-row table),
+    the group's rows cut from the item's columns with numpy. Value-equal
+    gates share one table entry, and one ``circuit_to_json`` call encodes
+    the table, over the batch's widest row.
     """
     batches: dict[int, _Batch] = {}
     for at, item in enumerate(items):
-        for j, (row_id, width, refs, fields) in enumerate(_wire_rows(item)):
-            start = row_id % n_nodes
+        t = item.table if isinstance(item, OverlapSpec) else item
+        starts = t.ids % n_nodes
+        for start in sorted(set(starts.tolist())):
             if start not in batches:
-                batches[start] = _Batch(start, {
-                    "type": "batch", "shots": shots, "seed": seed, "gates": None,
-                    "circuits": [], "tasks": []})
-            b = batches[start]
-            b.message["tasks"].append(
-                {"id": row_id, **fields, **{name: b.circuit(c) for name, c in refs.items()}})
-            b.rows.append((row_id, width))
-            if not b.runs or b.runs[-1][0] != at:
-                b.runs.append((at, [], len(fields["readout"])))
-            b.runs[-1][1].append(j)
+                batches[start] = _Batch(start, {"type": "batch", "shots": shots, "seed": seed,
+                                                "gates": None, "circuits": [], "items": []})
+            batches[start].add(at, t, np.flatnonzero(starts == start))
     for b in batches.values():
-        b.message["gates"] = circuit_to_json(Circuit(
-            max(width for _, width in b.rows), tuple(g for _, g in b.gates.values())))
+        table = tuple(g for _, g in b.gates.values())
+        b.message["gates"] = circuit_to_json(Circuit(b.width, table))
     return [batches[s] for s in sorted(batches)]
 
 
@@ -609,46 +586,42 @@ def _batch_circuit(k: int, obj, table: tuple[Gate, ...]) -> Circuit:
     return Circuit(n, tuple(map(table.__getitem__, positions)))
 
 
-def _task_from_row(row: dict, circuits: list[Circuit]) -> TaskSpec | OverlapSpec:
-    """Decode one batch row, whose circuits are positions in ``circuits``; the
-    wire carries only overlap and density rows.
+# the fields of each item kind a batch carries
+_ITEM_FIELDS = {"overlap": {"kind", "observables", "labels", "readout", *OverlapTable._columns},
+                "density": {"kind", "id", "circuit", "readout"}}
 
-    Nothing is coerced: the readouts must be a list of strings and an
-    overlap row's input a string, and the id is checked by the task's own
-    constructor, under the rule a local task is (an integer >= 0).
+
+def _decode_item(item, circuits: tuple[Circuit, ...]) -> TaskSpec | OverlapTable:
+    """Decode one batch item over the batch's circuits: an overlap item as
+    one OverlapTable, which checks its ids, positions, bounds and operands
+    as a local table is checked, and a density row as a TaskSpec.
+
+    Nothing is coerced: an item holds exactly its kind's fields, its
+    readouts are a list of strings, and an overlap item's observables (Pauli
+    letters or matrix JSON), labels and columns are lists.
     """
-
-    def circuit(k) -> Circuit:
+    kind = item.get("kind") if isinstance(item, dict) else None
+    if kind not in _ITEM_FIELDS:
+        raise ValueError(f"task kind {kind!r} is not accepted over the wire "
+                         f"(protocol {PROTOCOL_VERSION} carries overlap and density items)")
+    if item.keys() != _ITEM_FIELDS[kind]:
+        raise ValueError(f"a {kind} item holds {sorted(_ITEM_FIELDS[kind])}, got {sorted(item)}")
+    readouts = item["readout"]
+    if not (isinstance(readouts, list) and all(isinstance(r, str) for r in readouts)):
+        raise ValueError(f"an item's readout must be a list of strings, got {readouts!r}")
+    if kind == "density":
+        k = item["circuit"]
         if not (_is_count(k, 0) and k < len(circuits)):
             raise ValueError(f"no circuit {k!r} in the batch")
-        return circuits[k]
-
-    row_id, kind, readouts = row.get("id"), row["kind"], row["readout"]
-    if not (isinstance(readouts, list) and all(isinstance(r, str) for r in readouts)):
-        raise ValueError(f"a row's readout must be a list of strings, got {readouts!r}")
-    readouts = tuple(readouts)
-    if kind == "overlap":
-        left, obs, label = circuit(row["left"]), row["obs"], row["input"]
-        if not isinstance(label, str):
-            raise ValueError(f"an overlap row's input must be a string, got {label!r}")
-        return OverlapSpec(
-            id=row_id,
-            left=left,
-            right=circuit(row["right"]),
-            observable=(
-                PauliString(left.n_qubits, obs)
-                if isinstance(obs, str)
-                else _matrix_from_json(obs, "observable")
-            ),
-            input_label=label,
-            readouts=readouts,
-        )
-    if kind != "density":
-        raise ValueError(
-            f"task kind {kind!r} is not accepted over the wire "
-            f"(protocol {PROTOCOL_VERSION} carries overlap and density tasks)"
-        )
-    return TaskSpec(id=row_id, kind=kind, circuit=circuit(row["circuit"]), readouts=readouts)
+        return TaskSpec(id=item["id"], kind=kind, circuit=circuits[k], readouts=tuple(readouts))
+    for name in ("observables", "labels", *OverlapTable._columns):
+        if not isinstance(item[name], list):
+            raise ValueError(f"an overlap item's {name} must be a list, got {item[name]!r}")
+    return OverlapTable(
+        circuits=circuits, labels=item["labels"], readouts=tuple(readouts),
+        observables=[PauliString(len(o), o) if isinstance(o, str)
+                     else _matrix_from_json(o, "observable") for o in item["observables"]],
+        **{name: item[name] for name in OverlapTable._columns})
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -666,31 +639,16 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                 continue
             if mtype == "hello":
                 if msg.get("proto") != PROTOCOL_VERSION:
-                    self._send(
-                        {
-                            "type": "error",
-                            "id": -1,
-                            "message": f"unsupported protocol {msg.get('proto')!r}",
-                        }
-                    )
+                    self._send({"type": "error", "id": -1,
+                                "message": f"unsupported protocol {msg.get('proto')!r}"})
                     return  # close the connection on version mismatch
                 greeted = True
-                self._send(
-                    {
-                        "type": "hello_ack",
-                        "proto": PROTOCOL_VERSION,
-                        "max_qubits": self.server.backend.max_qubits,
-                    }
-                )
+                self._send({"type": "hello_ack", "proto": PROTOCOL_VERSION,
+                            "max_qubits": self.server.backend.max_qubits})
             elif mtype == "batch" and not greeted:
-                self._send(
-                    {
-                        "type": "error",
-                        "id": -1,
-                        "message": f"handshake required: send hello with proto "
-                                   f"{PROTOCOL_VERSION} before any batch",
-                    }
-                )
+                self._send({"type": "error", "id": -1,
+                            "message": f"handshake required: send hello with proto "
+                                       f"{PROTOCOL_VERSION} before any batch"})
             elif mtype == "batch":
                 self._send(self._run_batch(msg))
             elif mtype == "shutdown":
@@ -700,19 +658,22 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                 self._send({"type": "error", "id": -1, "message": f"unknown type {mtype!r}"})
 
     def _run_batch(self, msg: dict) -> dict:
-        """Run a batch's rows in order with one part-state cache; the reply holds
-        each row's values and shots used, or an error naming the failing row's id
-        (-1 when the batch itself is malformed or the row's id is bad). The
-        controller derives shots used from its own call and does not read them.
+        """Run a batch's items in order with one part-state cache; the reply
+        holds each row's values and shots used, in row order, or an error
+        naming the failing item's first row id (-1 when the batch itself is
+        malformed or the item's ids break the id rule). The controller
+        derives shots used from its own call and does not read them.
 
         The gate table is parsed once, with non-unitary RAW gates admitted as
         density rows need; simulating an overlap row's part states refuses
         them, as a local run does. Each circuit is built from its table
         positions, so each distinct gate is one Gate, and the cache applies
-        each gate prefix the circuits share once. ``shots`` must be null or an
-        integer >= 1 and ``seed`` an integer >= 0, as in a ClusterConfig.
+        each gate prefix the circuits share once. Each item is decoded
+        (``_decode_item``) and run by one ``run_task`` call. ``shots`` must
+        be null or an integer >= 1 and ``seed`` an integer >= 0, as in a
+        ClusterConfig.
         """
-        row_id = -1
+        item = None
         values, used = [], []
         shots, seed = msg.get("shots"), msg.get("seed")
         if not ((shots is None or _is_count(shots, 1)) and _is_count(seed, 0)):
@@ -721,19 +682,19 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                                f"integer >= 0, got shots {shots!r} and seed {seed!r}"}
         try:
             table = parse_circuit(msg["gates"], require_unitary=False).gates
-            circuits = [_batch_circuit(k, c, table) for k, c in enumerate(msg["circuits"])]
+            circuits = tuple(_batch_circuit(k, c, table) for k, c in enumerate(msg["circuits"]))
             states = _PartStates(circuits)
-            for row in msg["tasks"]:
-                row_id = row.get("id") if isinstance(row, dict) else None
-                if not _is_count(row_id, 0):
-                    row_id = -1
-                task = _task_from_row(row, circuits)
-                self.server.count_task()
-                row_values, row_used = self.server.backend.run_task(task, shots, seed, states)
-                values.append(row_values)
-                used.append(row_used)
-        except Exception as exc:  # report, keep serving
-            return {"type": "error", "id": row_id, "message": str(exc)}
+            for item in msg["items"]:
+                task = _decode_item(item, circuits)
+                self.server.count_task(len(task.ids))
+                flat, _ = self.server.backend.run_task(task, shots, seed, states)
+                k = len(task.readouts)
+                values += [flat[j:j + k] for j in range(0, len(flat), k)]
+                used += [0 if shots is None else shots * k] * len(task.ids)
+        except Exception as exc:  # report, naming the item's first row id; keep serving
+            ids = item.get("ids", [item.get("id")]) if isinstance(item, dict) else None
+            ok = isinstance(ids, list) and ids and all(_is_count(i, 0) for i in ids)
+            return {"type": "error", "id": ids[0] if ok else -1, "message": str(exc)}
         return {"type": "result", "values": values, "shots_used": used}
 
     def _send(self, obj: dict):
@@ -766,9 +727,9 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         self._lock = threading.Lock()
         self._open: set[socket.socket] = set()  # connections not yet closed
 
-    def count_task(self):
+    def count_task(self, rows: int):
         with self._lock:
-            self._tasks_seen += 1
+            self._tasks_seen += rows
 
     def should_drop(self) -> bool:
         with self._lock:
@@ -879,16 +840,14 @@ class _WorkerClient:
 
     def send_batch(self, batch: _Batch):
         """Send one batch on the connection ``open`` made, reading its hello
-        ack first if that is due. A row wider than the worker accepts raises
-        CapabilityMismatch before the batch is sent."""
+        ack first if that is due. A batch whose widest row is wider than the
+        worker accepts raises CapabilityMismatch before it is sent."""
         if self.max_qubits is None:
             self._read_ack()
-        for row_id, width in batch.rows:
-            if width > self.max_qubits:
-                raise CapabilityMismatch(
-                    f"task {row_id} needs {width} qubits, "
-                    f"worker {self.address} supports {self.max_qubits}"
-                )
+        if batch.width > self.max_qubits:
+            raise CapabilityMismatch(
+                f"the batch of {batch.n_rows} task(s) from node {batch.start} needs "
+                f"{batch.width} qubits, worker {self.address} supports {self.max_qubits}")
         self._send(batch.line)
 
     def read_result(self, batch: _Batch) -> list[np.ndarray]:
@@ -903,9 +862,9 @@ class _WorkerClient:
                 f"worker {self.address}: task {reply.get('id')}: {reply.get('message')}")
         values = reply.get("values")
         malformed = ConnectionError(
-            f"unexpected reply from {self.address} to a batch of {len(batch.rows)} tasks")
+            f"unexpected reply from {self.address} to a batch of {batch.n_rows} tasks")
         if (reply.get("type") != "result" or not isinstance(values, list)
-                or len(values) != len(batch.rows)):
+                or len(values) != batch.n_rows):
             raise malformed
         blocks, start = [], 0
         for _, rows, k in batch.runs:
@@ -1099,7 +1058,7 @@ def _dispatch(clients: list[_WorkerClient], batches: list[_Batch], retry_limit: 
                     steps[b] += 1
                 if steps[b] == n or attempts[b] >= retry_limit:
                     raise NodeFailure(
-                        f"the batch of {len(batch.rows)} task(s) from node {batch.start} "
+                        f"the batch of {batch.n_rows} task(s) from node {batch.start} "
                         f"failed after {attempts[b]} attempt(s): {failures[b]}"
                     )
                 node = (batch.start + steps[b]) % n

@@ -361,8 +361,7 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     monkeypatch.setattr(cli, "unitary_node",
                         lambda *a: count("unitary_node")() or node(*a))
     monkeypatch.setattr(tlpq.runtime.OverlapSpec, "__post_init__", count("overlap_spec"))
-    for module in (tlpq.planner, tlpq.runtime):
-        monkeypatch.setattr(module, "check_overlap_operands", count("operand_check"))
+    monkeypatch.setattr(tlpq.planner, "check_overlap_operands", count("operand_check"))
     cli.run_nonherm_rows(ClusterConfig())
     circuits = sum(build_quadrature(0.2, 0.5, t).M + 1 for t in cli._DEFAULT_NONHERM_T)
     assert circuits == 120
@@ -371,6 +370,18 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     assert calls["unitary_node"] == circuits  # the dense column reuses them
     assert calls["overlap_spec"] == 0
     assert calls["operand_check"] <= circuits
+
+
+def test_the_one_node_nonherm_batch_sends_each_plan_as_one_table(monkeypatch):
+    from tlpq.runtime import _batches
+
+    plans = []
+    real = cli.estimate_plans
+    monkeypatch.setattr(cli, "estimate_plans", lambda p, cfg: plans.extend(p) or real(p, cfg))
+    cli.run_nonherm_rows(ClusterConfig())
+    (batch,) = _batches(plans, 1, None, 0)
+    assert len(plans) == len(batch.message["items"]) == 40
+    assert len(batch.line) < 200_000  # 793,793 bytes as one dict per row
 
 
 def test_nonherm_over_a_worker_process_matches_local(runner, tmp_path):

@@ -369,6 +369,22 @@ class TestPlanOperandRule:
             Plan.from_subtasks(rows)
 
 
+@pytest.mark.parametrize("bad", [0.7, 1.0, True, "1"])
+def test_plan_indices_are_six_integers_per_row_not_coerced(bad):
+    c = Circuit(1, (Gate("H", (0,)),))
+    fields = dict(circuits=(c,), observables=(PauliString(1, "Z"),), labels=("0",), ids=(0, 1),
+                  left=(0, 0), right=(0, 0), observable=(0, 0), label=(0, 0),
+                  coefficient=(1.0, 1.0))
+    good = Plan(indices=((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)), **fields)
+    assert good.indices.tolist() == [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
+    for indices in (((0, 0, 0, 0, 0, 0), (bad, 0, 0, 0, 0, 1)),
+                    np.array([[0, 0, 0, 0, 0, 0], [bad, 0, 0, 0, 0, 1]], dtype=object)):
+        with pytest.raises(ShapeMismatch, match="^plan indices must be six integers per row$"):
+            Plan(indices=indices, **fields)
+    with pytest.raises(ShapeMismatch, match="six integers"):
+        Plan(indices=((0,) * 6, (0,) * 5), **fields)
+
+
 class TestGhzTemplatesAndPlan:
     def test_template_prepares_ghz(self):
         psi = simulate(ghz4_template(), basis_state(4))
@@ -434,6 +450,33 @@ class TestGhzTemplatesAndPlan:
         templates, evaluations = ghz_overlap_plan()
         with pytest.raises(IncompleteTables):
             assemble_grams(evaluations, {0: 1.0})
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_reconstruction_keeps_the_bits_of_the_loop_that_built_each_pauli_per_term(
+            self, shots):
+        from tlpq.cli import run_ghz_pipeline
+        from tlpq.linalg import kron
+        from tlpq.planner import PAULI_2Q_LABELS, _SIGNS
+        from tlpq.circuit import pauli_matrix
+
+        def reference(gram_a, gram_b):  # the sum as written before the 16 were built once
+            def contract(ga, gb):
+                return complex(np.einsum("jk,ab,aj,bk->", _SIGNS, _SIGNS, ga, gb))
+
+            norm = contract(gram_a["II"], gram_b["II"])
+            rho = np.zeros((16, 16), dtype=complex)
+            for pa in PAULI_2Q_LABELS:
+                for pb in PAULI_2Q_LABELS:
+                    expec = contract(gram_a[pa], gram_b[pb]) / norm
+                    rho += expec * kron(pauli_matrix(pa), pauli_matrix(pb))
+            rho /= 16.0
+            return (rho + rho.conj().T) / 2.0
+
+        _, evaluations = ghz_overlap_plan()
+        values = run_ghz_pipeline(ClusterConfig(shots=shots, seed=3))["values"]
+        grams = assemble_grams(evaluations, values)
+        got = reconstruct_density_matrix(*grams, check_physical=False)
+        assert got.tobytes() == reference(*grams).tobytes()
 
     def test_reconstruct_rejects_garbage_when_checked(self):
         bad_a = {}

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PAULI, kron_all, pauli_label_matrix, haar_unitary
 
@@ -39,7 +40,7 @@ from tlpq import (
     simulate,
 )
 from tlpq.circuit import basis_state
-from tlpq.planner import ChannelLCU, NonUnitaryObservable, Plan, ShapeMismatch
+from tlpq.planner import ChannelLCU, NonUnitaryObservable, OverlapTable, Plan, ShapeMismatch
 from tlpq.runtime import (
     PROTOCOL_VERSION,
     CapabilityMismatch,
@@ -111,10 +112,13 @@ def counted_sends(monkeypatch):
 
 
 def batch_message(rows: list[dict], circuits: list, shots=None, seed: int = 0) -> dict:
-    """A protocol-5 batch message by hand: the gates of ``circuits`` (Circuits
+    """A protocol-6 batch message by hand: the gates of ``circuits`` (Circuits
     or circuit JSON) go into one gate table in order, each circuit becomes
-    {"n", "gates": [its positions in that table]}, and each row points into
-    the circuits by position."""
+    {"n", "gates": [its positions in that table]}, and each row is one item
+    that points into the circuits by position. An overlap row {"id", "kind",
+    "left", "right", "obs", "input", "readout"} becomes a one-row overlap
+    item, with its observable and input as the item's tables; any other row
+    is an item as it is."""
     objs = [c if isinstance(c, dict) else circuit_to_json(c) for c in circuits]
     table, wire = [], []
     for obj in objs:
@@ -122,8 +126,12 @@ def batch_message(rows: list[dict], circuits: list, shots=None, seed: int = 0) -
         table.extend(obj["gates"])
         wire.append({"n": obj["n"], "gates": list(range(first, len(table)))})
     width = max((obj["n"] for obj in objs if type(obj["n"]) is int), default=1)
+    items = [{"kind": "overlap", "observables": [row["obs"]], "labels": [row["input"]],
+              "readout": row["readout"], "ids": [row["id"]], "left": [row["left"]],
+              "right": [row["right"]], "observable": [0], "label": [0]}
+             if row["kind"] == "overlap" else row for row in rows]
     return {"type": "batch", "shots": shots, "seed": seed, "gates": {"n": width, "gates": table},
-            "circuits": wire, "tasks": rows}
+            "circuits": wire, "items": items}
 
 
 def random_circuit(rng, n_qubits: int, n_gates: int = 4) -> Circuit:
@@ -650,7 +658,7 @@ def test_dispatch_sends_every_batch_before_reading_any_reply():
             if not before_reply():
                 send({"type": "error", "id": -1, "message": "worker B never got its batch"})
                 return
-            rows = batch["tasks"]
+            rows = batch["items"]
             send({"type": "result", "values": [[float(r["id"])] for r in rows],
                   "shots_used": [0] * len(rows)})
 
@@ -676,7 +684,7 @@ def test_dispatch_sends_every_batch_before_reading_any_reply():
     assert not any(t.is_alive() for t in threads)
     assert [r.value for r in results] == [(0.0,), (1.0,), (2.0,), (3.0,)]
     assert [r.node_id for r in results] == [addresses[i % 2] for i in range(4)]
-    assert [[r["id"] for r in batches[k]["tasks"]] for k in "ab"] == [[0, 2], [1, 3]]
+    assert [[r["id"] for r in batches[k]["items"]] for k in "ab"] == [[0, 2], [1, 3]]
 
 
 def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monkeypatch):
@@ -794,7 +802,7 @@ def _greeting_worker(listener, greeted: threading.Event, other: threading.Event)
         f.write((json.dumps({"type": "hello_ack", "proto": PROTOCOL_VERSION,
                              "max_qubits": 12}) + "\n").encode())
         f.flush()
-        rows = json.loads(f.readline())["tasks"]
+        rows = json.loads(f.readline())["items"]
         f.write((json.dumps({"type": "result", "values": [[float(r["id"])] for r in rows],
                              "shots_used": [0] * len(rows)}) + "\n").encode())
         f.flush()
@@ -952,11 +960,13 @@ def test_protocol_hello_handshake():
 
 
 def test_protocol_version_mismatch_closes_connection():
-    with live_worker() as addr, raw_connection(addr) as (send, recv):
-        send({"type": "hello", "proto": 999})
-        reply = recv()
-        assert reply["type"] == "error" and reply["id"] == -1
-        assert recv() is None  # server hung up
+    with live_worker() as addr:
+        for proto in (999, 5):  # 5: batches of one dict per row
+            with raw_connection(addr) as (send, recv):
+                send({"type": "hello", "proto": proto})
+                reply = recv()
+                assert reply["type"] == "error" and reply["id"] == -1
+                assert recv() is None  # server hung up
 
 
 def test_protocol_malformed_line_keeps_connection():
@@ -2180,7 +2190,7 @@ _GOOD_TABLE = {"n": 2, "gates": [{"kind": "H", "qubits": [0]}, {"kind": "CZ", "q
 def test_a_malformed_protocol_5_batch_gets_an_error_and_the_worker_keeps_serving(change):
     good = {"type": "batch", "shots": None, "seed": 0, "gates": _GOOD_TABLE,
             "circuits": [{"n": 2, "gates": [0, 1]}],
-            "tasks": [{"id": 3, "kind": "density", "circuit": 0, "readout": ["e:ZZ"]}]}
+            "items": [{"id": 3, "kind": "density", "circuit": 0, "readout": ["e:ZZ"]}]}
     bad = {**good, **change}
     if bad["gates"] is None:
         del bad["gates"]
@@ -2215,3 +2225,138 @@ def test_worker_checks_row_fields_rather_than_coercing_them(change, want_id, mes
         assert message in reply["message"]
         send(batch_message([good], [one]))
         assert recv()["type"] == "result"
+
+
+# --- protocol 6: one overlap table per item ------------------------------------------
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_GOOD_ITEM = {"kind": "overlap", "observables": ["Z", matrix_json(_X)], "labels": ["0", "1"],
+              "readout": ["ax", "ay"], "ids": [5, 8], "left": [0, 1], "right": [1, 0],
+              "observable": [0, 1], "label": [0, 1]}
+
+
+@pytest.mark.parametrize("change, want_id", [
+    ({"labels": None}, 5),  # None: the key is missing
+    ({"ids": None}, -1),
+    ({"left": 0}, 5),
+    ({"ids": 5}, -1),
+    ({"observables": "Z"}, 5),
+    ({"right": [1]}, 5),
+    ({"ids": [5]}, 5),  # the id rule holds: the reply names the first row
+    ({"ids": [5.0, 8]}, -1),
+    ({"ids": [True, 8]}, -1),
+    ({"ids": ["5", 8]}, -1),
+    ({"ids": [-5, 8]}, -1),
+    ({"ids": [8, 5]}, 8),
+    ({"ids": [5, 5]}, 5),
+    ({"left": [0, 2]}, 5),
+    ({"left": [-1, 1]}, 5),
+    ({"right": [True, 0]}, 5),
+    ({"observable": [0, 2]}, 5),
+    ({"label": [0, 2]}, 5),
+    ({"observables": [3, "Z"]}, 5),
+    ({"observables": ["Q", "Z"]}, 5),
+    ({"observables": [{"re": 1}, "Z"]}, 5),
+    ({"labels": [0, "1"]}, 5),
+    ({"labels": "01"}, 5),
+    ({"readout": "ax"}, 5),
+    ({"readout": ["ax", 1]}, 5),
+    ({"kind": "estimator"}, 5),
+    ({"kind": None}, 5),
+    ({"extra": 1}, 5),
+], ids=["missing_key", "missing_ids", "column_not_list", "ids_not_list",
+        "observables_not_list", "unequal_lengths", "unequal_ids", "float_id", "bool_id",
+        "text_id", "negative_id", "descending_ids", "repeated_ids", "position_past_end",
+        "negative_position", "bool_position", "observable_past_end", "label_past_end",
+        "number_observable", "bad_letters", "object_observable", "number_label",
+        "labels_not_list", "readout_not_list", "readout_number", "estimator_kind",
+        "no_kind", "extra_key"])
+def test_worker_refuses_a_malformed_overlap_item_and_keeps_serving(change, want_id):
+    circuits = [Circuit(1, (Gate("H", (0,)),)), Circuit(1, ())]
+    good = {**batch_message([], circuits), "items": [_GOOD_ITEM]}
+    bad = {**good, "items": [{**_GOOD_ITEM, **change}]}
+    for key, value in change.items():
+        if value is None:
+            del bad["items"][0][key]
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(bad)
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == want_id, reply
+        send(good)
+        reply = recv()
+    local = OverlapTable(circuits=circuits, observables=(PauliString(1, "Z"), _X),
+                         labels=("0", "1"), ids=(5, 8), left=(0, 1), right=(1, 0),
+                         observable=(0, 1), label=(0, 1))
+    assert reply == {"type": "result", "shots_used": [0, 0],
+                     "values": ExactBackend().run_rows(local, None, 0, _PartStates()).tolist()}
+
+
+@pytest.mark.parametrize("items", [5, [5], "items", None],
+                         ids=["number", "number_item", "text", "missing"])
+def test_a_batch_whose_items_are_malformed_names_no_row(items):
+    circuits = [Circuit(1, (Gate("H", (0,)),)), Circuit(1, ())]
+    good = {**batch_message([], circuits), "items": [_GOOD_ITEM]}
+    bad = {**good, "items": items}
+    if items is None:
+        del bad["items"]
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(bad)
+        reply = recv()
+        assert reply["type"] == "error" and reply["id"] == -1, reply
+        send(good)
+        assert recv()["type"] == "result"
+
+
+@st.composite
+def small_plans(draw):
+    """A few plans of one random channel: parts of width 1-3, Pauli or
+    matrix observables per part, random labels; and shots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    matrix = draw(st.lists(st.booleans(), min_size=len(widths), max_size=len(widths)))
+    terms = draw(st.integers(1, 2))
+
+    def fu():
+        return FactorizedUnitary(terms=tuple(
+            (complex(rng.normal(), rng.normal()), tuple(random_circuit(rng, w) for w in widths))
+            for _ in range(terms)))
+
+    m = draw(st.integers(1, 2))
+    branches = tuple((tuple(complex(rng.normal(), rng.normal()) for _ in range(m)),
+                      tuple(fu() for _ in range(m)))
+                     for _ in range(draw(st.integers(1, 2))))
+    channel = ChannelLCU(branches=branches)
+    plans = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = tuple("".join(rng.choice(list("01"), size=w)) for w in widths)
+        obs = tuple(haar_unitary(2**w, rng) if is_matrix
+                    else PauliString(w, "".join(rng.choice(list("IXYZ"), size=w)))
+                    for w, is_matrix in zip(widths, matrix))
+        plans.append(enumerate_subtasks(channel, labels, obs))
+    return plans, draw(st.none() | st.integers(1, 16)), draw(st.integers(0, 40))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(small_plans())
+def test_plans_give_the_same_results_in_every_mode_node_count_and_retry(case):
+    plans, shots, k = case
+
+    def results(cfg):
+        out = execute_tasks(plans, cfg)
+        nodes = set(cfg.nodes) if cfg.mode == "network" else set(range(cfg.nodes))
+        assert {r.node_id for rows in out for r in rows} <= nodes
+        return [[(r.task_id, r.value, r.shots_used) for r in rows] for rows in out]
+
+    base = results(ClusterConfig(nodes=1, shots=shots, seed=9))
+    assert results(ClusterConfig(nodes=3, shots=shots, seed=9)) == base
+    with live_worker() as a, live_worker() as b:
+        assert results(ClusterConfig(mode="network", nodes=(a,), shots=shots, seed=9)) == base
+        assert results(ClusterConfig(mode="network", nodes=(a, b), shots=shots, seed=9)) == base
+    with live_worker(fail_after_tasks=k) as flaky, live_worker() as solid:
+        assert results(ClusterConfig(mode="network", nodes=(flaky, solid), shots=shots, seed=9,
+                                     retry_limit=2)) == base
