@@ -48,9 +48,11 @@ from .lchs import (
 from .linalg import pure_state_fidelity, vector_fidelity
 from .partition import balanced_bisection, build_graph, global_min_cut
 from .planner import (
+    PAULI_2Q_LABELS,
     ChannelLCU,
     FactorizedUnitary,
     NonPhysical,
+    OverlapTable,
     assemble_grams,
     enumerate_subtasks,
     ghz4_template,
@@ -63,7 +65,6 @@ from .planner import (
 from .runtime import (
     ClusterConfig,
     ExactBackend,
-    OverlapSpec,
     TaskSpec,
     _host_port,
     estimate_plans,
@@ -74,28 +75,33 @@ from .runtime import (
 _DEFAULT_NONHERM_T = tuple(0.1 + j * 0.1 for j in range(10))
 _DEFAULT_GAMMAS = tuple(0.2 * k for k in range(11))
 
-# how imagtime's fidelities are computed, and the label its outputs carry
+# the label imagtime's outputs carry for vector_fidelity, a squared overlap
 FIDELITY_CONVENTION = "overlap_squared"
 
 
 # --- drivers (importable; the click commands are thin wrappers) -----------------
 
 def run_ghz_pipeline(cluster: ClusterConfig) -> dict:
-    """Overlap-plan pipeline: 128 overlap tasks -> gram tables -> 16x16 state."""
+    """Overlap-plan pipeline: 128 evaluations as four 32-row overlap tables, one
+    per readout -> gram tables -> 16x16 state.
+
+    Table r holds the evaluations with ids 4k + r, each row with its own id,
+    so every evaluation keeps the shot stream (seed, id, 0) it has as a
+    one-row task. The tables share the four template circuits."""
     templates, plan = ghz_overlap_plan()
-    tasks = [
-        OverlapSpec(
-            id=ev.id,
-            left=templates[ev.template][0],
-            right=templates[ev.template][1],
-            observable=PauliString(2, ev.setting),
-            input_label="00",
-            readouts=(ev.readout,),
-        )
-        for ev in plan
-    ]
-    results = execute_tasks(tasks, cluster)
-    values = {r.task_id: r.value[0] for r in results}
+    circuits = templates[0] + templates[1]  # template t is circuits 2t (left) and 2t + 1
+    observables = tuple(PauliString(2, setting) for setting in PAULI_2Q_LABELS)
+    tables = []
+    for readout in ("ax", "ay", "p0", "p1"):
+        rows = [ev for ev in plan if ev.readout == readout]
+        tables.append(OverlapTable(
+            circuits=circuits, observables=observables, labels=("00",),
+            ids=[ev.id for ev in rows], left=[2 * ev.template for ev in rows],
+            right=[2 * ev.template + 1 for ev in rows],
+            observable=[PAULI_2Q_LABELS.index(ev.setting) for ev in rows],
+            label=[0] * len(rows), readouts=(readout,)))
+    results = execute_tasks(tables, cluster)
+    values = dict(sorted((r.task_id, r.value[0]) for table in results for r in table))
     gram_a, gram_b = assemble_grams(plan, values)
     exact = cluster.shots is None
     rho = reconstruct_density_matrix(gram_a, gram_b, check_physical=exact)
@@ -184,7 +190,9 @@ def run_nonherm_rows(
         build_quadrature(eps, c, t, emulate_float_truncation=emulate_float_truncation)
         for t in t_values
     ]
-    unitaries = [[unitary_node(g, float(k), s.T, dt) for k in s.nodes] for s in schemes]
+    # the reference integrator checks dt, before any task runs
+    oracles = [trotter_oracle(g, u0, t, dt) for t in t_values]
+    unitaries = [[unitary_node(g, float(k), s.T) for k in s.nodes] for s in schemes]
     plans = []
     for scheme, us in zip(schemes, unitaries):
         channel = _channel_from_unitaries(us, scheme.coeffs)
@@ -199,13 +207,12 @@ def run_nonherm_rows(
         for k in range(0, len(plans), letters)
     ]
     rows: list[dict] = []
-    for t, scheme, us, forms in zip(t_values, schemes, unitaries, forms_per_t):
+    for t, scheme, us, forms, w in zip(t_values, schemes, unitaries, forms_per_t, oracles):
         norm_form = forms["I"]
         dense = lchs_forms(
             [u @ u0 for u in us], scheme.coeffs,
             (PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"], observable_r), normalize,
         )
-        w = trotter_oracle(g, u0, t, dt)
         w_norm = float(np.vdot(w, w).real)
         row = {"T": t, "M": scheme.M, "terms": (scheme.M + 1) ** 2}
         for (name, letter), dense_value in zip(
@@ -244,7 +251,7 @@ def run_imagtime_rows(
     for gamma in gammas:
         h_gamma = 2.0 * np.eye(2, dtype=complex) + gamma * sx
         gen = GeneratorSpec(H=np.zeros((2, 2), dtype=complex), L=h_gamma)
-        result = imaginary_time(h_gamma, big_t, scheme, dt=dt, u0=u0)
+        result = imaginary_time(h_gamma, big_t, scheme, u0=u0)
         reference = trotter_oracle(gen, u0, big_t, dt)
         h_lchs, sx_lchs, sz_lchs = lchs_forms(
             result.per_node_states, scheme.coeffs, (h_gamma, sx, sz), normalize
@@ -257,7 +264,7 @@ def run_imagtime_rows(
             "sx_lchs": sx_lchs,
             "sz_lchs": sz_lchs,
             "E0_exact": exact_ground(h_gamma)[0],
-            "fidelity": vector_fidelity(result.state, reference, FIDELITY_CONVENTION),
+            "fidelity": vector_fidelity(result.state, reference),
         }
         for label, horizon in (("H_trotter_T05", 0.5), ("H_trotter_T15", 1.5)):
             w = trotter_oracle(gen, u0, horizon, dt)

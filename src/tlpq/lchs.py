@@ -6,9 +6,11 @@ part) is approximated by a Cauchy-kernel quadrature over unitary evolutions:
     u(T) ~= sum_j c_j exp(-i (H + k_j L) T) u0,
     k_j = -K + 2jK/M,  c_j = w_j / (pi (1 + k_j^2)),
 
-with trapezoidal weights w_j (K/M at the endpoints, 2K/M inside). Expectations
-can be computed either densely from the pairwise overlaps or, term by term,
-as planner subtasks that the runtime runs as overlap tasks.
+with trapezoidal weights w_j (K/M at the endpoints, 2K/M inside). H and L are
+constant in time, so each node is one exact exponential and no step size
+enters the quadrature; only the reference integrator ``trotter_oracle`` steps
+by dt. Expectations can be computed either densely from the pairwise overlaps
+or, term by term, as planner subtasks that the runtime runs as overlap tasks.
 """
 
 from __future__ import annotations
@@ -96,30 +98,20 @@ def build_quadrature(
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A = H - iL with Hermitian H and L; optionally time-dependent callables."""
+    """A = H - iL with Hermitian H and L, both constant in time."""
 
-    H: np.ndarray | object
-    L: np.ndarray | object
-    time_dependent: bool = False
+    H: np.ndarray
+    L: np.ndarray
 
     def __post_init__(self):
-        if not self.time_dependent:
-            h = np.asarray(self.H, dtype=complex)
-            l_mat = np.asarray(self.L, dtype=complex)
-            if h.shape != l_mat.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-                raise ValueError("H and L must be square matrices of equal dimension")
-            if not is_hermitian(h) or not is_hermitian(l_mat):
-                raise NotHermitian("H and L must both be Hermitian within 1e-10")
-            object.__setattr__(self, "H", h)
-            object.__setattr__(self, "L", l_mat)
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.time_dependent:
-            return (
-                np.asarray(self.H(t), dtype=complex),
-                np.asarray(self.L(t), dtype=complex),
-            )
-        return self.H, self.L
+        h = np.asarray(self.H, dtype=complex)
+        l_mat = np.asarray(self.L, dtype=complex)
+        if h.shape != l_mat.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError("H and L must be square matrices of equal dimension")
+        if not is_hermitian(h) or not is_hermitian(l_mat):
+            raise NotHermitian("H and L must both be Hermitian within 1e-10")
+        object.__setattr__(self, "H", h)
+        object.__setattr__(self, "L", l_mat)
 
 
 @dataclass(frozen=True)
@@ -130,35 +122,26 @@ class EvolutionResult:
     per_node_states: tuple[np.ndarray, ...] | None = None
 
 
-def unitary_node(g: GeneratorSpec, k: float, T: float, dt: float = 0.01) -> np.ndarray:
-    """exp(-i (H + k L) T), or its midpoint-sampled ordered product when H, L vary."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not g.time_dependent:
-        return matexp(g.H + k * g.L, -1j * T)
-    steps = _step_count(T, dt)
-    u = None
-    for s in range(steps):
-        h_mid, l_mid = g.at((s + 0.5) * dt)
-        step = matexp(h_mid + k * l_mid, -1j * dt)
-        u = step if u is None else step @ u
-    return u
+def unitary_node(g: GeneratorSpec, k: float, T: float) -> np.ndarray:
+    """exp(-i (H + k L) T), one node of the quadrature."""
+    return matexp(g.H + k * g.L, -1j * T)
 
 
 def _step_count(T: float, dt: float) -> int:
+    """The number of dt steps that make up T: dt must be positive and divide T."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     steps = round(T / dt)
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"dt={dt} does not divide T={T}")
     return steps
 
 
-def lchs_state(
-    g: GeneratorSpec, u0, scheme: QuadratureScheme, dt: float = 0.01
-) -> EvolutionResult:
+def lchs_state(g: GeneratorSpec, u0, scheme: QuadratureScheme) -> EvolutionResult:
     """u(T) = sum_j c_j U_j u0, keeping the per-node states."""
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
     per_node = tuple(
-        unitary_node(g, float(k), scheme.T, dt) @ u0 for k in scheme.nodes
+        unitary_node(g, float(k), scheme.T) @ u0 for k in scheme.nodes
     )
     state = np.zeros_like(u0)
     for c_j, v_j in zip(scheme.coeffs, per_node):
@@ -172,7 +155,6 @@ def lchs_expectation(
     scheme: QuadratureScheme,
     obs,
     normalize: bool = True,
-    dt: float = 0.01,
 ) -> float:
     """sum_{k,k'} c_k c_k' <v_k|O|v_k'> over the (M+1)^2 node pairs.
 
@@ -180,7 +162,7 @@ def lchs_expectation(
     lexicographic in (k, k') to match the runtime's aggregation order exactly.
     With ``normalize`` the form is divided by its O = identity counterpart.
     """
-    v = lchs_state(g, u0, scheme, dt).per_node_states
+    v = lchs_state(g, u0, scheme).per_node_states
     return lchs_forms(v, scheme.coeffs, (obs,), normalize)[0]
 
 
@@ -223,9 +205,7 @@ def lchs_forms(per_node_states, coeffs, observables, normalize: bool = True) -> 
     return values
 
 
-def imaginary_time(
-    h, T: float, scheme: QuadratureScheme, dt: float = 0.01, u0=None
-) -> EvolutionResult:
+def imaginary_time(h, T: float, scheme: QuadratureScheme, u0=None) -> EvolutionResult:
     """Approximate exp(-h T) u0 via the H := 0, L := h specialization.
 
     ``h`` must be Hermitian PSD (the Cauchy identity represents e^{-|x|}).
@@ -242,14 +222,12 @@ def imaginary_time(
         u0 = np.zeros(h.shape[0], dtype=complex)
         u0[0] = 1.0
     g = GeneratorSpec(H=np.zeros_like(h), L=h)
-    return lchs_state(g, u0, scheme, dt)
+    return lchs_state(g, u0, scheme)
 
 
 def trotter_oracle(g_or_a, u0, T: float, dt: float = 0.01) -> np.ndarray:
     """Reference integrator: u <- exp(-i A dt) u repeated T/dt times, A = H - iL."""
     if isinstance(g_or_a, GeneratorSpec):
-        if g_or_a.time_dependent:
-            raise ValueError("trotter oracle covers time-independent generators")
         a_mat = g_or_a.H - 1j * g_or_a.L
     else:
         a_mat = np.asarray(g_or_a, dtype=complex)

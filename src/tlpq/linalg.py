@@ -198,12 +198,8 @@ def pure_state_fidelity(rho, psi, *, clip: bool = False) -> float:
     return float(val.real)
 
 
-def vector_fidelity(u, v, convention: str = "overlap_squared") -> float:
-    """Normalized overlap between two vectors.
-
-    convention="overlap" returns |<u|v>| / (|u| |v|); "overlap_squared" returns
-    its square.
-    """
+def vector_fidelity(u, v) -> float:
+    """Squared normalized overlap |<u|v>|^2 / (|u|^2 |v|^2) of two vectors."""
     u = _as_vector(u)
     v = _as_vector(v)
     if u.shape[0] != v.shape[0]:
@@ -213,8 +209,4 @@ def vector_fidelity(u, v, convention: str = "overlap_squared") -> float:
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("vector_fidelity of a zero vector is undefined")
     ov = abs(np.vdot(u, v)) / (nu * nv)
-    if convention == "overlap":
-        return float(ov)
-    if convention == "overlap_squared":
-        return float(ov * ov)
-    raise ValueError(f"unknown convention {convention!r}")
+    return float(ov * ov)

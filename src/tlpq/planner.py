@@ -14,12 +14,15 @@ backend: tables of the distinct part circuits, observables and input labels,
 and read-only columns of row ids and table positions, converted and checked
 once at construction (operands once per distinct combination rather than
 once per row). It keeps what the runtime derives from its columns, shared by
-the plans of one channel. The runtime computes each row's overlap from the
-gate lists;
+the plans of one channel, and every table, of one row or many, finds the
+distinct part states its rows read the same way (``_side_rows``). The runtime
+computes each row's overlap from the gate lists;
 ``build_estimator_circuit`` gives the hardware-faithful single-ancilla circuit
-of a subtask on request. The module also carries the two GHZ pipelines:
-overlap tomography across a cut, whose gram entries are overlaps of two-qubit
-part states, and the wire-cut density baseline.
+of a subtask on request. A ``ChannelLCU`` is taken as given: no channel is
+ever made dense, so trace preservation is the caller's to hold. The module
+also carries the two GHZ pipelines: overlap tomography across a cut, whose
+gram entries are overlaps of two-qubit part states (``ghz`` runs them as one
+table per readout), and the wire-cut density baseline.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .circuit import (
     circuit_unitary,
     pauli_matrix,
 )
-from .factorize import ChannelQuasiDecomposition, cz_cutting_decomposition
+from .factorize import cz_cutting_decomposition
 from .linalg import _complex_product, is_unitary, kron
 
 __all__ = [
@@ -116,19 +119,6 @@ class FactorizedUnitary:
     def part_widths(self) -> tuple[int, ...]:
         return tuple(c.n_qubits for c in self.terms[0][1])
 
-    def dense(self) -> np.ndarray:
-        """Dense sum over terms of coeff * kron of part unitaries (<= 12 qubits)."""
-        total_width = sum(self.part_widths)
-        if total_width > 12:
-            raise ShapeMismatch("dense check limited to 12 total qubits")
-        out = np.zeros((2**total_width,) * 2, dtype=complex)
-        for coeff, circs in self.terms:
-            block = circuit_unitary(circs[0])
-            for c in circs[1:]:
-                block = kron(block, circuit_unitary(c))
-            out += coeff * block
-        return out
-
     @classmethod
     def from_circuits(cls, circuits: tuple[Circuit, ...]) -> "FactorizedUnitary":
         """Single-term wrapper (ell = 1, coefficient 1)."""
@@ -145,12 +135,9 @@ class ChannelLCU:
     """Phi(rho) = sum_p A_p rho A_p^dagger with A_p = sum_i c_{p,i} U_{p,i}.
 
     branches[p] = (coefficients, factorized unitaries), both of length m.
-    With ``cptp_expected`` the trace-preservation identity
-    sum_p A_p^dagger A_p == I is checked densely at construction.
     """
 
     branches: tuple[tuple[tuple[complex, ...], tuple[FactorizedUnitary, ...]], ...]
-    cptp_expected: bool = False
 
     def __post_init__(self):
         if not self.branches:
@@ -163,12 +150,6 @@ class ChannelLCU:
             for fu in fus:
                 if fu.part_widths != widths:
                     raise ShapeMismatch("all unitaries must share part widths")
-        if self.cptp_expected:
-            self._check_trace_preserving()
-
-    @property
-    def q(self) -> int:
-        return len(self.branches)
 
     @property
     def part_widths(self) -> tuple[int, ...]:
@@ -217,26 +198,6 @@ class ChannelLCU:
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
         return dict(fields, _derived=_Derived(map(fields.get, ("circuits", *Plan._columns))))
-
-    def branch_operator(self, p: int) -> np.ndarray:
-        coeffs, fus = self.branches[p]
-        out = None
-        for c, fu in zip(coeffs, fus):
-            block = c * fu.dense()
-            out = block if out is None else out + block
-        return out
-
-    def _check_trace_preserving(self) -> None:
-        total_width = sum(self.part_widths)
-        if total_width > 6:
-            return  # dense check only at small scale
-        dim = 2**total_width
-        acc = np.zeros((dim, dim), dtype=complex)
-        for p in range(self.q):
-            a_p = self.branch_operator(p)
-            acc += a_p.conj().T @ a_p
-        if float(np.max(np.abs(acc - np.eye(dim)))) > 1e-8:
-            raise NonPhysical("channel is not trace preserving within 1e-8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,11 +290,8 @@ def _side_rows(t: "OverlapTable", ket: str, bra: str) -> list[tuple]:
     positions of their bra states, each row's position among those, the
     distinct (observable, circuit, label) positions of their O|ket> states,
     each row's position among those). The rows are a slice when the table
-    has one width, and so are the row positions when it has one row."""
+    has one width."""
     k, b, o, label = getattr(t, ket), getattr(t, bra), t.observable, t.label
-    if len(k) == 1:  # one row reads one state per side
-        (k,), (b,), (o,), (label,) = (col.tolist() for col in (k, b, o, label))
-        return [(slice(None), [(b, label)], slice(None), [(o, k, label)], slice(None))]
     n_circuits, n_labels = len(t.circuits), int(label.max(initial=-1)) + 1
     width = np.array([c.n_qubits for c in t.circuits], dtype=np.intp)[k]
     widths = sorted(set(width.tolist()))

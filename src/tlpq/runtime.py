@@ -5,26 +5,27 @@ shot-sampling) and remote workers reached over a TCP newline-delimited JSON
 protocol. Scheduling is static round-robin by task id; aggregation is an
 ordered reduce so results are bit-identical across node counts and transports.
 
-A plan's subtasks and the GHZ gram entries run as "overlap" tasks: the backend
+A plan's subtasks and the GHZ gram entries run as overlap rows: the backend
 simulates the left and right gate lists on the part's w qubits and forms
 z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
 (ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). One batched
 routine reads them over a ``planner.OverlapTable``, the one type of overlap
 rows, and the distinct part states its rows read, which the table derives
 once and keeps: a ``planner.Plan`` is a table whose rows read ("ax", "ay"),
-an OverlapSpec holds a one-row table, and a worker decodes each overlap item
-of a batch as one table, so a row gives the same bits everywhere.
+ghz's gram entries are four tables of one readout each, an OverlapSpec holds
+a one-row table, and a worker decodes each overlap item of a batch as one
+table, so a row gives the same bits everywhere.
 
 One runner and one reducer carry a plan from its table to its value as
-arrays. ``_run`` runs plans, or tasks, as items through one path per mode and
-returns each item's values as an array (rows x readouts); locally the items of
-a call share one part-state cache, and over the wire the replies fill the same
-arrays. ``_reduce`` folds a plan's overlaps into its value. ``estimate_plans``
-is the two together; ``execute_tasks`` and ``run_plan`` build TaskResults only
-at their return, and ``aggregate`` reads TaskResults back into one array for
-the same reducer. The wire carries overlap tables and density rows;
-"estimator" tasks run only in-process, as the reference the tests hold
-overlap tasks to.
+arrays. ``_run`` runs tables (plans among them), or tasks, as items through
+one path per mode and returns each item's values as an array (rows x
+readouts); locally the items of a call share one part-state cache, and over
+the wire the replies fill the same arrays. ``_reduce`` folds a plan's
+overlaps into its value. ``estimate_plans`` is the two together;
+``execute_tasks`` and ``run_plan`` build TaskResults only at their return,
+and ``aggregate`` reads TaskResults back into one array for the same reducer.
+The wire carries overlap tables and density rows; "estimator" tasks run only
+in-process, as the reference the tests hold overlap tasks to.
 
 Over the wire (protocol 6) the rows of a call travel as one batch message per
 start node. A batch carries its distinct gates once, as a gate table that one
@@ -446,8 +447,7 @@ class ExactBackend:
         """Run one item; returns its values as an array, one row per task row
         and one column per readout.
 
-        A task is one row, and a table (a Plan, whose rows read "ax", "ay")
-        its rows. Each readout's (w, m) pair gives m exactly, or with shots
+        A task is one row, and a table (a Plan reads "ax", "ay") its rows. Each readout's (w, m) pair gives m exactly, or with shots
         the mean of draws on the stream (seed, row id, readout index).
         ``states`` lets the items of a call or a batch share part states and
         gate prefixes; the item's own circuits are registered in it first
@@ -969,23 +969,24 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
 
 
 def execute_tasks(
-    tasks: list[TaskSpec | OverlapSpec] | list[Plan], cfg: ClusterConfig
+    tasks: list[TaskSpec | OverlapSpec] | list[OverlapTable], cfg: ClusterConfig
 ) -> list[TaskResult] | list[list[TaskResult]]:
     """Run every task exactly once; assignment is task id modulo node count.
 
     ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
-    back in ascending task id order, or a list of Plans, whose results come
-    back as one list per plan, each in the plan's ascending id order. Both run
-    as items (a plan, or a task as one row) through ``_run``. Each plan keeps
-    its own ids, so a row's node, shot stream and result are those of the
-    same row run as a single overlap task. The TaskResults are built here,
-    from the run's arrays; every row's shots used is 0 in exact mode and
-    shots x its readouts in sampled mode, in both modes.
+    back in ascending task id order, or a list of OverlapTables (Plans among
+    them), whose results come back as one list per table, each in the
+    table's ascending id order. Both run as items (a table, or a task as one
+    row) through ``_run``. Each table keeps its own ids, so a row's node,
+    shot stream and result are those of the same row run as a single overlap
+    task. The TaskResults are built here, from the run's arrays; every row's
+    shots used is 0 in exact mode and shots x its readouts in sampled mode,
+    in both modes.
     """
-    plans = [t for t in tasks if isinstance(t, Plan)]
-    if plans and len(plans) != len(tasks):
-        raise TypeError("execute_tasks takes a list of tasks or a list of plans, not both")
-    items = plans or sorted(tasks, key=lambda t: t.id)
+    tables = [t for t in tasks if isinstance(t, OverlapTable)]
+    if tables and len(tables) != len(tasks):
+        raise TypeError("execute_tasks takes a list of tasks or a list of tables, not both")
+    items = tables or sorted(tasks, key=lambda t: t.id)
     values, answers = _run(items, cfg)
     ids = [item.ids.tolist() for item in items]
     if answers is None:  # local: node id % nodes
@@ -999,7 +1000,7 @@ def execute_tasks(
     out = [list(map(TaskResult, row_ids, map(tuple, v.tolist()),
                     itertools.repeat(0 if cfg.shots is None else cfg.shots * v.shape[1]), labels))
            for row_ids, v, labels in zip(ids, values, nodes)]
-    return out if plans else [r for (r,) in out]
+    return out if tables else [r for (r,) in out]
 
 
 def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:

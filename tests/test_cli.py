@@ -196,6 +196,25 @@ def test_non_physical_reconstruction_exits_4_under_check_else_3(
     assert not (tmp_path / "o.json").exists()
 
 
+def test_ghz_runs_as_four_overlap_tables_in_one_small_batch_line(monkeypatch):
+    """ghz sends its 128 evaluations as four 32-row tables, one per readout,
+    table r holding ids 4k + r: one node's batch has four overlap items and
+    a line under 4,000 bytes (20,132 as 128 one-row items)."""
+    from tlpq.runtime import _batches
+
+    calls = []
+    monkeypatch.setattr(cli, "execute_tasks",
+                        lambda items, cfg: calls.append(items) or execute_tasks(items, cfg))
+    cli.run_ghz_pipeline(ClusterConfig())
+    (tables,) = calls
+    assert [t.ids.tolist() for t in tables] == [list(range(r, 128, 4)) for r in range(4)]
+    (batch,) = _batches(tables, 1, None, 0)
+    items = batch.message["items"]
+    assert [(item["kind"], item["readout"]) for item in items] == [
+        ("overlap", [readout]) for readout in ("ax", "ay", "p0", "p1")]
+    assert len(batch.line) < 4000
+
+
 # --- ghz-cut ----------------------------------------------------------------------
 
 
@@ -426,6 +445,14 @@ def test_imagtime_degenerate_quadrature_exits_3(runner):
     result = runner.invoke(main, ["imagtime", "--eps", "2.0"])
     assert result.exit_code == 3
     assert "error:" in combined_output(result)
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan"])
+@pytest.mark.parametrize("command", ["nonherm", "imagtime"])
+def test_a_dt_that_is_not_positive_exits_3(runner, command, dt):
+    result = runner.invoke(main, [command, "--dt", dt])
+    assert result.exit_code == 3
+    assert (result.stdout, result.stderr) == ("", "error: dt must be positive\n")
 
 
 # --- config files ------------------------------------------------------------------

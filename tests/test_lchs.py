@@ -176,42 +176,6 @@ def test_unitary_node_matches_expm(rng):
         assert np.allclose(got @ got.conj().T, np.eye(2), atol=1e-10)
 
 
-def test_unitary_node_time_dependent_midpoint_rule(rng):
-    h_of_t = lambda t: np.cos(t) * PAULI["X"]            # noqa: E731
-    l_of_t = lambda t: (1 + np.sin(t)) * np.eye(2)       # noqa: E731
-    g = GeneratorSpec(H=h_of_t, L=l_of_t, time_dependent=True)
-    k, T = 1.3, 0.5
-    got = unitary_node(g, k, T, dt=0.01)
-    # independent fine-step oracle assembled with scipy
-    fine = np.eye(2, dtype=complex)
-    steps, dt = 5000, 0.5 / 5000
-    for s in range(steps):
-        t_mid = (s + 0.5) * dt
-        fine = scipy.linalg.expm(
-            -1j * (h_of_t(t_mid) + k * l_of_t(t_mid)) * dt
-        ) @ fine
-    assert np.allclose(got, fine, atol=1e-3)
-
-
-def test_unitary_node_constant_callables_match_static():
-    g_static = GeneratorSpec(H=PAULI["X"], L=np.eye(2))
-    g_callable = GeneratorSpec(
-        H=lambda t: PAULI["X"], L=lambda t: np.eye(2), time_dependent=True
-    )
-    a = unitary_node(g_static, 0.7, 0.4)
-    b = unitary_node(g_callable, 0.7, 0.4, dt=0.01)
-    assert np.allclose(a, b, atol=1e-6)
-
-
-def test_unitary_node_rejects_bad_dt():
-    g = GeneratorSpec(H=lambda t: PAULI["X"], L=lambda t: np.eye(2),
-                      time_dependent=True)
-    with pytest.raises(ValueError):
-        unitary_node(g, 1.0, 0.25, dt=0.1)  # 0.1 does not divide 0.25
-    with pytest.raises(ValueError):
-        unitary_node(g, 1.0, 0.25, dt=0.0)
-
-
 def test_generator_spec_validates_matrices():
     with pytest.raises(NotHermitian):
         GeneratorSpec(H=np.array([[0, 1], [0, 0]], dtype=complex), L=np.eye(2))
@@ -445,13 +409,15 @@ def test_trotter_oracle_static_matches_expm(rng):
     assert np.allclose(got_raw, want, atol=1e-9)
 
 
-def test_trotter_oracle_rejects_time_dependent_and_bad_dt():
-    g = GeneratorSpec(H=lambda t: PAULI["X"], L=lambda t: np.eye(2),
-                      time_dependent=True)
-    with pytest.raises(ValueError):
-        trotter_oracle(g, np.array([1.0, 0.0]), 1.0)
-    with pytest.raises(ValueError):
+def test_trotter_oracle_rejects_a_dt_that_does_not_divide_T():
+    with pytest.raises(ValueError, match="does not divide"):
         trotter_oracle(PAULI["X"], np.array([1.0, 0.0]), 0.25, dt=0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+def test_a_dt_that_is_not_positive_is_refused_by_one_rule(dt):
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        trotter_oracle(PAULI["X"], np.array([1.0, 0.0]), 0.25, dt=dt)
 
 
 def test_exact_ground_closed_form():

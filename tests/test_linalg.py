@@ -144,18 +144,11 @@ class TestPureStateFidelity:
 
 
 class TestVectorFidelity:
-    def test_conventions(self, rng):
+    def test_squared_overlap(self, rng):
         u = random_state(4, rng)
         v = random_state(4, rng)
         overlap = abs(np.vdot(u, v))
-        assert vector_fidelity(u, v, "overlap") == pytest.approx(overlap, abs=1e-12)
-        assert vector_fidelity(u, v, "overlap_squared") == pytest.approx(
-            overlap**2, abs=1e-12
-        )
-
-    def test_default_is_squared(self, rng):
-        u, v = random_state(3, rng), random_state(3, rng)
-        assert vector_fidelity(u, v) == vector_fidelity(u, v, "overlap_squared")
+        assert vector_fidelity(u, v) == pytest.approx(overlap**2, abs=1e-12)
 
     def test_normalization_and_phase_invariance(self, rng):
         u = random_state(5, rng)
@@ -171,11 +164,6 @@ class TestVectorFidelity:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             vector_fidelity(np.zeros(3), np.array([1.0, 0, 0]))
-
-    def test_unknown_convention(self, rng):
-        u = random_state(2, rng)
-        with pytest.raises(ValueError):
-            vector_fidelity(u, u, "no_such_convention")
 
 
 class TestPredicates:

@@ -295,13 +295,6 @@ class TestEnumerateSubtasks:
         with pytest.raises(ShapeMismatch):
             enumerate_subtasks(ch, bad_labels, obs)
 
-    def test_trace_preservation_check(self):
-        # a single unitary branch is trace preserving; a scaled one is not
-        fu = FactorizedUnitary.from_circuits((Circuit(1, (Gate("I", (0,)),)),))
-        ChannelLCU(branches=(((1.0 + 0j,), (fu,)),), cptp_expected=True)
-        with pytest.raises(NonPhysical):
-            ChannelLCU(branches=(((0.5 + 0j,), (fu,)),), cptp_expected=True)
-
 
 def two_width_rows(n: int = 60) -> list[Subtask]:
     """``n`` rows in two operand combinations: even ids are one-qubit rows

@@ -1599,6 +1599,60 @@ def test_empty_plan_runs_to_no_results(shots):
     assert execute_tasks([Plan.from_subtasks([])] * 2, cfg) == [[], []]
 
 
+@st.composite
+def small_tables(draw):
+    """A few plain overlap tables over one operand table: parts of width 1-3,
+    Pauli observables, random labels, each table's readouts any non-empty
+    subset of ax / ay / p0 / p1 in any order, row ids spread over the tables;
+    and shots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuits, observables, labels = [], [], []
+    for w in (1, 2, 3):
+        circuits += [random_circuit(rng, w, n_gates=3) for _ in range(2)]
+        observables += [PauliString(w, "".join(rng.choice(list("IXYZ"), size=w)))
+                        for _ in range(2)]
+        labels.append("".join(rng.choice(list("01"), size=w)))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    ids = rng.permutation(sum(sizes))
+    tables = []
+    for n, start in zip(sizes, np.cumsum([0] + sizes).tolist()):
+        w = rng.integers(0, 3, size=n)  # each row's width, as a position in (1, 2, 3)
+        tables.append(OverlapTable(
+            circuits=tuple(circuits), observables=tuple(observables), labels=tuple(labels),
+            ids=np.sort(ids[start:start + n]), left=2 * w + rng.integers(0, 2, size=n),
+            right=2 * w + rng.integers(0, 2, size=n), observable=2 * w + rng.integers(0, 2, size=n),
+            label=w, readouts=tuple(draw(st.lists(st.sampled_from(["ax", "ay", "p0", "p1"]),
+                                                  min_size=1, max_size=4, unique=True)))))
+    return tables, draw(st.none() | st.integers(1, 16))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(small_tables())
+def test_tables_give_the_rows_of_one_row_tasks_bit_for_bit(case):
+    tables, shots = case
+    tasks = [OverlapSpec(id=i, left=t.circuits[l], right=t.circuits[r],
+                         observable=t.observables[o], input_label=t.labels[b],
+                         readouts=t.readouts)
+             for t in tables
+             for i, l, r, o, b in zip(*(c.tolist() for c in (t.ids, t.left, t.right,
+                                                              t.observable, t.label)))]
+
+    def results(rows):  # by id: the value's bits, shots used and node
+        return sorted((r.task_id, np.array(r.value).tobytes(), r.shots_used, r.node_id)
+                      for r in rows)
+
+    def check(cfg):
+        got = results(r for rows in execute_tasks(tables, cfg) for r in rows)
+        assert got == results(execute_tasks(tasks, cfg))
+        return [row[:3] for row in got]
+
+    base = check(ClusterConfig(nodes=1, shots=shots, seed=9))
+    assert check(ClusterConfig(nodes=3, shots=shots, seed=9)) == base
+    with live_worker() as a, live_worker() as b:
+        assert check(ClusterConfig(mode="network", nodes=(a,), shots=shots, seed=9)) == base
+        assert check(ClusterConfig(mode="network", nodes=(a, b), shots=shots, seed=9)) == base
+
+
 # --- stacked overlaps: every value has the bits of its row's own np.vdot -----------
 
 
@@ -2072,7 +2126,7 @@ def _pin_tasks(case: str) -> list:
 
 
 def _one_batch(tasks, shots=None, seed=0):
-    """The controller's own protocol-5 message for ``tasks`` on one node, and
+    """The controller's own batch message for ``tasks`` on one node, and
     an in-thread worker's reply to it."""
     from tlpq.runtime import _batches
 
@@ -2087,7 +2141,7 @@ def _one_batch(tasks, shots=None, seed=0):
 @pytest.mark.parametrize("shots", [None, 40])
 @pytest.mark.parametrize("case", ["prefix", "raw_divergence", "two_labels", "equal_values",
                                   "signed_zero"])
-def test_a_protocol_5_batch_answers_each_row_bit_for_bit_as_it_runs_alone(case, shots):
+def test_a_batch_answers_each_row_bit_for_bit_as_it_runs_alone(case, shots):
     def value(g):  # a gate's value, parameters and matrix by their exact bits
         return g.kind, g.qubits, np.array(g.params).tobytes(), np.asarray(g.raw).tobytes()
 
@@ -2187,7 +2241,7 @@ _GOOD_TABLE = {"n": 2, "gates": [{"kind": "H", "qubits": [0]}, {"kind": "CZ", "q
 ], ids=["table_list", "table_without_gates", "table_bad_field", "bool_position",
         "float_position", "negative_position", "position_past_end", "text_position",
         "narrow_circuit", "float_width", "extra_field", "protocol_4"])
-def test_a_malformed_protocol_5_batch_gets_an_error_and_the_worker_keeps_serving(change):
+def test_a_malformed_batch_gets_an_error_and_the_worker_keeps_serving(change):
     good = {"type": "batch", "shots": None, "seed": 0, "gates": _GOOD_TABLE,
             "circuits": [{"n": 2, "gates": [0, 1]}],
             "items": [{"id": 3, "kind": "density", "circuit": 0, "readout": ["e:ZZ"]}]}
