@@ -256,11 +256,13 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -> np.ndarray:
-    """O|state>: a signed permutation for Pauli letters, a matvec for a matrix."""
+    """O|state>, or O on each state of a stack (states x amplitudes): a
+    signed permutation for Pauli letters, a matvec per state for a matrix.
+    A stacked state gets the bits of its own call."""
     if not isinstance(observable, PauliString):
-        return observable @ state
+        return observable @ state if state.ndim == 1 else np.array([observable @ s for s in state])
     source, phase = _pauli_action(observable.letters)
-    return phase * state[source]
+    return phase * state[..., source]
 
 
 def _rotation(kind: str, theta: float) -> np.ndarray:
@@ -380,6 +382,7 @@ class _PartStates:
         self._paths: dict[Circuit, list[_Prefix]] = {}  # the tree nodes of each gate
         self._kept: dict = {}  # (branch node, label, unitary) -> state tensor there
         self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
+        self._stacks: dict = {}  # (circuits, labels, positions) -> their overlap states
         self.add(circuits)
 
     def __len__(self) -> int:
@@ -400,6 +403,17 @@ class _PartStates:
                 path.append(node)
             node.end = True
             self._paths[c] = path
+
+    def stack(self, circuits: tuple[Circuit, ...], labels: tuple[str, ...],
+              at: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """The overlap states of the (circuit, label) positions ``at`` in
+        ``circuits`` and ``labels``, stacked; kept, so each stack is built once."""
+        key = (circuits, labels, at)
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks[key] = np.array([self.state(circuits[c], labels[b])
+                                                  for c, b in at])
+        return stack
 
     def state(self, c: Circuit, label: str, unitary: bool = True) -> np.ndarray:
         """U|label> over the circuit's own qubits, computed on a miss."""

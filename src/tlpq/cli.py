@@ -180,8 +180,9 @@ def run_nonherm_rows(
     The tlp column is the raw quadratic form <sum c_k U_k u0 | P | sum c_k' U_k' u0>
     per 1-qubit Pauli P, run as planner subtasks through the runtime: all
     T x 4 Pauli plans go to one estimate_plans call, and the 4 plans of one T
-    share its node circuits, so each node state is simulated once. The dense
-    column reuses the same node unitaries.
+    share its node circuits, so each node state is simulated once. Each T's
+    node unitaries are one ``unitary_node`` stack (one ``np.linalg.eigh``),
+    which the dense column reuses.
     """
     g, u0 = nonherm_generator()
     observable_r = random_hermitian_observable(cluster.seed)
@@ -192,7 +193,7 @@ def run_nonherm_rows(
     ]
     # the reference integrator checks dt, before any task runs
     oracles = [trotter_oracle(g, u0, t, dt) for t in t_values]
-    unitaries = [[unitary_node(g, float(k), s.T) for k in s.nodes] for s in schemes]
+    unitaries = [unitary_node(g, s.nodes, s.T) for s in schemes]
     plans = []
     for scheme, us in zip(schemes, unitaries):
         channel = _channel_from_unitaries(us, scheme.coeffs)
@@ -210,7 +211,7 @@ def run_nonherm_rows(
     for t, scheme, us, forms, w in zip(t_values, schemes, unitaries, forms_per_t, oracles):
         norm_form = forms["I"]
         dense = lchs_forms(
-            [u @ u0 for u in us], scheme.coeffs,
+            us @ u0, scheme.coeffs,
             (PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"], observable_r), normalize,
         )
         w_norm = float(np.vdot(w, w).real)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, pi
+from math import floor, isfinite, pi
 
 import numpy as np
 
@@ -73,8 +73,8 @@ def build_quadrature(
     ``emulate_float_truncation=True`` floors plain binary-float quotients
     instead, reproducing published node counts computed that way (T=0.6 -> 11).
     """
-    if eps <= 0 or c <= 0 or T <= 0:
-        raise ValueError("eps, c, T must all be positive")
+    if not all(x > 0 and isfinite(x) for x in (eps, c, T)):
+        raise ValueError("eps, c, T must all be positive and finite")
     if emulate_float_truncation:
         k_cut = floor(c / eps)
         m = floor(2 * k_cut * T / eps)
@@ -122,9 +122,12 @@ class EvolutionResult:
     per_node_states: tuple[np.ndarray, ...] | None = None
 
 
-def unitary_node(g: GeneratorSpec, k: float, T: float) -> np.ndarray:
-    """exp(-i (H + k L) T), one node of the quadrature."""
-    return matexp(g.H + k * g.L, -1j * T)
+def unitary_node(g: GeneratorSpec, k: float | np.ndarray, T: float) -> np.ndarray:
+    """exp(-i (H + k L) T), one node of the quadrature. For a 1-D array of
+    nodes, the stack of their unitaries from one ``matexp`` call, whose one
+    ``np.linalg.eigh`` diagonalizes every node; each has the bits of its
+    own call."""
+    return matexp(g.H + np.multiply.outer(k, g.L), -1j * T)
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -140,9 +143,7 @@ def _step_count(T: float, dt: float) -> int:
 def lchs_state(g: GeneratorSpec, u0, scheme: QuadratureScheme) -> EvolutionResult:
     """u(T) = sum_j c_j U_j u0, keeping the per-node states."""
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
-    per_node = tuple(
-        unitary_node(g, float(k), scheme.T) @ u0 for k in scheme.nodes
-    )
+    per_node = tuple(unitary_node(g, scheme.nodes, scheme.T) @ u0)
     state = np.zeros_like(u0)
     for c_j, v_j in zip(scheme.coeffs, per_node):
         state = state + c_j * v_j

@@ -118,25 +118,33 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matexp(a, scale: complex) -> np.ndarray:
-    """exp(scale * a) for a square matrix.
+    """exp(scale * a) for a square matrix, or for each matrix of a stack
+    (n, d, d), with the bits of its own call.
 
-    When ``a`` is Hermitian and ``scale`` is purely real or purely imaginary the
-    eigendecomposition path is used, which keeps unitary results exactly unitary.
-    Otherwise a scaling-and-squaring truncated power series is used (dimensions
-    here are small, so no Pade machinery is needed).
+    A Hermitian matrix (``is_hermitian``'s check, per matrix) with ``scale``
+    purely real or purely imaginary takes the eigendecomposition path, which
+    keeps unitary results exactly unitary; a stack whose matrices all take
+    it shares one ``np.linalg.eigh``. Any other takes a scaling-and-squaring
+    truncated power series (dimensions here are small, so no Pade machinery
+    is needed).
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matexp needs a square matrix, got {a.shape}")
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        return matexp(_as_matrix(a)[None], scale)[0]
+    if a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"matexp needs a square matrix, got {a.shape[1:]}")
     scale = complex(scale)
     if scale == 0:
-        return np.eye(a.shape[0], dtype=complex)
+        return np.broadcast_to(np.eye(a.shape[1], dtype=complex), a.shape).copy()
     mag = abs(scale)
     pure_axis = abs(scale.real) < 1e-14 * mag or abs(scale.imag) < 1e-14 * mag
-    if pure_axis and is_hermitian(a):
+    # is_hermitian's check of each matrix, taken only when the scale qualifies
+    if pure_axis and (np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)) < HERMITIAN_TOL).all():
         w, v = np.linalg.eigh(a)
-        return (v * np.exp(scale * w)) @ v.conj().T
-    return _series_exp(scale * a)
+        return (v * np.exp(scale * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    if len(a) != 1:  # each matrix on its own path
+        return np.array([matexp(m, scale) for m in a]).reshape(a.shape)
+    return _series_exp(scale * a[0])[None]
 
 
 def _series_exp(b: np.ndarray) -> np.ndarray:

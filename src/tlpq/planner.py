@@ -15,7 +15,8 @@ and read-only columns of row ids and table positions, converted and checked
 once at construction (operands once per distinct combination rather than
 once per row). It keeps what the runtime derives from its columns, shared by
 the plans of one channel, and every table, of one row or many, finds the
-distinct part states its rows read the same way (``_side_rows``). The runtime
+distinct part states its rows read the same way (``_side_rows``); a channel
+plan reads these values off its channel's term list. The runtime
 computes each row's overlap from the gate lists;
 ``build_estimator_circuit`` gives the hardware-faithful single-ancilla circuit
 of a subtask on request. A ``ChannelLCU`` is taken as given: no channel is
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -160,8 +161,9 @@ class ChannelLCU:
         """The Plan fields that no input or observable changes: the table of
         distinct part circuits, the read-only columns of every row in id
         order, whose ``observable`` and ``label`` are the part a, and one
-        holder of what the runtime derives from them. Built once, so all
-        plans of this channel share them. A group's coefficient
+        holder of what the runtime derives from them, which keeps the term
+        list (``_Terms``) it derives them from. Built once, so all plans of
+        this channel share them. A group's coefficient
         c_i conj(c_j) coeff_alpha conj(coeff_alpha2) is multiplied left to
         right, each product rounded as a scalar complex multiply rounds it."""
         # circuits by first use: each branch's unitaries' terms' parts, in order
@@ -169,7 +171,8 @@ class ChannelLCU:
             c for _, fus in self.branches for fu in fus for _, parts in fu.terms for c in parts)
         position = dict(zip(circuits, range(len(circuits))))
         n_parts = len(self.part_widths)
-        columns = []  # per branch: indices, left, right, coefficient
+        columns = []  # per branch: indices, left, right, coefficient, its term list
+        n_terms = 0  # terms of the branches before this one
         for p, (coeffs, fus) in enumerate(self.branches):
             terms = [(i, alpha, ca, tuple(map(position.__getitem__, parts)))
                      for i, fu in enumerate(fus) for alpha, (ca, parts) in enumerate(fu.terms)]
@@ -189,15 +192,19 @@ class ChannelLCU:
                 np.column_stack([np.repeat(group, n_parts, axis=0),
                                  np.tile(np.arange(n_parts), len(left))]),
                 parts[left].ravel(), parts[right].ravel(), coefficient.ravel(),
+                parts, n_terms + left, n_terms + right, group_coeff,
             ))
-        indices, left, right, coefficient = (np.concatenate(col) for col in zip(*columns))
+            n_terms += len(terms)
+        indices, left, right, coefficient, *terms = (np.concatenate(col) for col in zip(*columns))
         part = np.ascontiguousarray(indices[:, 5])
         fields = dict(circuits=tuple(circuits), ids=np.arange(len(part)), indices=indices,
                       left=left, right=right, observable=part, label=part, coefficient=coefficient)
-        for column in fields.values():
+        terms = _Terms(*terms)
+        for column in (*fields.values(), *terms):
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
-        return dict(fields, _derived=_Derived(map(fields.get, ("circuits", *Plan._columns))))
+        source = map(fields.get, ("circuits", *Plan._columns))
+        return dict(fields, _derived=_Derived(source, terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,16 +247,36 @@ def _frozen(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
 def _index_column(values, rule: str, least: int | None = None) -> np.ndarray:
     """``values`` as a read-only intp column. Each must be an int, not a bool,
     and at least ``least`` when that is given; ``rule`` is the message that
-    refuses the first that is not. An integer array is checked as a whole."""
+    refuses the first that is not. An integer array is checked as a whole,
+    and so is a list of exact ints (a worker's decoded columns): one pass
+    over their types and one ``min``, the per-element loop only to name
+    the first refused."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         bad = [] if least is None else values[values < least].tolist()
     else:
         values = values.tolist() if isinstance(values, np.ndarray) else tuple(values)
-        bad = [x for x in values if not isinstance(x, int) or isinstance(x, bool)
-               or least is not None and x < least]
+        exact = set(map(type, values)) <= {int}
+        if exact and (least is None or min(values, default=least) >= least):
+            bad = []
+        else:
+            bad = [x for x in values if not isinstance(x, int) or isinstance(x, bool)
+                   or least is not None and x < least]
     if bad:
         raise ValueError(rule.format(bad[0]))
     return _frozen(values, np.intp, (len(values),))
+
+
+class _Terms(NamedTuple):
+    """A channel's term list, which its plans' derived values are read from:
+    the part circuit positions of each term of each branch, in order (terms x
+    parts), and for each (left term, right term) pair in row order, the
+    positions of its two terms and its group's coefficient. Row r of the
+    plan is part r % parts of pair r // parts."""
+
+    parts: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    coefficient: np.ndarray
 
 
 class _Derived(dict):
@@ -257,11 +284,13 @@ class _Derived(dict):
     on first use. ``source`` is the circuit table and the columns it is
     derived from: the tables built on these same objects share the holder
     (the plans of one channel), and a table with any other column gets its
-    own, so it never reads values derived from another's."""
+    own, so it never reads values derived from another's. ``terms`` is the
+    term list of a channel's columns, None for any other table."""
 
-    def __init__(self, source):
+    def __init__(self, source, terms: _Terms | None = None):
         super().__init__()
         self.source = tuple(source)
+        self.terms = terms
 
 
 def _extent(t: "OverlapTable") -> tuple:
@@ -272,7 +301,15 @@ def _extent(t: "OverlapTable") -> tuple:
     right width, observable position, label position), none when a circuit
     position is out of bounds. That is what
     ``check_overlap_operands`` reads of a row, so a row passes or fails
-    with the first row of its combination."""
+    with the first row of its combination. A channel plan reads them off its
+    term list: its ids count up from 0, every term pairs with every term,
+    and its first pair's rows are parts 0, 1, ..., the first of each
+    combination."""
+    terms = t._derived.terms
+    if terms is not None:
+        n_parts = terms.parts.shape[1]
+        circuits = (int(terms.parts.min()), int(terms.parts.max()))
+        return True, [circuits, circuits] + [(0, n_parts - 1)] * 2, list(range(n_parts))
     ids, *columns = (c.tolist() for c in (t.ids, t.left, t.right, t.observable, t.label))
     bounds = [(min(col), max(col)) if col else (0, -1) for col in columns]
     width = [c.n_qubits for c in t.circuits]
@@ -285,31 +322,43 @@ def _extent(t: "OverlapTable") -> tuple:
 
 
 def _side_rows(t: "OverlapTable", ket: str, bra: str) -> list[tuple]:
-    """The distinct states that the rows' z = <bra| O |ket> read, one entry
-    per part width: (the rows of that width, the distinct (circuit, label)
-    positions of their bra states, each row's position among those, the
-    distinct (observable, circuit, label) positions of their O|ket> states,
-    each row's position among those). The rows are a slice when the table
-    has one width."""
-    k, b, o, label = getattr(t, ket), getattr(t, bra), t.observable, t.label
-    n_circuits, n_labels = len(t.circuits), int(label.max(initial=-1)) + 1
-    width = np.array([c.n_qubits for c in t.circuits], dtype=np.intp)[k]
-    widths = sorted(set(width.tolist()))
+    """The distinct states that the rows' z = <bra| O |ket> read, in blocks
+    of rows that share a part width and an observable: (the block's rows,
+    its observable position, the distinct (circuit, label) positions of its
+    bra states, each row's position among those, the same of its ket
+    states). The rows are a slice when the table has one block.
+
+    A channel plan's blocks are its parts, read off its term list: one tuple
+    of part a's distinct circuits serves both sides, and a row reads the
+    states of its pair's two terms."""
+    terms = t._derived.terms
+    if terms is not None:
+        side, n_parts = {"left": terms.left, "right": terms.right}, terms.parts.shape[1]
+        out = []
+        for a in range(n_parts):
+            circuits = list(dict.fromkeys(terms.parts[:, a].tolist()))  # part a's, distinct
+            position = np.zeros(len(t.circuits), dtype=np.intp)  # of each among them
+            position[circuits] = np.arange(len(circuits))
+            of_term, at = position[terms.parts[:, a]], tuple((c, a) for c in circuits)
+            out.append((slice(a, None, n_parts), a, at, of_term[side[bra]], at, of_term[side[ket]]))
+        return out
+    label, n_observables = t.label, len(t.observables)
+    n_labels = int(label.max(initial=-1)) + 1
+
+    def distinct_states(circuit: np.ndarray, rows) -> tuple:
+        """The distinct (circuit, label) positions of the rows, and each row's
+        position among them (each pair coded as one integer)."""
+        codes, of_row = np.unique(circuit[rows] * n_labels + label[rows], return_inverse=True)
+        return tuple(zip(*(x.tolist() for x in np.divmod(codes, n_labels)))), of_row
+
+    width = np.array([c.n_qubits for c in t.circuits], dtype=np.intp)[getattr(t, ket)]
+    block = width * n_observables + t.observable
+    blocks = sorted(set(block.tolist()))
     out = []
-    for w in widths:
-        rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
-        # (circuit, label) and (observable, circuit, label) positions as one integer each
-        bras, bra_of_row = np.unique(b[rows] * n_labels + label[rows], return_inverse=True)
-        kets, ket_of_row = np.unique((o[rows] * n_circuits + k[rows]) * n_labels + label[rows],
-                                     return_inverse=True)
-        ket_o, ket_state = np.divmod(kets, n_circuits * n_labels)
-        out.append((
-            rows,
-            list(zip(*(x.tolist() for x in np.divmod(bras, n_labels)))),
-            bra_of_row,
-            list(zip(ket_o.tolist(), *(x.tolist() for x in np.divmod(ket_state, n_labels)))),
-            ket_of_row,
-        ))
+    for key in blocks:
+        rows = slice(None) if len(blocks) == 1 else np.flatnonzero(block == key)
+        out.append((rows, key % n_observables, *distinct_states(getattr(t, bra), rows),
+                    *distinct_states(getattr(t, ket), rows)))
     return out
 
 
@@ -411,7 +460,13 @@ def _groups(plan: "Plan") -> tuple[np.ndarray, list]:
     """The sibling groups as aggregation reads them: a group is a run of
     rows whose indices[:5] agree. Returns each group's coefficient (that of
     its last a = 0 row, else 1) and, for each member position k, the groups
-    that have a k-th member and the row of that member."""
+    that have a k-th member and the row of that member. A channel plan's
+    groups are its pairs, read off its term list, and every pair's k-th
+    member is part k, so both are slices."""
+    terms = plan._derived.terms
+    if terms is not None:
+        n_parts = terms.parts.shape[1]
+        return terms.coefficient, [(slice(None), slice(k, None, n_parts)) for k in range(n_parts)]
     n = len(plan)
     first = np.ones(n, dtype=bool)  # where a group starts
     np.not_equal(plan.indices[1:, :5], plan.indices[:-1, :5]).any(1, out=first[1:])

@@ -322,21 +322,19 @@ _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
 
 
 def _side_states(t: OverlapTable, ket: str, bra: str, states: _PartStates):
-    """For each part width of the table, (its rows, the stacked distinct bra
-    states, each row's position among them, the stacked distinct O|ket>
-    states, each row's position among them) of one (ket, bra) side pair
-    (``OverlapTable.sides``).
+    """For each block of the table (``OverlapTable.sides``): (its rows, the
+    stacked distinct bra states, each row's position among them, the stacked
+    distinct O|ket> states, each row's position among them) of one (ket,
+    bra) side pair.
 
-    Each distinct (circuit, label) is simulated once per ``states``, and each
-    observable is applied once to each distinct state it meets.
+    Each distinct (circuit, label) is simulated once per ``states``, which
+    also keeps each stack it builds, so the plans of one channel read one
+    stack per part; the block's observable is applied once to each distinct
+    ket state.
     """
-
-    def part(c: int, b: int) -> np.ndarray:  # U|label>, simulated on a miss of ``states``
-        return states.state(t.circuits[c], t.labels[b])
-
-    for rows, bra_at, bra_of_row, ket_at, ket_of_row in t.sides(ket, bra):
-        bras = np.array([part(c, b) for c, b in bra_at])
-        kets = np.array([_apply_observable(t.observables[o], part(c, b)) for o, c, b in ket_at])
+    for rows, o, bra_at, bra_of_row, ket_at, ket_of_row in t.sides(ket, bra):
+        bras = states.stack(t.circuits, t.labels, bra_at)
+        kets = _apply_observable(t.observables[o], states.stack(t.circuits, t.labels, ket_at))
         yield rows, bras, bra_of_row, kets, ket_of_row
 
 
@@ -347,11 +345,12 @@ def _overlaps(t: OverlapTable, states: _PartStates) -> np.ndarray:
     A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
     names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
     (<s|s> / 2, Re z / 2) with s the right / left state. One ``np.vecdot``
-    per side pair and part width forms every z from the rows' stacked bra
-    and O|ket> states (``_side_states``): it runs the BLAS dot that
-    ``np.vdot`` runs, row by row, so a value has the bits of its row's own
-    ``np.vdot``, whatever table the row is read in. Each <s|s> is taken once
-    per distinct state.
+    per side pair and block forms every z from the rows' stacked bra and
+    O|ket> states (``_side_states``); for a channel plan a block is a part a,
+    and z_a = vecdot(S_a[right terms], (O_a S_a)[left terms]) over its
+    pairs. It runs the BLAS dot that ``np.vdot`` runs, row by row, so a
+    value has the bits of its row's own ``np.vdot``, whatever table the row
+    is read in. Each <s|s> is taken once per distinct state.
     """
     out = np.empty((2, len(t.ids), len(t.readouts)))  # w, then m, of each row's readouts
     out[0] = 1.0

@@ -386,7 +386,8 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     assert circuits == 120
     # one simulation per node circuit of one gate (4 per circuit when each letter ran alone)
     assert len(calls["applied"]) == len({id(g) for g in calls["applied"]}) == circuits
-    assert calls["unitary_node"] == circuits  # the dense column reuses them
+    # one call per T builds its node stack; the dense column reuses it
+    assert calls["unitary_node"] == len(cli._DEFAULT_NONHERM_T) == 10
     assert calls["overlap_spec"] == 0
     assert calls["operand_check"] <= circuits
 

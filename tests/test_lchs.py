@@ -129,6 +129,16 @@ def test_quadrature_degenerate_and_invalid_inputs():
             build_quadrature(*bad)
 
 
+@pytest.mark.parametrize("emulate", [False, True])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_quadrature_refuses_non_finite_inputs_with_its_own_message(emulate, value, at):
+    inputs = [0.2, 0.5, 0.5]
+    inputs[at] = value
+    with pytest.raises(ValueError, match="^eps, c, T must all be positive and finite$"):
+        build_quadrature(*inputs, emulate_float_truncation=emulate)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     eps=st.floats(min_value=0.05, max_value=0.5),
@@ -174,6 +184,29 @@ def test_unitary_node_matches_expm(rng):
         want = scipy.linalg.expm(-1j * (h + k * l_mat) * T)
         assert np.allclose(got, want, atol=1e-10)
         assert np.allclose(got @ got.conj().T, np.eye(2), atol=1e-10)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.lists(st.floats(-40, 40), max_size=9),
+       st.sampled_from([0.0, 0.3]) | st.floats(0.01, 3.0), st.integers(0, 2**32 - 1))
+def test_unitary_node_on_a_node_array_stacks_its_per_node_calls_bit_for_bit(n, nodes, T, seed):
+    rng = np.random.default_rng(seed)
+    g = GeneratorSpec(H=random_hermitian(2**n, rng), L=random_hermitian(2**n, rng))
+    stack = unitary_node(g, np.array(nodes), T)
+    assert stack.shape == (len(nodes), 2**n, 2**n)
+    for k, u in zip(nodes, stack):
+        assert u.tobytes() == unitary_node(g, k, T).tobytes()
+
+
+def test_matexp_of_a_stack_takes_each_matrix_s_own_path_bit_for_bit(rng):
+    from tlpq.linalg import matexp
+
+    h = random_hermitian(4, rng)
+    # the middle matrix is not Hermitian
+    stack = np.array([h, h + 1e-6j * random_hermitian(4, rng), 2 * h])
+    for scale in (-0.7j, -0.4, 0.3 + 0.2j, 0):
+        got = matexp(stack, scale)
+        assert [m.tobytes() for m in got] == [matexp(m, scale).tobytes() for m in stack]
 
 
 def test_generator_spec_validates_matrices():

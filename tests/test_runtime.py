@@ -1819,8 +1819,13 @@ _ID_RULE = "a row id must be an integer >= 0, got "
     (lambda p: TaskSpec(id=-1, kind="density", circuit=p.circuits[0], readouts=("e:Z",)),
      _ID_RULE + "-1"),
     (lambda p: dataclasses.replace(p, ids=np.array([-3, 4])), _ID_RULE + "-3"),
+    (lambda p: dataclasses.replace(p, ids=[1, -5]), _ID_RULE + "-5"),
+    (lambda p: dataclasses.replace(p, ids=[-10**30, 1]), _ID_RULE + str(-10**30)),
+    (lambda p: dataclasses.replace(p, right=[0, True]),
+     "a table position must be an integer, got True"),
 ], ids=["plan-float-id", "plan-negative-ids", "plan-text-ids", "plan-float-position",
-        "overlap-bool-id", "density-float-id", "density-negative-id", "plan-negative-id-array"])
+        "overlap-bool-id", "density-float-id", "density-negative-id", "plan-negative-id-array",
+        "plan-negative-id-list", "plan-huge-negative-id-list", "plan-bool-position-list"])
 def test_row_ids_and_table_positions_are_refused_at_construction(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(one_qubit_plan())
@@ -1899,6 +1904,70 @@ def test_the_plans_of_one_channel_derive_their_side_rows_once(rng, monkeypatch):
     assert seen == [("left", "right")]
     estimate_plans(plans, ClusterConfig(shots=8, seed=1))
     assert seen == [("left", "right")]
+
+
+@st.composite
+def term_list_plans(draw):
+    """A plan of a random channel: 1-2 branches of 1-3 unitaries of 1-3
+    terms each, 1-2 parts of width 1-3 (a term may reuse an earlier term's
+    part circuit), complex coefficients, a Pauli or a unitary matrix
+    observable per part and random labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    made = [[] for _ in widths]  # each part's circuits so far
+
+    def part(a: int) -> Circuit:
+        if made[a] and draw(st.booleans()):
+            return made[a][draw(st.integers(0, len(made[a]) - 1))]
+        made[a].append(random_circuit(rng, widths[a], n_gates=2))
+        return made[a][-1]
+
+    def fu():
+        return FactorizedUnitary(terms=tuple(
+            (complex(rng.normal(), rng.normal()), tuple(part(a) for a in range(len(widths))))
+            for _ in range(draw(st.integers(1, 3)))))
+
+    m = draw(st.integers(1, 3))
+    branches = tuple((tuple(complex(rng.normal(), rng.normal()) for _ in range(m)),
+                      tuple(fu() for _ in range(m)))
+                     for _ in range(draw(st.integers(1, 2))))
+    obs = tuple(haar_unitary(2**w, rng) if draw(st.booleans())
+                else PauliString(w, "".join(rng.choice(list("IXYZ"), size=w))) for w in widths)
+    labels = tuple("".join(rng.choice(list("01"), size=w)) for w in widths)
+    return enumerate_subtasks(ChannelLCU(branches=branches), labels, obs)
+
+
+def test_a_channel_plan_reads_its_term_list_as_its_rows_read_bit_for_bit():
+    from tlpq.runtime import estimate_plans
+
+    def bits(values) -> bytes:
+        return np.array(values, dtype=complex).tobytes()
+
+    with live_worker() as a, live_worker() as b:
+        configs = [ClusterConfig(mode=mode, nodes=nodes, shots=shots, seed=7)
+                   for mode, nodes in (("local", 1), ("local", 3), ("network", (a,)),
+                                       ("network", (a, b)))
+                   for shots in (None, 8)]
+
+        @settings(max_examples=20, derandomize=True, deadline=None)
+        @given(term_list_plans())
+        def check(plan):
+            assert plan._derived.terms is not None
+            rebuilt = Plan.from_subtasks(list(plan))  # its own table, derived row by row
+            same_rows = dataclasses.replace(plan, _derived=None)  # the same columns, likewise
+            assert rebuilt._derived.terms is same_rows._derived.terms is None
+            assert plan._derived["extent"] == same_rows._derived["extent"]
+            (coefficient, members), (want, want_members) = plan.groups, same_rows.groups
+            assert coefficient.tobytes() == want.tobytes()
+            groups, rows = np.arange(len(coefficient)), np.arange(len(plan))
+            assert [(groups[g].tolist(), rows[k].tolist()) for g, k in members] == [
+                (g.tolist(), k.tolist()) for g, k in want_members]
+            for cfg in configs:
+                value = bits(estimate_plans([plan], cfg))
+                assert value == bits(estimate_plans([rebuilt], cfg))
+                assert value == bits([aggregate(plan, run_plan(plan, cfg))])
+
+        check()
 
 
 @pytest.mark.parametrize("changes", [
