@@ -20,9 +20,11 @@ it. ``_gate_key`` tells value-equal gates apart from the others, RAW gates
 included, by exact bits. ``_apply`` makes the one ``np.dot`` call that
 ``np.tensordot`` makes, on the same operands, so states keep their bits, and
 ``_PartStates``, the runtime's one cache of part states, applies each gate
-prefix that its circuits share once. ``_apply_observable`` is an observable's
-action on a state, which the runtime's readouts read: a Pauli string as a
-cached signed permutation, a matrix as a matvec.
+prefix that its circuits share once and tests the RAW gates it registers
+for unitarity in one stacked test per matrix size. ``_apply_observable`` is
+an observable's action on a state or a stack of states, which the runtime's
+readouts read: a Pauli string as a cached signed permutation, a matrix as
+one stacked matvec.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, _is_count, is_unitary
+from .linalg import DimensionMismatch, _is_count, _unitary_each, is_unitary
 
 __all__ = [
     "Gate",
@@ -257,10 +259,11 @@ def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -> np.ndarray:
     """O|state>, or O on each state of a stack (states x amplitudes): a
-    signed permutation for Pauli letters, a matvec per state for a matrix.
-    A stacked state gets the bits of its own call."""
+    signed permutation for Pauli letters, one stacked ``np.matmul`` for a
+    matrix, which runs per state the matvec that ``O @ s`` runs. A stacked
+    state gets the bits of its own call."""
     if not isinstance(observable, PauliString):
-        return observable @ state if state.ndim == 1 else np.array([observable @ s for s in state])
+        return np.matmul(observable, state[..., None])[..., 0]
     source, phase = _pauli_action(observable.letters)
     return phase * state[..., source]
 
@@ -335,9 +338,13 @@ def _evolve(gates, state_t: np.ndarray, *, check_unitary: bool) -> np.ndarray:
     for g in gates:
         mat = gate_matrix(g)
         if check_unitary and g.kind == "RAW" and not is_unitary(mat):
-            raise NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
+            raise _not_unitary(g)
         state_t = _apply(state_t, mat, g.qubits)
     return state_t
+
+
+def _not_unitary(g: Gate) -> NotUnitary:
+    return NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
 
 
 class _Prefix:
@@ -374,12 +381,14 @@ class _PartStates:
     unitary=True is ``simulate``: RAW gates must be unitary and the norm must
     hold. unitary=False is the density rows' linear map, with its states
     kept apart, so an overlap row refuses a non-unitary RAW gate that a
-    density row has pushed a vector through.
+    density row has pushed a vector through. Each RAW gate is checked once,
+    when it is registered, and the result is kept per gate.
     """
 
     def __init__(self, circuits=()):
         self._tree = _Prefix()
         self._paths: dict[Circuit, list[_Prefix]] = {}  # the tree nodes of each gate
+        self._unitary: dict[Gate, bool] = {}  # each registered RAW gate -> is it unitary
         self._kept: dict = {}  # (branch node, label, unitary) -> state tensor there
         self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
         self._stacks: dict = {}  # (circuits, labels, positions) -> their overlap states
@@ -390,7 +399,11 @@ class _PartStates:
         return len(self._kept) + len(self._done)
 
     def add(self, circuits):
-        """Register circuits, so their shared gate prefixes are applied once."""
+        """Register circuits, so their shared gate prefixes are applied once.
+        Their new RAW gates get ``is_unitary``'s test, one stacked test per
+        matrix size, whatever rows will read them: a unitary push refuses a
+        gate that failed it, and a density push applies it."""
+        raw: dict[int, dict[Gate, None]] = {}  # new RAW gates by matrix size
         for c in circuits:
             if c in self._paths:
                 continue
@@ -399,10 +412,15 @@ class _PartStates:
                 child = node.next.get(g)
                 if child is None:
                     child = node.next[g] = _Prefix()
+                    if g.kind == "RAW" and g not in self._unitary:
+                        raw.setdefault(len(g.raw), {})[g] = None
                 node = child
                 path.append(node)
             node.end = True
             self._paths[c] = path
+        for gates in raw.values():
+            passed = _unitary_each(np.array([g.raw for g in gates]))
+            self._unitary.update(zip(gates, passed.tolist()))
 
     def stack(self, circuits: tuple[Circuit, ...], labels: tuple[str, ...],
               at: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -425,6 +443,9 @@ class _PartStates:
 
     def _push(self, c: Circuit, label: str, unitary: bool) -> np.ndarray:
         self.add((c,))
+        for g in c.gates if unitary else ():
+            if not self._unitary.get(g, True):
+                raise _not_unitary(g)
         path = self._paths[c]
         stops = [at for at, node in enumerate(path, 1) if node.branches]
         start, state_t = 0, basis_state(c.n_qubits, int(label, 2)).reshape((2,) * c.n_qubits)
@@ -436,10 +457,10 @@ class _PartStates:
         for stop in stops:
             if stop > start:
                 state_t = self._kept[path[stop - 1], label, unitary] = _evolve(
-                    c.gates[start:stop], state_t, check_unitary=unitary)
+                    c.gates[start:stop], state_t, check_unitary=False)
                 start = stop
-        state = _evolve(c.gates[start:], state_t, check_unitary=unitary).reshape(-1)
-        if unitary and abs(float(np.linalg.norm(state)) - 1.0) > 1e-10:
+        state = _evolve(c.gates[start:], state_t, check_unitary=False).reshape(-1)
+        if unitary and abs(math.sqrt(np.vdot(state, state).real) - 1.0) > 1e-10:
             raise NotUnitary("simulation did not preserve the state norm")
         return state
 

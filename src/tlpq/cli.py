@@ -180,9 +180,11 @@ def run_nonherm_rows(
     The tlp column is the raw quadratic form <sum c_k U_k u0 | P | sum c_k' U_k' u0>
     per 1-qubit Pauli P, run as planner subtasks through the runtime: all
     T x 4 Pauli plans go to one estimate_plans call, and the 4 plans of one T
-    share its node circuits, so each node state is simulated once. Each T's
-    node unitaries are one ``unitary_node`` stack (one ``np.linalg.eigh``),
-    which the dense column reuses.
+    share its node circuits, so they run as one stack and each node state is
+    simulated once. Each T's node unitaries are one ``unitary_node`` stack
+    (one ``np.linalg.eigh``), which the dense column reuses, forming its four
+    observables and the identity form in one ``lchs_forms`` pass. The oracle
+    column walks one ``trotter_oracle`` trajectory through every T.
     """
     g, u0 = nonherm_generator()
     observable_r = random_hermitian_observable(cluster.seed)
@@ -191,8 +193,8 @@ def run_nonherm_rows(
         build_quadrature(eps, c, t, emulate_float_truncation=emulate_float_truncation)
         for t in t_values
     ]
-    # the reference integrator checks dt, before any task runs
-    oracles = [trotter_oracle(g, u0, t, dt) for t in t_values]
+    # the reference integrator checks dt against every T, before any task runs
+    oracles = trotter_oracle(g, u0, t_values, dt)
     unitaries = [unitary_node(g, s.nodes, s.T) for s in schemes]
     plans = []
     for scheme, us in zip(schemes, unitaries):
@@ -244,7 +246,9 @@ def run_imagtime_rows(
     """One row per gamma: LCHS expectations, exact ground energy, fidelity, baselines.
 
     The sweep is dense in-process code; ``cluster`` is not read. Each gamma's
-    node states are built once and serve the state and all three expectations."""
+    node states are built once and serve the state and all three expectations,
+    and one ``trotter_oracle`` trajectory passes its three horizons (``big_t``,
+    0.5 and 1.5)."""
     sx, sz = PAULI_1Q["X"], PAULI_1Q["Z"]
     scheme = build_quadrature(eps, c, big_t)
     u0 = np.array([1.0, 0.0], dtype=complex)
@@ -253,7 +257,7 @@ def run_imagtime_rows(
         h_gamma = 2.0 * np.eye(2, dtype=complex) + gamma * sx
         gen = GeneratorSpec(H=np.zeros((2, 2), dtype=complex), L=h_gamma)
         result = imaginary_time(h_gamma, big_t, scheme, u0=u0)
-        reference = trotter_oracle(gen, u0, big_t, dt)
+        reference, *baselines = trotter_oracle(gen, u0, (big_t, 0.5, 1.5), dt)
         h_lchs, sx_lchs, sz_lchs = lchs_forms(
             result.per_node_states, scheme.coeffs, (h_gamma, sx, sz), normalize
         )
@@ -267,8 +271,7 @@ def run_imagtime_rows(
             "E0_exact": exact_ground(h_gamma)[0],
             "fidelity": vector_fidelity(result.state, reference),
         }
-        for label, horizon in (("H_trotter_T05", 0.5), ("H_trotter_T15", 1.5)):
-            w = trotter_oracle(gen, u0, horizon, dt)
+        for label, w in zip(("H_trotter_T05", "H_trotter_T15"), baselines):
             row[label] = float(np.vdot(w, h_gamma @ w).real / np.vdot(w, w).real)
         rows.append(row)
     return rows

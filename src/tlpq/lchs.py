@@ -22,7 +22,8 @@ from math import floor, isfinite, pi
 import numpy as np
 
 from .circuit import PauliString
-from .linalg import NotHermitian, _complex_product, _sequential_sum, eigh, is_hermitian, matexp
+from .linalg import (
+    DimensionMismatch, NotHermitian, _complex_product, _sequential_sum, eigh, is_hermitian, matexp)
 
 __all__ = [
     "QuadratureScheme",
@@ -170,15 +171,20 @@ def lchs_expectation(
 def lchs_forms(per_node_states, coeffs, observables, normalize: bool = True) -> list[float]:
     """``lchs_expectation`` of each observable, from node states already built.
 
-    Every observable must be Hermitian. O v_b is formed once per node, and
-    one stacked ``np.vecdot`` gives all (a, b) overlaps <v_a|O v_b>; it runs
-    the BLAS dot of ``np.vdot`` pair by pair. Each term c_a c_b <v_a|O v_b>
-    is rounded as a scalar complex product, and the terms are added left to
-    right in lexicographic (a, b) order, so a form has the bits of the
-    sequential sum of per-pair ``np.vdot`` terms. The identity form that
-    ``normalize`` divides by is summed once for all observables, and each
-    form stays a ``np.complex128`` through the division.
+    Every observable must be Hermitian. One stacked ``np.matmul`` forms
+    O v_b for every observable and node (per node the matvec of ``O @
+    v_b``), and the identity form reads the node states themselves. One
+    ``np.vecdot`` then gives every form's (a, b) overlaps <v_a|O v_b>,
+    running the BLAS dot of ``np.vdot`` pair by pair. Each term c_a c_b
+    <v_a|O v_b> is rounded as a scalar complex product, and one
+    ``np.cumsum`` adds each form's terms left to right in lexicographic
+    (a, b) order, so a form has the bits of the sequential sum of per-pair
+    ``np.vdot`` terms. The identity form that ``normalize`` divides by is
+    summed once for all observables, and each form stays a
+    ``np.complex128`` through the division.
     """
+    v = np.array(list(per_node_states))
+    n, dim = v.shape
     mats = []
     for obs in observables:
         if isinstance(obs, PauliString):
@@ -186,17 +192,16 @@ def lchs_forms(per_node_states, coeffs, observables, normalize: bool = True) -> 
         obs = np.asarray(obs, dtype=complex)
         if not is_hermitian(obs):
             raise NotHermitian("lchs_expectation needs a Hermitian observable")
+        if obs.shape != (dim, dim):
+            raise DimensionMismatch(f"observable shape {obs.shape} does not match dimension {dim}")
         mats.append(obs)
-    v = np.array(list(per_node_states))
-    n = len(v)
     weights = np.multiply.outer(coeffs, coeffs).ravel()  # c_a c_b, real
-    bras = np.repeat(v, n, axis=0)
-
-    def form(kets: np.ndarray) -> np.complex128:  # sum over (a, b) of c_a c_b <v_a|kets[b]>
-        return _sequential_sum(_complex_product(weights, np.vecdot(bras, np.tile(kets, (n, 1)))))
-
-    numerators = [form(np.array([obs @ v_b for v_b in v])) for obs in mats]
-    denominator = form(v) if normalize else None
+    # kets[o, b]: O_o v_b for each observable, then v_b for the identity form
+    stack = np.array(mats).reshape(len(mats), 1, dim, dim)
+    kets = np.concatenate((np.matmul(stack, v[..., None])[..., 0], v[None]))
+    # each form's sum over (a, b) of c_a c_b <v_a|kets[o, b]>
+    overlaps = np.vecdot(np.repeat(v, n, axis=0), np.tile(kets, (1, n, 1)))
+    *numerators, denominator = _sequential_sum(_complex_product(weights, overlaps))
     values = []
     for numerator in numerators:
         value = numerator / denominator if normalize else numerator
@@ -226,18 +231,27 @@ def imaginary_time(h, T: float, scheme: QuadratureScheme, u0=None) -> EvolutionR
     return lchs_state(g, u0, scheme)
 
 
-def trotter_oracle(g_or_a, u0, T: float, dt: float = 0.01) -> np.ndarray:
-    """Reference integrator: u <- exp(-i A dt) u repeated T/dt times, A = H - iL."""
+def trotter_oracle(g_or_a, u0, T, dt: float = 0.01) -> np.ndarray | list[np.ndarray]:
+    """Reference integrator: u <- exp(-i A dt) u repeated T/dt times, A = H - iL.
+
+    ``T`` is a time or a sequence of times; for a sequence the state at each
+    T comes back in order. Every T's step count is checked (``_step_count``)
+    before the one step matrix is built and the first step is taken, and
+    one trajectory from u0 passes every T: the state after s steps has the
+    bits of s steps replayed from u0."""
     if isinstance(g_or_a, GeneratorSpec):
         a_mat = g_or_a.H - 1j * g_or_a.L
     else:
         a_mat = np.asarray(g_or_a, dtype=complex)
     u = np.asarray(u0, dtype=complex).reshape(-1)
-    steps = _step_count(T, dt)
-    step = matexp(a_mat, -1j * dt)
-    for _ in range(steps):
+    steps = [_step_count(t, dt) for t in (T if np.ndim(T) else (T,))]
+    step, at = matexp(a_mat, -1j * dt), dict.fromkeys(steps)
+    for s in range(1, max(steps, default=0) + 1):
         u = step @ u
-    return u
+        if s in at:
+            at[s] = u
+    states = [at[s] for s in steps]
+    return states if np.ndim(T) else states[0]
 
 
 def exact_ground(h) -> tuple[float, np.ndarray]:

@@ -74,8 +74,14 @@ def is_unitary(m) -> bool:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m.conj().T @ m - eye))) < UNITARY_TOL
+    return bool(_unitary_each(m))
+
+
+def _unitary_each(m: np.ndarray) -> np.ndarray:
+    """``is_unitary``'s test of a square matrix, or of each matrix of a stack
+    (n, d, d) at once: max |M^dagger M - I| < 1e-10."""
+    eye = np.eye(m.shape[-1])
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - eye).max(axis=(-2, -1)) < UNITARY_TOL
 
 
 def _complex_product(a, b) -> np.ndarray:
@@ -91,10 +97,13 @@ def _complex_product(a, b) -> np.ndarray:
     return out
 
 
-def _sequential_sum(terms) -> np.complex128:
-    """0j + terms[0] + terms[1] + ..., added left to right as a loop or
-    ``functools.reduce`` adds them (``np.sum`` adds pairwise)."""
-    return np.cumsum(np.concatenate(([0j], terms)))[-1]
+def _sequential_sum(terms) -> np.complex128 | np.ndarray:
+    """0j + terms[..., 0] + terms[..., 1] + ..., added left to right along
+    the last axis as a loop or ``functools.reduce`` adds them (``np.sum``
+    adds pairwise): one ``np.cumsum`` for every row of a stack of terms."""
+    terms = np.asarray(terms, dtype=complex)
+    start = np.zeros(terms.shape[:-1] + (1,), dtype=complex)
+    return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
 
 
 def kron(a, b) -> np.ndarray:

@@ -16,8 +16,10 @@ once at construction (operands once per distinct combination rather than
 once per row). It keeps what the runtime derives from its columns, shared by
 the plans of one channel, and every table, of one row or many, finds the
 distinct part states its rows read the same way (``_side_rows``); a channel
-plan reads these values off its channel's term list. The runtime
-computes each row's overlap from the gate lists;
+plan reads these values off its channel's term list. The tables on one
+holder with the same labels form a stack (``_stacks``), which the runtime
+reads and reduces as one. The runtime computes each row's overlap from the
+gate lists;
 ``build_estimator_circuit`` gives the hardware-faithful single-ancilla circuit
 of a subtask on request. A ``ChannelLCU`` is taken as given: no channel is
 ever made dense, so trace preservation is the caller's to hold. The module
@@ -291,6 +293,18 @@ class _Derived(dict):
         super().__init__()
         self.source = tuple(source)
         self.terms = terms
+
+
+def _stacks(items: list) -> list[list[int]]:
+    """The positions of the items that are read as one stack: the tables on
+    one derived-value holder (the plans of one channel) with the same labels
+    and readouts share their columns, side rows and part states; any other
+    item is a stack of one."""
+    stacks: dict = {}
+    for k, t in enumerate(items):
+        key = (id(t._derived), t.labels, t.readouts) if isinstance(t, OverlapTable) else (k,)
+        stacks.setdefault(key, []).append(k)
+    return list(stacks.values())
 
 
 def _extent(t: "OverlapTable") -> tuple:

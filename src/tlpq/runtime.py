@@ -20,8 +20,12 @@ One runner and one reducer carry a plan from its table to its value as
 arrays. ``_run`` runs tables (plans among them), or tasks, as items through
 one path per mode and returns each item's values as an array (rows x
 readouts); locally the items of a call share one part-state cache, and over
-the wire the replies fill the same arrays. ``_reduce`` folds a plan's
-overlaps into its value. ``estimate_plans`` is the two together;
+the wire the replies fill the same arrays. Plans that share a channel (one
+derived-value holder and the same labels, ``planner._stacks``) are read as
+one stack, per part one ``np.vecdot`` over (plans x pairs), in a local run
+and on a worker alike (a worker's items share no columns, so each is a stack
+of one). ``_reduce`` folds a stack's overlaps into its plans' values at
+once. ``estimate_plans`` is the two together;
 ``execute_tasks`` and ``run_plan`` build TaskResults only at their return,
 and ``aggregate`` reads TaskResults back into one array for the same reducer.
 The wire carries overlap tables and density rows; "estimator" tasks run only
@@ -100,7 +104,7 @@ from .circuit import (
     _PartStates,
 )
 from .linalg import _complex_product, _is_count, _sequential_sum
-from .planner import _ID_RULE, OverlapTable, Plan, Subtask, _index_column
+from .planner import _ID_RULE, OverlapTable, Plan, Subtask, _index_column, _stacks
 
 __all__ = [
     "ClusterConfig",
@@ -321,51 +325,44 @@ _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
                   "p0": ("right", "right"), "p1": ("left", "left")}
 
 
-def _side_states(t: OverlapTable, ket: str, bra: str, states: _PartStates):
-    """For each block of the table (``OverlapTable.sides``): (its rows, the
-    stacked distinct bra states, each row's position among them, the stacked
-    distinct O|ket> states, each row's position among them) of one (ket,
-    bra) side pair.
-
-    Each distinct (circuit, label) is simulated once per ``states``, which
-    also keeps each stack it builds, so the plans of one channel read one
-    stack per part; the block's observable is applied once to each distinct
-    ket state.
-    """
-    for rows, o, bra_at, bra_of_row, ket_at, ket_of_row in t.sides(ket, bra):
-        bras = states.stack(t.circuits, t.labels, bra_at)
-        kets = _apply_observable(t.observables[o], states.stack(t.circuits, t.labels, ket_at))
-        yield rows, bras, bra_of_row, kets, ket_of_row
-
-
-def _overlaps(t: OverlapTable, states: _PartStates) -> np.ndarray:
-    """The (w, m) pairs of every row's readouts, as an array (2, rows x
-    readouts), row by row.
+def _overlaps(stack: list[OverlapTable], states: _PartStates) -> np.ndarray:
+    """The (w, m) pairs of every row's readouts of each table of a stack
+    (``_stacks``), as an array (tables x 2 x rows x readouts), row by row.
 
     A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
     names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
     (<s|s> / 2, Re z / 2) with s the right / left state. One ``np.vecdot``
-    per side pair and block forms every z from the rows' stacked bra and
-    O|ket> states (``_side_states``); for a channel plan a block is a part a,
-    and z_a = vecdot(S_a[right terms], (O_a S_a)[left terms]) over its
-    pairs. It runs the BLAS dot that ``np.vdot`` runs, row by row, so a
-    value has the bits of its row's own ``np.vdot``, whatever table the row
-    is read in. Each <s|s> is taken once per distinct state.
+    per side pair and block forms every z of every table of the stack. The
+    tables share their blocks (``OverlapTable.sides``: a block's rows, its
+    observable, and its distinct bra and ket (circuit, label) states with
+    each row's position among them). Each distinct (circuit, label) is
+    simulated once per ``states``, which keeps each stack of states it
+    builds, so the plans of one channel read one stack per part; each
+    table's block observable is applied once to the stacked distinct ket
+    states (tables x states x amplitudes). For a channel plan a block is a
+    part a, and z_a = vecdot(S_a[right terms], (O_a S_a)[left terms]) over
+    (plans x pairs). It runs the BLAS dot that ``np.vdot`` runs, row by
+    row, so a value has the bits of its row's own ``np.vdot``, whatever
+    table or stack the row is read in. Each <s|s> is taken once per
+    distinct state.
     """
-    out = np.empty((2, len(t.ids), len(t.readouts)))  # w, then m, of each row's readouts
-    out[0] = 1.0
+    t = stack[0]
+    out = np.empty((len(stack), 2, len(t.ids), len(t.readouts)))  # w, then m, per readout
+    out[:, 0] = 1.0
     for sides in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
         columns = [(col, desc) for col, desc in enumerate(t.readouts)
                    if _READOUT_SIDES[desc] == sides]
-        for rows, bras, bra_of_row, kets, ket_of_row in _side_states(t, *sides, states):
-            z = np.vecdot(bras[bra_of_row], kets[ket_of_row])
+        for rows, o, bra_at, bra_of_row, ket_at, ket_of_row in t.sides(*sides):
+            bras, kets = (states.stack(t.circuits, t.labels, at) for at in (bra_at, ket_at))
+            kets = np.array([_apply_observable(u.observables[o], kets) for u in stack])
+            z = np.vecdot(bras[bra_of_row], kets[:, ket_of_row])
             for col, desc in columns:
                 if desc in ("ax", "ay"):
-                    out[1, rows, col] = z.real if desc == "ax" else z.imag
+                    out[:, 1, rows, col] = z.real if desc == "ax" else z.imag
                 else:
-                    out[0, rows, col] = (np.vecdot(bras, bras).real / 2.0)[bra_of_row]
-                    out[1, rows, col] = z.real / 2.0
-    return out.reshape(2, -1)
+                    out[:, 0, rows, col] = (np.vecdot(bras, bras).real / 2.0)[bra_of_row]
+                    out[:, 1, rows, col] = z.real / 2.0
+    return out.reshape(len(stack), 2, -1)
 
 
 def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
@@ -392,7 +389,7 @@ def _readout_pairs(task: TaskSpec | OverlapSpec | OverlapTable, states: _PartSta
     """The (w, m) pairs of an item's readouts, as an array (2, rows x
     readouts), row by row; ``states`` is run_rows' cache."""
     if not isinstance(task, TaskSpec):
-        return _overlaps(task.table if isinstance(task, OverlapSpec) else task, states)
+        return _overlaps([task.table if isinstance(task, OverlapSpec) else task], states)[0]
     n = task.n_qubits
     if task.kind == "estimator":
         state = simulate(task.circuit, basis_state(n))
@@ -436,38 +433,47 @@ class ExactBackend:
         seed: int,
         states: _PartStates | None = None,
     ) -> tuple[tuple[float, ...], int]:
-        """Run one item; returns (one value per readout, row by row, shots used):
-        ``run_rows`` as plain floats."""
-        values = self.run_rows(task, shots, seed, _PartStates() if states is None else states)
+        """Run one item, as a stack of one; returns (one value per readout,
+        row by row, shots used): ``run_rows`` as plain floats."""
+        values, = self.run_rows([task], shots, seed, _PartStates() if states is None else states)
         return tuple(values.ravel().tolist()), 0 if shots is None else shots * values.size
 
-    def run_rows(self, task: TaskSpec | OverlapSpec | OverlapTable, shots: int | None,
-                 seed: int, states: _PartStates) -> np.ndarray:
-        """Run one item; returns its values as an array, one row per task row
-        and one column per readout.
+    def run_rows(self, items: list, shots: int | None, seed: int, states: _PartStates
+                 ) -> list[np.ndarray]:
+        """Run items; returns each one's values as an array, one row per task
+        row and one column per readout.
 
-        A task is one row, and a table (a Plan reads "ax", "ay") its rows. Each readout's (w, m) pair gives m exactly, or with shots
-        the mean of draws on the stream (seed, row id, readout index).
-        ``states`` lets the items of a call or a batch share part states and
-        gate prefixes; the item's own circuits are registered in it first
-        (``_PartStates.add``).
+        A task is one row, and a table (a Plan reads "ax", "ay") its rows.
+        The tables of one stack (``_stacks``: the plans of one channel) are
+        read as one (``_overlaps``), and each keeps its ids. Each readout's
+        (w, m) pair gives m exactly, or with shots the mean of draws on the
+        stream (seed, row id, readout index). ``states`` lets the items of a
+        call or a batch share part states and gate prefixes; the items'
+        circuits are registered in it first (``_PartStates.add``), once per
+        stack.
         """
-        n = task.n_qubits
-        if n > self.max_qubits:
-            name = "plan" if isinstance(task, Plan) else f"task {task.ids[0]}"
-            raise CapabilityMismatch(
-                f"{name} needs {n} qubits, node supports {self.max_qubits}"
-            )
-        states.add(task.circuits)
-        pairs = _readout_pairs(task, states)
-        shape = (len(task.ids), len(task.readouts))
-        if shots is None:
-            return pairs[1].reshape(shape)
-        streams = itertools.product(task.ids.tolist(), range(shape[1]))
-        return np.fromiter(
-            (_sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
-             for w, m, stream in zip(*pairs.tolist(), streams)),
-            float, pairs.shape[1]).reshape(shape)
+        for task in items:
+            if task.n_qubits > self.max_qubits:
+                name = "plan" if isinstance(task, Plan) else f"task {task.ids[0]}"
+                raise CapabilityMismatch(
+                    f"{name} needs {task.n_qubits} qubits, node supports {self.max_qubits}")
+        stacks = _stacks(items)
+        states.add(c for stack in stacks for c in items[stack[0]].circuits)
+        values = [None] * len(items)
+        for stack in stacks:
+            pairs = (_overlaps([items[k] for k in stack], states) if len(stack) > 1
+                     else [_readout_pairs(items[stack[0]], states)])
+            for k, p in zip(stack, pairs):
+                shape = (len(items[k].ids), len(items[k].readouts))
+                if shots is None:
+                    values[k] = p[1].reshape(shape)
+                    continue
+                streams = itertools.product(items[k].ids.tolist(), range(shape[1]))
+                values[k] = np.fromiter(
+                    (_sampled_mean(w, m, shots, np.random.default_rng((seed, *stream)))
+                     for w, m, stream in zip(*p.tolist(), streams)),
+                    float, p.shape[1]).reshape(shape)
+        return values
 
 
 # --- wire protocol (network mode) ----------------------------------------------
@@ -936,11 +942,12 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
     item's values (one row per task row, one column per readout) and, in
     network mode, each batch with its reply (None in local mode).
 
-    In local mode the items of one call share one ``_PartStates``, which
-    holds every item's circuits from the start: each distinct (circuit
-    object, input label) is simulated once, each shared gate prefix applied
-    once, and the states are kept until the call returns; an item wider than
-    a node's cap raises CapabilityMismatch (``ExactBackend.run_rows``). In
+    In local mode one ``ExactBackend.run_rows`` call runs the items, the
+    plans of one channel as one stack, with one ``_PartStates`` that holds
+    every item's circuits from the start: each distinct (circuit object,
+    input label) is simulated once, each shared gate prefix applied once,
+    and the states are kept until the call returns; an item wider than a
+    node's cap raises CapabilityMismatch. In
     network mode the rows of all items are grouped by start node (row id %
     node count), each group is one batch message, and every batch is sent
     before any reply is read (``_dispatch``); the replies fill the same
@@ -948,9 +955,7 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
     again only if it returns.
     """
     if cfg.mode == "local":
-        backend = ExactBackend()
-        states = _PartStates(c for item in items for c in item.circuits)
-        return [backend.run_rows(item, cfg.shots, cfg.seed, states) for item in items], None
+        return ExactBackend().run_rows(items, cfg.shots, cfg.seed, _PartStates()), None
     batches = _batches(items, len(cfg.nodes), cfg.shots, cfg.seed)
     clients = _check_out(cfg)
     try:
@@ -1005,9 +1010,15 @@ def execute_tasks(
 def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:
     """The value of each plan: bit for bit
     ``[aggregate(p, r) for p, r in zip(plans, execute_tasks(plans, cfg))]``,
-    reduced from the run's arrays with no TaskResult built."""
+    reduced from the run's arrays with no TaskResult built, the plans of one
+    stack (``_stacks``) as one array (plans x rows)."""
     values, _ = _run(plans, cfg)
-    return [_reduce(p, v.view(complex).ravel()) for p, v in zip(plans, values)]
+    out = [None] * len(plans)
+    for stack in _stacks(plans):
+        z = np.array([values[k] for k in stack]).view(complex)[..., 0]
+        for k, value in zip(stack, _reduce(plans[stack[0]], z).tolist()):
+            out[k] = value
+    return out
 
 
 # UnicodeError covers a reply that is not UTF-8 and a non-ASCII host that the
@@ -1139,22 +1150,23 @@ def aggregate(plan: Plan | list[Subtask], results: list[TaskResult]) -> complex:
     except (TypeError, ValueError):
         bad = next(i for i, v in zip(ids, values) if not _is_pair(v))
         raise ValueError(f"result for task {bad} is not an (re, im) pair") from None
-    return _reduce(plan, z.view(complex))
+    return complex(_reduce(plan, z.view(complex)[None])[0])
 
 
-def _reduce(plan: Plan, z: np.ndarray) -> complex:
-    """A plan's value from its rows' overlaps z, in ascending id order.
+def _reduce(plan: Plan, z: np.ndarray) -> np.ndarray:
+    """The values of plans that share ``plan``'s columns from their rows'
+    overlaps z (plans x rows), each in ascending id order, as one array.
 
     A group is a run of rows whose indices[:5] agree (``Plan.groups``). Its
     members' overlaps are multiplied in ascending id order, starting from 1,
     and its coefficient (that of its last a = 0 member, else 1) multiplies
     the product; the group values are then added in ascending id order,
-    starting from 0. Every product and sum is rounded as Python's complex
-    arithmetic rounds it, so the total is reproducible across modes and node
-    counts.
+    starting from 0, one ``np.cumsum`` along each plan's groups. Every
+    product and sum is rounded as Python's complex arithmetic rounds it, so
+    the total is reproducible across modes, node counts and stacks.
     """
     coefficient, members = plan.groups
-    product = np.ones(len(coefficient), dtype=complex)
+    product = np.ones((len(z), len(coefficient)), dtype=complex)
     for groups, member in members:
-        product[groups] = _complex_product(product[groups], z[member])
-    return complex(_sequential_sum(_complex_product(coefficient, product)))
+        product[:, groups] = _complex_product(product[:, groups], z[:, member])
+    return _sequential_sum(_complex_product(coefficient, product))

@@ -455,3 +455,63 @@ class TestStrictNumbers:
         assert c.gates[0].params == (2.0,) and c.gates[0].qubits == (1,)
         with pytest.raises(CircuitFormatError):  # (1, True) equals (1, 1) as a key
             parse_circuit({"n": 2, "gates": [{"kind": "CZ", "qubits": [0, True]}]})
+
+
+def bits(a: np.ndarray) -> bytes:
+    """The exact bits of a complex array, signed zeros included."""
+    return np.ascontiguousarray(a, dtype=complex).tobytes()
+
+
+class TestStateCache:
+    """``_apply_observable`` on stacks and ``_PartStates``' unitarity checks."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_a_matrix_observable_on_a_stack_is_each_state_s_own_matvec(self, rng, w):
+        from tlpq.circuit import _apply_observable
+
+        for count in (1, 2, 7):
+            for _ in range(40):
+                o = rng.normal(size=(2**w, 2**w)) + 1j * rng.normal(size=(2**w, 2**w))
+                stack = rng.normal(size=(count, 2**w)) + 1j * rng.normal(size=(count, 2**w))
+                got = _apply_observable(o, stack)
+                assert got.shape == stack.shape
+                assert bits(got) == bits(np.array([o @ s for s in stack]))
+                assert bits(_apply_observable(o, stack[0])) == bits(o @ stack[0])
+
+    def test_an_overlap_state_refuses_a_non_unitary_gate_a_density_state_runs(self):
+        from tlpq.circuit import _PartStates
+
+        squash = Gate("RAW", (1,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
+        c = Circuit(2, (Gate("H", (0,)), squash, Gate("CZ", (0, 1))))
+        for first in ("density", "overlap"):
+            states = _PartStates((c,))
+            if first == "density":  # the density row registers and pushes the gate first
+                states.state(c, "01", unitary=False)
+            with pytest.raises(NotUnitary, match=r"^RAW gate on \(1,\) is not unitary "
+                                                 r"within 1e-10$"):
+                states.state(c, "01")
+            dense = basis_state(2, 1)
+            for g in c.gates:
+                dense = lift(gate_matrix(g), g.qubits, 2) @ dense
+            assert np.allclose(states.state(c, "01", unitary=False), dense, atol=1e-14)
+
+    def test_each_registered_raw_gate_is_tested_once_in_one_stack_per_size(self, rng,
+                                                                            monkeypatch):
+        import tlpq.circuit
+        from tlpq.circuit import _PartStates
+
+        tested = []
+        real = tlpq.circuit._unitary_each
+        monkeypatch.setattr(tlpq.circuit, "_unitary_each",
+                            lambda m: tested.append(m.shape) or real(m))
+        one = [Gate("RAW", (0,), raw=haar_unitary(2, rng)) for _ in range(5)]
+        two = Gate("RAW", (0, 1), raw=haar_unitary(4, rng))
+        circuits = [Circuit(2, (g, two)) for g in one] + [Circuit(2, (two, one[0]))]
+        states = _PartStates(circuits)
+        assert sorted(tested) == [(1, 4, 4), (5, 2, 2)]
+        states.add(circuits)
+        for c in circuits:  # states pushed later test nothing again
+            states.state(c, "00")
+        assert len(tested) == 2
+        states.add([Circuit(2, (Gate("H", (0,)), one[1]))])  # a known gate, a new path
+        assert len(tested) == 2

@@ -392,6 +392,20 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     assert calls["operand_check"] <= circuits
 
 
+def test_nonherm_runs_the_four_plans_of_each_t_as_one_stack(monkeypatch):
+    import tlpq.runtime
+
+    stacks = []
+    real = tlpq.runtime._overlaps
+    monkeypatch.setattr(tlpq.runtime, "_overlaps",
+                        lambda stack, states: stacks.append(stack) or real(stack, states))
+    cli.run_nonherm_rows(ClusterConfig())
+    assert [len(stack) for stack in stacks] == [4] * len(cli._DEFAULT_NONHERM_T)
+    for stack in stacks:  # one T's plans: one channel's columns, letters I, X, Y, Z
+        assert len({id(p._derived) for p in stack}) == 1
+        assert [p.observables[0].letters for p in stack] == list("IXYZ")
+
+
 def test_the_one_node_nonherm_batch_sends_each_plan_as_one_table(monkeypatch):
     from tlpq.runtime import _batches
 
@@ -729,3 +743,17 @@ def test_a_negative_seed_exits_2_before_any_task_runs(runner, monkeypatch, comma
     result = runner.invoke(main, [command, "--seed", seed])
     assert result.exit_code == 2
     assert "seed must be an integer >= 0" in combined_output(result)
+
+
+@pytest.mark.parametrize("module", ["tlpq.cli", "tlpq.runtime"])
+def test_importing_a_command_or_a_worker_leaves_numpy_random_unimported(module):
+    # its cold import (with secrets, hmac and _hashlib) is paid by the first
+    # draw that needs it, not by every process that imports tlpq
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -447,6 +447,30 @@ def test_trotter_oracle_rejects_a_dt_that_does_not_divide_T():
         trotter_oracle(PAULI["X"], np.array([1.0, 0.0]), 0.25, dt=0.1)
 
 
+def test_trotter_oracle_over_a_tuple_of_times_equals_per_t_calls_bit_for_bit(rng):
+    h, l_mat = random_hermitian(2, rng), random_hermitian(2, rng)
+    g = GeneratorSpec(H=h, L=l_mat @ l_mat)
+    u0 = np.array([0.6, 0.8j])
+    times = (0.5, 0.1, 1.5, 0.5, 0.30000000000000004)  # unsorted, repeated, float-accumulated
+    got = trotter_oracle(g, u0, times, 0.01)
+    assert len(got) == len(times)
+    for t_val, state in zip(times, got):
+        assert state.tobytes() == trotter_oracle(g, u0, t_val, 0.01).tobytes()
+    assert [s.tobytes() for s in trotter_oracle(g, u0, np.array(times), 0.01)] == \
+        [s.tobytes() for s in got]
+    assert trotter_oracle(g, u0, (), 0.01) == []  # `nonherm --T ""` walks no step
+
+
+def test_a_dt_that_does_not_divide_one_of_the_times_raises_before_any_step(monkeypatch):
+    import tlpq.lchs
+
+    built = []
+    monkeypatch.setattr(tlpq.lchs, "matexp", lambda *a: built.append(a) or np.eye(2))
+    with pytest.raises(ValueError, match="^dt=0.1 does not divide T=0.25$"):
+        trotter_oracle(PAULI["X"], np.array([1.0, 0.0]), (0.5, 1.0, 0.25, 2.0), dt=0.1)
+    assert built == []  # no step matrix was built, so no step was taken
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
 def test_a_dt_that_is_not_positive_is_refused_by_one_rule(dt):
     with pytest.raises(ValueError, match="^dt must be positive$"):

@@ -53,6 +53,7 @@ from tlpq.runtime import (
     _PartStates,
     _readout_pairs,
     _sampled_mean,
+    estimate_plans,
     serve_worker,
 )
 
@@ -1720,7 +1721,7 @@ def test_stacked_overlaps_equal_per_row_vdot_bit_for_bit(rng, readouts, n_rows):
 
     for widths in (range(1, 7), (3,)):
         t = random_overlap_table(rng, n_rows, readouts, widths)
-        got = tuple(_overlaps(t, _PartStates()).tolist())
+        got = tuple(_overlaps([t], _PartStates())[0].tolist())
         assert got == overlap_pairs_by_row(t)
         assert len(got[0]) == len(got[1]) == n_rows * len(readouts)
 
@@ -2252,6 +2253,29 @@ def test_a_density_row_never_lets_an_overlap_row_skip_its_unitarity_check():
     assert reply == {"type": "error", "id": 1, "message": str(local.value)}
 
 
+def test_an_overlap_row_refuses_a_non_unitary_gate_that_a_density_row_runs():
+    from tlpq.circuit import NotUnitary
+
+    squash = Gate("RAW", (0,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
+    c = Circuit(1, (Gate("H", (0,)), squash))
+    density = TaskSpec(id=0, kind="density", circuit=c, readouts=("e:Z", "e:X"))
+    overlap = OverlapSpec(id=1, left=c, right=c, observable=PauliString(1, "Z"),
+                          input_label="0")
+    message = "RAW gate on (0,) is not unitary within 1e-10"
+    v = squash.raw @ (np.array([1.0, 1.0]) / np.sqrt(2.0))
+    want = [np.vdot(v, PAULI[p] @ v).real for p in "ZX"]
+    (alone,) = execute_tasks([density], ClusterConfig())
+    assert np.allclose(alone.value, want, atol=1e-14)
+    # the density row (id 0) registers and pushes the gate before the overlap row reads it
+    for rows in ([overlap], [density, overlap]):
+        with pytest.raises(NotUnitary, match=f"^{re.escape(message)}$"):
+            execute_tasks(rows, ClusterConfig())
+    _, reply = _one_batch([density, overlap])
+    assert reply == {"type": "error", "id": 1, "message": message}
+    _, reply = _one_batch([density])
+    assert reply == {"type": "result", "values": [list(alone.value)], "shots_used": [0]}
+
+
 def _comb(k: int, depth: int = 6) -> list[Circuit]:
     """k circuits over one shared gate list: circuit i leaves it after i gates
     for a gate of its own, then all go on with the same tail."""
@@ -2414,7 +2438,7 @@ def test_worker_refuses_a_malformed_overlap_item_and_keeps_serving(change, want_
                          labels=("0", "1"), ids=(5, 8), left=(0, 1), right=(1, 0),
                          observable=(0, 1), label=(0, 1))
     assert reply == {"type": "result", "shots_used": [0, 0],
-                     "values": ExactBackend().run_rows(local, None, 0, _PartStates()).tolist()}
+                     "values": ExactBackend().run_rows([local], None, 0, _PartStates())[0].tolist()}
 
 
 @pytest.mark.parametrize("items", [5, [5], "items", None],
@@ -2437,8 +2461,11 @@ def test_a_batch_whose_items_are_malformed_names_no_row(items):
 
 @st.composite
 def small_plans(draw):
-    """A few plans of one random channel: parts of width 1-3, Pauli or
-    matrix observables per part, random labels; and shots."""
+    """Two to four plans of one random channel: parts of width 1-3, Pauli
+    or matrix observables per part, each plan its own observable set on one
+    of one or two label sets, so the plans share their columns and nearly
+    every draw has plans that share their labels too (a stack); and shots,
+    None or 1-16, each half the time."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
     matrix = draw(st.lists(st.booleans(), min_size=len(widths), max_size=len(widths)))
@@ -2454,14 +2481,16 @@ def small_plans(draw):
                       tuple(fu() for _ in range(m)))
                      for _ in range(draw(st.integers(1, 2))))
     channel = ChannelLCU(branches=branches)
+    label_sets = [tuple("".join(rng.choice(list("01"), size=w)) for w in widths)
+                  for _ in range(draw(st.integers(1, 2)))]
     plans = []
-    for _ in range(draw(st.integers(1, 3))):
-        labels = tuple("".join(rng.choice(list("01"), size=w)) for w in widths)
+    for labels in draw(st.lists(st.sampled_from(label_sets), min_size=2, max_size=4)):
         obs = tuple(haar_unitary(2**w, rng) if is_matrix
                     else PauliString(w, "".join(rng.choice(list("IXYZ"), size=w)))
                     for w, is_matrix in zip(widths, matrix))
         plans.append(enumerate_subtasks(channel, labels, obs))
-    return plans, draw(st.none() | st.integers(1, 16)), draw(st.integers(0, 40))
+    shots = draw(st.integers(1, 16)) if draw(st.booleans()) else None
+    return plans, shots, draw(st.integers(0, 40))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -2473,7 +2502,13 @@ def test_plans_give_the_same_results_in_every_mode_node_count_and_retry(case):
         out = execute_tasks(plans, cfg)
         nodes = set(cfg.nodes) if cfg.mode == "network" else set(range(cfg.nodes))
         assert {r.node_id for rows in out for r in rows} <= nodes
-        return [[(r.task_id, r.value, r.shots_used) for r in rows] for rows in out]
+        # the plans that share their columns and labels run and reduce as one
+        # stack, and each value has the bits of its plan run alone
+        together = np.array(estimate_plans(plans, cfg))
+        alone = np.array([aggregate(p, run_plan(p, cfg)) for p in plans])
+        assert together.tobytes() == alone.tobytes()
+        return [[(r.task_id, r.value, r.shots_used) for r in rows] for rows in out], \
+            together.tobytes()
 
     base = results(ClusterConfig(nodes=1, shots=shots, seed=9))
     assert results(ClusterConfig(nodes=3, shots=shots, seed=9)) == base
