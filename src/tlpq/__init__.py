@@ -41,7 +41,6 @@ from .planner import (
 )
 from .runtime import (
     ClusterConfig,
-    OverlapSpec,
     TaskSpec,
     aggregate,
     execute_tasks,
@@ -91,7 +90,6 @@ __all__ = [
     "reconstruct_density_matrix",
     "scaling_counts",
     "ClusterConfig",
-    "OverlapSpec",
     "TaskSpec",
     "aggregate",
     "execute_tasks",

@@ -379,9 +379,10 @@ class _PartStates:
     point starts from the deepest state kept above that point.
 
     unitary=True is ``simulate``: RAW gates must be unitary and the norm must
-    hold. unitary=False is the density rows' linear map, with its states
-    kept apart, so an overlap row refuses a non-unitary RAW gate that a
-    density row has pushed a vector through. Each RAW gate is checked once,
+    hold. unitary=False is the linear map that a table of "e:<P>" readouts
+    alone reads (density tasks run as such tables), with its states kept
+    apart, so an "ax" / "ay" / "p0" / "p1" row refuses a non-unitary RAW
+    gate that an "e:" row has pushed a vector through. Each RAW gate is checked once,
     when it is registered, and the result is kept per gate.
     """
 
@@ -391,7 +392,7 @@ class _PartStates:
         self._unitary: dict[Gate, bool] = {}  # each registered RAW gate -> is it unitary
         self._kept: dict = {}  # (branch node, label, unitary) -> state tensor there
         self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
-        self._stacks: dict = {}  # (circuits, labels, positions) -> their overlap states
+        self._stacks: dict = {}  # (circuits, labels, positions, unitary) -> their states
         self.add(circuits)
 
     def __len__(self) -> int:
@@ -402,7 +403,7 @@ class _PartStates:
         """Register circuits, so their shared gate prefixes are applied once.
         Their new RAW gates get ``is_unitary``'s test, one stacked test per
         matrix size, whatever rows will read them: a unitary push refuses a
-        gate that failed it, and a density push applies it."""
+        gate that failed it, and a unitary=False push applies it."""
         raw: dict[int, dict[Gate, None]] = {}  # new RAW gates by matrix size
         for c in circuits:
             if c in self._paths:
@@ -423,13 +424,13 @@ class _PartStates:
             self._unitary.update(zip(gates, passed.tolist()))
 
     def stack(self, circuits: tuple[Circuit, ...], labels: tuple[str, ...],
-              at: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """The overlap states of the (circuit, label) positions ``at`` in
-        ``circuits`` and ``labels``, stacked; kept, so each stack is built once."""
-        key = (circuits, labels, at)
+              at: tuple[tuple[int, int], ...], unitary: bool = True) -> np.ndarray:
+        """The states of the (circuit, label) positions ``at`` in ``circuits``
+        and ``labels``, stacked; kept, so each stack is built once."""
+        key = (circuits, labels, at, unitary)
         stack = self._stacks.get(key)
         if stack is None:
-            stack = self._stacks[key] = np.array([self.state(circuits[c], labels[b])
+            stack = self._stacks[key] = np.array([self.state(circuits[c], labels[b], unitary)
                                                   for c, b in at])
         return stack
 
@@ -542,9 +543,9 @@ def parse_circuit(obj, *, require_unitary: bool = True) -> Circuit:
     are parsed and checked one by one.
 
     ``require_unitary=False`` admits non-unitary RAW matrices. A worker
-    parses its batch's gate table this way, because density rows push an
-    unnormalized statevector through the gates; simulating an overlap row
-    refuses them.
+    parses its batch's gate table this way, because a table of "e:<P>"
+    readouts alone pushes an unnormalized statevector through the gates;
+    any other overlap row refuses them when it simulates its states.
     """
     shared: dict = {}  # (kind, qubits, param bits) -> Gate
     if not isinstance(obj, dict):

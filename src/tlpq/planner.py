@@ -31,6 +31,7 @@ table per readout), and the wire-cut density baseline.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
@@ -118,7 +119,7 @@ class FactorizedUnitary:
     def ell(self) -> int:
         return len(self.terms)
 
-    @property
+    @functools.cached_property
     def part_widths(self) -> tuple[int, ...]:
         return tuple(c.n_qubits for c in self.terms[0][1])
 
@@ -146,7 +147,7 @@ class ChannelLCU:
         if not self.branches:
             raise ShapeMismatch("ChannelLCU needs at least one branch")
         m = len(self.branches[0][0])
-        widths = self.branches[0][1][0].part_widths
+        widths = self.part_widths
         for coeffs, fus in self.branches:
             if len(coeffs) != m or len(fus) != m:
                 raise ShapeMismatch("all branches must share the same m")
@@ -154,7 +155,7 @@ class ChannelLCU:
                 if fu.part_widths != widths:
                     raise ShapeMismatch("all unitaries must share part widths")
 
-    @property
+    @functools.cached_property
     def part_widths(self) -> tuple[int, ...]:
         return self.branches[0][1][0].part_widths
 
@@ -227,7 +228,24 @@ class Subtask:
     coefficient: complex
 
 
-_OVERLAP_READOUTS = frozenset(("ax", "ay", "p0", "p1"))
+# the readouts of an overlap row; "e:" stands for each "e:<P>"
+_OVERLAP_READOUTS = frozenset(("ax", "ay", "p0", "p1", "e:"))
+
+
+def _parse_readout(desc: str, n_qubits: int) -> tuple[str | None, str]:
+    """Split a readout descriptor on n qubits into (ancilla part, Pauli
+    letters over the rest): the one rule for descriptors, of estimator tasks
+    and of overlap tables' "e:<P>" readouts."""
+    if desc in ("ax", "ay"):
+        return desc, "I" * (n_qubits - 1)
+    for prefix in ("p0:", "p1:", "e:"):
+        if desc.startswith(prefix):
+            letters = desc[len(prefix):]
+            want = n_qubits if prefix == "e:" else n_qubits - 1
+            if len(letters) != want or any(ch not in "IXYZ" for ch in letters):
+                raise ValueError(f"bad readout descriptor {desc!r}")
+            return (None if prefix == "e:" else prefix[:2]), letters
+    raise ValueError(f"unknown readout descriptor {desc!r}")
 
 # the one message of each column rule, locally and in a worker's decoded batch items
 _ID_RULE = "a row id must be an integer >= 0, got {!r}"
@@ -386,8 +404,11 @@ class OverlapTable:
     table positions ``left``, ``right``, ``observable`` and ``label``, each
     a read-only intp column, converted here once. An id is an int >= 0 and
     a position an int, neither a bool, the rules a worker reads a batch
-    row by. Every row is read as ``readouts``, drawn from "ax", "ay", "p0"
-    and "p1" (p0 / p1 need Pauli observables).
+    row by. Every row is read as ``readouts``, drawn from "ax", "ay", "p0",
+    "p1" (p0 / p1 need Pauli observables) and "e:<P>", whose Pauli letters
+    P span the row's width (``_parse_readout``). A table whose readouts are
+    all "e:<P>" pushes its states through non-unitary RAW gates too: that
+    is how density tasks run.
 
     The columns' lengths, the ascending ids and the table bounds are checked
     here; a row's operands are checked by ``check_overlap_operands`` alone,
@@ -439,9 +460,13 @@ class OverlapTable:
             check_overlap_operands(circuits[self.left[k]], circuits[self.right[k]],
                                    observables[self.observable[k]], labels[self.label[k]])
         readouts = self.readouts
-        if not readouts or not _OVERLAP_READOUTS.issuperset(readouts):
+        kinds = ["e:" if isinstance(d, str) and d.startswith("e:") else d for d in readouts]
+        if not readouts or not _OVERLAP_READOUTS.issuperset(kinds):
             raise ValueError(f"overlap readouts must be drawn from {sorted(_OVERLAP_READOUTS)}, "
                              f"got {list(readouts)}")
+        for desc, k in itertools.product(readouts, operand_rows):
+            if desc.startswith("e:"):
+                _parse_readout(desc, circuits[self.left[k]].n_qubits)
         if not ({"p0", "p1"}.isdisjoint(readouts)
                 or all(isinstance(o, PauliString) for o in observables)):
             raise ValueError("overlap readouts p0 / p1 need a Pauli observable")
@@ -885,13 +910,13 @@ def ghz_cutting_plan() -> tuple[
             raise IncompleteTables(
                 f"combiner needs {len(settings)} value pairs, got {len(values)}"
             )
+        paulis = [pauli_matrix(pauli) for pauli in PAULI_2Q_LABELS]
         rho = np.zeros((16, 16), dtype=complex)
         for term, coeff in enumerate(coeffs):
             rho_a = np.zeros((4, 4), dtype=complex)
             rho_b = np.zeros((4, 4), dtype=complex)
-            for k, pauli in enumerate(PAULI_2Q_LABELS):
+            for k, mat in enumerate(paulis):
                 va, vb = values[term * 16 + k]
-                mat = pauli_matrix(pauli)
                 rho_a += (va / 4.0) * mat
                 rho_b += (vb / 4.0) * mat
             rho += coeff * kron(rho_a, rho_b)

@@ -5,40 +5,43 @@ shot-sampling) and remote workers reached over a TCP newline-delimited JSON
 protocol. Scheduling is static round-robin by task id; aggregation is an
 ordered reduce so results are bit-identical across node counts and transports.
 
-A plan's subtasks and the GHZ gram entries run as overlap rows: the backend
-simulates the left and right gate lists on the part's w qubits and forms
-z = <U_r psi0| O U_l psi0>, which fixes the single-ancilla estimator's readouts
-(ax = Re z, ay = Im z, and the ancilla-branch projectors p0 / p1). One batched
-routine reads them over a ``planner.OverlapTable``, the one type of overlap
-rows, and the distinct part states its rows read, which the table derives
-once and keeps: a ``planner.Plan`` is a table whose rows read ("ax", "ay"),
-ghz's gram entries are four tables of one readout each, an OverlapSpec holds
-a one-row table, and a worker decodes each overlap item of a batch as one
-table, so a row gives the same bits everywhere.
+A plan's subtasks, the GHZ gram entries and the wire-cut density tasks run
+as overlap rows: the backend simulates the left and right gate lists on the
+part's w qubits and forms z = <U_r psi0| O U_l psi0>, which fixes the
+single-ancilla estimator's readouts (ax = Re z, ay = Im z, and the
+ancilla-branch projectors p0 / p1); an "e:<P>" readout reads the Pauli
+expectation of the left state itself. One batched routine reads them over a
+``planner.OverlapTable``, the one type of overlap rows, and the distinct
+part states its rows read, which the table derives once and keeps: a
+``planner.Plan`` is a table whose rows read ("ax", "ay"), ghz's gram
+entries are four tables of one readout each, density tasks are tables of
+"e:<P>" readouts (``_density_tables``), and a worker decodes each item of a
+batch as one table, so a row gives the same bits everywhere.
 
 One runner and one reducer carry a plan from its table to its value as
-arrays. ``_run`` runs tables (plans among them), or tasks, as items through
-one path per mode and returns each item's values as an array (rows x
-readouts); locally the items of a call share one part-state cache, and over
-the wire the replies fill the same arrays. Plans that share a channel (one
-derived-value holder and the same labels, ``planner._stacks``) are read as
-one stack, per part one ``np.vecdot`` over (plans x pairs), in a local run
-and on a worker alike (a worker's items share no columns, so each is a stack
-of one). ``_reduce`` folds a stack's overlaps into its plans' values at
-once. ``estimate_plans`` is the two together;
-``execute_tasks`` and ``run_plan`` build TaskResults only at their return,
-and ``aggregate`` reads TaskResults back into one array for the same reducer.
-The wire carries overlap tables and density rows; "estimator" tasks run only
-in-process, as the reference the tests hold overlap tasks to.
+arrays. ``_run`` runs tables (plans among them), and estimator tasks in
+process, as items through one path per mode and returns each item's values
+as an array (rows x readouts); locally the items of a call share one
+part-state cache, and over the wire the replies fill the same arrays. Plans
+that share a channel (one derived-value holder and the same labels,
+``planner._stacks``) are read as one stack, per part one ``np.vecdot`` over
+(plans x pairs), in a local run and on a worker alike (a worker's items
+share no columns, so each is a stack of one). ``_reduce`` folds a stack's
+overlaps into its plans' values at once. ``estimate_plans`` is the two
+together; ``execute_tasks`` and ``run_plan`` build TaskResults only at their
+return, and ``aggregate`` reads TaskResults back into one array for the same
+reducer. The wire carries overlap tables alone; "estimator" tasks run only
+in-process, as the reference the tests hold overlap rows to, and a network
+call that holds one raises before any batch is sent.
 
-Over the wire (protocol 6) the rows of a call travel as one batch message per
+Over the wire (protocol 7) the rows of a call travel as one batch message per
 start node. A batch carries its distinct gates once, as a gate table that one
 ``circuit_to_json`` call encodes, each distinct circuit once, as positions in
-that table, and one entry per item: an overlap table's operands once and its
-columns cut to the batch's rows, or a density row. Every batch is sent before
-any reply is read. A worker decodes the gate table with one ``parse_circuit``
-call, so each distinct gate is one Gate, and runs each overlap item as one
-OverlapTable over the batch's circuits, checked as a local table is.
+that table, and one entry per table: its operands once and its columns cut
+to the batch's rows. Every batch is sent before any reply is read. A worker
+decodes the gate table with one ``parse_circuit`` call, so each distinct
+gate is one Gate, and runs each item as one OverlapTable over the batch's
+circuits, checked as a local table is.
 
 The part-state cache (``circuit._PartStates``) is the same locally and on a worker:
 each distinct (circuit, input label) is simulated once per call or batch, and
@@ -61,8 +64,9 @@ worker receives, the width cap a worker announces, and a batch's circuits'
 widths and gate table positions, and (in ``circuit.parse_circuit``) the
 width and qubits of circuit JSON; ``planner.OverlapTable`` checks overlap
 rows, locally and in a worker's decoded items, with ``planner._index_column``
-for row ids and table positions (a density task's id too) and
-``planner.check_overlap_operands`` for operands, so a worker refuses the rows
+for row ids and table positions (a task's id too), ``planner._parse_readout``
+for readout descriptors and ``planner.check_overlap_operands`` for operands,
+so a worker refuses the rows
 a controller would, with the same message; ``ExactBackend.run_rows`` holds a
 node's width cap, in-process and on a worker, whose announced cap the
 controller checks before sending it a batch.
@@ -104,12 +108,12 @@ from .circuit import (
     _PartStates,
 )
 from .linalg import _complex_product, _is_count, _sequential_sum
-from .planner import _ID_RULE, OverlapTable, Plan, Subtask, _index_column, _stacks
+from .planner import (_ID_RULE, OverlapTable, Plan, Subtask, _index_column, _parse_readout,
+                      _stacks)
 
 __all__ = [
     "ClusterConfig",
     "TaskSpec",
-    "OverlapSpec",
     "TaskResult",
     "ExactBackend",
     "NodeFailure",
@@ -125,7 +129,7 @@ __all__ = [
     "serve_worker",
 ]
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 
 class NodeFailure(RuntimeError):
@@ -200,15 +204,17 @@ class ClusterConfig:
 
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
-    """One task given as a circuit plus readout descriptors.
+    """One task given as a circuit plus readout descriptors, read on the
+    circuit's output vector v.
 
-    kind="density" admits non-unitary RAW maps: each gate is one linear map,
-    so the output |A0><A0| (A the product of the gates) has rank one, and the
-    task pushes the unnormalized vector A|0...0> through the gates without
-    renormalization. kind="estimator" simulates a unitary circuit from
-    |0...0>; it runs only in-process (workers refuse it), as the reference
-    for overlap tasks and their readout law.
-    Readout descriptors and their (w, m) pairs on the task's vector v:
+    kind="density" is a controller-side description: a circuit of possibly
+    non-unitary RAW maps read by "e:<P>" readouts alone, which
+    ``execute_tasks`` lowers to overlap tables (``_density_tables``). Each
+    gate is one linear map, so the output |A0><A0| (A the product of the
+    gates) has rank one, and v = A|0...0> is pushed through the gates
+    without renormalization. kind="estimator" simulates a unitary circuit
+    from |0...0>; it runs only in-process, as the reference for overlap
+    rows and their readout law. Readout descriptors and their (w, m) pairs:
       - "e:<P>": w = |v|^2, m = <v|P|v>
       - "p0:<P>" / "p1:<P>": the same on the ancilla-0 / ancilla-1 half of v
       - "ax" / "ay": w = |v|^2, m = 2 Re / 2 Im <v0|v1> (qubit 0 is the ancilla)
@@ -222,6 +228,9 @@ class TaskSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _index_column((self.id,), _ID_RULE, 0))
+        if self.kind == "density" and not all(
+                isinstance(d, str) and d.startswith("e:") for d in self.readouts):
+            raise ValueError(f"a density task reads e:<P> readouts only, got {list(self.readouts)}")
 
     @property
     def circuits(self) -> tuple[Circuit]:
@@ -230,54 +239,6 @@ class TaskSpec:
     @property
     def n_qubits(self) -> int:
         return self.circuit.n_qubits
-
-
-@dataclass(frozen=True, eq=False)
-class OverlapSpec:
-    """One per-part overlap z = <r| O |l> as a task, with r = U_right|label>
-    and l = U_left|label>.
-
-    It carries two gate lists, an observable (a PauliString or a unitary
-    matrix) and an input label, not a synthesized estimator circuit. Its
-    readouts are those of ``build_estimator_circuit``'s state, as (w, m)
-    pairs taken from the part states directly:
-      - "ax" / "ay": (1, Re z) / (1, Im z)
-      - "p0": (|r|^2 / 2, <r|O|r> / 2), the ancilla-0 branch
-      - "p1": (|l|^2 / 2, <l|O|l> / 2), the ancilla-1 branch
-    p0 / p1 need a Pauli observable. The width is that of the part; no
-    ancilla is added. ``table`` is the task as a one-row OverlapTable, which
-    checks it and is what runs.
-    """
-
-    id: int
-    left: Circuit
-    right: Circuit
-    observable: PauliString | np.ndarray
-    input_label: str
-    readouts: tuple[str, ...] = ("ax", "ay")
-    table: OverlapTable = field(init=False, repr=False)
-
-    kind: ClassVar[str] = "overlap"
-
-    def __post_init__(self):
-        table = OverlapTable(
-            circuits=(self.left, self.right), observables=(self.observable,),
-            labels=(self.input_label,), ids=(self.id,), left=(0,), right=(1,), observable=(0,),
-            label=(0,), readouts=self.readouts)
-        object.__setattr__(self, "observable", table.observables[0])
-        object.__setattr__(self, "table", table)
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self.table.ids
-
-    @property
-    def circuits(self) -> tuple[Circuit, Circuit]:
-        return self.table.circuits
-
-    @property
-    def n_qubits(self) -> int:
-        return self.left.n_qubits
 
 
 @dataclass(frozen=True)
@@ -306,23 +267,10 @@ def sample_shots(exact_probs, n: int, rng: np.random.Generator) -> np.ndarray:
     return counts / float(n)
 
 
-def _parse_readout(desc: str, n_qubits: int) -> tuple[str | None, str]:
-    """Split a readout descriptor into (ancilla part, Pauli letters over the rest)."""
-    if desc in ("ax", "ay"):
-        return desc, "I" * (n_qubits - 1)
-    for prefix in ("p0:", "p1:", "e:"):
-        if desc.startswith(prefix):
-            letters = desc[len(prefix):]
-            want = n_qubits if prefix == "e:" else n_qubits - 1
-            if len(letters) != want or any(ch not in "IXYZ" for ch in letters):
-                raise ValueError(f"bad readout descriptor {desc!r}")
-            return (None if prefix == "e:" else prefix[:2]), letters
-    raise ValueError(f"unknown readout descriptor {desc!r}")
-
-
-# the (ket, bra) sides of the z = <bra| O |ket> that each overlap readout reads
+# the (ket, bra) sides of the z = <bra| O |ket> that each overlap readout
+# reads, by its first two characters ("e:" for each "e:<P>")
 _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
-                  "p0": ("right", "right"), "p1": ("left", "left")}
+                  "p0": ("right", "right"), "p1": ("left", "left"), "e:": ("left", "left")}
 
 
 def _overlaps(stack: list[OverlapTable], states: _PartStates) -> np.ndarray:
@@ -331,10 +279,14 @@ def _overlaps(stack: list[OverlapTable], states: _PartStates) -> np.ndarray:
 
     A readout reads z = <bra| O |ket> on the part states ``_READOUT_SIDES``
     names: "ax" / "ay" give (1, Re z) / (1, Im z); "p0" / "p1" give
-    (<s|s> / 2, Re z / 2) with s the right / left state. One ``np.vecdot``
-    per side pair and block forms every z of every table of the stack. The
-    tables share their blocks (``OverlapTable.sides``: a block's rows, its
-    observable, and its distinct bra and ket (circuit, label) states with
+    (<s|s> / 2, Re z / 2) with s the right / left state; "e:<P>" gives
+    (<l|l>, Re <l|P|l>), with its own P in place of the row's observable. A
+    table whose readouts are all "e:" reads states pushed with
+    ``unitary=False``, so non-unitary RAW gates run and the weight they lose
+    reaches w; any other table refuses them. One ``np.vecdot`` per side
+    pair, block and observable forms every z of every table of the stack.
+    The tables share their blocks (``OverlapTable.sides``: a block's rows,
+    its observable, and its distinct bra and ket (circuit, label) states with
     each row's position among them). Each distinct (circuit, label) is
     simulated once per ``states``, which keeps each stack of states it
     builds, so the plans of one channel read one stack per part; each
@@ -347,21 +299,29 @@ def _overlaps(stack: list[OverlapTable], states: _PartStates) -> np.ndarray:
     distinct state.
     """
     t = stack[0]
+    unitary = not all(desc.startswith("e:") for desc in t.readouts)
     out = np.empty((len(stack), 2, len(t.ids), len(t.readouts)))  # w, then m, per readout
     out[:, 0] = 1.0
-    for sides in dict.fromkeys(map(_READOUT_SIDES.__getitem__, t.readouts)):
+    for sides in dict.fromkeys(_READOUT_SIDES[desc[:2]] for desc in t.readouts):
         columns = [(col, desc) for col, desc in enumerate(t.readouts)
-                   if _READOUT_SIDES[desc] == sides]
+                   if _READOUT_SIDES[desc[:2]] == sides]
         for rows, o, bra_at, bra_of_row, ket_at, ket_of_row in t.sides(*sides):
-            bras, kets = (states.stack(t.circuits, t.labels, at) for at in (bra_at, ket_at))
-            kets = np.array([_apply_observable(u.observables[o], kets) for u in stack])
-            z = np.vecdot(bras[bra_of_row], kets[:, ket_of_row])
+            bras, kets = (states.stack(t.circuits, t.labels, at, unitary)
+                          for at in (bra_at, ket_at))
+            z = {}  # (tables x rows) per observable: an "e:<P>"'s own P, else the rows' O
             for col, desc in columns:
+                e = desc if desc.startswith("e:") else None
+                if e not in z:
+                    ops = ([PauliString(len(e) - 2, e[2:])] if e
+                           else [u.observables[o] for u in stack])
+                    observed = np.array([_apply_observable(op, kets) for op in ops])
+                    z[e] = np.vecdot(bras[bra_of_row], observed[:, ket_of_row])
                 if desc in ("ax", "ay"):
-                    out[:, 1, rows, col] = z.real if desc == "ax" else z.imag
-                else:
-                    out[:, 0, rows, col] = (np.vecdot(bras, bras).real / 2.0)[bra_of_row]
-                    out[:, 1, rows, col] = z.real / 2.0
+                    out[:, 1, rows, col] = z[e].real if desc == "ax" else z[e].imag
+                else:  # "p0" / "p1" read half a branch, "e:" the whole state
+                    half = 1.0 if e else 2.0
+                    out[:, 0, rows, col] = (np.vecdot(bras, bras).real / half)[bra_of_row]
+                    out[:, 1, rows, col] = z[e].real / half
     return out.reshape(len(stack), 2, -1)
 
 
@@ -384,20 +344,16 @@ def _readout_pair(desc: str, state: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(state, state).real), m
 
 
-def _readout_pairs(task: TaskSpec | OverlapSpec | OverlapTable, states: _PartStates
-                   ) -> np.ndarray:
+def _readout_pairs(task: TaskSpec | OverlapTable, states: _PartStates) -> np.ndarray:
     """The (w, m) pairs of an item's readouts, as an array (2, rows x
-    readouts), row by row; ``states`` is run_rows' cache."""
-    if not isinstance(task, TaskSpec):
-        return _overlaps([task.table if isinstance(task, OverlapSpec) else task], states)[0]
-    n = task.n_qubits
-    if task.kind == "estimator":
-        state = simulate(task.circuit, basis_state(n))
-    elif task.kind == "density":
-        # rank one: rho = |A0><A0|, so every readout is read from A|0...0>
-        state = states.state(task.circuit, "0" * n, unitary=False)
-    else:
-        raise ValueError(f"unknown task kind {task.kind!r}")
+    readouts), row by row; ``states`` is run_rows' cache. A task must be an
+    estimator task: density tasks run as the tables ``execute_tasks`` lowers
+    them to."""
+    if isinstance(task, OverlapTable):
+        return _overlaps([task], states)[0]
+    if task.kind != "estimator":
+        raise ValueError(f"task kind {task.kind!r} does not run on a node")
+    state = simulate(task.circuit, basis_state(task.n_qubits))
     return np.array([_readout_pair(desc, state) for desc in task.readouts],
                     dtype=float).reshape(-1, 2).T
 
@@ -428,7 +384,7 @@ class ExactBackend:
 
     def run_task(
         self,
-        task: TaskSpec | OverlapSpec | OverlapTable,
+        task: TaskSpec | OverlapTable,
         shots: int | None,
         seed: int,
         states: _PartStates | None = None,
@@ -518,27 +474,22 @@ class _Batch:
             self.circuits[c] = at
         return at
 
-    def add(self, at: int, t: TaskSpec | OverlapTable, rows: np.ndarray):
-        """Add item ``at`` as one message entry: a task as one row that points
-        into the circuit list, a table as its operands once and its columns
-        cut to ``rows``, with ``left`` and ``right`` as circuit list positions."""
-        if isinstance(t, TaskSpec):
-            self.message["items"].append({"kind": t.kind, "id": t.id, "readout": list(t.readouts),
-                                          "circuit": self.circuit(t.circuit)})
-            self.width = max(self.width, t.n_qubits)
-        else:
-            left, right = t.left[rows], t.right[rows]
-            position = np.zeros(len(t.circuits), dtype=np.intp)
-            for k in dict.fromkeys(np.concatenate((left, right)).tolist()):
-                position[k] = self.circuit(t.circuits[k])
-                self.width = max(self.width, t.circuits[k].n_qubits)
-            self.message["items"].append({
-                "kind": "overlap", "labels": list(t.labels), "readout": list(t.readouts),
-                "observables": [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
-                                for o in t.observables],
-                "ids": t.ids[rows].tolist(), "left": position[left].tolist(),
-                "right": position[right].tolist(), "observable": t.observable[rows].tolist(),
-                "label": t.label[rows].tolist()})
+    def add(self, at: int, t: OverlapTable, rows: np.ndarray):
+        """Add table ``at`` as one message entry: its operands once and its
+        columns cut to ``rows``, with ``left`` and ``right`` as circuit list
+        positions."""
+        left, right = t.left[rows], t.right[rows]
+        position = np.zeros(len(t.circuits), dtype=np.intp)
+        for k in dict.fromkeys(np.concatenate((left, right)).tolist()):
+            position[k] = self.circuit(t.circuits[k])
+            self.width = max(self.width, t.circuits[k].n_qubits)
+        self.message["items"].append({
+            "kind": "overlap", "labels": list(t.labels), "readout": list(t.readouts),
+            "observables": [o.letters if isinstance(o, PauliString) else _matrix_to_json(o)
+                            for o in t.observables],
+            "ids": t.ids[rows].tolist(), "left": position[left].tolist(),
+            "right": position[right].tolist(), "observable": t.observable[rows].tolist(),
+            "label": t.label[rows].tolist()})
         self.runs.append((at, rows, len(t.readouts)))
 
     @property
@@ -555,15 +506,18 @@ def _batches(items: list, n_nodes: int, shots: int | None, seed: int) -> list[_B
     """One batch per non-empty start node group, in start node order.
 
     A batch carries ``shots``, ``seed``, its gate table, each distinct
-    circuit once as positions in that table, and one entry per item with
-    rows in its group (``_Batch.add``; an OverlapSpec is its one-row table),
-    the group's rows cut from the item's columns with numpy. Value-equal
-    gates share one table entry, and one ``circuit_to_json`` call encodes
-    the table, over the batch's widest row.
+    circuit once as positions in that table, and one entry per table with
+    rows in its group (``_Batch.add``), the group's rows cut from the
+    table's columns with numpy. Value-equal gates share one table entry,
+    and one ``circuit_to_json`` call encodes the table, over the batch's
+    widest row. A worker runs overlap tables alone: an estimator task
+    raises CapabilityMismatch here, before any batch is sent.
     """
     batches: dict[int, _Batch] = {}
-    for at, item in enumerate(items):
-        t = item.table if isinstance(item, OverlapSpec) else item
+    for at, t in enumerate(items):
+        if not isinstance(t, OverlapTable):
+            raise CapabilityMismatch(f"task {t.id}: {t.kind} tasks run in process only; "
+                                     f"a worker runs overlap tables")
         starts = t.ids % n_nodes
         for start in sorted(set(starts.tolist())):
             if start not in batches:
@@ -591,34 +545,28 @@ def _batch_circuit(k: int, obj, table: tuple[Gate, ...]) -> Circuit:
     return Circuit(n, tuple(map(table.__getitem__, positions)))
 
 
-# the fields of each item kind a batch carries
-_ITEM_FIELDS = {"overlap": {"kind", "observables", "labels", "readout", *OverlapTable._columns},
-                "density": {"kind", "id", "circuit", "readout"}}
+# the fields of the one item kind a batch carries
+_ITEM_FIELDS = {"kind", "observables", "labels", "readout", *OverlapTable._columns}
 
 
-def _decode_item(item, circuits: tuple[Circuit, ...]) -> TaskSpec | OverlapTable:
-    """Decode one batch item over the batch's circuits: an overlap item as
-    one OverlapTable, which checks its ids, positions, bounds and operands
-    as a local table is checked, and a density row as a TaskSpec.
+def _decode_item(item, circuits: tuple[Circuit, ...]) -> OverlapTable:
+    """Decode one batch item over the batch's circuits as one OverlapTable,
+    which checks its ids, positions, bounds, operands and readouts as a
+    local table is checked.
 
-    Nothing is coerced: an item holds exactly its kind's fields, its
-    readouts are a list of strings, and an overlap item's observables (Pauli
-    letters or matrix JSON), labels and columns are lists.
+    Nothing is coerced: an item holds exactly the overlap fields, its
+    readouts are a list of strings, and its observables (Pauli letters or
+    matrix JSON), labels and columns are lists.
     """
     kind = item.get("kind") if isinstance(item, dict) else None
-    if kind not in _ITEM_FIELDS:
+    if kind != "overlap":
         raise ValueError(f"task kind {kind!r} is not accepted over the wire "
-                         f"(protocol {PROTOCOL_VERSION} carries overlap and density items)")
-    if item.keys() != _ITEM_FIELDS[kind]:
-        raise ValueError(f"a {kind} item holds {sorted(_ITEM_FIELDS[kind])}, got {sorted(item)}")
+                         f"(protocol {PROTOCOL_VERSION} carries overlap items only)")
+    if item.keys() != _ITEM_FIELDS:
+        raise ValueError(f"an overlap item holds {sorted(_ITEM_FIELDS)}, got {sorted(item)}")
     readouts = item["readout"]
     if not (isinstance(readouts, list) and all(isinstance(r, str) for r in readouts)):
         raise ValueError(f"an item's readout must be a list of strings, got {readouts!r}")
-    if kind == "density":
-        k = item["circuit"]
-        if not (_is_count(k, 0) and k < len(circuits)):
-            raise ValueError(f"no circuit {k!r} in the batch")
-        return TaskSpec(id=item["id"], kind=kind, circuit=circuits[k], readouts=tuple(readouts))
     for name in ("observables", "labels", *OverlapTable._columns):
         if not isinstance(item[name], list):
             raise ValueError(f"an overlap item's {name} must be a list, got {item[name]!r}")
@@ -670,8 +618,8 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
         derives shots used from its own call and does not read them.
 
         The gate table is parsed once, with non-unitary RAW gates admitted as
-        density rows need; simulating an overlap row's part states refuses
-        them, as a local run does. Each circuit is built from its table
+        a table of "e:<P>" readouts alone needs; any other table refuses them
+        when it simulates its states, as a local run does. Each circuit is built from its table
         positions, so each distinct gate is one Gate, and the cache applies
         each gate prefix the circuits share once. Each item is decoded
         (``_decode_item``) and run by one ``run_task`` call. ``shots`` must
@@ -697,7 +645,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                 values += [flat[j:j + k] for j in range(0, len(flat), k)]
                 used += [0 if shots is None else shots * k] * len(task.ids)
         except Exception as exc:  # report, naming the item's first row id; keep serving
-            ids = item.get("ids", [item.get("id")]) if isinstance(item, dict) else None
+            ids = item.get("ids") if isinstance(item, dict) else None
             ok = isinstance(ids, list) and ids and all(_is_count(i, 0) for i in ids)
             return {"type": "error", "id": ids[0] if ok else -1, "message": str(exc)}
         return {"type": "result", "values": values, "shots_used": used}
@@ -972,25 +920,48 @@ def _run(items: list, cfg: ClusterConfig) -> tuple[list[np.ndarray], list | None
     return values, list(zip(batches, replies))
 
 
+def _density_tables(tasks: list[TaskSpec]) -> list[OverlapTable]:
+    """Density tasks, in ascending id order, as one overlap table per
+    distinct readout tuple. Each task is one row with its own id: left =
+    right = its circuit, label 0...0 and the identity as row observable,
+    which no "e:<P>" readout reads. So every task keeps its id, its readout
+    indices and its (seed, id, readout index) streams."""
+    groups: dict = {}
+    for t in tasks:
+        groups.setdefault(tuple(t.readouts), []).append(t)
+    tables = []
+    for readouts, rows in groups.items():
+        widths = {w: k for k, w in enumerate(dict.fromkeys(t.n_qubits for t in rows))}
+        width = [widths[t.n_qubits] for t in rows]  # each row's observable and label
+        tables.append(OverlapTable(
+            circuits=[t.circuit for t in rows], labels=["0" * w for w in widths],
+            observables=[PauliString(w, "I" * w) for w in widths], ids=[t.id for t in rows],
+            left=range(len(rows)), right=range(len(rows)), observable=width, label=width,
+            readouts=readouts))
+    return tables
+
+
 def execute_tasks(
-    tasks: list[TaskSpec | OverlapSpec] | list[OverlapTable], cfg: ClusterConfig
+    tasks: list[TaskSpec] | list[OverlapTable], cfg: ClusterConfig
 ) -> list[TaskResult] | list[list[TaskResult]]:
     """Run every task exactly once; assignment is task id modulo node count.
 
-    ``tasks`` is either a list of TaskSpec / OverlapSpec, whose results come
-    back in ascending task id order, or a list of OverlapTables (Plans among
-    them), whose results come back as one list per table, each in the
-    table's ascending id order. Both run as items (a table, or a task as one
-    row) through ``_run``. Each table keeps its own ids, so a row's node,
-    shot stream and result are those of the same row run as a single overlap
-    task. The TaskResults are built here, from the run's arrays; every row's
-    shots used is 0 in exact mode and shots x its readouts in sampled mode,
-    in both modes.
+    ``tasks`` is either a list of TaskSpecs, whose results come back in
+    ascending task id order, or a list of OverlapTables (Plans among them),
+    whose results come back as one list per table, each in the table's
+    ascending id order. Density tasks are lowered to overlap tables
+    (``_density_tables``); estimator tasks run as they are, in process only
+    (``_batches`` refuses one). Every item runs through ``_run``. Each table
+    keeps its own ids, so a row's node, shot stream and result are those of
+    the same row run alone in a one-row table. The TaskResults are built
+    here, from the run's arrays; every row's shots used is 0 in exact mode
+    and shots x its readouts in sampled mode, in both modes.
     """
     tables = [t for t in tasks if isinstance(t, OverlapTable)]
     if tables and len(tables) != len(tasks):
         raise TypeError("execute_tasks takes a list of tasks or a list of tables, not both")
-    items = tables or sorted(tasks, key=lambda t: t.id)
+    items = tables or [t for t in tasks if t.kind != "density"] + _density_tables(
+        sorted((t for t in tasks if t.kind == "density"), key=operator.attrgetter("id")))
     values, answers = _run(items, cfg)
     ids = [item.ids.tolist() for item in items]
     if answers is None:  # local: node id % nodes
@@ -1004,7 +975,8 @@ def execute_tasks(
     out = [list(map(TaskResult, row_ids, map(tuple, v.tolist()),
                     itertools.repeat(0 if cfg.shots is None else cfg.shots * v.shape[1]), labels))
            for row_ids, v, labels in zip(ids, values, nodes)]
-    return out if tables else [r for (r,) in out]
+    return out if tables else sorted(itertools.chain.from_iterable(out),
+                                     key=operator.attrgetter("task_id"))
 
 
 def estimate_plans(plans: list[Plan], cfg: ClusterConfig) -> list[complex]:

@@ -47,3 +47,12 @@ def pauli_label_matrix(letters: str) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def one_row_table(id, left, right, observable, input_label, readouts=("ax", "ay")):
+    """The overlap <label| U_right^dagger O U_left |label> as a one-row table."""
+    from tlpq.planner import OverlapTable
+
+    return OverlapTable(circuits=(left, right), observables=(observable,), labels=(input_label,),
+                        ids=(id,), left=(0,), right=(1,), observable=(0,), label=(0,),
+                        readouts=readouts)

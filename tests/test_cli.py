@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import PAULI
+from conftest import PAULI, one_row_table
 
 from tlpq import Circuit, Gate, PauliString, Subtask, circuit_to_json, cli
 from tlpq.cli import main
 from tlpq.lchs import build_quadrature, trotter_oracle, unitary_node
 from tlpq.planner import NonPhysical
-from tlpq.runtime import PROTOCOL_VERSION, ClusterConfig, OverlapSpec, execute_tasks
+from tlpq.runtime import PROTOCOL_VERSION, ClusterConfig, execute_tasks
 
 
 @pytest.fixture()
@@ -296,7 +296,7 @@ def test_nonherm_check_rejects_shot_mode(runner):
 
 def one_call_per_plan_rows(cluster: ClusterConfig, t_values) -> list[dict]:
     """The nonherm rows computed the way they were before plans ran as one
-    batch: per (T, Pauli letter), Subtask rows -> one OverlapSpec per row ->
+    batch: per (T, Pauli letter), Subtask rows -> one one-row table per row ->
     its own execute_tasks call -> ordered reduce; the dense column from node
     states rebuilt for each observable, with O v_b formed inside the pair loop."""
     g, u0 = cli.nonherm_generator()
@@ -321,11 +321,10 @@ def one_call_per_plan_rows(cluster: ClusterConfig, t_values) -> list[dict]:
                                             * np.conj(1.0 + 0j)))
                 for i in range(m) for j in range(m)
             ]
-            tasks = [OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
-                                 observable=s.observable, input_label=s.input_label)
-                     for s in subtasks]
+            tasks = [one_row_table(s.id, s.left_circuit, s.right_circuit, s.observable,
+                                   s.input_label) for s in subtasks]
             total = 0.0 + 0j
-            for s, res in zip(subtasks, execute_tasks(tasks, cluster)):
+            for s, (res,) in zip(subtasks, execute_tasks(tasks, cluster)):
                 product = 1.0 + 0j  # one part: every row is its own sibling group
                 product *= complex(*res.value)
                 total += s.coefficient * product
@@ -367,8 +366,8 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     import tlpq.planner
     import tlpq.runtime
 
-    calls = {"applied": [], "unitary_node": 0, "overlap_spec": 0, "operand_check": 0}
-    evolve, node = tlpq.circuit._evolve, cli.unitary_node
+    calls = {"applied": [], "unitary_node": 0, "table": 0, "operand_check": 0}
+    evolve, node, table = tlpq.circuit._evolve, cli.unitary_node, tlpq.planner.OverlapTable
 
     def count(key):
         def counted(*args, **kwargs):
@@ -379,7 +378,8 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
                         calls["applied"].extend(gates) or evolve(gates, state, **kw))
     monkeypatch.setattr(cli, "unitary_node",
                         lambda *a: count("unitary_node")() or node(*a))
-    monkeypatch.setattr(tlpq.runtime.OverlapSpec, "__post_init__", count("overlap_spec"))
+    monkeypatch.setattr(table, "__post_init__",
+                        lambda self, real=table.__post_init__: count("table")() or real(self))
     monkeypatch.setattr(tlpq.planner, "check_overlap_operands", count("operand_check"))
     cli.run_nonherm_rows(ClusterConfig())
     circuits = sum(build_quadrature(0.2, 0.5, t).M + 1 for t in cli._DEFAULT_NONHERM_T)
@@ -388,7 +388,7 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     assert len(calls["applied"]) == len({id(g) for g in calls["applied"]}) == circuits
     # one call per T builds its node stack; the dense column reuses it
     assert calls["unitary_node"] == len(cli._DEFAULT_NONHERM_T) == 10
-    assert calls["overlap_spec"] == 0
+    assert calls["table"] == 40  # one per plan, none per row
     assert calls["operand_check"] <= circuits
 
 

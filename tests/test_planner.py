@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, kron_all, pauli_label_matrix, random_state
+from conftest import haar_unitary, kron_all, one_row_table, pauli_label_matrix, random_state
 
 from tlpq.circuit import (
     Circuit,
@@ -44,11 +44,11 @@ from tlpq.planner import (
 from tlpq.runtime import (
     ClusterConfig,
     ExactBackend,
-    OverlapSpec,
     TaskSpec,
     _PartStates,
     _readout_pairs,
     aggregate,
+    execute_tasks,
     run_plan,
 )
 
@@ -400,9 +400,8 @@ class TestGhzTemplatesAndPlan:
         for ev in evaluations:
             left, right = templates[ev.template]
             vals, _ = backend.run_task(
-                OverlapSpec(id=ev.id, left=left, right=right,
-                            observable=PauliString(2, ev.setting), input_label="00",
-                            readouts=(ev.readout,)),
+                one_row_table(ev.id, left, right, PauliString(2, ev.setting), "00",
+                              (ev.readout,)),
                 None,
                 0,
             )
@@ -432,9 +431,8 @@ class TestGhzTemplatesAndPlan:
             reference = TaskSpec(id=ev.id, kind="estimator", circuit=Circuit(3, gates),
                                  readouts=(desc,))
             left, right = templates[ev.template]
-            task = OverlapSpec(id=ev.id, left=left, right=right,
-                               observable=PauliString(2, ev.setting), input_label="00",
-                               readouts=(ev.readout,))
+            task = one_row_table(ev.id, left, right, PauliString(2, ev.setting), "00",
+                                 (ev.readout,))
             want = np.array(_readout_pairs(reference, _PartStates()))
             got = np.array(_readout_pairs(task, _PartStates()))
             assert np.max(np.abs(got - want)) <= 1e-12, ev
@@ -499,11 +497,10 @@ class TestGhzCuttingPlan:
 
     def test_exact_reconstruction(self):
         subcircuits, settings, combiner = ghz_cutting_plan()
-        backend = ExactBackend()
 
         def density_value(circuit, pauli):
             task = TaskSpec(id=0, kind="density", circuit=circuit, readouts=(f"e:{pauli}",))
-            return backend.run_task(task, None, 0)[0][0]
+            return execute_tasks([task], ClusterConfig())[0].value[0]
 
         values = []
         for st in settings:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PAULI, kron_all, pauli_label_matrix, haar_unitary
+from conftest import PAULI, kron_all, one_row_table, pauli_label_matrix, haar_unitary
 
 import tlpq
 from tlpq import (
@@ -40,17 +40,25 @@ from tlpq import (
     simulate,
 )
 from tlpq.circuit import basis_state
-from tlpq.planner import ChannelLCU, NonUnitaryObservable, OverlapTable, Plan, ShapeMismatch
+from tlpq.planner import (
+    PAULI_2Q_LABELS as PAULI_2Q,
+    ChannelLCU,
+    NonUnitaryObservable,
+    OverlapTable,
+    Plan,
+    ShapeMismatch,
+)
 from tlpq.runtime import (
     PROTOCOL_VERSION,
     CapabilityMismatch,
     ExactBackend,
     MissingResult,
     NodeFailure,
-    OverlapSpec,
     TaskResult,
     WorkerServer,
+    _density_tables,
     _PartStates,
+    _readout_pair,
     _readout_pairs,
     _sampled_mean,
     estimate_plans,
@@ -113,7 +121,7 @@ def counted_sends(monkeypatch):
 
 
 def batch_message(rows: list[dict], circuits: list, shots=None, seed: int = 0) -> dict:
-    """A protocol-6 batch message by hand: the gates of ``circuits`` (Circuits
+    """A protocol-7 batch message by hand: the gates of ``circuits`` (Circuits
     or circuit JSON) go into one gate table in order, each circuit becomes
     {"n", "gates": [its positions in that table]}, and each row is one item
     that points into the circuits by position. An overlap row {"id", "kind",
@@ -289,7 +297,7 @@ def test_backend_density_pauli_readout_matches_trace(rng):
         letters = "".join(rng.choice(list("IXYZ")) for _ in range(2))
         task = TaskSpec(id=trial, kind="density", circuit=circ,
                         readouts=(f"e:{letters}",))
-        (val,), _ = ExactBackend().run_task(task, None, 0)
+        ((val,),) = (r.value for r in execute_tasks([task], ClusterConfig()))
         rho = dense_density(circ)
         expected = np.real(np.trace(rho @ pauli_label_matrix(letters)))
         assert val == pytest.approx(expected, abs=1e-12)
@@ -313,25 +321,18 @@ def random_map_circuit(rng, n_qubits: int) -> Circuit:
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_backend_density_readouts_match_dense_propagation(rng, n):
-    proj0 = np.diag([1.0, 0.0]).astype(complex)
-    proj1 = np.diag([0.0, 1.0]).astype(complex)
     for trial in range(3):
         circ = random_map_circuit(rng, n)
         rho = dense_density(circ)
         assert np.real(np.trace(rho)) < 0.99  # the maps really lose weight
-        full = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-        rest = "".join(rng.choice(list("IXYZ")) for _ in range(n - 1))
-        readouts = (f"e:{full}", f"e:{'I' * n}", f"p0:{rest}", f"p1:{rest}")
-        expected = [
-            np.trace(rho @ pauli_label_matrix(full)),
-            np.trace(rho),
-            np.trace(rho @ kron_all([proj0, pauli_label_matrix(rest)])),
-            np.trace(rho @ kron_all([proj1, pauli_label_matrix(rest)])),
-        ]
-        task = TaskSpec(id=trial, kind="density", circuit=circ, readouts=readouts)
-        values, used = ExactBackend().run_task(task, None, 0)
-        assert used == 0
-        for got, want in zip(values, expected):
+        letters = ["".join(rng.choice(list("IXYZ")) for _ in range(n)) for _ in range(3)]
+        letters.insert(1, "I" * n)
+        expected = [np.trace(rho @ pauli_label_matrix(p)) for p in letters]
+        task = TaskSpec(id=trial, kind="density", circuit=circ,
+                        readouts=tuple(f"e:{p}" for p in letters))
+        (result,) = execute_tasks([task], ClusterConfig())
+        assert result.shots_used == 0
+        for got, want in zip(result.value, expected):
             assert got == pytest.approx(float(np.real(want)), abs=1e-12)
 
 
@@ -339,23 +340,19 @@ def test_backend_sampled_density_with_lost_weight_converges(rng):
     circ = random_map_circuit(rng, 6)
     rho = dense_density(circ)
     assert np.real(np.trace(rho)) < 0.99
-    readouts = ("e:IIIIII", "p1:ZZIXI")  # the kept weight Tr(rho), and a projector
-    proj1 = np.diag([0.0, 1.0]).astype(complex)
+    readouts = ("e:IIIIII", "e:ZZIXIY")  # the kept weight Tr(rho), and a Pauli expectation
     exact_e = float(np.real(np.trace(rho)))
-    exact_p1 = float(np.real(np.trace(
-        rho @ kron_all([proj1, pauli_label_matrix("ZZIXI")]))))
+    exact_p = float(np.real(np.trace(rho @ pauli_label_matrix("ZZIXIY"))))
     errs = {}
     for n in (100, 10_000):
-        draws = []
-        for k in range(20):
-            task = TaskSpec(id=k, kind="density", circuit=circ, readouts=readouts)
-            draws.append(ExactBackend().run_task(task, n, seed=n)[0])
-        draws = np.array(draws)
-        errs[n] = float(np.mean(np.abs(draws - [exact_e, exact_p1])))
+        tasks = [TaskSpec(id=k, kind="density", circuit=circ, readouts=readouts)
+                 for k in range(20)]
+        draws = np.array([r.value for r in execute_tasks(tasks, ClusterConfig(shots=n, seed=n))])
+        errs[n] = float(np.mean(np.abs(draws - [exact_e, exact_p])))
         if n == 10_000:
             # each shot is worth -1, 0 or +1, so 20 x 10^4 shots pin the mean to ~0.002
             assert np.mean(draws[:, 0]) == pytest.approx(exact_e, abs=0.01)
-            assert np.mean(draws[:, 1]) == pytest.approx(exact_p1, abs=0.01)
+            assert np.mean(draws[:, 1]) == pytest.approx(exact_p, abs=0.01)
     assert errs[10_000] < errs[100] / 3
 
 
@@ -411,14 +408,37 @@ def test_readout_law_matches_dense_probabilities_on_estimator_circuits(rng, w):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_readout_law_matches_dense_probabilities_on_density_circuits(rng, n):
+    """A density task runs as a table of "e:<P>" readouts: on random
+    non-unitary map circuits each readout's law is the dense one."""
     for trial in range(3):
-        circ = random_map_circuit(rng, n)
-        rho = dense_density(circ)
-        assert np.real(np.trace(rho)) < 0.99  # the maps lose weight: P(0) > 0 everywhere
-        task = TaskSpec(id=trial, kind="density", circuit=circ,
-                        readouts=every_descriptor(rng, n))
-        for desc, (wt, m) in zip(task.readouts, zip(*_readout_pairs(task, _PartStates()))):
-            assert np.max(np.abs(law_of_pair(wt, m) - dense_law(rho, desc))) <= 1e-12, desc
+        circuits = [random_map_circuit(rng, n) for _ in range(2)]
+        readouts = tuple(f"e:{p}" for p in ["".join(rng.choice(list("IXYZ"), size=n))
+                                            for _ in range(4)] + ["I" * n])
+        (table,) = _density_tables([TaskSpec(id=2 * trial + k, kind="density", circuit=c,
+                                             readouts=readouts) for k, c in enumerate(circuits)])
+        ws, ms = _readout_pairs(table, _PartStates())
+        for k, circ in enumerate(circuits):
+            rho = dense_density(circ)
+            assert np.real(np.trace(rho)) < 0.99  # the maps lose weight: P(0) > 0 everywhere
+            for j, desc in enumerate(readouts):
+                at = k * len(readouts) + j
+                got = law_of_pair(ws[at], ms[at])
+                assert np.max(np.abs(got - dense_law(rho, desc))) <= 1e-12, desc
+
+
+def test_e_readouts_keep_the_bits_of_the_density_vector_readout(rng):
+    """An "e:<P>" table readout has the bits of (|v|^2, Re <v|P|v>), one
+    ``np.vdot`` each, on the unnormalized density vector v = A|0...0>."""
+    for n in (2, 3, 5):
+        readouts = tuple(f"e:{p}" for p in ("Z" * n, "".join(rng.choice(list("IXYZ"), size=n))))
+        tasks = [TaskSpec(id=k, kind="density", circuit=random_map_circuit(rng, n),
+                          readouts=readouts) for k in range(4)]
+        (table,) = _density_tables(tasks)
+        states = _PartStates()
+        got = _readout_pairs(table, states)
+        want = [_readout_pair(desc, states.state(t.circuit, "0" * n, unitary=False))
+                for t in tasks for desc in readouts]
+        assert np.array(want).T.tobytes() == got.tobytes()
 
 
 def test_readout_law_of_overlap_tasks_matches_estimator_circuits(rng):
@@ -430,9 +450,8 @@ def test_readout_law_of_overlap_tasks_matches_estimator_circuits(rng):
             letters = s.observable.letters
             readouts += ("p0", "p1")
             descriptors += (f"p0:{letters}", f"p1:{letters}")
-        task = OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
-                           observable=s.observable, input_label=s.input_label,
-                           readouts=readouts)
+        task = one_row_table(s.id, s.left_circuit, s.right_circuit, s.observable,
+                             s.input_label, readouts)
         for desc, (wt, m) in zip(descriptors, zip(*_readout_pairs(task, _PartStates()))):
             if desc in ("ax", "ay"):
                 assert wt == 1.0
@@ -547,20 +566,14 @@ def test_cluster_config_rejects_a_retry_limit_or_node_count_that_is_not_a_count(
 # --- execute_tasks: local scheduling ------------------------------------------------
 
 
-def make_tasks(rng, count: int = 9) -> list[TaskSpec | OverlapSpec]:
-    """Alternating overlap and density tasks on two qubits."""
-    tasks = []
-    for i in range(count):
-        if i % 2 == 0:
-            tasks.append(OverlapSpec(
-                id=i, left=random_circuit(rng, 2), right=random_circuit(rng, 2),
-                observable=PauliString(2, "XZ"), input_label="01",
-                readouts=("ax", "ay") if i % 4 == 0 else ("p1", "ay", "p0"),
-            ))
-        else:
-            tasks.append(TaskSpec(id=i, kind="density", circuit=random_circuit(rng, 2),
-                                  readouts=("e:XZ", "e:ZI")))
-    return tasks
+def make_tasks(rng, count: int = 9) -> list[TaskSpec]:
+    """Density tasks on two qubits, on unitary and on lossy circuits, under
+    three readout tuples: a call runs them as three overlap tables whose rows
+    interleave by id."""
+    readouts = (("e:XZ", "e:ZI"), ("e:YY",), ("e:IZ", "e:XX", "e:ZY"))
+    return [TaskSpec(id=i, kind="density", readouts=readouts[i % 3],
+                     circuit=random_circuit(rng, 2) if i % 2 else random_map_circuit(rng, 2))
+            for i in range(count)]
 
 
 def test_execute_tasks_orders_results_and_assigns_round_robin(rng):
@@ -659,9 +672,9 @@ def test_dispatch_sends_every_batch_before_reading_any_reply():
             if not before_reply():
                 send({"type": "error", "id": -1, "message": "worker B never got its batch"})
                 return
-            rows = batch["items"]
-            send({"type": "result", "values": [[float(r["id"])] for r in rows],
-                  "shots_used": [0] * len(rows)})
+            ids = [i for item in batch["items"] for i in item["ids"]]
+            send({"type": "result", "values": [[float(i)] for i in ids],
+                  "shots_used": [0] * len(ids)})
 
     # A withholds its reply until B holds its batch: dispatch that waited on A's
     # reply before sending B its batch would get A's error instead
@@ -685,7 +698,8 @@ def test_dispatch_sends_every_batch_before_reading_any_reply():
     assert not any(t.is_alive() for t in threads)
     assert [r.value for r in results] == [(0.0,), (1.0,), (2.0,), (3.0,)]
     assert [r.node_id for r in results] == [addresses[i % 2] for i in range(4)]
-    assert [[r["id"] for r in batches[k]["items"]] for k in "ab"] == [[0, 2], [1, 3]]
+    assert [[i for item in batches[k]["items"] for i in item["ids"]] for k in "ab"] == [
+        [0, 2], [1, 3]]
 
 
 def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monkeypatch):
@@ -694,9 +708,8 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
     left = random_circuit(rng, 2)
     rights = [random_circuit(rng, 2) for _ in range(3)]
     tasks = [
-        OverlapSpec(id=i, left=left, right=rights[i % 3], input_label=label,
-                    observable=PauliString(2, "XZ" if i < 3 else "ZY"),
-                    readouts=("ax", "ay") if i % 2 else ("p0", "ax", "p1"))
+        one_row_table(i, left, rights[i % 3], PauliString(2, "XZ" if i < 3 else "ZY"), label,
+                      ("ax", "ay") if i % 2 else ("p0", "ax", "p1"))
         for i, label in enumerate(["01"] * 5 + ["10"])
     ]
     local = execute_tasks(tasks, ClusterConfig(seed=2, shots=32))
@@ -709,10 +722,11 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
     with live_worker() as addr:  # one node: every row is in one batch
         net = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(addr,), seed=2,
                                                  shots=32))
-    assert [r.value for r in net] == [r.value for r in local]
+    assert net == [[TaskResult(r.task_id, r.value, r.shots_used, addr) for r in rows]
+                   for rows in local]
     # one gate table: the 4 distinct gates of one left and three right circuits
     assert len(parsed) == 1 and len(parsed[0]["gates"]) == 4 * 4
-    states = {(c, t.input_label) for t in tasks for c in (t.left, t.right)}
+    states = {(c, t.labels[0]) for t in tasks for c in t.circuits}
     # each state simulated once, no two share a gate: row 5 reads two circuits under label 10
     assert len(states) == 6 and len(applied) == 4 * len(states)
 
@@ -746,13 +760,28 @@ def test_dead_start_node_fails_a_batch_after_retry_limit_attempts(rng):
     assert [r.value for r in moved] == [r.value for r in execute_tasks(tasks, ClusterConfig())]
 
 
+_SQUASH = Circuit(1, (Gate("RAW", (0,), raw=np.diag([1.0, 0.5])),))
+
+
 def test_worker_error_reply_names_the_row(rng):
+    good = one_row_table(2, random_circuit(rng, 1), random_circuit(rng, 1), PauliString(1, "Z"),
+                         "0")
+    bad = one_row_table(5, _SQUASH, _SQUASH, PauliString(1, "Z"), "0")  # the worker refuses it
+    with live_worker() as addr:
+        with pytest.raises(RuntimeError, match="task 5: RAW gate on \\(0,\\) is not unitary"):
+            execute_tasks([good, bad], ClusterConfig(mode="network", nodes=(addr,)))
+
+
+def test_a_network_call_that_holds_an_estimator_task_raises_before_any_batch(rng, monkeypatch):
     estimator = TaskSpec(id=5, kind="estimator", circuit=random_circuit(rng, 2),
                          readouts=("ax",))
-    with live_worker() as addr:
-        with pytest.raises(RuntimeError, match="task 5: task kind 'estimator'"):
+    with counted_sends(monkeypatch) as sent, live_worker() as addr:
+        with pytest.raises(CapabilityMismatch, match="task 5: estimator tasks run in process"):
             execute_tasks(make_tasks(rng, count=4) + [estimator],
                           ClusterConfig(mode="network", nodes=(addr,)))
+        assert sent == []  # not even a hello
+    local = execute_tasks(make_tasks(rng, count=4) + [estimator], ClusterConfig())
+    assert [r.task_id for r in local] == [0, 1, 2, 3, 5]
 
 
 # --- worker sessions: one handshake per worker per ClusterConfig ---------------------
@@ -803,9 +832,9 @@ def _greeting_worker(listener, greeted: threading.Event, other: threading.Event)
         f.write((json.dumps({"type": "hello_ack", "proto": PROTOCOL_VERSION,
                              "max_qubits": 12}) + "\n").encode())
         f.flush()
-        rows = json.loads(f.readline())["items"]
-        f.write((json.dumps({"type": "result", "values": [[float(r["id"])] for r in rows],
-                             "shots_used": [0] * len(rows)}) + "\n").encode())
+        ids = [i for item in json.loads(f.readline())["items"] for i in item["ids"]]
+        f.write((json.dumps({"type": "result", "values": [[float(i)] for i in ids],
+                             "shots_used": [0] * len(ids)}) + "\n").encode())
         f.flush()
 
 
@@ -842,10 +871,10 @@ def test_a_connection_the_worker_closed_is_replaced_without_an_attempt(rng):
     listener = socket.create_server(("127.0.0.1", 0))
     address = f"127.0.0.1:{listener.getsockname()[1]}"
     closed = threading.Event()
-    task = OverlapSpec(id=0, left=random_circuit(rng, 1), right=random_circuit(rng, 1),
-                       observable=PauliString(1, "Z"), input_label="0")
-    local = execute_tasks([task], ClusterConfig())
-    reply = json.dumps({"type": "result", "values": [list(local[0].value)], "shots_used": [0]})
+    task = one_row_table(0, random_circuit(rng, 1), random_circuit(rng, 1), PauliString(1, "Z"),
+                         "0")
+    ((local,),) = execute_tasks([task], ClusterConfig())
+    reply = json.dumps({"type": "result", "values": [list(local.value)], "shots_used": [0]})
 
     def fake_worker():
         for _ in range(2):
@@ -865,7 +894,7 @@ def test_a_connection_the_worker_closed_is_replaced_without_an_attempt(rng):
         thread.join(timeout=5)
         listener.close()
     assert not thread.is_alive()  # both connections served
-    assert first == second == [TaskResult(0, local[0].value, 0, address)]
+    assert first == second == [[TaskResult(0, local.value, 0, address)]]
 
 
 def test_a_call_that_raises_keeps_no_connection(rng, monkeypatch):
@@ -878,7 +907,7 @@ def test_a_call_that_raises_keeps_no_connection(rng, monkeypatch):
         for bad, error, nodes in (
             (TaskSpec(id=0, kind="density", circuit=Circuit(5, ()), readouts=("e:IIIII",)),
              CapabilityMismatch, (a,)),
-            (TaskSpec(id=0, kind="estimator", circuit=random_circuit(rng, 2), readouts=("ax",)),
+            (one_row_table(0, _SQUASH, _SQUASH, PauliString(1, "Z"), "0"),
              RuntimeError, (a,)),  # the worker's error reply
             (TaskSpec(id=1, kind="density", circuit=random_circuit(rng, 2), readouts=("e:ZZ",)),
              NodeFailure, (a, dead)),  # id 1 starts on the dead node
@@ -998,19 +1027,19 @@ def test_protocol_unknown_type_reports_error_and_continues():
 
 def test_protocol_task_roundtrip_matches_local_backend(rng):
     circ = random_map_circuit(rng, 2)
-    task = TaskSpec(id=11, kind="density", circuit=circ, readouts=("e:XZ", "p1:Y"))
-    local_values, local_used = ExactBackend().run_task(task, 50, 3)
+    task = TaskSpec(id=11, kind="density", circuit=circ, readouts=("e:XZ", "e:YI"))
+    (local,) = execute_tasks([task], ClusterConfig(shots=50, seed=3))
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
-        send(batch_message(
-            [{"id": 11, "kind": "density", "circuit": 0, "readout": ["e:XZ", "p1:Y"]}],
-            [circ], shots=50, seed=3,
-        ))
+        # the overlap item the task is lowered to: left = right, identity, label 00
+        send(batch_message([{"id": 11, "kind": "overlap", "left": 0, "right": 0, "obs": "II",
+                             "input": "00", "readout": ["e:XZ", "e:YI"]}],
+                           [circ], shots=50, seed=3))
         reply = recv()
-    assert reply["type"] == "result" and reply["shots_used"] == [local_used]
+    assert reply["type"] == "result" and reply["shots_used"] == [local.shots_used]
     assert all(isinstance(v, float) for v in reply["values"][0])  # plain floats
-    assert tuple(reply["values"][0]) == local_values
+    assert tuple(reply["values"][0]) == local.value
 
 
 def test_protocol_refuses_estimator_tasks_and_keeps_serving(rng):
@@ -1021,11 +1050,29 @@ def test_protocol_refuses_estimator_tasks_and_keeps_serving(rng):
         send(batch_message([{"id": 12, "kind": "estimator", "circuit": 0,
                              "readout": ["ax", "ay"]}], [circ]))
         reply = recv()
-        assert reply["type"] == "error" and reply["id"] == 12
+        assert reply["type"] == "error" and reply["id"] == -1  # no overlap item's ids
         assert "'estimator'" in reply["message"]
-        send(batch_message([{"id": 13, "kind": "density", "circuit": 0,
-                             "readout": ["e:ZZ"]}], [circ]))
+        send(batch_message([overlap_row(13, "ZZ", "00", 0, 0)], [circ]))
         assert recv()["type"] == "result"
+
+
+def test_a_worker_refuses_a_protocol_6_density_item_naming_the_one_accepted_kind(rng):
+    circ = random_map_circuit(rng, 2)
+    density = {"id": 13, "kind": "density", "circuit": 0, "readout": ["e:ZZ"]}
+    with live_worker() as addr, raw_connection(addr) as (send, recv):
+        send({"type": "hello", "proto": PROTOCOL_VERSION})
+        recv()
+        send(batch_message([density], [circ]))
+        assert recv() == {"type": "error", "id": -1,
+                          "message": f"task kind 'density' is not accepted over the wire "
+                                     f"(protocol {PROTOCOL_VERSION} carries overlap items only)"}
+        # the same task as the overlap item it is lowered to
+        send(batch_message([{"id": 13, "kind": "overlap", "left": 0, "right": 0, "obs": "II",
+                             "input": "00", "readout": ["e:ZZ"]}], [circ]))
+        reply = recv()
+    task = TaskSpec(id=13, kind="density", circuit=circ, readouts=("e:ZZ",))
+    assert reply == {"type": "result", "shots_used": [0],
+                     "values": [list(execute_tasks([task], ClusterConfig())[0].value)]}
 
 
 def test_protocol_2_hello_is_refused():
@@ -1078,13 +1125,12 @@ def test_protocol_task_before_hello_is_refused():
 
 def test_protocol_task_error_reports_id_and_keeps_serving():
     one = Circuit(1, (Gate("H", (0,)),))
-    good = {"id": 41, "kind": "density", "circuit": 0, "readout": ["e:Z"]}
+    good = overlap_row(41, "Z", "0", 0, 0)
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
         # the error names the failing row, not the batch's first one
-        send(batch_message([good, {"id": 42, "kind": "bogus", "circuit": 0,
-                                   "readout": ["ax"]}], [one]))
+        send(batch_message([good, {**good, "id": 42, "readout": ["bogus"]}], [one]))
         reply = recv()
         assert reply["type"] == "error" and reply["id"] == 42
         send({"type": "hello", "proto": PROTOCOL_VERSION})
@@ -1258,9 +1304,8 @@ def estimator_task(s: Subtask, task_id: int) -> TaskSpec:
                     readouts=est.readouts)
 
 
-def overlap_task(s: Subtask, task_id: int) -> OverlapSpec:
-    return OverlapSpec(id=task_id, left=s.left_circuit, right=s.right_circuit,
-                       observable=s.observable, input_label=s.input_label)
+def overlap_task(s: Subtask, task_id: int) -> OverlapTable:
+    return one_row_table(task_id, s.left_circuit, s.right_circuit, s.observable, s.input_label)
 
 
 def random_subtasks(rng, count_per_width: int = 12):
@@ -1324,11 +1369,7 @@ def test_overlap_task_shares_states_within_a_batch(rng, monkeypatch):
 
     left = random_circuit(rng, 2)
     rights = [random_circuit(rng, 2) for _ in range(3)]
-    tasks = [
-        OverlapSpec(id=i, left=left, right=r, observable=PauliString(2, "XZ"),
-                    input_label="01")
-        for i, r in enumerate(rights)
-    ]
+    tasks = [one_row_table(i, left, r, PauliString(2, "XZ"), "01") for i, r in enumerate(rights)]
     alone = [ExactBackend().run_task(t, None, 0)[0] for t in tasks]
     applied = []
     real = tlpq.circuit._evolve
@@ -1337,52 +1378,54 @@ def test_overlap_task_shares_states_within_a_batch(rng, monkeypatch):
     batch = execute_tasks(tasks, ClusterConfig())
     # one left state, three right states: each of their gates applied once
     assert sorted(map(id, applied)) == sorted(id(g) for c in (left, *rights) for g in c.gates)
-    assert [r.value for r in batch] == alone
+    assert [r.value for (r,) in batch] == alone
 
 
-def test_overlap_spec_validates_operands(rng):
+def test_a_one_row_table_validates_operands_and_readouts(rng):
     one = Circuit(1, (Gate("H", (0,)),))
     two = Circuit(2, (Gate("H", (0,)),))
     with pytest.raises(ShapeMismatch):
-        OverlapSpec(id=0, left=two, right=one, observable=PauliString(2, "ZZ"),
-                    input_label="00")
+        one_row_table(0, two, one, PauliString(2, "ZZ"), "00")
     with pytest.raises(ShapeMismatch):
-        OverlapSpec(id=0, left=two, right=two, observable=PauliString(2, "ZZ"),
-                    input_label="0")
+        one_row_table(0, two, two, PauliString(2, "ZZ"), "0")
     with pytest.raises(ShapeMismatch):
-        OverlapSpec(id=0, left=two, right=two, observable=PauliString(1, "Z"),
-                    input_label="00")
+        one_row_table(0, two, two, PauliString(1, "Z"), "00")
     with pytest.raises(ShapeMismatch):
-        OverlapSpec(id=0, left=two, right=two, observable=np.eye(2),
-                    input_label="00")
+        one_row_table(0, two, two, np.eye(2), "00")
     with pytest.raises(NonUnitaryObservable):
-        OverlapSpec(id=0, left=one, right=one, observable=np.diag([1.0, 0.5]),
-                    input_label="0")
-    for readouts in ((), ("p2",), ("ax", "e:ZZ")):
+        one_row_table(0, one, one, np.diag([1.0, 0.5]), "0")
+    for readouts in ((), ("p2",), ("ax", "p0:Z"), ("e",), ("ax", 3)):
         with pytest.raises(ValueError, match="overlap readouts"):
-            OverlapSpec(id=0, left=two, right=two, observable=PauliString(2, "ZZ"),
-                        input_label="00", readouts=readouts)
+            one_row_table(0, two, two, PauliString(2, "ZZ"), "00", readouts)
+    # an "e:<P>" readout's letters are checked by the one descriptor rule, on the row's width
+    for bad in ("e:ZZZ", "e:Z", "e:", "e:QZ"):
+        with pytest.raises(ValueError, match=f"^bad readout descriptor {re.escape(repr(bad))}$"):
+            one_row_table(0, two, two, PauliString(2, "ZZ"), "00", ("ax", bad))
     unitary = haar_unitary(4, rng)
     for readouts in (("p0",), ("ax", "p1")):  # the projectors need Pauli letters
         with pytest.raises(ValueError, match="Pauli observable"):
-            OverlapSpec(id=0, left=two, right=two, observable=unitary,
-                        input_label="00", readouts=readouts)
-    OverlapSpec(id=0, left=two, right=two, observable=unitary, input_label="00",
-                readouts=("ay",))
+            one_row_table(0, two, two, unitary, "00", readouts)
+    one_row_table(0, two, two, unitary, "00", ("ay",))
+    one_row_table(0, two, two, unitary, "00", ("e:XY", "ax"))  # "e:" reads its own P
+
+
+def test_a_density_task_reads_e_readouts_only():
+    c = Circuit(2, (Gate("H", (0,)),))
+    for readouts in (("ax",), ("e:ZZ", "ay"), ("p0:Z",), ("p1:X", "e:ZZ"), ("e:ZZ", 1)):
+        with pytest.raises(ValueError, match="^a density task reads e:<P> readouts only, got "):
+            TaskSpec(id=0, kind="density", circuit=c, readouts=readouts)
+    TaskSpec(id=0, kind="estimator", circuit=c, readouts=("ax", "p0:Z", "e:ZZ"))  # any
 
 
 def test_overlap_task_rejects_non_unitary_raw_gate():
-    squash = Circuit(1, (Gate("RAW", (0,), raw=np.diag([1.0, 0.5])),))
-    task = OverlapSpec(id=0, left=squash, right=squash,
-                       observable=PauliString(1, "Z"), input_label="0")
+    task = one_row_table(0, _SQUASH, _SQUASH, PauliString(1, "Z"), "0")
     with pytest.raises(ValueError):
         ExactBackend().run_task(task, None, 0)
 
 
 def test_overlap_task_capability_is_the_part_width():
     circ = Circuit(3, (Gate("H", (0,)),))
-    task = OverlapSpec(id=0, left=circ, right=circ,
-                       observable=PauliString(3, "ZZZ"), input_label="000")
+    task = one_row_table(0, circ, circ, PauliString(3, "ZZZ"), "000")
     ExactBackend(max_qubits=3).run_task(task, None, 0)  # no ancilla on top
     with pytest.raises(CapabilityMismatch):
         ExactBackend(max_qubits=2).run_task(task, None, 0)
@@ -1399,8 +1442,7 @@ def test_protocol_overlap_roundtrip_matches_local_backend(rng, shots):
     unitary_obs = haar_unitary(4, rng)
     cases = [(21, PauliString(2, "YX"), "YX"), (22, unitary_obs, matrix_json(unitary_obs))]
     local = [
-        ExactBackend().run_task(OverlapSpec(id=task_id, left=left, right=right,
-                                            observable=obs, input_label="10"), shots, 3)
+        ExactBackend().run_task(one_row_table(task_id, left, right, obs, "10"), shots, 3)
         for task_id, obs, _ in cases
     ]
     with live_worker() as addr, raw_connection(addr) as (send, recv):
@@ -1419,9 +1461,10 @@ _NON_UNITARY = {"kind": "RAW", "qubits": [0], "raw": [[[1, 0], [0.2, 0]], [[0, 0
 
 
 @pytest.mark.parametrize("case", [
-    "mismatched_widths", "non_unitary_raw", "bad_input_label", "too_wide",
-    "non_unitary_observable", "other_readouts", "empty_readouts", "unknown_readout",
-    "p0_on_matrix_observable", "circuit_out_of_range", "negative_circuit",
+    "mismatched_widths", "non_unitary_raw", "non_unitary_raw_beside_e", "bad_input_label",
+    "too_wide", "non_unitary_observable", "other_readouts", "e_of_another_width",
+    "empty_readouts", "unknown_readout", "p0_on_matrix_observable", "circuit_out_of_range",
+    "negative_circuit",
 ])
 def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
     two = circuit_to_json(Circuit(2, (Gate("H", (0,)), Gate("CZ", (0, 1)))))
@@ -1431,9 +1474,11 @@ def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
     if case == "mismatched_widths":
         circuits.append({"n": 1, "gates": [{"kind": "H", "qubits": [0]}]})
         row["right"] = 1
-    elif case == "non_unitary_raw":
+    elif case in ("non_unitary_raw", "non_unitary_raw_beside_e"):
         circuits.append({"n": 2, "gates": [_NON_UNITARY]})
         row["left"] = 1
+        if case == "non_unitary_raw_beside_e":  # not all "e:": the states must stay unitary
+            row["readout"] = ["e:ZX", "ay"]
     elif case == "bad_input_label":
         row["input"] = "012"
     elif case == "too_wide":
@@ -1441,8 +1486,10 @@ def test_worker_rejects_bad_overlap_task_and_keeps_serving(case):
         row.update(left=1, right=1, obs="ZZZ", input="000")
     elif case == "non_unitary_observable":
         row["obs"] = matrix_json(np.diag([1.0, 1.0, 1.0, 0.5]))
-    elif case == "other_readouts":
-        row["readout"] = ["e:ZX"]
+    elif case == "other_readouts":  # an estimator task's descriptor
+        row["readout"] = ["p0:X"]
+    elif case == "e_of_another_width":
+        row["readout"] = ["e:ZXZ"]
     elif case == "empty_readouts":
         row["readout"] = []
     elif case == "unknown_readout":
@@ -1519,7 +1566,9 @@ def test_one_call_over_several_plans_matches_one_call_per_plan(rng, shots):
             [r.value for r in run_plan(p, ClusterConfig(shots=shots, seed=5))] for p in plans
         ]
     with pytest.raises(TypeError):
-        execute_tasks([plans[0], overlap_task(plans[0].row(0), 0)], ClusterConfig())
+        execute_tasks([plans[0], TaskSpec(id=0, kind="density", circuit=plans[0].circuits[0],
+                                          readouts=("e:" + "Z" * plans[0].circuits[0].n_qubits,))],
+                      ClusterConfig())
 
 
 def test_plan_checks_operands_under_the_overlap_rules(rng):
@@ -1568,9 +1617,8 @@ def test_overlap_readouts_in_any_order_or_subset_read_as_each_alone(rng):
             continue
 
         def task(readouts):
-            return OverlapSpec(id=s.id, left=s.left_circuit, right=s.right_circuit,
-                               observable=s.observable, input_label=s.input_label,
-                               readouts=readouts)
+            return one_row_table(s.id, s.left_circuit, s.right_circuit, s.observable,
+                                 s.input_label, readouts)
 
         alone = {d: _readout_pairs(task((d,)), _PartStates()) for d in ("ax", "ay", "p0", "p1")}
         for size in range(1, 5):
@@ -1589,8 +1637,8 @@ def test_overlap_readouts_in_any_order_or_subset_read_as_each_alone(rng):
 def test_plan_rows_equal_the_same_rows_run_as_local_overlap_tasks(rng, shots):
     plan = factorized_plan(rng)
     cfg = ClusterConfig(nodes=3, shots=shots, seed=5)
-    tasks = [overlap_task(s, s.id) for s in reversed(list(plan))]
-    assert run_plan(plan, cfg) == execute_tasks(tasks, cfg)
+    tasks = [overlap_task(s, s.id) for s in plan]
+    assert run_plan(plan, cfg) == [r for (r,) in execute_tasks(tasks, cfg)]
 
 
 @pytest.mark.parametrize("shots", [None, 64])
@@ -1631,9 +1679,8 @@ def small_tables(draw):
 @given(small_tables())
 def test_tables_give_the_rows_of_one_row_tasks_bit_for_bit(case):
     tables, shots = case
-    tasks = [OverlapSpec(id=i, left=t.circuits[l], right=t.circuits[r],
-                         observable=t.observables[o], input_label=t.labels[b],
-                         readouts=t.readouts)
+    tasks = [one_row_table(i, t.circuits[l], t.circuits[r], t.observables[o], t.labels[b],
+                           t.readouts)
              for t in tables
              for i, l, r, o, b in zip(*(c.tolist() for c in (t.ids, t.left, t.right,
                                                               t.observable, t.label)))]
@@ -1644,7 +1691,7 @@ def test_tables_give_the_rows_of_one_row_tasks_bit_for_bit(case):
 
     def check(cfg):
         got = results(r for rows in execute_tasks(tables, cfg) for r in rows)
-        assert got == results(execute_tasks(tasks, cfg))
+        assert got == results(r for (r,) in execute_tasks(tasks, cfg))
         return [row[:3] for row in got]
 
     base = check(ClusterConfig(nodes=1, shots=shots, seed=9))
@@ -1813,8 +1860,8 @@ _ID_RULE = "a row id must be an integer >= 0, got "
     (lambda p: dataclasses.replace(p, ids=("0", "1")), _ID_RULE + "'0'"),
     (lambda p: dataclasses.replace(p, left=(0, 0.7)),
      "a table position must be an integer, got 0.7"),
-    (lambda p: OverlapSpec(id=True, left=p.circuits[0], right=p.circuits[0],
-                           observable=PauliString(1, "Z"), input_label="0"), _ID_RULE + "True"),
+    (lambda p: one_row_table(True, p.circuits[0], p.circuits[0], PauliString(1, "Z"), "0"),
+     _ID_RULE + "True"),
     (lambda p: TaskSpec(id=1.5, kind="density", circuit=p.circuits[0], readouts=("e:Z",)),
      _ID_RULE + "1.5"),
     (lambda p: TaskSpec(id=-1, kind="density", circuit=p.circuits[0], readouts=("e:Z",)),
@@ -1836,7 +1883,7 @@ def test_row_ids_and_table_positions_are_refused_at_construction(build, message)
 def test_a_bad_row_id_is_refused_locally_and_on_a_worker_with_one_message(row_id):
     c = Circuit(1, (Gate("H", (0,)),))
     with pytest.raises(ValueError) as local:
-        OverlapSpec(id=row_id, left=c, right=c, observable=PauliString(1, "Z"), input_label="0")
+        one_row_table(row_id, c, c, PauliString(1, "Z"), "0")
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
@@ -1861,8 +1908,8 @@ def test_an_overlap_task_and_a_one_row_plan_refuse_operands_alike(case):
     else:
         fields["observable"] = np.diag([1.0, 1.0, 1.0, 0.5])
     with pytest.raises(ValueError) as task:
-        OverlapSpec(id=77, left=fields["left_circuit"], right=fields["right_circuit"],
-                    observable=fields["observable"], input_label=fields["input_label"])
+        one_row_table(77, fields["left_circuit"], fields["right_circuit"], fields["observable"],
+                      fields["input_label"])
     with pytest.raises(ValueError) as plan:
         Plan.from_subtasks([Subtask(id=77, indices=(0,) * 6, coefficient=1.0, **fields)])
     assert type(plan.value) is type(task.value)
@@ -2007,11 +2054,10 @@ def test_worker_rejects_a_batch_with_bad_shots_or_seed_and_keeps_serving(fields)
 def test_shots_used_comes_from_the_call_not_the_reply(rng, shots, shots_used):
     """A reply's shots_used is not read: with good values, any shots_used (or
     none) gives the TaskResults of a local run, with the worker as node."""
-    task = OverlapSpec(id=3, left=random_circuit(rng, 1), right=random_circuit(rng, 1),
-                       observable=PauliString(1, "Z"), input_label="0",
-                       readouts=("ax", "ay", "p0", "p1"))
+    task = one_row_table(3, random_circuit(rng, 1), random_circuit(rng, 1), PauliString(1, "Z"),
+                         "0", ("ax", "ay", "p0", "p1"))
     cluster = dict(shots=shots, seed=4)
-    local = execute_tasks([task], ClusterConfig(**cluster))
+    (local,) = execute_tasks([task], ClusterConfig(**cluster))
     listener = socket.create_server(("127.0.0.1", 0))
     address = f"127.0.0.1:{listener.getsockname()[1]}"
     reply = {"type": "result", "values": [list(local[0].value)], "shots_used": shots_used}
@@ -2033,8 +2079,8 @@ def test_shots_used_comes_from_the_call_not_the_reply(rng, shots, shots_used):
     thread = threading.Thread(target=fake_worker, daemon=True)
     thread.start()
     try:
-        remote = execute_tasks([task], ClusterConfig(mode="network", nodes=(address,),
-                                                     **cluster))
+        (remote,) = execute_tasks([task], ClusterConfig(mode="network", nodes=(address,),
+                                                        **cluster))
     finally:
         thread.join(timeout=5)
         listener.close()
@@ -2063,8 +2109,8 @@ def test_a_malformed_reply_value_fails_the_node(rng, values):
 
     thread = threading.Thread(target=fake_worker, daemon=True)
     thread.start()
-    task = OverlapSpec(id=0, left=random_circuit(rng, 1), right=random_circuit(rng, 1),
-                       observable=PauliString(1, "Z"), input_label="0")
+    task = one_row_table(0, random_circuit(rng, 1), random_circuit(rng, 1), PauliString(1, "Z"),
+                         "0")
     try:
         with pytest.raises(NodeFailure, match="unexpected reply"):
             execute_tasks([task], ClusterConfig(mode="network", nodes=(address,)))
@@ -2164,18 +2210,24 @@ def _pin_gates():
             Gate("RAW", (2,), raw=u), Gate("RAW", (1,), raw=v)]
 
 
+def _density_row(i: int, circuit: Circuit, readouts: tuple[str, ...]) -> OverlapTable:
+    """A density task as the one-row table it runs as."""
+    (table,) = _density_tables([TaskSpec(id=i, kind="density", circuit=circuit,
+                                         readouts=readouts)])
+    return table
+
+
 def _pin_tasks(case: str) -> list:
-    """The rows of one pin: overlap rows and density rows on the same circuits."""
+    """The rows of one pin, each a one-row table: overlap rows and density
+    rows on the same circuits."""
     g = _pin_gates()
 
     def overlap(i, left, right, label="010", obs="XZY"):
-        return OverlapSpec(id=i, left=Circuit(3, tuple(left)), right=Circuit(3, tuple(right)),
-                           observable=PauliString(3, obs), input_label=label,
-                           readouts=("ax", "ay", "p0", "p1"))
+        return one_row_table(i, Circuit(3, tuple(left)), Circuit(3, tuple(right)),
+                             PauliString(3, obs), label, ("ax", "ay", "p0", "p1"))
 
     def density(i, gates):
-        return TaskSpec(id=i, kind="density", circuit=Circuit(3, tuple(gates)),
-                        readouts=("e:ZXI", "e:IYZ"))
+        return _density_row(i, Circuit(3, tuple(gates)), ("e:ZXI", "e:IYZ"))
 
     if case == "prefix":  # one circuit is a prefix of another
         return [overlap(0, g[:3], g[:6]), overlap(1, g[:6], g[:3]), density(2, g[:3]),
@@ -2221,10 +2273,9 @@ def test_a_batch_answers_each_row_bit_for_bit_as_it_runs_alone(case, shots):
     assert reply["type"] == "result"
     assert reply["values"] == alone  # ==, bit for bit
     local = execute_tasks(tasks, ClusterConfig(shots=shots, seed=7))
-    assert [list(r.value) for r in local] == alone
+    assert [list(r.value) for (r,) in local] == alone
     # each distinct gate value crosses the wire once, 0.0 and -0.0 apart
-    circuits = [c for t in tasks for c in ((t.left, t.right) if t.kind == "overlap"
-                                           else (t.circuit,))]
+    circuits = [c for t in tasks for c in t.circuits]
     assert len(message["gates"]["gates"]) == len({value(g) for c in circuits for g in c.gates})
     assert len(message["circuits"]) == len({tuple(map(value, c.gates)) for c in circuits})
     if case == "signed_zero":
@@ -2239,11 +2290,9 @@ def test_a_density_row_never_lets_an_overlap_row_skip_its_unitarity_check():
     g = _pin_gates()
     bad = Gate("RAW", (1,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
     prefix = g[:3] + [bad]
-    rows = [TaskSpec(id=0, kind="density", circuit=Circuit(3, tuple(prefix + g[3:5])),
-                     readouts=("e:ZZZ",)),
-            OverlapSpec(id=1, left=Circuit(3, tuple(prefix + g[5:6])),
-                        right=Circuit(3, tuple(g[:3])), observable=PauliString(3, "ZZZ"),
-                        input_label="000")]
+    rows = [_density_row(0, Circuit(3, tuple(prefix + g[3:5])), ("e:ZZZ",)),
+            one_row_table(1, Circuit(3, tuple(prefix + g[5:6])), Circuit(3, tuple(g[:3])),
+                          PauliString(3, "ZZZ"), "000")]
     with pytest.raises(NotUnitary) as local:
         ExactBackend().run_task(rows[1], None, 0)
     with pytest.raises(NotUnitary) as shared:  # locally, both rows in one call
@@ -2258,13 +2307,13 @@ def test_an_overlap_row_refuses_a_non_unitary_gate_that_a_density_row_runs():
 
     squash = Gate("RAW", (0,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
     c = Circuit(1, (Gate("H", (0,)), squash))
-    density = TaskSpec(id=0, kind="density", circuit=c, readouts=("e:Z", "e:X"))
-    overlap = OverlapSpec(id=1, left=c, right=c, observable=PauliString(1, "Z"),
-                          input_label="0")
+    task = TaskSpec(id=0, kind="density", circuit=c, readouts=("e:Z", "e:X"))
+    density = _density_row(0, c, task.readouts)
+    overlap = one_row_table(1, c, c, PauliString(1, "Z"), "0")
     message = "RAW gate on (0,) is not unitary within 1e-10"
     v = squash.raw @ (np.array([1.0, 1.0]) / np.sqrt(2.0))
     want = [np.vdot(v, PAULI[p] @ v).real for p in "ZX"]
-    (alone,) = execute_tasks([density], ClusterConfig())
+    (alone,) = execute_tasks([task], ClusterConfig())
     assert np.allclose(alone.value, want, atol=1e-14)
     # the density row (id 0) registers and pushes the gate before the overlap row reads it
     for rows in ([overlap], [density, overlap]):
@@ -2274,6 +2323,47 @@ def test_an_overlap_row_refuses_a_non_unitary_gate_that_a_density_row_runs():
     assert reply == {"type": "error", "id": 1, "message": message}
     _, reply = _one_batch([density])
     assert reply == {"type": "result", "values": [list(alone.value)], "shots_used": [0]}
+
+
+def test_an_e_table_and_an_ax_table_sharing_one_cache_keep_the_ax_row_unitary():
+    """An "e:"-only table pushes its states with unitary=False and an ax
+    table with unitary=True: in one _PartStates, in either order, the ax row
+    refuses the non-unitary gate that the e: row runs."""
+    from tlpq.circuit import NotUnitary
+
+    squash = Gate("RAW", (0,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
+    c = Circuit(1, (Gate("H", (0,)), squash))
+    density = _density_row(0, c, ("e:Z",))
+    ax = one_row_table(1, c, c, PauliString(1, "Z"), "0", ("ax",))
+    (want,), _ = ExactBackend().run_task(density, None, 0)
+    for first in (density, ax):
+        states = _PartStates()
+        if first is density:
+            assert ExactBackend().run_rows([density], None, 0, states)[0].tolist() == [[want]]
+        with pytest.raises(NotUnitary, match=r"^RAW gate on \(0,\) is not unitary"):
+            ExactBackend().run_rows([ax], None, 0, states)
+        assert ExactBackend().run_rows([density], None, 0, states)[0].tolist() == [[want]]
+        with pytest.raises(NotUnitary):  # one call holding both
+            ExactBackend().run_rows([density, ax], None, 0, states)
+
+
+def test_ghz_cut_runs_its_320_density_tasks_as_16_tables_of_20_rows(monkeypatch):
+    import tlpq.runtime as runtime
+    from tlpq.cli import run_ghz_cut_pipeline
+
+    seen = []
+    real = runtime._run
+    monkeypatch.setattr(runtime, "_run", lambda items, cfg: seen.append(items) or real(items, cfg))
+    run_ghz_cut_pipeline(ClusterConfig())
+    (items,) = seen
+    assert [len(t) for t in items] == [20] * 16
+    for k, (t, pauli) in enumerate(zip(items, PAULI_2Q)):
+        assert isinstance(t, OverlapTable) and t.readouts == (f"e:{pauli}",)
+        # setting 16 term + k of each term: ids 2 id and 2 id + 1, as the tasks had
+        assert t.ids.tolist() == [2 * (16 * term + k) + part for term in range(10)
+                                  for part in (0, 1)]
+        assert t.observables == (PauliString(2, "II"),) and t.labels == ("00",)
+        assert (t.left == t.right).all()
 
 
 def _comb(k: int, depth: int = 6) -> list[Circuit]:
@@ -2302,8 +2392,8 @@ def test_a_batch_of_k_circuits_keeps_fewer_than_3k_states(monkeypatch, k):
     monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
                         applied.extend(gates) or real_evolve(gates, state, **kw))
     circuits = _comb(k)
-    tasks = [TaskSpec(id=i, kind="density", circuit=c, readouts=("e:ZZZ",))
-             for i, c in enumerate(circuits)]
+    tasks = _density_tables([TaskSpec(id=i, kind="density", circuit=c, readouts=("e:ZZZ",))
+                             for i, c in enumerate(circuits)])
     _, reply = _one_batch(tasks)
     assert reply["type"] == "result"
     (states,) = made  # the worker's one cache for the batch
@@ -2337,7 +2427,9 @@ _GOOD_TABLE = {"n": 2, "gates": [{"kind": "H", "qubits": [0]}, {"kind": "CZ", "q
 def test_a_malformed_batch_gets_an_error_and_the_worker_keeps_serving(change):
     good = {"type": "batch", "shots": None, "seed": 0, "gates": _GOOD_TABLE,
             "circuits": [{"n": 2, "gates": [0, 1]}],
-            "items": [{"id": 3, "kind": "density", "circuit": 0, "readout": ["e:ZZ"]}]}
+            "items": [{"kind": "overlap", "observables": ["II"], "labels": ["00"],
+                       "readout": ["e:ZZ"], "ids": [3], "left": [0], "right": [0],
+                       "observable": [0], "label": [0]}]}
     bad = {**good, **change}
     if bad["gates"] is None:
         del bad["gates"]
