@@ -89,7 +89,6 @@ import sys
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
