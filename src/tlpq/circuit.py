@@ -17,11 +17,12 @@ call. A worker batch (runtime, since protocol 5) carries its distinct gates
 as one circuit JSON, its gate table: ``circuit_to_json`` encodes it and one
 ``parse_circuit`` call decodes it, and the batch's circuits are positions in
 it. ``_gate_key`` tells value-equal gates apart from the others, RAW gates
-included, by exact bits. ``_apply`` makes the one ``np.dot`` call that
-``np.tensordot`` makes, on the same operands, so states keep their bits, and
-``_PartStates``, the runtime's one cache of part states, applies each gate
-prefix that its circuits share once and tests the RAW gates it registers
-for unitarity in one stacked test per matrix size. ``_apply_observable`` is
+included, by exact bits. ``_apply`` runs, per state of a stack, the BLAS
+call that ``np.tensordot``'s ``np.dot`` makes, on the same operands, so
+states keep their bits, and ``_PartStates``, the runtime's one cache of part
+states, pushes its states as stacks one gate depth at a time, applies each
+gate prefix that its circuits share once and tests the RAW gates it
+registers for unitarity in one stacked test per matrix size. ``_apply_observable`` is
 an observable's action on a state or a stack of states, which the runtime's
 readouts read: a Pauli string as a cached signed permutation, a matrix as
 one stacked matvec.
@@ -296,29 +297,39 @@ def gate_matrix(g: Gate) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _axes(ndim: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The permutation that brings ``qubits`` to the front of ``ndim`` axes,
-    and its inverse."""
-    front = qubits + tuple(a for a in range(ndim) if a not in qubits)
+    """The permutation of a stack of ``ndim``-axis states (stack axis first)
+    that brings the axes ``qubits`` of each state right after the stack
+    axis, and its inverse."""
+    front = (0, *(q + 1 for q in qubits), *(a + 1 for a in range(ndim) if a not in qubits))
     return front, tuple(np.argsort(front).tolist())
 
 
-def _apply(state_t: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+def _apply(state_t: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...],
+           stack: bool = False) -> np.ndarray:
     """Apply a gate matrix to the given qubit axes of a tensored state.
 
     ``state_t`` has one axis of length 2 per qubit, plus optionally trailing batch
-    axes; qubit axes come first. The result is bit for bit
+    axes; qubit axes come first. With ``stack`` it is a stack of such states
+    (stack axis first), and ``mat`` is one matrix for all of them or a stack
+    of matrices, one per state. The result is bit for bit
     ``np.moveaxis(np.tensordot(mat_t, state_t, axes=(range(k, 2k), qubits)),
-    range(k), qubits)`` with ``mat_t`` the matrix as (2,) * 2k: the same
-    ``np.dot`` call on the same operands, without tensordot's per-call
-    bookkeeping, and the same transposed view back. Those operands are the
-    matrix itself (tensordot's reshapes of ``mat_t`` back to 2**k x 2**k
-    are views with the matrix's own strides, contiguous or not) and the
-    state with the target axes first as a (2**k, -1) matrix.
+    range(k), qubits)`` with ``mat_t`` the matrix as (2,) * 2k, for each
+    state of a stack alike, in the same transposed layout: one ``np.matmul``
+    over the leading stack axis runs, per state, the BLAS call that
+    tensordot's ``np.dot`` makes on the state with the target axes first as
+    a (2**k, -1) matrix. A matrix that is neither C- nor F-contiguous is
+    copied first, as ``np.dot`` copies it. (``np.dot`` over a trailing stack
+    axis would not keep the bits: it rounds differently when a state has few
+    columns beside the gate.)
     """
+    if not stack:
+        return _apply(state_t[None], mat, qubits, True)[0]
+    if not (mat.flags.c_contiguous or mat.flags.f_contiguous):
+        mat = np.ascontiguousarray(mat)
     k = len(qubits)
-    front, back = _axes(state_t.ndim, qubits)
+    front, back = _axes(state_t.ndim - 1, qubits)
     moved = state_t.transpose(front)
-    return np.dot(mat, moved.reshape(2**k, -1)).reshape(moved.shape).transpose(back)
+    return np.matmul(mat, moved.reshape(len(moved), 2**k, -1)).reshape(moved.shape).transpose(back)
 
 
 def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
@@ -328,18 +339,26 @@ def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
     return v
 
 
-def _evolve(gates, state_t: np.ndarray, *, check_unitary: bool) -> np.ndarray:
-    """Push a tensored state (qubit axes first, then batch axes) through a gate list.
+def _evolve(steps, state_t: np.ndarray, *, check_unitary: bool,
+            stack: bool = False) -> np.ndarray:
+    """Push a tensored state (qubit axes first, then batch axes) through a
+    gate list, or with ``stack`` a stack of them (stack axis first) through
+    a list of steps.
 
-    The one gate loop of the package. With ``check_unitary=False`` every gate is
-    applied as the linear map its matrix gives, unitary or not. ``state_t`` is
-    only read, so a caller may push it through several gate lists.
+    The one gate loop of the package: one ``_apply`` call per step. A step
+    is a Gate, whose one matrix every state of a stack gets, or a tuple of
+    Gates on one qubit tuple, the i-th for state i, whose matrices are
+    stacked. With ``check_unitary=False`` every gate is applied as the
+    linear map its matrix gives, unitary or not. ``state_t`` is only read,
+    so a caller may push it through several gate lists.
     """
-    for g in gates:
-        mat = gate_matrix(g)
-        if check_unitary and g.kind == "RAW" and not is_unitary(mat):
-            raise _not_unitary(g)
-        state_t = _apply(state_t, mat, g.qubits)
+    for step in steps:
+        gates = step if isinstance(step, tuple) else (step,)
+        for g in gates if check_unitary else ():
+            if g.kind == "RAW" and not is_unitary(g.raw):
+                raise _not_unitary(g)
+        mat = gate_matrix(step) if isinstance(step, Gate) else np.array(list(map(gate_matrix, step)))
+        state_t = _apply(state_t, mat, gates[0].qubits, stack)
     return state_t
 
 
@@ -370,13 +389,19 @@ class _PartStates:
     read, each shared gate prefix applied once.
 
     The gate lists of the registered circuits (``add``) form a prefix tree
-    whose edges are Gate objects. A state starts from the deepest state kept
-    on its circuit's path for the same input, and intermediate states are
-    kept only where the tree branches: k circuits have fewer than 2k such
-    points, so the cache holds fewer than 3k states per input. ``_evolve``
-    only reads its input, so every state has the bits of its circuit run
-    alone. A circuit registered after a state was pushed past its branch
-    point starts from the deepest state kept above that point.
+    whose edges are Gate objects. ``push`` computes the states asked for
+    together, walking the tree one gate depth at a time: the edges of one
+    depth that act on the same qubits of states of one width are one
+    ``_evolve`` step over the stack of their states, with one matrix when
+    they share a Gate and stacked matrices otherwise. ``_apply`` gives each
+    state of a stack the bits it gets pushed alone, so every state has the
+    bits of its circuit run alone, and no state passes a gate twice. A
+    state starts from the deepest state kept on its circuit's path for the
+    same input, and intermediate states are kept only where the tree
+    branches: k circuits have fewer than 2k such points, so the cache holds
+    fewer than 3k states per input. A circuit registered after a state was
+    pushed past its branch point starts from the deepest state kept above
+    that point.
 
     unitary=True is ``simulate``: RAW gates must be unitary and the norm must
     hold. unitary=False is the linear map that a table of "e:<P>" readouts
@@ -430,40 +455,109 @@ class _PartStates:
         key = (circuits, labels, at, unitary)
         stack = self._stacks.get(key)
         if stack is None:
-            stack = self._stacks[key] = np.array([self.state(circuits[c], labels[b], unitary)
-                                                  for c, b in at])
+            pairs = [(circuits[c], labels[b]) for c, b in at]
+            self.push(pairs, unitary)
+            stack = self._stacks[key] = np.array([self._done[(*p, unitary)] for p in pairs])
         return stack
 
     def state(self, c: Circuit, label: str, unitary: bool = True) -> np.ndarray:
         """U|label> over the circuit's own qubits, computed on a miss."""
-        key = (c, label, unitary)
-        state = self._done.get(key)
-        if state is None:
-            state = self._done[key] = self._push(c, label, unitary)
-        return state
+        self.push(((c, label),), unitary)
+        return self._done[c, label, unitary]
 
-    def _push(self, c: Circuit, label: str, unitary: bool) -> np.ndarray:
-        self.add((c,))
-        for g in c.gates if unitary else ():
-            if not self._unitary.get(g, True):
-                raise _not_unitary(g)
-        path = self._paths[c]
-        stops = [at for at, node in enumerate(path, 1) if node.branches]
-        start, state_t = 0, basis_state(c.n_qubits, int(label, 2)).reshape((2,) * c.n_qubits)
-        for at in reversed(stops):  # the deepest state kept on the path
-            kept = self._kept.get((path[at - 1], label, unitary))
-            if kept is not None:
-                start, state_t = at, kept
-                break
-        for stop in stops:
-            if stop > start:
-                state_t = self._kept[path[stop - 1], label, unitary] = _evolve(
-                    c.gates[start:stop], state_t, check_unitary=False)
-                start = stop
-        state = _evolve(c.gates[start:], state_t, check_unitary=False).reshape(-1)
-        if unitary and abs(math.sqrt(np.vdot(state, state).real) - 1.0) > 1e-10:
+    def push(self, pairs, unitary: bool = True) -> None:
+        """Compute the states U|label> of the (circuit, label) pairs not yet
+        kept, in one walk of the prefix tree per width; their circuits are
+        registered first, and with ``unitary`` each is refused before
+        anything runs if one of its RAW gates failed the unitarity test."""
+        wanted = [p for p in dict.fromkeys(pairs) if (*p, unitary) not in self._done]
+        self.add(c for c, _ in wanted)
+        for c, _ in wanted if unitary else ():
+            for g in c.gates:
+                if not self._unitary.get(g, True):
+                    raise _not_unitary(g)
+        widths: dict = {}
+        for c, label in wanted:
+            widths.setdefault(c.n_qubits, []).append((c, label))
+        for pairs in widths.values():
+            self._walk(pairs, unitary)
+
+    def _walk(self, pairs, unitary: bool) -> None:
+        """Push the states of (circuit, label) pairs of one width, one gate
+        depth at a time. A lane is one distinct (tree node, label) on the
+        way, with the circuits that go through it and its state, a row of
+        ``stack``; at a branch node a lane splits into one lane per next gate,
+        and a circuit's state is done at its end node."""
+        starts: dict = {}  # depth -> {(node, label): the circuits that start there}
+        for c, label in pairs:
+            nodes = (self._tree, *self._paths[c])
+            depth = len(c.gates) if self._kept else 0  # the deepest state kept on the path
+            while depth and (nodes[depth], label, unitary) not in self._kept:
+                depth -= 1
+            starts.setdefault(depth, {}).setdefault((nodes[depth], label), []).append(c)
+        lanes: list = []  # (node, label, circuits), one per row of stack
+        stack, width = None, pairs[0][0].n_qubits
+        for depth in range(min(starts), max(len(c.gates) for c, _ in pairs) + 1):
+            joined = starts.get(depth, {})
+            if joined:
+                new = np.array([self._kept[(*key, unitary)] if depth else
+                                basis_state(width, int(key[1], 2)).reshape((2,) * width)
+                                for key in joined])
+                stack = new if stack is None else np.concatenate([stack, new])
+                lanes += [(node, label, c) for (node, label), c in joined.items()]
+            rows, gates, lanes_on = [], [], []  # per edge: the parent row, the Gate, the lane
+            for row, (node, label, circuits) in enumerate(lanes):
+                if not node.branches:  # all its circuits go on by its one next gate, or end
+                    if node.next:
+                        (g, child), = node.next.items()
+                        rows.append(row)
+                        gates.append(g)
+                        lanes_on.append((child, label, circuits))
+                    else:
+                        for c in circuits:
+                            self._finish(c, label, unitary, stack[row])
+                    continue
+                if depth:
+                    self._kept[node, label, unitary] = stack[row]
+                by_gate: dict = {}
+                for c in circuits:
+                    if len(c.gates) == depth:
+                        self._finish(c, label, unitary, stack[row])
+                    else:
+                        by_gate.setdefault(c.gates[depth], []).append(c)
+                for g, cs in by_gate.items():
+                    rows.append(row)
+                    gates.append(g)
+                    lanes_on.append((node.next[g], label, cs))
+            if rows != list(range(len(lanes))):
+                stack = stack[rows]
+            lanes = lanes_on
+            if not gates:  # none goes on, but a lane may still start deeper
+                continue
+            groups: dict = {}  # qubits -> the rows whose next gate acts on them
+            for row, g in enumerate(gates):
+                groups.setdefault(g.qubits, []).append(row)
+            if len(groups) == 1:
+                stack = _evolve((_step(gates),), stack, check_unitary=False, stack=True)
+                continue
+            out = np.empty_like(stack)
+            for at in groups.values():
+                out[at] = _evolve((_step([gates[r] for r in at]),), stack[at],
+                                  check_unitary=False, stack=True)
+            stack = out
+
+    def _finish(self, c: Circuit, label: str, unitary: bool, state: np.ndarray) -> None:
+        """Keep a circuit's end state, flat; a unitary one must keep its norm."""
+        flat = state.reshape(-1)
+        if unitary and abs(math.sqrt(np.vdot(flat, flat).real) - 1.0) > 1e-10:
             raise NotUnitary("simulation did not preserve the state norm")
-        return state
+        self._done[c, label, unitary] = flat
+
+
+def _step(gates: list) -> Gate | tuple:
+    """One ``_evolve`` step for a stack whose states get ``gates``: their one
+    Gate when they share it, else the tuple."""
+    return gates[0] if all(g is gates[0] for g in gates) else tuple(gates)
 
 
 def simulate(c: Circuit, input_state) -> np.ndarray:

@@ -13,7 +13,9 @@ Three decomposition flavors live here:
 
 ``expand_layered`` rewrites a circuit with a bipartition into a sum over
 products of per-part circuits, replacing each crossing two-qubit gate by its
-operator Schmidt expansion.
+operator Schmidt expansion. The kinds without parameters (CZ, CNOT) expand
+to closed-form literals (``_fixed_lcu``) that resum exactly, so only a RAW
+crossing gate runs ``operator_schmidt``'s search.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .circuit import (
     Gate,
     NotUnitary,
     PAULI_1Q,
-    _FIXED,
     _read_only,
     circuit_unitary,
 )
@@ -401,13 +402,20 @@ class LayeredDecomposition:
 
 @functools.lru_cache(maxsize=None)
 def _fixed_lcu(kind: str) -> GateLCU:
-    """``operator_schmidt`` of a two-qubit kind without parameters (CZ, CNOT),
-    computed once per process; its factors are read-only."""
-    lcu = operator_schmidt(_FIXED[kind])
-    for _, factors in lcu.terms:
-        for f in factors:
-            _read_only(f)
-    return lcu
+    """The expansion of a two-qubit kind without parameters, in closed form
+    from read-only literals, built once per process: CZ = ((1 - i)/2) S x S
+    + ((1 + i)/2) S^dagger x S^dagger, and CNOT = (I x H) CZ (I x H), whose
+    second factors are A = H S H and A^dagger. Every entry is a multiple of
+    1/2, so both resum exactly."""
+    def literal(rows) -> np.ndarray:
+        return _read_only(np.array(rows, dtype=complex))
+
+    s, s_h = literal([[1, 0], [0, 1j]]), literal([[1, 0], [0, -1j]])
+    if kind == "CNOT":
+        a = literal([[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
+        a_h = literal([[0.5 - 0.5j, 0.5 + 0.5j], [0.5 + 0.5j, 0.5 - 0.5j]])
+        return GateLCU(terms=((0.5 - 0.5j, (s, a)), (0.5 + 0.5j, (s_h, a_h))))
+    return GateLCU(terms=((0.5 - 0.5j, (s, s)), (0.5 + 0.5j, (s_h, s_h))))
 
 
 def expand_layered(c: Circuit, cut: CutAssignment) -> LayeredDecomposition:

@@ -46,7 +46,10 @@ circuits, checked as a local table is.
 The part-state cache (``circuit._PartStates``) is the same locally and on a worker:
 each distinct (circuit, input label) is simulated once per call or batch, and
 circuits that start with the same Gate objects continue from one kept
-intermediate state, so each shared gate prefix is applied once. Simulation
+intermediate state, so each shared gate prefix is applied once.
+``ExactBackend.run_rows`` pushes every state its items' tables read at once,
+as stacks, one gate depth at a time (one walk per unitary flag), so the
+states of one depth share one gate call per qubit tuple. Simulation
 stays inside ``ExactBackend.run_task`` / ``run_rows``.
 
 Worker connections live as long as the ClusterConfig object that opened them
@@ -272,6 +275,19 @@ _READOUT_SIDES = {"ax": ("left", "right"), "ay": ("left", "right"),
                   "p0": ("right", "right"), "p1": ("left", "left"), "e:": ("left", "left")}
 
 
+def _reads_unitary(t: OverlapTable) -> bool:
+    """Whether a table reads states pushed with unitary=True: unless its
+    readouts are all "e:<P>"."""
+    return not all(desc.startswith("e:") for desc in t.readouts)
+
+
+def _read_states(t: OverlapTable) -> list[tuple[Circuit, str]]:
+    """The (circuit, label) pairs of the states that a table's readouts read."""
+    return [(t.circuits[c], t.labels[b])
+            for sides in dict.fromkeys(_READOUT_SIDES[desc[:2]] for desc in t.readouts)
+            for _, _, bra_at, _, ket_at, _ in t.sides(*sides) for c, b in bra_at + ket_at]
+
+
 def _overlaps(stack: list[OverlapTable], states: _PartStates) -> np.ndarray:
     """The (w, m) pairs of every row's readouts of each table of a stack
     (``_stacks``), as an array (tables x 2 x rows x readouts), row by row.
@@ -298,7 +314,7 @@ def _overlaps(stack: list[OverlapTable], states: _PartStates) -> np.ndarray:
     distinct state.
     """
     t = stack[0]
-    unitary = not all(desc.startswith("e:") for desc in t.readouts)
+    unitary = _reads_unitary(t)
     out = np.empty((len(stack), 2, len(t.ids), len(t.readouts)))  # w, then m, per readout
     out[:, 0] = 1.0
     for sides in dict.fromkeys(_READOUT_SIDES[desc[:2]] for desc in t.readouts):
@@ -403,9 +419,9 @@ class ExactBackend:
         read as one (``_overlaps``), and each keeps its ids. Each readout's
         (w, m) pair gives m exactly, or with shots the mean of draws on the
         stream (seed, row id, readout index). ``states`` lets the items of a
-        call or a batch share part states and gate prefixes; the items'
-        circuits are registered in it first (``_PartStates.add``), once per
-        stack.
+        call or a batch share part states and gate prefixes; every state the
+        items' tables read is pushed first, in one ``_PartStates.push`` per
+        unitary flag, so the states of one gate depth share gate calls.
         """
         for task in items:
             if task.n_qubits > self.max_qubits:
@@ -413,7 +429,12 @@ class ExactBackend:
                 raise CapabilityMismatch(
                     f"{name} needs {task.n_qubits} qubits, node supports {self.max_qubits}")
         stacks = _stacks(items)
-        states.add(c for stack in stacks for c in items[stack[0]].circuits)
+        reads: dict = {}  # unitary -> the states the stacks' tables read
+        for t in (items[stack[0]] for stack in stacks):
+            if isinstance(t, OverlapTable):
+                reads.setdefault(_reads_unitary(t), []).extend(_read_states(t))
+        for unitary, pairs in reads.items():
+            states.push(pairs, unitary)
         values = [None] * len(items)
         for stack in stacks:
             pairs = (_overlaps([items[k] for k in stack], states) if len(stack) > 1
@@ -954,11 +975,17 @@ def execute_tasks(
     keeps its own ids, so a row's node, shot stream and result are those of
     the same row run alone in a one-row table. The TaskResults are built
     here, from the run's arrays; every row's shots used is 0 in exact mode
-    and shots x its readouts in sampled mode, in both modes.
+    and shots x its readouts in sampled mode, in both modes. A call whose
+    tasks repeat an id is refused before anything runs or is sent.
     """
     tables = [t for t in tasks if isinstance(t, OverlapTable)]
     if tables and len(tables) != len(tasks):
         raise TypeError("execute_tasks takes a list of tasks or a list of tables, not both")
+    seen: set[int] = set()
+    for t in () if tables else tasks:
+        if t.id in seen:
+            raise ValueError(f"task id {t.id} is repeated: the tasks of a call need distinct ids")
+        seen.add(t.id)
     items = tables or [t for t in tasks if t.kind != "density"] + _density_tables(
         sorted((t for t in tasks if t.kind == "density"), key=operator.attrgetter("id")))
     values, answers = _run(items, cfg)

@@ -56,3 +56,20 @@ def one_row_table(id, left, right, observable, input_label, readouts=("ax", "ay"
     return OverlapTable(circuits=(left, right), observables=(observable,), labels=(input_label,),
                         ids=(id,), left=(0,), right=(1,), observable=(0,), label=(0,),
                         readouts=readouts)
+
+
+def record_steps(monkeypatch) -> list[tuple]:
+    """Record each step that ``tlpq.circuit._evolve`` applies (one gate call),
+    as the gates that the states of its stack get, one per state, in order."""
+    import tlpq.circuit
+
+    steps = []
+    real = tlpq.circuit._evolve
+
+    def recorded(gates, state, **kw):
+        count = len(state) if kw.get("stack") else 1
+        steps.extend(g if isinstance(g, tuple) else (g,) * count for g in gates)
+        return real(gates, state, **kw)
+
+    monkeypatch.setattr(tlpq.circuit, "_evolve", recorded)
+    return steps

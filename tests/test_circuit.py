@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PAULI, haar_unitary, kron_all, pauli_label_matrix, random_state
+from conftest import (PAULI, haar_unitary, kron_all, pauli_label_matrix, random_state,
+                      record_steps)
 
 from tlpq.circuit import (
     Circuit,
@@ -320,7 +321,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestGateKernel:
-    """``_apply`` is tensordot's own np.dot call: same bits, same result layout."""
+    """``_apply`` runs, per state, tensordot's own np.dot call: same bits, same
+    result layout."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_apply_equals_tensordot_bit_for_bit(self, rng, n):
@@ -374,6 +376,70 @@ class TestGateKernel:
         got = _evolve(c.gates, basis_state(5).reshape((2,) * 5), check_unitary=True)
         assert _same_bits(got, want)
         assert _same_bits(circuit_unitary(c), circuit_unitary(c))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stacked_pushes_keep_the_bits_of_each_state_pushed_alone(self, rng, n):
+        # widths 1-6 hold 0-5 qubits beside a 1- or 2-qubit gate; np.dot over a
+        # trailing stack axis rounds differently when there are few of them
+        from tlpq.circuit import _evolve
+
+        for count in (1, 2, 3, 5, 17, 65):
+            stack = np.array([random_state(2**n, rng) for _ in range(count)])
+            stack = stack.reshape((count,) + (2,) * n)
+            steps, mats = [], []  # mats: per step, the matrix of each state
+            for _ in range(6):
+                k = int(rng.integers(1, min(n, 2) + 1))
+                qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+                if rng.random() < 0.5:  # one Gate, its matrix broadcast over the stack
+                    raw = haar_unitary(2**k, rng)
+                    steps.append(Gate("RAW", qubits, raw=raw.T if rng.random() < 0.5 else raw))
+                    mats.append([gate_matrix(steps[-1])] * count)
+                else:  # one Gate per state, their matrices stacked
+                    steps.append(tuple(Gate("RAW", qubits, raw=haar_unitary(2**k, rng))
+                                       for _ in range(count)))
+                    mats.append([gate_matrix(g) for g in steps[-1]])
+            got = _evolve(steps, stack, check_unitary=True, stack=True)
+            assert got.shape == stack.shape
+            for i in range(count):
+                want = stack[i]
+                for g, m in zip(steps, mats):
+                    want = _reference_apply(want, m[i], (g[0] if isinstance(g, tuple) else g).qubits)
+                assert _same_bits(got[i], want), (count, i)
+
+    def test_part_states_pushed_together_keep_the_bits_of_each_circuit_run_alone(
+            self, rng, monkeypatch):
+        # circuits of widths 1-4 that share prefixes of Gate objects and leave
+        # them at random depths, read under two labels, in one push and then
+        # in a second push that starts from the states kept at branch points
+        from tlpq.circuit import _PartStates
+
+        circuits = []
+        for n in range(1, 5):
+            trunk = [Gate("RAW", tuple(int(q) for q in rng.permutation(n)[:min(n, 2)]),
+                          raw=haar_unitary(2 ** min(n, 2), rng)) for _ in range(8)]
+            pool = [Gate(kind, (q,)) for kind in "HST" for q in range(n)]
+            for _ in range(5):
+                leave = int(rng.integers(0, 9))
+                tail = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(0, 4)))]
+                circuits.append(Circuit(n, tuple(trunk[:leave] + tail)))
+        pairs = [(c, label) for c in circuits
+                 for label in ("0" * c.n_qubits, "1" + "0" * (c.n_qubits - 1))]
+        first, later = pairs[:len(pairs) // 2 + 1], pairs[len(pairs) // 2 + 1:]
+        states = _PartStates(circuits)
+        # later, one circuit ends above the branch point that another starts from
+        a, b = Gate("H", (0,)), Gate("RY", (1,), params=(0.3,))
+        branched = [Circuit(2, (a, b, Gate("S", (0,)))), Circuit(2, (a, b, Gate("T", (1,))))]
+        late = [Circuit(2, (a,)), Circuit(2, (a, b, Gate("X", (0,)), Gate("H", (1,))))]
+        groups = (first, later, [(c, "01") for c in branched], [(c, "01") for c in late])
+        alone = {(c, label): simulate(c, basis_state(c.n_qubits, int(label, 2)))
+                 for group in groups for c, label in group}
+        steps = record_steps(monkeypatch)
+        for group in groups:
+            states.push(group)
+            pushed = len(steps)
+            for c, label in group:
+                assert _same_bits(states.state(c, label), alone[c, label])
+            assert len(steps) == pushed  # the push computed every state it was asked for
 
 
 class TestGateCaches:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import PAULI, one_row_table
+from conftest import PAULI, one_row_table, record_steps
 
 from tlpq import Circuit, Gate, PauliString, Subtask, circuit_to_json, cli
 from tlpq.cli import main
@@ -366,16 +366,15 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     import tlpq.planner
     import tlpq.runtime
 
-    calls = {"applied": [], "unitary_node": 0, "table": 0, "operand_check": 0}
-    evolve, node, table = tlpq.circuit._evolve, cli.unitary_node, tlpq.planner.OverlapTable
+    calls = {"unitary_node": 0, "table": 0, "operand_check": 0}
+    node, table = cli.unitary_node, tlpq.planner.OverlapTable
 
     def count(key):
         def counted(*args, **kwargs):
             calls[key] += 1
         return counted
 
-    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
-                        calls["applied"].extend(gates) or evolve(gates, state, **kw))
+    steps = record_steps(monkeypatch)
     monkeypatch.setattr(cli, "unitary_node",
                         lambda *a: count("unitary_node")() or node(*a))
     monkeypatch.setattr(table, "__post_init__",
@@ -384,8 +383,11 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
     cli.run_nonherm_rows(ClusterConfig())
     circuits = sum(build_quadrature(0.2, 0.5, t).M + 1 for t in cli._DEFAULT_NONHERM_T)
     assert circuits == 120
-    # one simulation per node circuit of one gate (4 per circuit when each letter ran alone)
-    assert len(calls["applied"]) == len({id(g) for g in calls["applied"]}) == circuits
+    # one simulation per node circuit of one gate (4 per circuit when each letter ran
+    # alone), all of them one stack through one gate call
+    applied = [g for step in steps for g in step]
+    assert len(steps) == 1
+    assert len(applied) == len({id(g) for g in applied}) == circuits
     # one call per T builds its node stack; the dense column reuses it
     assert calls["unitary_node"] == len(cli._DEFAULT_NONHERM_T) == 10
     assert calls["table"] == 40  # one per plan, none per row

@@ -239,7 +239,7 @@ class TestExpandLayered:
 
 
 class TestExpansionCache:
-    def test_each_distinct_non_raw_crossing_gate_is_expanded_once(self, rng, monkeypatch):
+    def test_only_raw_crossing_gates_run_operator_schmidt(self, rng, monkeypatch):
         from tlpq import factorize
 
         calls = []
@@ -253,26 +253,21 @@ class TestExpansionCache:
                         Gate("RAW", (0, 3), raw=raw), Gate("CZ", (1, 2))))
         cut = CutAssignment(part_of={0: 0, 1: 0, 2: 1, 3: 1}, weight=0)
         ld = expand_layered(c, cut)
-        assert len(calls) == 4  # CZ, CNOT and each RAW gate on its own
+        assert len(calls) == 2  # each RAW gate on its own; CZ and CNOT are literals
         assert ld.lcus[0] is ld.lcus[1] is ld.lcus[5]
-        assert ld.lcus[3] is not ld.lcus[4]
+        assert ld.lcus[2] is not ld.lcus[0] and ld.lcus[3] is not ld.lcus[4]
         again = expand_layered(c, cut)
-        assert len(calls) == 6 and again.lcus[0] is ld.lcus[0]
-        fresh = real(CZ)
-        for (c0, f0), (c1, f1) in zip(ld.lcus[0].terms, fresh.terms):
-            assert c0 == c1
-            for a, b in zip(f0, f1):
-                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+        assert len(calls) == 4 and again.lcus[0] is ld.lcus[0] and again.lcus[2] is ld.lcus[2]
         assert np.allclose(ld.resum_unitary(), circuit_unitary(c), atol=1e-9)
 
 
 class TestExpansionBits:
-    # sha256 over each term's coefficient and factor bytes, taken with
-    # numpy 2.4 (OpenBLAS) on x86-64 before the magic-basis sign search
-    # stopped at its first choice with as many terms as the Schmidt rank
+    # sha256 over each term's coefficient and factor bytes: the closed forms
+    # ((1 - i)/2) S x S + ((1 + i)/2) S^dagger x S^dagger for CZ and
+    # ((1 - i)/2) S x HSH + ((1 + i)/2) S^dagger x HS^daggerH for CNOT, as literals
     PINNED = {
-        "CZ": "e237c8582d564e953413684b7293be0d3a596c1d5d43bb0f94f21fb242916a8f",
-        "CNOT": "9d98870b9772a9093dcc5a65d6686704dfad2d8dd6b4c332cb42e9a1f38b104b",
+        "CZ": "2e8e422ca909bde79f8416d039ef0dcd3b06147877ff474006606baeb585bb6a",
+        "CNOT": "824cf65050d896f5b59180391c6ecf3f4c9ca52543f9acb4308dc8b4ab12de54",
     }
 
     @pytest.mark.parametrize("kind", ["CZ", "CNOT"])
@@ -287,6 +282,20 @@ class TestExpansionBits:
             for f in factors:
                 digest.update(np.ascontiguousarray(f).tobytes())
         assert digest.hexdigest() == self.PINNED[kind]
+
+    @pytest.mark.parametrize("kind", ["CZ", "CNOT"])
+    def test_fixed_expansions_resum_exactly_with_read_only_factors(self, kind):
+        from tlpq.circuit import gate_matrix
+        from tlpq.factorize import _fixed_lcu
+
+        lcu = _fixed_lcu(kind)
+        assert lcu.ell == oracle_rank(gate_matrix(Gate(kind, (0, 1)))) == 2
+        assert np.array_equal(lcu.resum(), gate_matrix(Gate(kind, (0, 1))))
+        for _, factors in lcu.terms:
+            for f in factors:
+                assert not f.flags.writeable
+                with pytest.raises(ValueError):
+                    f[0, 0] = 0
 
     def test_terms_share_each_mapped_gate_and_resum_as_fresh_gates(self, rng):
         # parts {0, 1} | {2, 3}; CZ(0, 2), RAW(1, 3) and CZ(1, 2) cross the cut

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PAULI, kron_all, one_row_table, pauli_label_matrix, haar_unitary
+from conftest import (PAULI, kron_all, one_row_table, pauli_label_matrix, haar_unitary,
+                      record_steps)
 
 import tlpq
 from tlpq import (
@@ -713,12 +714,11 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
         for i, label in enumerate(["01"] * 5 + ["10"])
     ]
     local = execute_tasks(tasks, ClusterConfig(seed=2, shots=32))
-    parsed, applied = [], []
-    real_parse, real_evolve = runtime.parse_circuit, tlpq.circuit._evolve
+    parsed = []
+    real_parse = runtime.parse_circuit
     monkeypatch.setattr(runtime, "parse_circuit",
                         lambda obj, **kw: parsed.append(obj) or real_parse(obj, **kw))
-    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
-                        applied.extend(gates) or real_evolve(gates, state, **kw))
+    steps = record_steps(monkeypatch)
     with live_worker() as addr:  # one node: every row is in one batch
         net = execute_tasks(tasks, ClusterConfig(mode="network", nodes=(addr,), seed=2,
                                                  shots=32))
@@ -728,7 +728,15 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
     assert len(parsed) == 1 and len(parsed[0]["gates"]) == 4 * 4
     states = {(c, t.labels[0]) for t in tasks for c in t.circuits}
     # each state simulated once, no two share a gate: row 5 reads two circuits under label 10
-    assert len(states) == 6 and len(applied) == 4 * len(states)
+    assert len(states) == 6 and sum(map(len, steps)) == 4 * len(states)
+    # the worker pushes each item's new states as one stack: one gate call per depth and
+    # qubit tuple among them
+    seen, calls = set(), 0
+    for t in tasks:
+        new = {c for c in t.circuits if (c, t.labels[0]) not in seen}
+        seen.update((c, t.labels[0]) for c in new)
+        calls += sum(len({c.gates[d].qubits for c in new}) for d in range(4))
+    assert len(steps) == calls < 4 * len(states)
 
 
 def test_a_call_sends_one_batch_per_non_empty_start_node(rng, monkeypatch):
@@ -782,6 +790,72 @@ def test_a_network_call_that_holds_an_estimator_task_raises_before_any_batch(rng
         assert sent == []  # not even a hello
     local = execute_tasks(make_tasks(rng, count=4) + [estimator], ClusterConfig())
     assert [r.task_id for r in local] == [0, 1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("readouts", [("e:ZZ",), ("e:XI",)])
+@pytest.mark.parametrize("mode", ["local", "network"])
+def test_a_call_whose_tasks_repeat_an_id_is_refused_before_anything_runs(
+        rng, monkeypatch, mode, readouts):
+    # the repeated task shares its readouts with the first (one table) or not (two)
+    tasks = [TaskSpec(id=i, kind="density", circuit=random_circuit(rng, 2), readouts=("e:ZZ",))
+             for i in (0, 3, 1)]
+    tasks.append(TaskSpec(id=3, kind="density", circuit=random_circuit(rng, 2),
+                          readouts=readouts))
+    ran = []
+    monkeypatch.setattr(ExactBackend, "run_rows", lambda self, *a: ran.append(a))
+    with counted_sends(monkeypatch) as sent, live_worker() as addr:
+        cfg = ClusterConfig() if mode == "local" else ClusterConfig(mode="network", nodes=(addr,))
+        with pytest.raises(ValueError, match=r"^task id 3 is repeated: the tasks of a call "
+                                             r"need distinct ids$"):
+            execute_tasks(tasks, cfg)
+        assert sent == [] and ran == []  # not even a hello
+
+
+def test_the_tlp_route_runs_end_to_end_locally_and_on_two_workers(rng):
+    """The paper's route on 8 qubits: bisect, expand the two crossing CZs and
+    the crossing CNOT, enumerate the subtasks, run them, reduce."""
+    from tlpq.circuit import _apply_observable
+    from tlpq.factorize import expand_layered
+    from tlpq.partition import balanced_bisection, build_graph
+
+    gates = [Gate("RY", (q,), params=(float(rng.uniform(0, 2 * np.pi)),)) for q in range(8)]
+    for part in ((0, 1, 2, 3), (4, 5, 6, 7)):  # in-part chains, two CZs per pair
+        gates += [Gate("CZ", pair) for pair in zip(part, part[1:]) for _ in range(2)]
+    gates += [Gate("CZ", (1, 5)), Gate("RX", (2,), params=(0.7,)), Gate("CNOT", (6, 3)),
+              Gate("RZ", (6,), params=(-0.4,)), Gate("CZ", (0, 7))]
+    gates += [Gate("RY", (q,), params=(float(rng.uniform(0, 2 * np.pi)),)) for q in range(8)]
+    circuit = Circuit(8, tuple(gates))
+    cut = balanced_bisection(build_graph(circuit))
+    decomposition = expand_layered(circuit, cut)
+    assert decomposition.part_qubits == ((0, 1, 2, 3), (4, 5, 6, 7))
+    assert [circuit.gates[gi].kind for gi in decomposition.cut_gate_indices] == ["CZ", "CNOT", "CZ"]
+    assert decomposition.term_count == 8
+    unitary = FactorizedUnitary.from_layered(decomposition)
+    channel = ChannelLCU(branches=(((1.0 + 0j,), (unitary,)),))
+    psi = simulate(circuit, basis_state(8))
+
+    def expectation(letters: str) -> complex:
+        return np.vdot(psi, _apply_observable(PauliString(8, letters), psi))
+
+    # the two observables of one Pauli per part with the largest |value|
+    singles = ["".join(p if q == at else "I" for q in range(8))
+               for at in range(8) for p in "XYZ"]
+    pairs = [a[:4] + b[4:] for a in singles[:12] for b in singles[12:]]
+    chosen = sorted(pairs, key=lambda letters: -abs(expectation(letters)))[:2]
+    assert min(abs(expectation(letters)) for letters in chosen) > 0.1
+    with live_worker() as a, live_worker() as b:
+        network = ClusterConfig(mode="network", nodes=(a, b))
+        for letters in chosen:
+            observables = tuple(PauliString(4, "".join(letters[q] for q in part))
+                                for part in decomposition.part_qubits)
+            plan = enumerate_subtasks(channel, ("0000", "0000"), observables)
+            assert len(plan) == 2 * 8**2
+            local, remote = (run_plan(plan, cfg) for cfg in (ClusterConfig(), network))
+            assert [r.value for r in remote] == [r.value for r in local]
+            assert {r.node_id for r in remote} == {a, b}
+            value = aggregate(plan, local)
+            assert aggregate(plan, remote) == value
+            assert abs(value - expectation(letters)) < 1e-10
 
 
 # --- worker sessions: one handshake per worker per ClusterConfig ---------------------
@@ -1371,13 +1445,13 @@ def test_overlap_task_shares_states_within_a_batch(rng, monkeypatch):
     rights = [random_circuit(rng, 2) for _ in range(3)]
     tasks = [one_row_table(i, left, r, PauliString(2, "XZ"), "01") for i, r in enumerate(rights)]
     alone = [ExactBackend().run_task(t, None, 0)[0] for t in tasks]
-    applied = []
-    real = tlpq.circuit._evolve
-    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
-                        applied.extend(gates) or real(gates, state, **kw))
+    steps = record_steps(monkeypatch)
     batch = execute_tasks(tasks, ClusterConfig())
     # one left state, three right states: each of their gates applied once
+    applied = [g for step in steps for g in step]
     assert sorted(map(id, applied)) == sorted(id(g) for c in (left, *rights) for g in c.gates)
+    # as one stack: one gate call per depth and qubit tuple
+    assert len(steps) == sum(len({c.gates[d].qubits for c in (left, *rights)}) for d in range(4))
     assert [r.value for (r,) in batch] == alone
 
 
@@ -2380,17 +2454,15 @@ def test_a_batch_of_k_circuits_keeps_fewer_than_3k_states(monkeypatch, k):
     import tlpq.runtime as runtime
     from tlpq.circuit import _gate_key
 
-    made, applied = [], []
+    made = []
 
     class Recorded(runtime._PartStates):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    real_evolve = tlpq.circuit._evolve
     monkeypatch.setattr(runtime, "_PartStates", Recorded)
-    monkeypatch.setattr(tlpq.circuit, "_evolve", lambda gates, state, **kw:
-                        applied.extend(gates) or real_evolve(gates, state, **kw))
+    steps = record_steps(monkeypatch)
     circuits = _comb(k)
     tasks = _density_tables([TaskSpec(id=i, kind="density", circuit=c, readouts=("e:ZZZ",))
                              for i, c in enumerate(circuits)])
@@ -2401,7 +2473,11 @@ def test_a_batch_of_k_circuits_keeps_fewer_than_3k_states(monkeypatch, k):
     # every distinct gate prefix of the batch is applied once, and no other gate
     prefixes = {tuple(map(_gate_key, c.gates[:d])) for c in circuits
                 for d in range(1, len(c.gates) + 1)}
-    assert len(applied) == len(prefixes)
+    assert sum(map(len, steps)) == len(prefixes)
+    # as one stack: one gate call per depth and qubit tuple
+    depth = max(len(c.gates) for c in circuits)
+    assert len(steps) == sum(len({c.gates[d].qubits for c in circuits if d < len(c.gates)})
+                             for d in range(depth))
 
 
 _GOOD_TABLE = {"n": 2, "gates": [{"kind": "H", "qubits": [0]}, {"kind": "CZ", "qubits": [0, 1]}]}
