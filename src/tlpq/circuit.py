@@ -21,8 +21,9 @@ included, by exact bits. ``_apply`` runs, per state of a stack, the BLAS
 call that ``np.tensordot``'s ``np.dot`` makes, on the same operands, so
 states keep their bits, and ``_PartStates``, the runtime's one cache of part
 states, pushes its states as stacks one gate depth at a time, applies each
-gate prefix that its circuits share once and tests the RAW gates it
-registers for unitarity in one stacked test per matrix size. ``_apply_observable`` is
+gate prefix that the circuits of one push share once, keeps end states
+only and tests the RAW gates it registers for unitarity in one stacked
+test per matrix size. ``_apply_observable`` is
 an observable's action on a state or a stack of states, which the runtime's
 readouts read: a Pauli string as a cached signed permutation, a matrix as
 one stacked matvec.
@@ -386,54 +387,44 @@ class _Prefix:
 class _PartStates:
     """The runtime's one part-state cache, for a local call or a worker's
     batch: U|label> for each (circuit, input label, unitary) that its rows
-    read, each shared gate prefix applied once.
+    read, kept as end states only.
 
-    The gate lists of the registered circuits (``add``) form a prefix tree
-    whose edges are Gate objects. ``push`` computes the states asked for
-    together, walking the tree one gate depth at a time: the edges of one
-    depth that act on the same qubits of states of one width are one
-    ``_evolve`` step over the stack of their states, with one matrix when
-    they share a Gate and stacked matrices otherwise. ``_apply`` gives each
-    state of a stack the bits it gets pushed alone, so every state has the
-    bits of its circuit run alone, and no state passes a gate twice. A
-    state starts from the deepest state kept on its circuit's path for the
-    same input, and intermediate states are kept only where the tree
-    branches: k circuits have fewer than 2k such points, so the cache holds
-    fewer than 3k states per input. A circuit registered after a state was
-    pushed past its branch point starts from the deepest state kept above
-    that point.
+    The gate lists of the circuits it has pushed form a prefix tree whose
+    edges are Gate objects. ``push`` computes the states asked for together
+    in one walk from the root per width, one gate depth at a time: the edges
+    of one depth that act on the same qubits are one ``_evolve`` step over
+    the stack of their states, with one matrix when they share a Gate and
+    stacked matrices otherwise, so each gate prefix that the push's circuits
+    share is applied once. ``_apply`` gives each state of a stack the bits
+    it gets pushed alone, so every state has the bits of its circuit run
+    alone, and no state passes a gate twice.
 
     unitary=True is ``simulate``: RAW gates must be unitary and the norm must
     hold. unitary=False is the linear map that a table of "e:<P>" readouts
     alone reads (density tasks run as such tables), with its states kept
     apart, so an "ax" / "ay" / "p0" / "p1" row refuses a non-unitary RAW
     gate that an "e:" row has pushed a vector through. Each RAW gate is checked once,
-    when it is registered, and the result is kept per gate.
+    when a push first registers it, and the result is kept per gate.
     """
 
-    def __init__(self, circuits=()):
+    def __init__(self):
         self._tree = _Prefix()
-        self._paths: dict[Circuit, list[_Prefix]] = {}  # the tree nodes of each gate
         self._unitary: dict[Gate, bool] = {}  # each registered RAW gate -> is it unitary
-        self._kept: dict = {}  # (branch node, label, unitary) -> state tensor there
         self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
         self._stacks: dict = {}  # (circuits, labels, positions, unitary) -> their states
-        self.add(circuits)
 
     def __len__(self) -> int:
         """The number of states kept."""
-        return len(self._kept) + len(self._done)
+        return len(self._done)
 
-    def add(self, circuits):
-        """Register circuits, so their shared gate prefixes are applied once.
-        Their new RAW gates get ``is_unitary``'s test, one stacked test per
-        matrix size, whatever rows will read them: a unitary push refuses a
-        gate that failed it, and a unitary=False push applies it."""
+    def _add(self, circuits):
+        """Register circuits in the prefix tree. Their new RAW gates get
+        ``is_unitary``'s test, one stacked test per matrix size, whatever
+        rows will read them: a unitary push refuses a gate that failed it,
+        and a unitary=False push applies it."""
         raw: dict[int, dict[Gate, None]] = {}  # new RAW gates by matrix size
         for c in circuits:
-            if c in self._paths:
-                continue
-            node, path = self._tree, []
+            node = self._tree
             for g in c.gates:
                 child = node.next.get(g)
                 if child is None:
@@ -441,9 +432,7 @@ class _PartStates:
                     if g.kind == "RAW" and g not in self._unitary:
                         raw.setdefault(len(g.raw), {})[g] = None
                 node = child
-                path.append(node)
             node.end = True
-            self._paths[c] = path
         for gates in raw.values():
             passed = _unitary_each(np.array([g.raw for g in gates]))
             self._unitary.update(zip(gates, passed.tolist()))
@@ -471,7 +460,7 @@ class _PartStates:
         registered first, and with ``unitary`` each is refused before
         anything runs if one of its RAW gates failed the unitarity test."""
         wanted = [p for p in dict.fromkeys(pairs) if (*p, unitary) not in self._done]
-        self.add(c for c, _ in wanted)
+        self._add(c for c, _ in wanted)
         for c, _ in wanted if unitary else ():
             for g in c.gates:
                 if not self._unitary.get(g, True):
@@ -483,28 +472,20 @@ class _PartStates:
             self._walk(pairs, unitary)
 
     def _walk(self, pairs, unitary: bool) -> None:
-        """Push the states of (circuit, label) pairs of one width, one gate
-        depth at a time. A lane is one distinct (tree node, label) on the
-        way, with the circuits that go through it and its state, a row of
-        ``stack``; at a branch node a lane splits into one lane per next gate,
-        and a circuit's state is done at its end node."""
-        starts: dict = {}  # depth -> {(node, label): the circuits that start there}
+        """Push the states of (circuit, label) pairs of one width from the
+        root, one gate depth at a time. A lane is one distinct (tree node,
+        label) on the way, with the circuits that go through it and its
+        state, a row of ``stack``; the walk starts one lane per label at the
+        root, from its basis state, at a branch node a lane splits into one
+        lane per next gate, and a circuit's state is done at its end node."""
+        by_label: dict = {}  # label -> the circuits that read it
         for c, label in pairs:
-            nodes = (self._tree, *self._paths[c])
-            depth = len(c.gates) if self._kept else 0  # the deepest state kept on the path
-            while depth and (nodes[depth], label, unitary) not in self._kept:
-                depth -= 1
-            starts.setdefault(depth, {}).setdefault((nodes[depth], label), []).append(c)
-        lanes: list = []  # (node, label, circuits), one per row of stack
-        stack, width = None, pairs[0][0].n_qubits
-        for depth in range(min(starts), max(len(c.gates) for c, _ in pairs) + 1):
-            joined = starts.get(depth, {})
-            if joined:
-                new = np.array([self._kept[(*key, unitary)] if depth else
-                                basis_state(width, int(key[1], 2)).reshape((2,) * width)
-                                for key in joined])
-                stack = new if stack is None else np.concatenate([stack, new])
-                lanes += [(node, label, c) for (node, label), c in joined.items()]
+            by_label.setdefault(label, []).append(c)
+        width = pairs[0][0].n_qubits
+        lanes = [(self._tree, label, cs) for label, cs in by_label.items()]  # one per row of stack
+        stack = np.array([basis_state(width, int(label, 2)).reshape((2,) * width)
+                          for label in by_label])
+        for depth in range(max(len(c.gates) for c, _ in pairs) + 1):
             rows, gates, lanes_on = [], [], []  # per edge: the parent row, the Gate, the lane
             for row, (node, label, circuits) in enumerate(lanes):
                 if not node.branches:  # all its circuits go on by its one next gate, or end
@@ -517,8 +498,6 @@ class _PartStates:
                         for c in circuits:
                             self._finish(c, label, unitary, stack[row])
                     continue
-                if depth:
-                    self._kept[node, label, unitary] = stack[row]
                 by_gate: dict = {}
                 for c in circuits:
                     if len(c.gates) == depth:
@@ -532,8 +511,8 @@ class _PartStates:
             if rows != list(range(len(lanes))):
                 stack = stack[rows]
             lanes = lanes_on
-            if not gates:  # none goes on, but a lane may still start deeper
-                continue
+            if not gates:  # every circuit has ended
+                return
             groups: dict = {}  # qubits -> the rows whose next gate acts on them
             for row, g in enumerate(gates):
                 groups.setdefault(g.qubits, []).append(row)

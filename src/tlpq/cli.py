@@ -234,7 +234,6 @@ def run_nonherm_rows(
 
 
 def run_imagtime_rows(
-    cluster: ClusterConfig,
     *,
     eps: float = 0.3,
     c: float = 1.0,
@@ -245,10 +244,10 @@ def run_imagtime_rows(
 ) -> list[dict]:
     """One row per gamma: LCHS expectations, exact ground energy, fidelity, baselines.
 
-    The sweep is dense in-process code; ``cluster`` is not read. Each gamma's
-    node states are built once and serve the state and all three expectations,
-    and one ``trotter_oracle`` trajectory passes its three horizons (``big_t``,
-    0.5 and 1.5)."""
+    The sweep is dense in-process code that never reaches the task runtime.
+    Each gamma's node states are built once and serve the state and all
+    three expectations, and one ``trotter_oracle`` trajectory passes its
+    three horizons (``big_t``, 0.5 and 1.5)."""
     sx, sz = PAULI_1Q["X"], PAULI_1Q["Z"]
     scheme = build_quadrature(eps, c, big_t)
     u0 = np.array([1.0, 0.0], dtype=complex)
@@ -645,7 +644,6 @@ def cmd_imagtime(eps, c_param, dt, big_t, gammas, normalize, out_path, fmt, chec
 
     def body():
         rows = run_imagtime_rows(
-            ClusterConfig(),
             eps=eps,
             c=c_param,
             big_t=big_t,

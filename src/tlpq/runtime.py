@@ -44,13 +44,12 @@ gate is one Gate, and runs each item as one OverlapTable over the batch's
 circuits, checked as a local table is.
 
 The part-state cache (``circuit._PartStates``) is the same locally and on a worker:
-each distinct (circuit, input label) is simulated once per call or batch, and
-circuits that start with the same Gate objects continue from one kept
-intermediate state, so each shared gate prefix is applied once.
-``ExactBackend.run_rows`` pushes every state its items' tables read at once,
-as stacks, one gate depth at a time (one walk per unitary flag), so the
-states of one depth share one gate call per qubit tuple. Simulation
-stays inside ``ExactBackend.run_task`` / ``run_rows``.
+each distinct (circuit, input label) is simulated once per call or batch and
+kept as its end state. ``ExactBackend.run_rows`` pushes every state its
+items' tables read at once, as stacks, one gate depth at a time (one walk
+from the root per unitary flag), so each gate prefix that those circuits
+share is applied once and the states of one depth share one gate call per
+qubit tuple. Simulation stays inside ``ExactBackend.run_task`` / ``run_rows``.
 
 Worker connections live as long as the ClusterConfig object that opened them
 (``_check_out`` / ``_check_in``). A dispatch round sends hello to every chosen
@@ -65,7 +64,8 @@ addresses (to connect to, and to listen on); ``linalg._is_count`` checks node
 counts, shots, seeds and retry limits, in a ClusterConfig and in a batch a
 worker receives, the width cap a worker announces, and a batch's circuits'
 widths and gate table positions, and (in ``circuit.parse_circuit``) the
-width and qubits of circuit JSON; ``planner.OverlapTable`` checks overlap
+width and qubits of circuit JSON; ``circuit._finite`` checks gate params
+and the values of a worker's reply; ``planner.OverlapTable`` checks overlap
 rows, locally and in a worker's decoded items, with ``planner._index_column``
 for row ids and table positions (a task's id too), ``planner._parse_readout``
 for readout descriptors and ``planner.check_overlap_operands`` for operands,
@@ -108,6 +108,7 @@ from .circuit import (
     _matrix_from_json,
     _matrix_to_json,
     _PartStates,
+    _finite,
 )
 from .linalg import _complex_product, _is_count, _sequential_sum
 from .planner import (_ID_RULE, OverlapTable, Plan, Subtask, _index_column, _parse_readout,
@@ -632,22 +633,21 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
 
     def _run_batch(self, msg: dict) -> dict:
         """Run a batch's items in order with one part-state cache; the reply
-        holds each row's values and shots used, in row order, or an error
-        naming the failing item's first row id (-1 when the batch itself is
-        malformed or the item's ids break the id rule). The controller
-        derives shots used from its own call and does not read them.
+        holds each row's values, in row order, or an error naming the
+        failing item's first row id (-1 when the batch itself is malformed
+        or the item's ids break the id rule).
 
         The gate table is parsed once, with non-unitary RAW gates admitted as
         a table of "e:<P>" readouts alone needs; any other table refuses them
         when it simulates its states, as a local run does. Each circuit is built from its table
-        positions, so each distinct gate is one Gate, and the cache applies
-        each gate prefix the circuits share once. Each item is decoded
-        (``_decode_item``) and run by one ``run_task`` call. ``shots`` must
+        positions, so each distinct gate is one Gate. Each item is decoded
+        (``_decode_item``) and run by one ``run_task`` call, whose push
+        applies each gate prefix its circuits share once. ``shots`` must
         be null or an integer >= 1 and ``seed`` an integer >= 0, as in a
         ClusterConfig.
         """
         item = None
-        values, used = [], []
+        values = []
         shots, seed = msg.get("shots"), msg.get("seed")
         if not ((shots is None or _is_count(shots, 1)) and _is_count(seed, 0)):
             return {"type": "error", "id": -1,
@@ -656,19 +656,18 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
         try:
             table = parse_circuit(msg["gates"], require_unitary=False).gates
             circuits = tuple(_batch_circuit(k, c, table) for k, c in enumerate(msg["circuits"]))
-            states = _PartStates(circuits)
+            states = _PartStates()
             for item in msg["items"]:
                 task = _decode_item(item, circuits)
                 self.server.count_task(len(task.ids))
                 flat, _ = self.server.backend.run_task(task, shots, seed, states)
                 k = len(task.readouts)
                 values += [flat[j:j + k] for j in range(0, len(flat), k)]
-                used += [0 if shots is None else shots * k] * len(task.ids)
         except Exception as exc:  # report, naming the item's first row id; keep serving
             ids = item.get("ids") if isinstance(item, dict) else None
             ok = isinstance(ids, list) and ids and all(_is_count(i, 0) for i in ids)
             return {"type": "error", "id": ids[0] if ok else -1, "message": str(exc)}
-        return {"type": "result", "values": values, "shots_used": used}
+        return {"type": "result", "values": values}
 
     def _send(self, obj: dict):
         if self.server.should_drop():
@@ -826,9 +825,10 @@ class _WorkerClient:
     def read_result(self, batch: _Batch) -> list[np.ndarray]:
         """Read the reply to ``batch``: the values of each of its runs, as an
         array with one row per task row and one column per readout. Values
-        that are not finite numbers in that shape make the reply malformed.
-        The reply's ``shots_used`` is not read: the controller derives it
-        from its own call (``execute_tasks``)."""
+        that are not finite JSON numbers (``circuit._finite``: an int or a
+        float, not a bool or a string) in that shape make the reply
+        malformed. Shots used are not on the wire: the controller derives
+        them from its own call (``execute_tasks``)."""
         reply = self._recv()
         if reply.get("type") == "error":
             raise RuntimeError(
@@ -841,13 +841,11 @@ class _WorkerClient:
             raise malformed
         blocks, start = [], 0
         for _, rows, k in batch.runs:
-            try:
-                block = np.array(values[start:start + len(rows)], dtype=float)
-            except (TypeError, ValueError):
-                raise malformed from None
-            if block.shape != (len(rows), k) or not np.isfinite(block).all():
+            block = values[start:start + len(rows)]
+            if not all(isinstance(row, list) and len(row) == k and all(map(_finite, row))
+                       for row in block):
                 raise malformed
-            blocks.append(block)
+            blocks.append(np.array(block, dtype=float))
             start += len(rows)
         return blocks
 

@@ -268,7 +268,7 @@ COOLING_TARGETS = (0.9990, 0.9969, 0.9950, 0.9944, 0.9952,
 
 
 def test_08_cooling_sweep_reproduces_reference_fidelities_and_counts():
-    rows = run_imagtime_rows(ClusterConfig())
+    rows = run_imagtime_rows()
     assert len(rows) == 11
     assert all(row["terms"] == 121 for row in rows)
     assert sum(row["terms"] for row in rows) == 1331
@@ -287,7 +287,7 @@ def test_08_cooling_sweep_reproduces_reference_fidelities_and_counts():
 
 
 def test_09_ground_energy_closed_form_and_integrator_margin():
-    rows = run_imagtime_rows(ClusterConfig())
+    rows = run_imagtime_rows()
     for row in rows:
         gamma = row["gamma"]
         e0, _ = exact_ground(2 * np.eye(2) + gamma * np.array([[0, 1], [1, 0]]))

@@ -410,7 +410,7 @@ class TestGateKernel:
             self, rng, monkeypatch):
         # circuits of widths 1-4 that share prefixes of Gate objects and leave
         # them at random depths, read under two labels, in one push and then
-        # in a second push that starts from the states kept at branch points
+        # in later pushes, each of which walks from the root again
         from tlpq.circuit import _PartStates
 
         circuits = []
@@ -425,8 +425,8 @@ class TestGateKernel:
         pairs = [(c, label) for c in circuits
                  for label in ("0" * c.n_qubits, "1" + "0" * (c.n_qubits - 1))]
         first, later = pairs[:len(pairs) // 2 + 1], pairs[len(pairs) // 2 + 1:]
-        states = _PartStates(circuits)
-        # later, one circuit ends above the branch point that another starts from
+        states = _PartStates()
+        # later, one circuit ends above a branch point that an earlier push made
         a, b = Gate("H", (0,)), Gate("RY", (1,), params=(0.3,))
         branched = [Circuit(2, (a, b, Gate("S", (0,)))), Circuit(2, (a, b, Gate("T", (1,))))]
         late = [Circuit(2, (a,)), Circuit(2, (a, b, Gate("X", (0,)), Gate("H", (1,))))]
@@ -550,7 +550,7 @@ class TestStateCache:
         squash = Gate("RAW", (1,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
         c = Circuit(2, (Gate("H", (0,)), squash, Gate("CZ", (0, 1))))
         for first in ("density", "overlap"):
-            states = _PartStates((c,))
+            states = _PartStates()
             if first == "density":  # the density row registers and pushes the gate first
                 states.state(c, "01", unitary=False)
             with pytest.raises(NotUnitary, match=r"^RAW gate on \(1,\) is not unitary "
@@ -573,11 +573,12 @@ class TestStateCache:
         one = [Gate("RAW", (0,), raw=haar_unitary(2, rng)) for _ in range(5)]
         two = Gate("RAW", (0, 1), raw=haar_unitary(4, rng))
         circuits = [Circuit(2, (g, two)) for g in one] + [Circuit(2, (two, one[0]))]
-        states = _PartStates(circuits)
+        states = _PartStates()
+        states.push([(c, "00") for c in circuits])
         assert sorted(tested) == [(1, 4, 4), (5, 2, 2)]
-        states.add(circuits)
         for c in circuits:  # states pushed later test nothing again
-            states.state(c, "00")
+            states.state(c, "01")
+            states.state(c, "00", unitary=False)
         assert len(tested) == 2
-        states.add([Circuit(2, (Gate("H", (0,)), one[1]))])  # a known gate, a new path
+        states.state(Circuit(2, (Gate("H", (0,)), one[1])), "00")  # a known gate, a new path
         assert len(tested) == 2
