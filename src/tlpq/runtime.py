@@ -188,6 +188,9 @@ class ClusterConfig:
             if not _is_count(self.nodes, 1):
                 raise ValueError("local mode needs a node count >= 1")
         else:
+            if isinstance(self.nodes, str):  # tuple() would split it into characters
+                raise ValueError("network mode needs a tuple of host:port addresses, "
+                                 f"not the string {self.nodes!r}")
             addrs = tuple(self.nodes) if not isinstance(self.nodes, int) else ()
             if not addrs:
                 raise ValueError("network mode needs a tuple of host:port addresses")

@@ -21,7 +21,7 @@ from conftest import PAULI, one_row_table, record_steps
 from tlpq import Circuit, Gate, PauliString, Subtask, circuit_to_json, cli
 from tlpq.cli import main
 from tlpq.lchs import build_quadrature, trotter_oracle, unitary_node
-from tlpq.planner import NonPhysical
+from tlpq.ghz import NonPhysical
 from tlpq.runtime import PROTOCOL_VERSION, ClusterConfig, execute_tasks
 
 
@@ -539,6 +539,40 @@ def test_config_value_means_what_its_flag_text_means(runner, monkeypatch, tmp_pa
     assert f"Invalid value for '{option}'" in combined_output(result)
 
 
+@pytest.mark.parametrize("args, option", [
+    (["nonherm", "--T", "0.3,,0.6"], "--T"),
+    (["nonherm", "--T", "0.3,"], "--T"),
+    (["nonherm", "--T", ""], "--T"),
+    (["imagtime", "--gamma-list", ",0.2"], "--gamma-list"),
+    (["imagtime", "--gamma-list", "0.2, ,0.4"], "--gamma-list"),
+    (["ghz", "--mode", "network", "--workers", "127.0.0.1:1,"], "--workers"),
+], ids=["T-middle", "T-trailing", "T-empty", "gamma-leading", "gamma-blank", "workers-trailing"])
+def test_an_empty_list_item_on_the_command_line_exits_2_naming_the_option(
+        runner, monkeypatch, args, option):
+    monkeypatch.setattr("tlpq.cli.execute_tasks", refuse_to_serve)
+    monkeypatch.setattr("tlpq.cli.estimate_plans", refuse_to_serve)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, combined_output(result)
+    assert f"Invalid value for '{option}': empty item in list" in combined_output(result)
+
+
+@pytest.mark.parametrize("command, cfg, option", [
+    ("nonherm", {"T": "0.3,,0.6"}, "--T"),
+    ("nonherm", {"T": [0.3, "", 0.6]}, "--T"),
+    ("imagtime", {"gamma_list": [" ", 0.2]}, "--gamma-list"),
+    ("ghz", {"mode": "network", "workers": ["127.0.0.1:1", ""]}, "--workers"),
+], ids=["T-string", "T-list", "gamma-list-blank", "workers-list"])
+def test_an_empty_list_item_in_a_config_file_exits_2_naming_the_option(
+        runner, monkeypatch, tmp_path, command, cfg, option):
+    monkeypatch.setattr("tlpq.cli.execute_tasks", refuse_to_serve)
+    monkeypatch.setattr("tlpq.cli.estimate_plans", refuse_to_serve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, [command, "--config", str(path)])
+    assert result.exit_code == 2, combined_output(result)
+    assert f"Invalid value for '{option}': empty item in list" in combined_output(result)
+
+
 def test_network_mode_requires_workers(runner):
     result = runner.invoke(main, ["ghz", "--mode", "network"])
     assert result.exit_code == 2
@@ -722,7 +756,7 @@ def refuse_to_serve(*args, **kwargs):
 @pytest.mark.parametrize("address", ["foo", "127.0.0.1:notaport", "127.0.0.1:",
                                      "127.0.0.1:70000"])
 def test_worker_rejects_a_listen_address_without_a_port(runner, monkeypatch, address):
-    monkeypatch.setattr("tlpq.cli.serve_worker", refuse_to_serve)
+    monkeypatch.setattr("tlpq.commands.serve_worker", refuse_to_serve)
     result = runner.invoke(main, ["worker", "--listen", address])
     assert result.exit_code == 2
     assert "--listen" in combined_output(result)
@@ -730,7 +764,7 @@ def test_worker_rejects_a_listen_address_without_a_port(runner, monkeypatch, add
 
 @pytest.mark.parametrize("max_qubits", ["0", "-3"])
 def test_worker_rejects_a_max_qubits_below_one(runner, monkeypatch, max_qubits):
-    monkeypatch.setattr("tlpq.cli.serve_worker", refuse_to_serve)
+    monkeypatch.setattr("tlpq.commands.serve_worker", refuse_to_serve)
     result = runner.invoke(main, ["worker", "--listen", "127.0.0.1:0",
                                   "--max-qubits", max_qubits])
     assert result.exit_code == 2
@@ -759,3 +793,98 @@ def test_importing_a_command_or_a_worker_leaves_numpy_random_unimported(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# --- what each process imports ----------------------------------------------------
+#
+# Every process compiles what it imports, so code it never runs costs it time
+# and memory: a worker and a channel-plan controller load neither click, the
+# evolution toolkit nor the GHZ demonstration.
+
+
+def loaded_after(code: str) -> list:
+    """Run ``code`` in a fresh interpreter and return the JSON it prints last."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+MODULES = "sorted(sys.modules)"
+ADDED = "sorted(set(sys.modules) - before)"
+
+
+def test_importing_tlpq_loads_the_channel_and_worker_layers_only():
+    loaded = set(loaded_after(f"import json, sys, tlpq; print(json.dumps({MODULES}))"))
+    assert {"tlpq.circuit", "tlpq.partition", "tlpq.factorize", "tlpq.planner",
+            "tlpq.runtime"} <= loaded
+    assert not loaded & {"tlpq.lchs", "tlpq.ghz", "tlpq.cli", "tlpq.commands",
+                         "fractions", "click"}
+
+
+def test_importing_the_drivers_leaves_click_and_the_ghz_demo_unimported():
+    loaded = set(loaded_after(f"import json, sys, tlpq.cli; print(json.dumps({MODULES}))"))
+    assert "tlpq.lchs" in loaded
+    assert not loaded & {"click", "tlpq.commands", "tlpq.ghz"}
+
+
+def test_a_nonherm_sweep_after_importing_the_drivers_imports_no_tlpq_module_or_click():
+    added = loaded_after(
+        "import json, sys, tlpq.cli\n"
+        "before = set(sys.modules)\n"
+        "tlpq.cli.run_nonherm_rows(tlpq.runtime.ClusterConfig(), t_values=(0.3,))\n"
+        f"print(json.dumps({ADDED}))")
+    assert [m for m in added if m.startswith("tlpq") or m.startswith("click")] == []
+
+
+def test_the_tlp_route_and_a_density_task_after_importing_tlpq_import_no_tlpq_module():
+    # built as the benchmark's wide-net controller builds its two routes
+    added = loaded_after(
+        "import json, sys, tlpq\n"
+        "before = set(sys.modules)\n"
+        "c = tlpq.circuit\n"
+        "gates = [('H', (q,), ()) for q in range(4)] + [('CZ', (0, 1), ()),\n"
+        "         ('RY', (2,), (0.4,)), ('CZ', (2, 3), ()), ('CZ', (1, 2), ()),\n"
+        "         ('RX', (1,), (0.7,))]\n"
+        "circuit = c.Circuit(4, tuple(c.Gate(k, q, params=p) for k, q, p in gates))\n"
+        "cut = tlpq.partition.balanced_bisection(tlpq.partition.build_graph(circuit))\n"
+        "decomposition = tlpq.factorize.expand_layered(circuit, cut)\n"
+        "unitary = tlpq.planner.FactorizedUnitary.from_layered(decomposition)\n"
+        "channel = tlpq.planner.ChannelLCU(branches=(((1.0 + 0j,), (unitary,)),))\n"
+        "parts = decomposition.part_qubits\n"
+        "plan = tlpq.planner.enumerate_subtasks(channel, tuple('0' * len(p) for p in parts),\n"
+        "    tuple(c.PauliString(len(p), 'Z' * len(p)) for p in parts))\n"
+        "cluster = tlpq.runtime.ClusterConfig(seed=3)\n"
+        "tlpq.runtime.aggregate(plan, tlpq.runtime.run_plan(plan, cluster))\n"
+        "_, (ops_a, _) = tlpq.factorize.cz_cutting_decomposition().terms[1]\n"
+        "task = tlpq.runtime.TaskSpec(id=0, kind='density', readouts=('e:ZI', 'e:XX'),\n"
+        "    circuit=c.Circuit(2, (c.Gate('H', (0,)), c.Gate('RAW', (0,), raw=ops_a[0]))))\n"
+        "tlpq.runtime.execute_tasks([task], cluster)\n"
+        f"print(json.dumps({ADDED}))")
+    assert [m for m in added if m.startswith("tlpq")] == []
+
+
+def test_every_public_name_resolves_and_the_console_entry_is_the_click_group():
+    resolved = loaded_after(
+        "import json, click, tlpq, tlpq.cli\n"
+        "names = [n for n in tlpq.__all__ if getattr(tlpq, n, None) is None]\n"
+        "modules = [tlpq.lchs.__name__, tlpq.ghz.__name__]\n"
+        "print(json.dumps([names, modules, isinstance(tlpq.cli.main, click.Group),\n"
+        "    tlpq.cli.main is __import__('tlpq.commands').commands.main]))")
+    assert resolved == [[], ["tlpq.lchs", "tlpq.ghz"], True, True]
+    import tlpq
+
+    for module in (tlpq, cli):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            module.no_such_name
+
+
+def test_python_dash_m_tlpq_cli_runs_the_command_line():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "tlpq.cli", "plan", "--circuit", "ghz4"],
+                         capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert json.loads(out.stdout)["comparison"] == {"m": 1, "ours": 16, "cutting": 160}

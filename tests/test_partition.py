@@ -18,7 +18,7 @@ from tlpq.partition import (
     build_graph,
     global_min_cut,
 )
-from tlpq.planner import ghz4_template
+from tlpq.ghz import ghz4_template
 
 
 def cut_weight(edges: dict, part0: set) -> int:

@@ -21,24 +21,26 @@ from tlpq.circuit import (
     circuit_unitary,
     simulate,
 )
-from tlpq.planner import (
-    ChannelLCU,
-    FactorizedUnitary,
+from tlpq.ghz import (
     IncompleteTables,
     NonPhysical,
-    NonUnitaryObservable,
-    Plan,
-    ShapeMismatch,
-    Subtask,
     assemble_grams,
-    build_estimator_circuit,
-    check_overlap_operands,
-    enumerate_subtasks,
     ghz4_template,
     ghz_cutting_plan,
     ghz_overlap_plan,
     ghz_state,
     reconstruct_density_matrix,
+)
+from tlpq.planner import (
+    ChannelLCU,
+    FactorizedUnitary,
+    NonUnitaryObservable,
+    Plan,
+    ShapeMismatch,
+    Subtask,
+    build_estimator_circuit,
+    check_overlap_operands,
+    enumerate_subtasks,
     scaling_counts,
 )
 from tlpq.runtime import (
@@ -447,7 +449,8 @@ class TestGhzTemplatesAndPlan:
             self, shots):
         from tlpq.cli import run_ghz_pipeline
         from tlpq.linalg import kron
-        from tlpq.planner import PAULI_2Q_LABELS, _SIGNS
+        from tlpq.ghz import _SIGNS
+        from tlpq.planner import PAULI_2Q_LABELS
         from tlpq.circuit import pauli_matrix
 
         def reference(gram_a, gram_b):  # the sum as written before the 16 were built once

@@ -554,6 +554,15 @@ def test_cluster_config_normalizes_address_list():
     assert isinstance(cfg.nodes, tuple) and len(cfg.nodes) == 2
 
 
+@pytest.mark.parametrize("nodes", ["127.0.0.1:5000", "127.0.0.1:5000,127.0.0.1:5001", ""])
+def test_a_network_config_refuses_one_address_string_quoting_it(nodes):
+    # tuple() of a string is its characters, which read as bad addresses
+    with pytest.raises(ValueError) as info:
+        ClusterConfig(mode="network", nodes=nodes)
+    assert str(info.value) == ("network mode needs a tuple of host:port addresses, "
+                               f"not the string {nodes!r}")
+
+
 @pytest.mark.parametrize("changes", [
     {"retry_limit": 1.5}, {"retry_limit": True}, {"retry_limit": "3"}, {"retry_limit": 0},
     {"nodes": True}, {"nodes": 1.5}, {"nodes": "2"},
