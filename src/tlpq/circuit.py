@@ -20,13 +20,13 @@ it. ``_gate_key`` tells value-equal gates apart from the others, RAW gates
 included, by exact bits. ``_apply`` runs, per state of a stack, the BLAS
 call that ``np.tensordot``'s ``np.dot`` makes, on the same operands, so
 states keep their bits, and ``_PartStates``, the runtime's one cache of part
-states, pushes its states as stacks one gate depth at a time, applies each
-gate prefix that the circuits of one push share once, keeps end states
-only and tests the RAW gates it registers for unitarity in one stacked
-test per matrix size. ``_apply_observable`` is
-an observable's action on a state or a stack of states, which the runtime's
-readouts read: a Pauli string as a cached signed permutation, a matrix as
-one stacked matvec.
+states, pushes its states as stacks one gate depth at a time, grouping a
+push's circuits by their next gate, so it applies each gate prefix that
+they share once; it keeps end states only and tests each RAW gate it meets
+for unitarity once, in one stacked test per matrix size.
+``_apply_observable`` is an observable's action on a state or a stack of
+states, which the runtime's readouts read: a Pauli string as a cached
+signed permutation, a matrix as one stacked matvec.
 """
 
 from __future__ import annotations
@@ -367,75 +367,39 @@ def _not_unitary(g: Gate) -> NotUnitary:
     return NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
 
 
-class _Prefix:
-    """A node of ``_PartStates``' prefix tree: the nodes one gate further, by
-    Gate object, and whether a registered circuit ends here."""
-
-    __slots__ = ("next", "end")
-
-    def __init__(self):
-        self.next: dict[Gate, _Prefix] = {}
-        self.end = False
-
-    @property
-    def branches(self) -> bool:
-        """Whether more than one registered circuit goes on from here in
-        different ways: two next gates, or an end with a next gate."""
-        return len(self.next) > 1 or (self.end and bool(self.next))
-
-
 class _PartStates:
     """The runtime's one part-state cache, for a local call or a worker's
     batch: U|label> for each (circuit, input label, unitary) that its rows
     read, kept as end states only.
 
-    The gate lists of the circuits it has pushed form a prefix tree whose
-    edges are Gate objects. ``push`` computes the states asked for together
-    in one walk from the root per width, one gate depth at a time: the edges
-    of one depth that act on the same qubits are one ``_evolve`` step over
-    the stack of their states, with one matrix when they share a Gate and
-    stacked matrices otherwise, so each gate prefix that the push's circuits
-    share is applied once. ``_apply`` gives each state of a stack the bits
-    it gets pushed alone, so every state has the bits of its circuit run
-    alone, and no state passes a gate twice.
+    ``push`` computes the states asked for together in one walk per width,
+    one gate depth at a time, from the basis states of their labels: the
+    push's circuits that share a label and a gate prefix are one lane with
+    one state, which splits by their next Gate object, and the lanes of one
+    depth whose next gates act on the same qubits are one ``_evolve`` step
+    over the stack of their states, with one matrix when they share a Gate
+    and stacked matrices otherwise, so each gate prefix that the push's
+    circuits share is applied once. ``_apply`` gives each state of a stack
+    the bits it gets pushed alone, so every state has the bits of its
+    circuit run alone, and no state passes a gate twice.
 
     unitary=True is ``simulate``: RAW gates must be unitary and the norm must
     hold. unitary=False is the linear map that a table of "e:<P>" readouts
     alone reads (density tasks run as such tables), with its states kept
     apart, so an "ax" / "ay" / "p0" / "p1" row refuses a non-unitary RAW
-    gate that an "e:" row has pushed a vector through. Each RAW gate is checked once,
-    when a push first registers it, and the result is kept per gate.
+    gate that an "e:" row has pushed a vector through. Each RAW gate is
+    tested once, by the first push that meets it, and the result is kept
+    per gate.
     """
 
     def __init__(self):
-        self._tree = _Prefix()
-        self._unitary: dict[Gate, bool] = {}  # each registered RAW gate -> is it unitary
+        self._unitary: dict[Gate, bool] = {}  # each tested RAW gate -> is it unitary
         self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
         self._stacks: dict = {}  # (circuits, labels, positions, unitary) -> their states
 
     def __len__(self) -> int:
         """The number of states kept."""
         return len(self._done)
-
-    def _add(self, circuits):
-        """Register circuits in the prefix tree. Their new RAW gates get
-        ``is_unitary``'s test, one stacked test per matrix size, whatever
-        rows will read them: a unitary push refuses a gate that failed it,
-        and a unitary=False push applies it."""
-        raw: dict[int, dict[Gate, None]] = {}  # new RAW gates by matrix size
-        for c in circuits:
-            node = self._tree
-            for g in c.gates:
-                child = node.next.get(g)
-                if child is None:
-                    child = node.next[g] = _Prefix()
-                    if g.kind == "RAW" and g not in self._unitary:
-                        raw.setdefault(len(g.raw), {})[g] = None
-                node = child
-            node.end = True
-        for gates in raw.values():
-            passed = _unitary_each(np.array([g.raw for g in gates]))
-            self._unitary.update(zip(gates, passed.tolist()))
 
     def stack(self, circuits: tuple[Circuit, ...], labels: tuple[str, ...],
               at: tuple[tuple[int, int], ...], unitary: bool = True) -> np.ndarray:
@@ -456,11 +420,20 @@ class _PartStates:
 
     def push(self, pairs, unitary: bool = True) -> None:
         """Compute the states U|label> of the (circuit, label) pairs not yet
-        kept, in one walk of the prefix tree per width; their circuits are
-        registered first, and with ``unitary`` each is refused before
-        anything runs if one of its RAW gates failed the unitarity test."""
+        kept, in one walk per width. Their RAW gates not yet tested get
+        ``is_unitary``'s test first, one stacked test per matrix size,
+        whatever rows will read them: with ``unitary`` a circuit is refused
+        before anything runs if one of its RAW gates failed it, and a
+        unitary=False push applies it."""
         wanted = [p for p in dict.fromkeys(pairs) if (*p, unitary) not in self._done]
-        self._add(c for c, _ in wanted)
+        raw: dict[int, dict[Gate, None]] = {}  # untested RAW gates by matrix size
+        for c, _ in wanted:
+            for g in c.gates:
+                if g.kind == "RAW" and g not in self._unitary:
+                    raw.setdefault(len(g.raw), {})[g] = None
+        for gates in raw.values():
+            passed = _unitary_each(np.array([g.raw for g in gates]))
+            self._unitary.update(zip(gates, passed.tolist()))
         for c, _ in wanted if unitary else ():
             for g in c.gates:
                 if not self._unitary.get(g, True):
@@ -472,33 +445,23 @@ class _PartStates:
             self._walk(pairs, unitary)
 
     def _walk(self, pairs, unitary: bool) -> None:
-        """Push the states of (circuit, label) pairs of one width from the
-        root, one gate depth at a time. A lane is one distinct (tree node,
-        label) on the way, with the circuits that go through it and its
-        state, a row of ``stack``; the walk starts one lane per label at the
-        root, from its basis state, at a branch node a lane splits into one
-        lane per next gate, and a circuit's state is done at its end node."""
+        """Push the states of (circuit, label) pairs of one width, one gate
+        depth at a time. A lane is one label with the circuits that share
+        its gate prefix so far, and its state is a row of ``stack``; the
+        walk starts one lane per label, from its basis state, and at each
+        depth a lane's circuits that end there are done and the others
+        split into one lane per next Gate."""
         by_label: dict = {}  # label -> the circuits that read it
         for c, label in pairs:
             by_label.setdefault(label, []).append(c)
         width = pairs[0][0].n_qubits
-        lanes = [(self._tree, label, cs) for label, cs in by_label.items()]  # one per row of stack
+        lanes = list(by_label.items())  # (label, circuits), one per row of stack
         stack = np.array([basis_state(width, int(label, 2)).reshape((2,) * width)
                           for label in by_label])
         for depth in range(max(len(c.gates) for c, _ in pairs) + 1):
             rows, gates, lanes_on = [], [], []  # per edge: the parent row, the Gate, the lane
-            for row, (node, label, circuits) in enumerate(lanes):
-                if not node.branches:  # all its circuits go on by its one next gate, or end
-                    if node.next:
-                        (g, child), = node.next.items()
-                        rows.append(row)
-                        gates.append(g)
-                        lanes_on.append((child, label, circuits))
-                    else:
-                        for c in circuits:
-                            self._finish(c, label, unitary, stack[row])
-                    continue
-                by_gate: dict = {}
+            for row, (label, circuits) in enumerate(lanes):
+                by_gate: dict = {}  # next Gate -> the circuits that go on by it
                 for c in circuits:
                     if len(c.gates) == depth:
                         self._finish(c, label, unitary, stack[row])
@@ -507,7 +470,7 @@ class _PartStates:
                 for g, cs in by_gate.items():
                     rows.append(row)
                     gates.append(g)
-                    lanes_on.append((node.next[g], label, cs))
+                    lanes_on.append((label, cs))
             if rows != list(range(len(lanes))):
                 stack = stack[rows]
             lanes = lanes_on

@@ -289,6 +289,11 @@ def __getattr__(name: str):
 
 
 if __name__ == "__main__":
+    import sys
+
+    # ``commands`` imports the pipeline functions from ``tlpq.cli``: under
+    # ``python -m`` this module is that one, so it is not run a second time
+    sys.modules.setdefault("tlpq.cli", sys.modules[__name__])
     from tlpq.commands import main
 
     main()

@@ -47,7 +47,7 @@ The part-state cache (``circuit._PartStates``) is the same locally and on a work
 each distinct (circuit, input label) is simulated once per call or batch and
 kept as its end state. ``ExactBackend.run_rows`` pushes every state its
 items' tables read at once, as stacks, one gate depth at a time (one walk
-from the root per unitary flag), so each gate prefix that those circuits
+per width and unitary flag), so each gate prefix that those circuits
 share is applied once and the states of one depth share one gate call per
 qubit tuple. Simulation stays inside ``ExactBackend.run_task`` / ``run_rows``.
 
@@ -234,13 +234,11 @@ class TaskSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _index_column((self.id,), _ID_RULE, 0))
+        if self.kind not in ("estimator", "density"):
+            raise ValueError(f"task kind must be 'estimator' or 'density', got {self.kind!r}")
         if self.kind == "density" and not all(
                 isinstance(d, str) and d.startswith("e:") for d in self.readouts):
             raise ValueError(f"a density task reads e:<P> readouts only, got {list(self.readouts)}")
-
-    @property
-    def circuits(self) -> tuple[Circuit]:
-        return (self.circuit,)
 
     @property
     def n_qubits(self) -> int:
@@ -261,14 +259,15 @@ def sample_shots(exact_probs, n: int, rng: np.random.Generator) -> np.ndarray:
     The law is checked, clipped at 0 and renormalized in plain floats,
     summing left to right: for the 3-entry readout laws that is the order
     ``np.sum`` adds them in, so the draws are those of numpy's set-up.
+    ``n`` must be an int (not a bool) of at least 1.
     """
+    if not _is_count(n, 1):
+        raise ValueError(f"need an int count of at least one sample, got {n!r}")
     p = [float(x) for x in exact_probs]
     if abs(functools.reduce(operator.add, p, 0.0) - 1.0) > 1e-9 or any(x < -1e-9 for x in p):
         raise ValueError("probabilities must be normalized within 1e-9")
     p = [max(x, 0.0) for x in p]
     total = functools.reduce(operator.add, p, 0.0)
-    if n < 1:
-        raise ValueError("need at least one sample")
     counts = rng.multinomial(n, [x / total for x in p])
     return counts / float(n)
 

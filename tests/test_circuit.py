@@ -441,6 +441,59 @@ class TestGateKernel:
                 assert _same_bits(states.state(c, label), alone[c, label])
             assert len(steps) == pushed  # the push computed every state it was asked for
 
+    def test_a_later_push_applies_each_new_prefix_once_in_one_call_per_depth_and_qubits(
+            self, rng, monkeypatch):
+        # pushes into one cache: whatever branch points the earlier pushes'
+        # circuits made, a push applies each distinct (label, Gate prefix)
+        # among its own new states once, one gate call per width, depth and
+        # qubit tuple among them
+        from collections import Counter
+
+        from tlpq.circuit import _PartStates
+
+        a, b, s, t = Gate("H", (0,)), Gate("RY", (1,), params=(0.3,)), Gate("S", (0,)), Gate("T", (1,))
+        x, h = Gate("X", (0,)), Gate("H", (1,))
+        branched = [Circuit(2, (a, b, s)), Circuit(2, (a, b, t))]  # branch after (a, b)
+        passes, above = Circuit(2, (a, b, x, h)), Circuit(2, (a,))
+        groups = [[(c, "01", True) for c in branched],
+                  # one passes the branch point, one ends above it, a known
+                  # circuit under a new label and one under its known label
+                  [(above, "01", True), (passes, "01", True), (branched[0], "10", True),
+                   (branched[1], "01", True)],
+                  [(passes, "01", False), (above, "11", True)]]  # a known state, a new flag
+        for n in (2, 3):  # random pushes over trunks that branch at random depths
+            trunk = [Gate("RAW", tuple(int(q) for q in rng.permutation(n)[:2]),
+                          raw=haar_unitary(4, rng)) for _ in range(6)]
+            pool = [Gate(kind, (q,)) for kind in "HST" for q in range(n)]
+            circuits = [Circuit(n, tuple(trunk[:int(rng.integers(0, 7))]
+                                         + [pool[int(rng.integers(len(pool)))]
+                                            for _ in range(int(rng.integers(0, 3)))]))
+                        for _ in range(12)]
+            for _ in range(4):
+                groups.append([(circuits[int(rng.integers(12))], format(int(rng.integers(3)), f"0{n}b"),
+                                bool(rng.random() < 0.8)) for _ in range(8)])
+        steps = record_steps(monkeypatch)
+        states, kept = _PartStates(), set()
+        for k, group in enumerate(groups):
+            for unitary in (True, False):
+                del steps[:]
+                states.push([(c, label) for c, label, u in group if u is unitary], unitary)
+                new = [p for p in dict.fromkeys(group) if p[2] is unitary and p not in kept]
+                kept.update(new)
+                prefixes = {(label, c.gates[:d]) for c, label, _ in new
+                            for d in range(1, len(c.gates) + 1)}
+                calls = {(c.n_qubits, d, c.gates[d].qubits) for c, label, _ in new
+                         for d in range(len(c.gates))}
+                assert Counter(g for step in steps for g in step) == Counter(
+                    p[-1] for _, p in prefixes), (k, unitary)
+                assert len(steps) == len(calls), (k, unitary)
+                if k == 1 and unitary:  # lanes "01" and "10" in order, split only by their own gates
+                    assert steps == [(a, a), (b, b), (x, s), (h,)]
+            for c, label, unitary in group:
+                alone = simulate(c, basis_state(c.n_qubits, int(label, 2)))
+                assert _same_bits(states.state(c, label, unitary), alone)
+        assert len(states) == len(kept)
+
 
 class TestGateCaches:
     """A gate keeps its matrix; decoded gates are shared per exact parameter

@@ -888,3 +888,16 @@ def test_python_dash_m_tlpq_cli_runs_the_command_line():
     out = subprocess.run([sys.executable, "-m", "tlpq.cli", "plan", "--circuit", "ghz4"],
                          capture_output=True, text=True, env=env, timeout=60, check=True)
     assert json.loads(out.stdout)["comparison"] == {"m": 1, "ours": 16, "cutting": 160}
+
+
+def test_python_dash_m_tlpq_cli_runs_cli_py_once():
+    # under -m cli.py runs as __main__; commands.py, which imports the pipeline
+    # functions from tlpq.cli, must find that module, not import the file again
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "tlpq.cli", "--help"],
+                         capture_output=True, text=True, env=env, timeout=60, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "tlpq.commands" in imported and "tlpq.cli" not in imported

@@ -217,6 +217,16 @@ def test_sample_shots_rejects_zero_draws():
         sample_shots([1.0], 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", np.int64(3), None])
+def test_sample_shots_refuses_a_count_that_is_not_an_int_before_drawing(n):
+    class Refuse:  # an rng that fails the test if anything is drawn
+        def multinomial(self, n, pvals):
+            raise AssertionError("drew before refusing the count")
+
+    with pytest.raises(ValueError, match="int count"):
+        sample_shots([0.5, 0.5], n, Refuse())
+
+
 def test_sample_shots_draws_from_the_law_numpy_clips_and_renormalizes():
     class Recorder:  # an rng that keeps the law it is asked to draw from
         def multinomial(self, n, pvals):
@@ -507,9 +517,10 @@ def test_backend_rejects_too_wide_circuit():
 
 def test_backend_rejects_unknown_kind():
     circ = Circuit(1, (Gate("X", (0,)),))
-    task = TaskSpec(id=0, kind="mystery", circuit=circ, readouts=("ax",))
-    with pytest.raises(ValueError):
-        ExactBackend().run_task(task, None, 0)
+    # refused where the task is built, before a backend can run it
+    with pytest.raises(ValueError, match="^task kind must be 'estimator' or 'density'"):
+        ExactBackend().run_task(TaskSpec(id=0, kind="mystery", circuit=circ, readouts=("ax",)),
+                                None, 0)
 
 
 def test_backend_rejects_bad_readout_descriptor():
@@ -1498,6 +1509,14 @@ def test_a_density_task_reads_e_readouts_only():
         with pytest.raises(ValueError, match="^a density task reads e:<P> readouts only, got "):
             TaskSpec(id=0, kind="density", circuit=c, readouts=readouts)
     TaskSpec(id=0, kind="estimator", circuit=c, readouts=("ax", "p0:Z", "e:ZZ"))  # any
+
+
+@pytest.mark.parametrize("kind", ["Density", "ESTIMATOR", "overlap", "", None])
+def test_a_task_kind_is_estimator_or_density(kind):
+    c = Circuit(1, (Gate("H", (0,)),))
+    with pytest.raises(ValueError, match=f"^task kind must be 'estimator' or 'density', "
+                                         f"got {re.escape(repr(kind))}$"):
+        TaskSpec(id=0, kind=kind, circuit=c, readouts=("e:Z",))
 
 
 def test_overlap_task_rejects_non_unitary_raw_gate():
