@@ -2,10 +2,15 @@
 single-ancilla subtasks, with a distributed exact/sampling runtime and an
 integral-quadrature evolution toolkit (non-Hermitian and imaginary-time).
 
-Every process that imports tlpq compiles what it loads. A worker never runs
-the evolution toolkit (``lchs``) or the GHZ demonstration (``ghz``), so both
-load on first use: their names in ``__all__`` and the two modules themselves
-resolve through ``__getattr__``.
+Every process that imports tlpq compiles what it loads, and the memory that
+its largest compile frees stays resident. So the runtime is split by role
+into modules of at most 3,300 tokens: ``table`` (the overlap rows and their
+column rules), ``backend`` (what a node runs), ``wire`` (the batch message
+and the worker server) and ``runtime`` (the controller), which re-exports
+their public names. A worker never runs the evolution toolkit (``lchs``) or
+the GHZ demonstration (``ghz``), so both load on first use: their names in
+``__all__`` and the two modules themselves resolve through ``__getattr__``.
+Every other module loads with the package.
 """
 
 import importlib

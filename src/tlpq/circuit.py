@@ -13,20 +13,15 @@ Per-gate work is done once per distinct gate: a ``Gate`` computes its
 read-only matrix on first use and keeps it, and ``parse_circuit`` decodes
 value-equal non-RAW entries to one shared ``Gate``, keyed by the parameters'
 exact bits (so 0.0 and -0.0 stay apart), through a memo that lives for one
-call. A worker batch (runtime, since protocol 5) carries its distinct gates
-as one circuit JSON, its gate table: ``circuit_to_json`` encodes it and one
-``parse_circuit`` call decodes it, and the batch's circuits are positions in
-it. ``_gate_key`` tells value-equal gates apart from the others, RAW gates
-included, by exact bits. ``_apply`` runs, per state of a stack, the BLAS
-call that ``np.tensordot``'s ``np.dot`` makes, on the same operands, so
-states keep their bits, and ``_PartStates``, the runtime's one cache of part
-states, pushes its states as stacks one gate depth at a time, grouping a
-push's circuits by their next gate, so it applies each gate prefix that
-they share once; it keeps end states only and tests each RAW gate it meets
-for unitarity once, in one stacked test per matrix size.
-``_apply_observable`` is an observable's action on a state or a stack of
-states, which the runtime's readouts read: a Pauli string as a cached
-signed permutation, a matrix as one stacked matvec.
+call. A worker batch (``wire``, since protocol 5) carries its distinct
+gates as one circuit JSON, its gate table: ``circuit_to_json`` encodes it
+and one ``parse_circuit`` call decodes it, and the batch's circuits are
+positions in it. ``_gate_key`` tells value-equal gates apart from the
+others, RAW gates included, by exact bits. ``_evolve`` is the one gate
+loop, and ``_apply`` runs, per state of a stack, the BLAS call that
+``np.tensordot``'s ``np.dot`` makes, on the same operands, so states keep
+their bits; the backend's one cache of part states
+(``backend._PartStates``) pushes its states through them as stacks.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, _is_count, _unitary_each, is_unitary
+from .linalg import DimensionMismatch, _is_count, is_unitary
 
 __all__ = [
     "Gate",
@@ -237,39 +232,6 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _pauli_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """A Pauli string as a signed permutation: (P psi)[i] = phase[i] * psi[source[i]].
-
-    Each one-qubit Pauli has one nonzero per row, so row bit i_q reads column
-    bit col[i_q] with coefficient P[i_q, col[i_q]]; no 2^w x 2^w matrix is built.
-    """
-    n = len(letters)
-    index = np.arange(2**n)
-    source = np.zeros(2**n, dtype=np.intp)
-    phase = np.ones(2**n, dtype=complex)
-    for q, ch in enumerate(letters):
-        mat = PAULI_1Q[ch]
-        col = np.argmax(np.abs(mat), axis=1)
-        bit = (index >> (n - 1 - q)) & 1
-        source |= col[bit] << (n - 1 - q)
-        phase *= mat[bit, col[bit]]
-    source.flags.writeable = False  # cached and shared by every caller
-    phase.flags.writeable = False
-    return source, phase
-
-
-def _apply_observable(observable: PauliString | np.ndarray, state: np.ndarray) -> np.ndarray:
-    """O|state>, or O on each state of a stack (states x amplitudes): a
-    signed permutation for Pauli letters, one stacked ``np.matmul`` for a
-    matrix, which runs per state the matvec that ``O @ s`` runs. A stacked
-    state gets the bits of its own call."""
-    if not isinstance(observable, PauliString):
-        return np.matmul(observable, state[..., None])[..., 0]
-    source, phase = _pauli_action(observable.letters)
-    return phase * state[..., source]
-
-
 def _rotation(kind: str, theta: float) -> np.ndarray:
     """The matrix of a one-parameter gate."""
     if kind == "RX":
@@ -365,141 +327,6 @@ def _evolve(steps, state_t: np.ndarray, *, check_unitary: bool,
 
 def _not_unitary(g: Gate) -> NotUnitary:
     return NotUnitary(f"RAW gate on {g.qubits} is not unitary within 1e-10")
-
-
-class _PartStates:
-    """The runtime's one part-state cache, for a local call or a worker's
-    batch: U|label> for each (circuit, input label, unitary) that its rows
-    read, kept as end states only.
-
-    ``push`` computes the states asked for together in one walk per width,
-    one gate depth at a time, from the basis states of their labels: the
-    push's circuits that share a label and a gate prefix are one lane with
-    one state, which splits by their next Gate object, and the lanes of one
-    depth whose next gates act on the same qubits are one ``_evolve`` step
-    over the stack of their states, with one matrix when they share a Gate
-    and stacked matrices otherwise, so each gate prefix that the push's
-    circuits share is applied once. ``_apply`` gives each state of a stack
-    the bits it gets pushed alone, so every state has the bits of its
-    circuit run alone, and no state passes a gate twice.
-
-    unitary=True is ``simulate``: RAW gates must be unitary and the norm must
-    hold. unitary=False is the linear map that a table of "e:<P>" readouts
-    alone reads (density tasks run as such tables), with its states kept
-    apart, so an "ax" / "ay" / "p0" / "p1" row refuses a non-unitary RAW
-    gate that an "e:" row has pushed a vector through. Each RAW gate is
-    tested once, by the first push that meets it, and the result is kept
-    per gate.
-    """
-
-    def __init__(self):
-        self._unitary: dict[Gate, bool] = {}  # each tested RAW gate -> is it unitary
-        self._done: dict = {}  # (circuit, label, unitary) -> the end state, flat
-        self._stacks: dict = {}  # (circuits, labels, positions, unitary) -> their states
-
-    def __len__(self) -> int:
-        """The number of states kept."""
-        return len(self._done)
-
-    def stack(self, circuits: tuple[Circuit, ...], labels: tuple[str, ...],
-              at: tuple[tuple[int, int], ...], unitary: bool = True) -> np.ndarray:
-        """The states of the (circuit, label) positions ``at`` in ``circuits``
-        and ``labels``, stacked; kept, so each stack is built once."""
-        key = (circuits, labels, at, unitary)
-        stack = self._stacks.get(key)
-        if stack is None:
-            pairs = [(circuits[c], labels[b]) for c, b in at]
-            self.push(pairs, unitary)
-            stack = self._stacks[key] = np.array([self._done[(*p, unitary)] for p in pairs])
-        return stack
-
-    def state(self, c: Circuit, label: str, unitary: bool = True) -> np.ndarray:
-        """U|label> over the circuit's own qubits, computed on a miss."""
-        self.push(((c, label),), unitary)
-        return self._done[c, label, unitary]
-
-    def push(self, pairs, unitary: bool = True) -> None:
-        """Compute the states U|label> of the (circuit, label) pairs not yet
-        kept, in one walk per width. Their RAW gates not yet tested get
-        ``is_unitary``'s test first, one stacked test per matrix size,
-        whatever rows will read them: with ``unitary`` a circuit is refused
-        before anything runs if one of its RAW gates failed it, and a
-        unitary=False push applies it."""
-        wanted = [p for p in dict.fromkeys(pairs) if (*p, unitary) not in self._done]
-        raw: dict[int, dict[Gate, None]] = {}  # untested RAW gates by matrix size
-        for c, _ in wanted:
-            for g in c.gates:
-                if g.kind == "RAW" and g not in self._unitary:
-                    raw.setdefault(len(g.raw), {})[g] = None
-        for gates in raw.values():
-            passed = _unitary_each(np.array([g.raw for g in gates]))
-            self._unitary.update(zip(gates, passed.tolist()))
-        for c, _ in wanted if unitary else ():
-            for g in c.gates:
-                if not self._unitary.get(g, True):
-                    raise _not_unitary(g)
-        widths: dict = {}
-        for c, label in wanted:
-            widths.setdefault(c.n_qubits, []).append((c, label))
-        for pairs in widths.values():
-            self._walk(pairs, unitary)
-
-    def _walk(self, pairs, unitary: bool) -> None:
-        """Push the states of (circuit, label) pairs of one width, one gate
-        depth at a time. A lane is one label with the circuits that share
-        its gate prefix so far, and its state is a row of ``stack``; the
-        walk starts one lane per label, from its basis state, and at each
-        depth a lane's circuits that end there are done and the others
-        split into one lane per next Gate."""
-        by_label: dict = {}  # label -> the circuits that read it
-        for c, label in pairs:
-            by_label.setdefault(label, []).append(c)
-        width = pairs[0][0].n_qubits
-        lanes = list(by_label.items())  # (label, circuits), one per row of stack
-        stack = np.array([basis_state(width, int(label, 2)).reshape((2,) * width)
-                          for label in by_label])
-        for depth in range(max(len(c.gates) for c, _ in pairs) + 1):
-            rows, gates, lanes_on = [], [], []  # per edge: the parent row, the Gate, the lane
-            for row, (label, circuits) in enumerate(lanes):
-                by_gate: dict = {}  # next Gate -> the circuits that go on by it
-                for c in circuits:
-                    if len(c.gates) == depth:
-                        self._finish(c, label, unitary, stack[row])
-                    else:
-                        by_gate.setdefault(c.gates[depth], []).append(c)
-                for g, cs in by_gate.items():
-                    rows.append(row)
-                    gates.append(g)
-                    lanes_on.append((label, cs))
-            if rows != list(range(len(lanes))):
-                stack = stack[rows]
-            lanes = lanes_on
-            if not gates:  # every circuit has ended
-                return
-            groups: dict = {}  # qubits -> the rows whose next gate acts on them
-            for row, g in enumerate(gates):
-                groups.setdefault(g.qubits, []).append(row)
-            if len(groups) == 1:
-                stack = _evolve((_step(gates),), stack, check_unitary=False, stack=True)
-                continue
-            out = np.empty_like(stack)
-            for at in groups.values():
-                out[at] = _evolve((_step([gates[r] for r in at]),), stack[at],
-                                  check_unitary=False, stack=True)
-            stack = out
-
-    def _finish(self, c: Circuit, label: str, unitary: bool, state: np.ndarray) -> None:
-        """Keep a circuit's end state, flat; a unitary one must keep its norm."""
-        flat = state.reshape(-1)
-        if unitary and abs(math.sqrt(np.vdot(flat, flat).real) - 1.0) > 1e-10:
-            raise NotUnitary("simulation did not preserve the state norm")
-        self._done[c, label, unitary] = flat
-
-
-def _step(gates: list) -> Gate | tuple:
-    """One ``_evolve`` step for a stack whose states get ``gates``: their one
-    Gate when they share it, else the tuple."""
-    return gates[0] if all(g is gates[0] for g in gates) else tuple(gates)
 
 
 def simulate(c: Circuit, input_state) -> np.ndarray:

@@ -59,17 +59,18 @@ def one_row_table(id, left, right, observable, input_label, readouts=("ax", "ay"
 
 
 def record_steps(monkeypatch) -> list[tuple]:
-    """Record each step that ``tlpq.circuit._evolve`` applies (one gate call),
-    as the gates that the states of its stack get, one per state, in order."""
-    import tlpq.circuit
+    """Record each step that ``_evolve`` applies (one gate call) for the
+    part-state cache (``tlpq.backend._PartStates``), as the gates that the
+    states of its stack get, one per state, in order."""
+    import tlpq.backend
 
     steps = []
-    real = tlpq.circuit._evolve
+    real = tlpq.backend._evolve
 
     def recorded(gates, state, **kw):
         count = len(state) if kw.get("stack") else 1
         steps.extend(g if isinstance(g, tuple) else (g,) * count for g in gates)
         return real(gates, state, **kw)
 
-    monkeypatch.setattr(tlpq.circuit, "_evolve", recorded)
+    monkeypatch.setattr(tlpq.backend, "_evolve", recorded)
     return steps

@@ -411,7 +411,7 @@ class TestGateKernel:
         # circuits of widths 1-4 that share prefixes of Gate objects and leave
         # them at random depths, read under two labels, in one push and then
         # in later pushes, each of which walks from the root again
-        from tlpq.circuit import _PartStates
+        from tlpq.backend import _PartStates
 
         circuits = []
         for n in range(1, 5):
@@ -449,7 +449,7 @@ class TestGateKernel:
         # qubit tuple among them
         from collections import Counter
 
-        from tlpq.circuit import _PartStates
+        from tlpq.backend import _PartStates
 
         a, b, s, t = Gate("H", (0,)), Gate("RY", (1,), params=(0.3,)), Gate("S", (0,)), Gate("T", (1,))
         x, h = Gate("X", (0,)), Gate("H", (1,))
@@ -586,7 +586,7 @@ class TestStateCache:
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_a_matrix_observable_on_a_stack_is_each_state_s_own_matvec(self, rng, w):
-        from tlpq.circuit import _apply_observable
+        from tlpq.backend import _apply_observable
 
         for count in (1, 2, 7):
             for _ in range(40):
@@ -598,7 +598,7 @@ class TestStateCache:
                 assert bits(_apply_observable(o, stack[0])) == bits(o @ stack[0])
 
     def test_an_overlap_state_refuses_a_non_unitary_gate_a_density_state_runs(self):
-        from tlpq.circuit import _PartStates
+        from tlpq.backend import _PartStates
 
         squash = Gate("RAW", (1,), raw=np.array([[1, 0], [0.2, 0.5]], dtype=complex))
         c = Circuit(2, (Gate("H", (0,)), squash, Gate("CZ", (0, 1))))
@@ -616,12 +616,12 @@ class TestStateCache:
 
     def test_each_registered_raw_gate_is_tested_once_in_one_stack_per_size(self, rng,
                                                                             monkeypatch):
-        import tlpq.circuit
-        from tlpq.circuit import _PartStates
+        import tlpq.backend
+        from tlpq.backend import _PartStates
 
         tested = []
-        real = tlpq.circuit._unitary_each
-        monkeypatch.setattr(tlpq.circuit, "_unitary_each",
+        real = tlpq.backend._unitary_each
+        monkeypatch.setattr(tlpq.backend, "_unitary_each",
                             lambda m: tested.append(m.shape) or real(m))
         one = [Gate("RAW", (0,), raw=haar_unitary(2, rng)) for _ in range(5)]
         two = Gate("RAW", (0, 1), raw=haar_unitary(4, rng))

@@ -9,6 +9,7 @@ import os
 import socket
 import subprocess
 import sys
+import tokenize
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -379,7 +380,7 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
                         lambda *a: count("unitary_node")() or node(*a))
     monkeypatch.setattr(table, "__post_init__",
                         lambda self, real=table.__post_init__: count("table")() or real(self))
-    monkeypatch.setattr(tlpq.planner, "check_overlap_operands", count("operand_check"))
+    monkeypatch.setattr("tlpq.table.check_overlap_operands", count("operand_check"))
     cli.run_nonherm_rows(ClusterConfig())
     circuits = sum(build_quadrature(0.2, 0.5, t).M + 1 for t in cli._DEFAULT_NONHERM_T)
     assert circuits == 120
@@ -395,11 +396,11 @@ def test_nonherm_simulates_each_node_state_once(monkeypatch):
 
 
 def test_nonherm_runs_the_four_plans_of_each_t_as_one_stack(monkeypatch):
-    import tlpq.runtime
+    import tlpq.backend
 
     stacks = []
-    real = tlpq.runtime._overlaps
-    monkeypatch.setattr(tlpq.runtime, "_overlaps",
+    real = tlpq.backend._overlaps
+    monkeypatch.setattr(tlpq.backend, "_overlaps",
                         lambda stack, states: stacks.append(stack) or real(stack, states))
     cli.run_nonherm_rows(ClusterConfig())
     assert [len(stack) for stack in stacks] == [4] * len(cli._DEFAULT_NONHERM_T)
@@ -814,6 +815,9 @@ def loaded_after(code: str) -> list:
 
 MODULES = "sorted(sys.modules)"
 ADDED = "sorted(set(sys.modules) - before)"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tlpq"
+# the modules that ``import tlpq`` leaves to their first use
+FIRST_USE = {"lchs", "ghz", "cli", "commands"}
 
 
 def test_importing_tlpq_loads_the_channel_and_worker_layers_only():
@@ -822,6 +826,30 @@ def test_importing_tlpq_loads_the_channel_and_worker_layers_only():
             "tlpq.runtime"} <= loaded
     assert not loaded & {"tlpq.lchs", "tlpq.ghz", "tlpq.cli", "tlpq.commands",
                          "fractions", "click"}
+    # every other module loads with the package: the benchmark's tracer rebinds
+    # functions only in the modules loaded when it installs, and its controller
+    # reads tlpq.<module> inside its timed run, where a first import would land
+    eager = {f"tlpq.{p.stem}" for p in PACKAGE.glob("*.py")} - {"tlpq.__init__"}
+    assert eager - {f"tlpq.{m}" for m in FIRST_USE} <= loaded
+
+
+# A process that writes no bytecode cache (PYTHONDONTWRITEBYTECODE=1, as the
+# benchmark's controllers and workers run) compiles tlpq from source, and the
+# memory that a module's compile() frees stays resident, so the largest module
+# sets a floor under every process's peak (CHANGES.md, the compile-step
+# entry). Counted as the ROADMAP Baseline counts module sizes.
+MAX_MODULE_TOKENS = 3300
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def test_no_module_is_one_compile_of_more_than_3300_tokens():
+    sizes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open("rb") as source:
+            sizes[path.name] = sum(t.type not in NOT_CODE
+                                   for t in tokenize.tokenize(source.readline))
+    assert {name: n for name, n in sizes.items() if n > MAX_MODULE_TOKENS} == {}
 
 
 def test_importing_the_drivers_leaves_click_and_the_ghz_demo_unimported():

@@ -48,11 +48,11 @@ from tlpq.runtime import (
     ExactBackend,
     TaskSpec,
     _PartStates,
-    _readout_pairs,
     aggregate,
     execute_tasks,
     run_plan,
 )
+from tlpq.backend import _readout_pairs
 
 
 def raw_circuit(u: np.ndarray, n: int) -> Circuit:
@@ -332,7 +332,7 @@ class TestPlanOperandRule:
 
         seen = []
         rule = tlpq.planner.check_overlap_operands
-        monkeypatch.setattr(tlpq.planner, "check_overlap_operands",
+        monkeypatch.setattr("tlpq.table.check_overlap_operands",
                             lambda *operands: seen.append(operands) or rule(*operands))
         rows = two_width_rows()
         plan = Plan.from_subtasks(rows)

@@ -13,6 +13,7 @@ import select
 import socket
 import sys
 import threading
+import types
 from contextlib import contextmanager
 
 import numpy as np
@@ -59,12 +60,10 @@ from tlpq.runtime import (
     WorkerServer,
     _density_tables,
     _PartStates,
-    _readout_pair,
-    _readout_pairs,
-    _sampled_mean,
     estimate_plans,
     serve_worker,
 )
+from tlpq.backend import _readout_pair, _readout_pairs, _sampled_mean
 
 
 # --- helpers --------------------------------------------------------------------
@@ -724,7 +723,7 @@ def test_dispatch_sends_every_batch_before_reading_any_reply():
 
 
 def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monkeypatch):
-    import tlpq.runtime as runtime
+    import tlpq.wire as wire
 
     left = random_circuit(rng, 2)
     rights = [random_circuit(rng, 2) for _ in range(3)]
@@ -735,8 +734,8 @@ def test_worker_parses_each_circuit_once_and_simulates_each_state_once(rng, monk
     ]
     local = execute_tasks(tasks, ClusterConfig(seed=2, shots=32))
     parsed = []
-    real_parse = runtime.parse_circuit
-    monkeypatch.setattr(runtime, "parse_circuit",
+    real_parse = wire.parse_circuit
+    monkeypatch.setattr(wire, "parse_circuit",
                         lambda obj, **kw: parsed.append(obj) or real_parse(obj, **kw))
     steps = record_steps(monkeypatch)
     with live_worker() as addr:  # one node: every row is in one batch
@@ -834,7 +833,7 @@ def test_a_call_whose_tasks_repeat_an_id_is_refused_before_anything_runs(
 def test_the_tlp_route_runs_end_to_end_locally_and_on_two_workers(rng):
     """The paper's route on 8 qubits: bisect, expand the two crossing CZs and
     the crossing CNOT, enumerate the subtasks, run them, reduce."""
-    from tlpq.circuit import _apply_observable
+    from tlpq.backend import _apply_observable
     from tlpq.factorize import expand_layered
     from tlpq.partition import balanced_bisection, build_graph
 
@@ -876,6 +875,24 @@ def test_the_tlp_route_runs_end_to_end_locally_and_on_two_workers(rng):
             value = aggregate(plan, local)
             assert aggregate(plan, remote) == value
             assert abs(value - expectation(letters)) < 1e-10
+
+
+def test_a_controller_connects_through_the_runtime_modules_socket(rng, monkeypatch):
+    # the benchmark's tracer counts wire bytes by replacing tlpq.runtime.socket,
+    # so a controller that connected through any other name would read 0 bytes
+    import tlpq.runtime as runtime
+
+    made = []
+    shim = types.ModuleType("socket")
+    shim.__dict__.update(socket.__dict__)
+    shim.create_connection = lambda *a, **kw: made.append(a) or socket.create_connection(*a, **kw)
+    monkeypatch.setattr(runtime, "socket", shim)
+    task = one_row_table(0, random_circuit(rng, 1), random_circuit(rng, 1), PauliString(1, "Z"), "0")
+    (local,) = execute_tasks([task], ClusterConfig())
+    with live_worker() as addr:
+        (remote,) = execute_tasks([task], ClusterConfig(mode="network", nodes=(addr,)))
+    assert len(made) >= 1
+    assert [r.value for r in remote] == [r.value for r in local]
 
 
 # --- worker sessions: one handshake per worker per ClusterConfig ---------------------
@@ -1236,7 +1253,7 @@ def test_serve_worker_refuses_a_bad_listen_address_before_binding(monkeypatch, a
     def bind(*args, **kwargs):
         pytest.fail("the worker bound a bad address")
 
-    monkeypatch.setattr("tlpq.runtime.WorkerServer", bind)
+    monkeypatch.setattr("tlpq.wire.WorkerServer", bind)
     with pytest.raises(ValueError, match=r"port in 0\.\.65535"):
         serve_worker(address, announce=bind)
 
@@ -1449,7 +1466,7 @@ def test_overlap_tasks_sample_like_estimator_circuits(rng):
 def test_pauli_observable_action_equals_dense_matrix_exactly(rng):
     from itertools import product
 
-    from tlpq.runtime import _apply_observable
+    from tlpq.backend import _apply_observable
 
     for w in range(1, 4):
         for letters in map("".join, product("IXYZ", repeat=w)):
@@ -1808,7 +1825,7 @@ def test_tables_give_the_rows_of_one_row_tasks_bit_for_bit(case):
 def overlap_pairs_by_row(t):
     """The reference: every row's readouts from its own part states, one
     ``np.vdot`` per value, as the routine read them before it was stacked."""
-    from tlpq.runtime import _READOUT_SIDES, _apply_observable
+    from tlpq.backend import _READOUT_SIDES, _apply_observable
 
     def part_state(c, label):
         return simulate(c, basis_state(c.n_qubits, int(label, 2)))
@@ -1865,7 +1882,7 @@ def random_overlap_table(rng, n_rows: int, readouts: tuple, widths=range(1, 7)):
                                       ("p0",), ("p1", "p0")])
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 40])
 def test_stacked_overlaps_equal_per_row_vdot_bit_for_bit(rng, readouts, n_rows):
-    from tlpq.runtime import _overlaps
+    from tlpq.backend import _overlaps
 
     for widths in (range(1, 7), (3,)):
         t = random_overlap_table(rng, n_rows, readouts, widths)
@@ -2039,12 +2056,12 @@ def test_a_plan_with_a_changed_column_never_reads_the_values_derived_from_the_ol
 
 
 def test_the_plans_of_one_channel_derive_their_side_rows_once(rng, monkeypatch):
-    import tlpq.planner
+    import tlpq.table
     from tlpq.runtime import estimate_plans
 
     seen = []
-    side_rows = tlpq.planner._side_rows
-    monkeypatch.setattr(tlpq.planner, "_side_rows",
+    side_rows = tlpq.table._side_rows
+    monkeypatch.setattr(tlpq.table, "_side_rows",
                         lambda t, ket, bra: seen.append((ket, bra)) or side_rows(t, ket, bra))
     fus = tuple(FactorizedUnitary.from_circuits((random_circuit(rng, 1),)) for _ in range(5))
     channel = ChannelLCU(branches=((tuple(complex(c) for c in rng.normal(size=5)), fus),))
@@ -2131,13 +2148,14 @@ def test_cluster_config_rejects_bad_seeds_and_shots(changes):
 @pytest.mark.parametrize("fields", [
     dict(shots=1.5), dict(shots=True), dict(shots="7"), dict(shots=0), dict(seed=2.7),
     dict(seed="5"), dict(seed=-1), dict(seed=True), dict(seed=None), dict(seed="missing"),
+    dict(shots="missing"), dict(note="an extra key"),
 ])
 def test_worker_rejects_a_batch_with_bad_shots_or_seed_and_keeps_serving(fields):
     circuits = [Circuit(1, (Gate("H", (0,)),)), Circuit(1, ())]
     good = batch_message([overlap_row(4, "Z", "0")], circuits, shots=5, seed=3)
     bad = {**good, **fields}
-    if bad["seed"] == "missing":
-        del bad["seed"]
+    for key in [k for k, v in fields.items() if v == "missing"]:
+        del bad[key]
     with live_worker() as addr, raw_connection(addr) as (send, recv):
         send({"type": "hello", "proto": PROTOCOL_VERSION})
         recv()
@@ -2479,17 +2497,17 @@ def _comb(k: int, depth: int = 6) -> list[Circuit]:
 
 @pytest.mark.parametrize("k", [1, 4, 16])
 def test_a_batch_of_k_circuits_keeps_one_state_per_circuit(monkeypatch, k):
-    import tlpq.runtime as runtime
+    import tlpq.wire as wire
     from tlpq.circuit import _gate_key
 
     made = []
 
-    class Recorded(runtime._PartStates):
+    class Recorded(wire._PartStates):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(runtime, "_PartStates", Recorded)
+    monkeypatch.setattr(wire, "_PartStates", Recorded)
     steps = record_steps(monkeypatch)
     circuits = _comb(k)
     tasks = _density_tables([TaskSpec(id=i, kind="density", circuit=c, readouts=("e:ZZZ",))
